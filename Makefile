@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: verify build vet test staticcheck cover race bench bench-paper bench-detsupp bench-fleet soak-smoke soak-regress ci
+.PHONY: verify build vet test stack-check staticcheck cover race bench bench-paper bench-detsupp bench-fleet soak-smoke soak-regress ci
 
 verify: ## build + vet + full test suite (tier-1 gate)
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(MAKE) stack-check
 
 build:
 	$(GO) build ./...
@@ -15,6 +16,13 @@ vet:
 
 test:
 	$(GO) test ./...
+	$(MAKE) stack-check
+
+# benchmarks/stack is its own module (replace mpichv => ../..), so the
+# root module's build and tests never compile it: this is what catches
+# an internal/ change that breaks the surface the benchmark pins.
+stack-check: ## vet + test the wall-clock benchmark harness against this tree (~10 s)
+	bash benchmarks/stack/run.sh -check
 
 staticcheck: ## staticcheck when the binary is on PATH (no network installs)
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -87,5 +95,6 @@ ci: ## the full gate: build + vet + staticcheck + tests + coverage floor + race 
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(MAKE) cover
+	$(MAKE) stack-check
 	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
 		./internal/cluster/ ./internal/transport/

@@ -30,9 +30,7 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -67,44 +65,52 @@ type Image struct {
 
 // imageMagic brands an encoded image so truncation that happens to
 // leave a well-formed length cannot masquerade as a different blob.
-// imageMagicGob is the previous release's frame, whose body is gob;
-// it is still decoded for backward compatibility.
-var (
-	imageMagic    = [4]byte{'M', 'V', 'C', '2'}
-	imageMagicGob = [4]byte{'M', 'V', 'C', 'K'}
-)
+var imageMagic = [4]byte{'M', 'V', 'C', '2'}
 
 const imageHeaderLen = 4 + 4 + 4 // magic + body length + CRC-32
 
 // ImageSize returns the exact encoded size of AppendImage's output.
-func ImageSize(im *Image) int {
-	return imageHeaderLen + 4 + 8 + 8 + 4 + len(im.AppState) + 4 + len(im.Proto)
+func ImageSize(im *Image) int { return imageSize(len(im.AppState), len(im.Proto)) }
+
+func imageSize(appLen, protoLen int) int {
+	return imageHeaderLen + 4 + 8 + 8 + 4 + appLen + 4 + protoLen
 }
 
 // AppendImage appends the binary encoding of im to dst: the
 // magic/length/CRC-32 header followed by a fixed-layout body (rank,
 // seq, baseSeq, app state, proto snapshot). With dst capacity of at
 // least ImageSize(im) — e.g. a wire.GetBuf buffer — it performs no
-// allocation. Unlike the gob body it replaces, the encoding is
-// deterministic, which the store relies on: replicas materialize full
-// images independently and anti-entropy compares them byte for byte.
+// allocation. The encoding is deterministic, which the store relies on:
+// replicas materialize full images independently and anti-entropy
+// compares them byte for byte.
 func AppendImage(dst []byte, im *Image) []byte {
 	start := len(dst)
-	var b [24]byte
-	dst = append(dst, b[:imageHeaderLen]...) // header, patched below
-	binary.BigEndian.PutUint32(b[0:4], uint32(im.Rank))
-	binary.BigEndian.PutUint64(b[4:12], im.Seq)
-	binary.BigEndian.PutUint64(b[12:20], im.BaseSeq)
-	binary.BigEndian.PutUint32(b[20:24], uint32(len(im.AppState)))
-	dst = append(dst, b[:24]...)
+	dst = appendImageHead(dst, im, len(im.Proto))
+	return sealImage(append(dst, im.Proto...), start)
+}
+
+// appendImageHead appends everything ahead of the proto bytes: the
+// frame header (left blank for sealImage), the fixed fields, the app
+// state and the proto length.
+func appendImageHead(dst []byte, im *Image, protoLen int) []byte {
+	var b [imageHeaderLen + 24]byte
+	f := b[imageHeaderLen:]
+	binary.BigEndian.PutUint32(f[0:4], uint32(im.Rank))
+	binary.BigEndian.PutUint64(f[4:12], im.Seq)
+	binary.BigEndian.PutUint64(f[12:20], im.BaseSeq)
+	binary.BigEndian.PutUint32(f[20:24], uint32(len(im.AppState)))
+	dst = append(dst, b[:]...)
 	dst = append(dst, im.AppState...)
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(im.Proto)))
-	dst = append(dst, b[:4]...)
-	dst = append(dst, im.Proto...)
+	return binary.BigEndian.AppendUint32(dst, uint32(protoLen))
+}
+
+// sealImage fills in the frame header of the image that starts at
+// dst[start] and runs to the end of dst.
+func sealImage(dst []byte, start int) []byte {
 	body := dst[start+imageHeaderLen:]
-	copy(dst[start:start+4], imageMagic[:])
-	binary.BigEndian.PutUint32(dst[start+4:start+8], uint32(len(body)))
-	binary.BigEndian.PutUint32(dst[start+8:start+12], crc32.ChecksumIEEE(body))
+	copy(dst[start:], imageMagic[:])
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(len(body)))
+	binary.BigEndian.PutUint32(dst[start+8:], crc32.ChecksumIEEE(body))
 	return dst
 }
 
@@ -115,52 +121,57 @@ func (im *Image) Encode() ([]byte, error) {
 }
 
 // DecodeImage parses an image produced by Encode, verifying the length
-// framing and the CRC-32 checksum before touching the payload. Frames
-// written by the previous release's gob encoder (magic "MVCK") are
-// still accepted.
+// framing and the CRC-32 checksum before touching the payload.
 func DecodeImage(b []byte) (*Image, error) {
-	if len(b) < imageHeaderLen {
-		return nil, fmt.Errorf("ckpt: image of %d bytes shorter than its header", len(b))
+	im, err := viewImage(b, true)
+	if err != nil {
+		return nil, err
 	}
-	isGob := bytes.Equal(b[0:4], imageMagicGob[:])
-	if !isGob && !bytes.Equal(b[0:4], imageMagic[:]) {
-		return nil, fmt.Errorf("ckpt: bad image magic %x", b[0:4])
+	im.AppState = append([]byte(nil), im.AppState...)
+	im.Proto = append([]byte(nil), im.Proto...)
+	return &im, nil
+}
+
+// viewImage is DecodeImage without the copies: AppState and Proto alias
+// b. The store passes verify=false for images it holds — they were
+// checksummed on admission — so materializing over a large base does not
+// pay a pass over it just to re-read what memory already vouches for.
+func viewImage(b []byte, verify bool) (Image, error) {
+	var im Image
+	if len(b) < imageHeaderLen {
+		return im, fmt.Errorf("ckpt: image of %d bytes shorter than its header", len(b))
+	}
+	if [4]byte(b[0:4]) != imageMagic {
+		return im, fmt.Errorf("ckpt: bad image magic %x", b[0:4])
 	}
 	want := int(binary.BigEndian.Uint32(b[4:8]))
 	body := b[imageHeaderLen:]
 	if len(body) != want {
-		return nil, fmt.Errorf("ckpt: truncated image: header promises %d body bytes, frame holds %d", want, len(body))
+		return im, fmt.Errorf("ckpt: truncated image: header promises %d body bytes, frame holds %d", want, len(body))
 	}
-	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(b[8:12]) {
-		return nil, fmt.Errorf("ckpt: image checksum mismatch")
-	}
-	var im Image
-	if isGob {
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&im); err != nil {
-			return nil, fmt.Errorf("ckpt: decoding image: %w", err)
-		}
-		return &im, nil
+	if verify && crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[8:12]) {
+		return im, fmt.Errorf("ckpt: image checksum mismatch")
 	}
 	if len(body) < 24 {
-		return nil, fmt.Errorf("ckpt: image body of %d bytes shorter than its fixed fields", len(body))
+		return im, fmt.Errorf("ckpt: image body of %d bytes shorter than its fixed fields", len(body))
 	}
 	im.Rank = int(binary.BigEndian.Uint32(body[0:4]))
 	im.Seq = binary.BigEndian.Uint64(body[4:12])
 	im.BaseSeq = binary.BigEndian.Uint64(body[12:20])
 	appLen := int(binary.BigEndian.Uint32(body[20:24]))
 	off := 24
-	if appLen < 0 || off+appLen+4 > len(body) {
-		return nil, fmt.Errorf("ckpt: image app state of %d bytes truncated", appLen)
+	if appLen < 0 || appLen > len(body)-off-4 {
+		return im, fmt.Errorf("ckpt: image app state of %d bytes truncated", appLen)
 	}
-	im.AppState = append([]byte(nil), body[off:off+appLen]...)
+	im.AppState = body[off : off+appLen]
 	off += appLen
 	protoLen := int(binary.BigEndian.Uint32(body[off : off+4]))
 	off += 4
-	if protoLen < 0 || off+protoLen != len(body) {
-		return nil, fmt.Errorf("ckpt: image proto of %d bytes does not fill the body", protoLen)
+	if protoLen != len(body)-off {
+		return im, fmt.Errorf("ckpt: image proto of %d bytes does not fill the body", protoLen)
 	}
-	im.Proto = append([]byte(nil), body[off:]...)
-	return &im, nil
+	im.Proto = body[off:]
+	return im, nil
 }
 
 // ProtoSnapshot decodes the daemon protocol snapshot inside the image.
@@ -231,8 +242,8 @@ type partialImage struct {
 // horizon advances.
 type Store struct {
 	mu       sync.Mutex
-	images   map[int]map[uint64][]byte     // rank → seq → materialized full image
-	latest   map[int]uint64                // rank → highest stored seq
+	images   map[int]map[uint64][]byte // rank → seq → materialized full image
+	latest   map[int]uint64            // rank → highest stored seq
 	partials map[int]map[uint64]*partialImage
 
 	// wal, when set (deployed workers), receives every materialized
@@ -269,13 +280,12 @@ func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	w, res, err := walog.ReplayInto(path, torn, func(body []byte) {
-		if len(body) < 16 {
+		if len(body) < recordHeaderLen {
 			return
 		}
 		rank := int(binary.BigEndian.Uint64(body))
 		seq := binary.BigEndian.Uint64(body[8:])
-		image := body[16:]
-		if im, err := DecodeImage(image); err != nil || im.Seq != seq || im.Rank != rank {
+		if im, err := viewImage(body[recordHeaderLen:], true); err != nil || im.Seq != seq || im.Rank != rank {
 			return // damage the record CRC missed, or a mismatched frame
 		}
 		if img := st.images[rank]; img != nil {
@@ -283,7 +293,7 @@ func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, 
 				return
 			}
 		}
-		st.storeLocked(rank, seq, append([]byte(nil), image...))
+		st.storeLocked(rank, seq, append([]byte(nil), body...))
 	})
 	if err != nil {
 		return res, err
@@ -344,85 +354,92 @@ func (st *Store) acceptLocked(rank int, seq uint64, image []byte) AcceptStatus {
 	if st.staleLocked(rank, seq) {
 		return Stale
 	}
-	im, err := DecodeImage(image)
+	im, err := viewImage(image, true)
 	if err != nil || im.Seq != seq {
 		st.stats.Malformed++
 		return Malformed
 	}
+	var rec []byte
 	if im.BaseSeq != 0 {
 		base, ok := st.images[rank][im.BaseSeq]
 		if !ok {
 			st.stats.ChainBreaks++
 			return ChainBreak
 		}
-		full, err := materialize(base, im)
-		if err != nil {
+		if rec, err = materialize(rank, base, &im); err != nil {
 			st.stats.Malformed++
 			return Malformed
 		}
-		image = full
 		st.stats.DeltaSaves++
-		st.storeLocked(rank, seq, image)
+		st.storeLocked(rank, seq, rec)
 		// A delta based on B proves the daemon saw B acked by a write
 		// quorum, so every future base is ≥ B: anything below B is
 		// unreachable and compacts away. B itself stays — another
 		// in-flight delta may still name it.
 		st.compactLocked(rank, im.BaseSeq)
 	} else {
-		st.storeLocked(rank, seq, append([]byte(nil), image...))
+		rec = append(newRecord(rank, seq, len(image)), image...)
+		st.storeLocked(rank, seq, rec)
 		// A full image at S supersedes everything below it. If an
 		// in-flight delta still names a compacted base, the resulting
 		// chain break heals via anti-entropy or daemon escalation.
 		st.compactLocked(rank, seq)
 	}
 	st.stats.Saves++
-	st.stats.SavedBytes += int64(len(image))
+	st.stats.SavedBytes += int64(len(rec) - recordHeaderLen)
 	return Accepted
 }
 
-// materialize rebuilds the full image a delta describes: the base's
-// SAVED log followed by the delta's, under the delta's clocks and
-// vectors. The re-encoding is deterministic (sorted vector keys, fixed
-// layout), so every replica materializes byte-identical images from the
-// same chain — what lets anti-entropy and the chunked restart fetch
-// treat replicas as interchangeable byte sources.
-func materialize(baseImg []byte, delta *Image) ([]byte, error) {
-	base, err := DecodeImage(baseImg)
-	if err != nil {
-		return nil, err
-	}
-	bsn, err := base.ProtoSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	dsn, err := delta.ProtoSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	sn := core.MergeSnapshots(bsn, dsn)
-	full := &Image{
-		Rank:     delta.Rank,
-		Seq:      delta.Seq,
-		AppState: delta.AppState,
-		Proto:    core.AppendSnapshot(make([]byte, 0, core.SnapshotSize(sn)), sn),
-	}
-	return AppendImage(make([]byte, 0, ImageSize(full)), full), nil
+// A stored image sits behind the 16-byte (rank, seq) header of its WAL
+// record, in one buffer: what is appended to the log is what is held,
+// with no second copy of the image.
+const recordHeaderLen = 16
+
+func newRecord(rank int, seq uint64, imageLen int) []byte {
+	rec := make([]byte, recordHeaderLen, recordHeaderLen+imageLen)
+	binary.BigEndian.PutUint64(rec, uint64(rank))
+	binary.BigEndian.PutUint64(rec[8:], seq)
+	return rec
 }
 
-func (st *Store) storeLocked(rank int, seq uint64, image []byte) {
+// materialize rebuilds, as a WAL record, the full image a delta
+// describes: the SAVED entries of the base that the sender still held
+// when it cut the delta (core.PlanMerge drops what the delta's §4.6.1
+// horizon says was collected), followed by the delta's, under the
+// delta's clocks, vectors and app state. The result is byte for byte the
+// full image the daemon would have encoded from the same snapshot, so
+// every replica holds identical bytes whether it followed the chain or
+// received an escalated full image — what lets anti-entropy and the
+// chunked restart fetch treat replicas as interchangeable byte sources.
+// The base is walked in place and each retained byte is copied once.
+func materialize(rank int, baseImg []byte, delta *Image) ([]byte, error) {
+	base, err := viewImage(baseImg, false)
+	if err != nil {
+		return nil, err
+	}
+	merge, err := core.PlanMerge(base.Proto, delta.Proto)
+	if err != nil {
+		return nil, err
+	}
+	full := Image{Rank: delta.Rank, Seq: delta.Seq, AppState: delta.AppState}
+	size := imageSize(len(full.AppState), merge.Size())
+	rec := appendImageHead(newRecord(rank, delta.Seq, size), &full, merge.Size())
+	return sealImage(merge.Append(rec), recordHeaderLen), nil
+}
+
+// storeLocked takes ownership of rec, a WAL record as newRecord lays it
+// out, and holds the image inside it.
+func (st *Store) storeLocked(rank int, seq uint64, rec []byte) {
 	m := st.images[rank]
 	if m == nil {
 		m = make(map[uint64][]byte)
 		st.images[rank] = m
 	}
-	m[seq] = image
+	m[seq] = rec[recordHeaderLen:]
 	if st.wal != nil {
-		rec := make([]byte, 16, 16+len(image))
-		binary.BigEndian.PutUint64(rec, uint64(rank))
-		binary.BigEndian.PutUint64(rec[8:], seq)
 		// A failed (or injection-torn) append is silent, as a real torn
 		// write would be; the loader's resync absorbs the damage.
-		st.wal.Append(append(rec, image...))
+		st.wal.Append(rec)
 	}
 	if seq > st.latest[rank] {
 		st.latest[rank] = seq

@@ -277,7 +277,9 @@ func TestImagesKeyedPerRank(t *testing.T) {
 // chainImages builds an encoded base image at seq1, a delta at seq2
 // taken against it, and the full image the delta must materialize to —
 // the snapshots are built by hand so the SAVED split across the
-// base/delta boundary is explicit.
+// base/delta boundary is explicit. Between the two, peer 0 checkpointed
+// having delivered clock 3, so the sender collected "one": the delta's
+// horizon says so and the materialized image must not hold it.
 func chainImages(rank int, seq1, seq2 uint64) (base, delta, full []byte) {
 	sn1 := &core.Snapshot{
 		Rank: rank, H: 12,
@@ -293,7 +295,8 @@ func chainImages(rank int, seq1, seq2 uint64) (base, delta, full []byte) {
 		Rank: rank, H: 30,
 		HS: map[int]uint64{0: 6, 1: 2}, HR: map[int]uint64{1: 4},
 		SeqTo: map[int]uint64{0: 3, 1: 2}, SeqIn: map[int]uint64{1: 9},
-		Saved: append(append([]core.SavedMsg(nil), sn1.Saved...),
+		Collected: map[int]uint64{0: 3},
+		Saved: append(append([]core.SavedMsg(nil), sn1.Saved[1:]...),
 			core.SavedMsg{To: 1, Clock: 9, Seq: 2, Kind: 1, Data: []byte("four")},
 			core.SavedMsg{To: 0, Clock: 11, Seq: 3, Kind: 2, Data: []byte("five!")},
 		),
@@ -336,6 +339,55 @@ func TestDeltaMaterializesToFullImage(t *testing.T) {
 	}
 	if s := st.Stats(); s.ChainCompactions != 2 {
 		t.Errorf("ChainCompactions = %d, want 2 (seqs 1 and 2)", s.ChainCompactions)
+	}
+}
+
+// TestChainStaysBoundedUnderGC pins the byte-identity invariant and the
+// bound it buys over a long chain driven by a live core.State: a store
+// that follows 40 deltas and a store handed the full image every round
+// hold identical bytes throughout, and with the peers collecting between
+// rounds the image stops growing — it holds what the sender retains,
+// not what it ever sent.
+func TestChainStaysBoundedUnderGC(t *testing.T) {
+	live := core.NewState(0)
+	chain, escalated := NewStore(), NewStore()
+	var marks map[int]uint64
+	var sizes []int
+	payload := bytes.Repeat([]byte{0xA5}, 256)
+	for round := uint64(1); round <= 40; round++ {
+		for i := 0; i < 32; i++ {
+			live.PrepareSend(1+i%2, 0, payload)
+		}
+		sn := live.Snapshot()
+		im := &Image{Rank: 0, Seq: round, AppState: []byte{byte(round)}, Proto: core.AppendSnapshot(nil, sn)}
+		full := AppendImage(nil, im)
+		sent := full
+		if round > 1 {
+			im.BaseSeq, im.Proto = round-1, core.AppendSnapshotDelta(nil, sn, marks)
+			sent = AppendImage(nil, im)
+		}
+		if got := chain.Accept(0, round, sent); got != Accepted {
+			t.Fatalf("round %d: chain store: %v", round, got)
+		}
+		if got := escalated.Accept(0, round, full); got != Accepted {
+			t.Fatalf("round %d: full-image store: %v", round, got)
+		}
+		a, _ := chain.Get(0)
+		b, _ := escalated.Get(0)
+		if !bytes.Equal(a, full) || !bytes.Equal(b, full) {
+			t.Fatalf("round %d: materialized image differs from the full encoding of the same snapshot", round)
+		}
+		sizes = append(sizes, len(a))
+		marks = sn.SeqTo
+		// Both peers checkpoint, each a little behind the sender.
+		live.CollectGarbage(1, live.Clock()-8)
+		live.CollectGarbage(2, live.Clock()-20)
+	}
+	if early, late := sizes[3], sizes[39]; late*10 > early*11 || late*10 < early*9 {
+		t.Errorf("image is %d bytes after round 40, %d after round 4: not flat", late, early)
+	}
+	if s := chain.Stats(); s.DeltaSaves != 39 || s.ChainCompactions != 38 {
+		t.Errorf("DeltaSaves=%d ChainCompactions=%d, want 39, 38", s.DeltaSaves, s.ChainCompactions)
 	}
 }
 

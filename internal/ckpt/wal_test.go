@@ -45,6 +45,29 @@ func TestStoreWALSurvivesRestart(t *testing.T) {
 	}
 }
 
+// A delta is materialized before it is logged: the restarted store holds
+// the full image without needing the base to have survived.
+func TestStoreWALHoldsMaterializedImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cs.wal")
+	base, delta, full := chainImages(4, 1, 2)
+	st := NewStore()
+	if _, err := st.OpenWAL(path, walog.TornConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if st.Accept(4, 1, base) != Accepted || st.Accept(4, 2, delta) != Accepted {
+		t.Fatal("accept failed")
+	}
+	st.CloseWAL()
+
+	st2 := NewStore()
+	if _, err := st2.OpenWAL(path, walog.TornConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st2.Get(4); !ok || !bytes.Equal(got, full) {
+		t.Fatalf("restored image differs from the full encoding (ok=%v)", ok)
+	}
+}
+
 // TestStoreWALTornImage: a torn image append costs that image only; the
 // image's own CRC frame rejects any half-written record the log scan
 // might still frame correctly.

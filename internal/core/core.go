@@ -121,6 +121,13 @@ type State struct {
 	saved    []SavedMsg // SAVED_p, ascending by Clock
 	logBytes int64
 
+	// collected[q] is the §4.6.1 garbage-collection horizon towards q:
+	// every SAVED entry to q at or below this sender clock has been
+	// collected, and none at or below it is ever logged again. It rides
+	// in every snapshot so the checkpoint store can drop the same
+	// entries from the base image a delta is materialized against.
+	collected map[int]uint64
+
 	probes  uint32 // unsuccessful probes since last delivery
 	unacked int    // reception events submitted to the EL, not yet acked
 
@@ -133,15 +140,16 @@ type State struct {
 // NewState returns the protocol state of a fresh process.
 func NewState(rank int) *State {
 	return &State{
-		rank:    rank,
-		hs:      make(map[int]uint64),
-		hr:      make(map[int]uint64),
-		offered: make(map[int]uint64),
-		seqTo:   make(map[int]uint64),
-		seqIn:   make(map[int]uint64),
-		seqAcc:  make(map[int]uint64),
-		held:    make(map[int]map[uint64]StashedMsg),
-		stash:   make(map[MsgID]StashedMsg),
+		rank:      rank,
+		hs:        make(map[int]uint64),
+		hr:        make(map[int]uint64),
+		offered:   make(map[int]uint64),
+		seqTo:     make(map[int]uint64),
+		seqIn:     make(map[int]uint64),
+		seqAcc:    make(map[int]uint64),
+		held:      make(map[int]map[uint64]StashedMsg),
+		collected: make(map[int]uint64),
+		stash:     make(map[MsgID]StashedMsg),
 	}
 }
 
@@ -641,7 +649,17 @@ func (s *State) resendAfter(peer int, hp uint64) []SavedMsg {
 // CollectGarbage implements §4.6.1: peer has checkpointed having
 // delivered our messages up to clock deliveredUpTo; payload copies at or
 // below it will never be requested again. Returns the bytes freed.
+//
+// The horizon is recorded (a late or stale note never lowers it) so that
+// snapshots carry it to the checkpoint store. It is clamped to the
+// current clock: a sender that rolled back to a checkpoint can be told
+// of deliveries it has not re-executed yet, and the re-executed sends
+// still enter the log (PrepareSend logs always) — recording the peer's
+// full horizon would claim those entries collected while they are held.
 func (s *State) CollectGarbage(peer int, deliveredUpTo uint64) int64 {
+	if upTo := min(deliveredUpTo, s.h); upTo > s.collected[peer] {
+		s.collected[peer] = upTo
+	}
 	var freed int64
 	kept := s.saved[:0]
 	for _, m := range s.saved {

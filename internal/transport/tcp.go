@@ -206,6 +206,13 @@ func (e *tcpEndpoint) acceptLoop() {
 // simultaneous-dial race).
 func (e *tcpEndpoint) register(peer int, c net.Conn) {
 	e.mu.Lock()
+	if e.closed {
+		// Close already swept the map (it is nil now) and will not see
+		// this connection: a hello that lands afterwards is refused.
+		e.mu.Unlock()
+		c.Close()
+		return
+	}
 	old := e.conns[peer]
 	e.conns[peer] = c
 	e.mu.Unlock()

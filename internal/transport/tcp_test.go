@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,4 +208,44 @@ func TestTCPFabricShutdownReleasesGoroutines(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, runtime.NumGoroutine())
+}
+
+// TestTCPCloseWhileAccepting: a dialer's hello that lands after Close
+// swept the connection map must not be registered into it — the
+// endpoint closes the newcomer instead. Dial + hello race Close a few
+// hundred times; before the guard, register wrote the nil map and took
+// the whole process down.
+func TestTCPCloseWhileAccepting(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		rt := vtime.NewReal()
+		fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0"})
+		ep := fab.Attach(0, "victim")
+		addr := fab.addr(0)
+		var wg sync.WaitGroup
+		for from := 1; from <= 4; from++ {
+			wg.Add(1)
+			go func(from int) {
+				defer wg.Done()
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					return // the listener was already gone
+				}
+				defer c.Close()
+				if WriteFrame(c, Frame{From: from, Kind: helloKind}) != nil {
+					return
+				}
+				// Registered or refused, the endpoint ends up closing
+				// its side; wait for that so no reader outlives the test.
+				c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := c.Read(make([]byte, 1)); err == nil {
+					t.Error("closed endpoint sent data to a dialer")
+				}
+			}(from)
+		}
+		time.Sleep(time.Duration(i%8) * 40 * time.Microsecond)
+		ep.Close()
+		wg.Wait()
+		// Every accept and read goroutine of the closed endpoint ends.
+		rt.Wait()
+	}
 }

@@ -2,7 +2,10 @@
 // wire/core/ckpt fuzz targets. Each seed is a well-formed frame from
 // the real encoders (plus a few deliberately truncated ones), written
 // in the "go test fuzz v1" format the fuzzing engine loads from
-// testdata/fuzz/<FuzzName>/. Run from the repo root:
+// testdata/fuzz/<FuzzName>/. Seeds are named by content and nothing is
+// deleted: after a format change the previous generation's seeds stay
+// behind as inputs the decoders must now reject. Run from the repo
+// root:
 //
 //	go run ./tools/gencorpus
 package main
@@ -83,35 +86,42 @@ func main() {
 		wire.EncodeCkptManifest(wire.CkptManifest{}),
 	)
 
+	// Snapshots: a state that has collected (non-empty horizon vector),
+	// its delta against the marks of an earlier checkpoint, no horizon,
+	// a SAVED entry with channel seq 0 (the decoder accepts it, so the
+	// full encoding must keep it), empty, truncated.
 	sn := &core.Snapshot{
-		Rank:  2,
-		H:     29,
-		HS:    map[int]uint64{0: 3, 1: 9},
-		HR:    map[int]uint64{3: 7},
-		SeqTo: map[int]uint64{0: 2},
-		SeqIn: map[int]uint64{3: 5},
-		Saved: []core.SavedMsg{{To: 0, Clock: 11, Seq: 2, Kind: 1, Data: []byte("saved payload")}},
+		Rank:      2,
+		H:         29,
+		HS:        map[int]uint64{0: 3, 1: 9},
+		HR:        map[int]uint64{3: 7},
+		SeqTo:     map[int]uint64{0: 3, 1: 1},
+		SeqIn:     map[int]uint64{3: 5},
+		Collected: map[int]uint64{0: 10, 1: 4},
+		Saved: []core.SavedMsg{
+			{To: 0, Clock: 11, Seq: 2, Kind: 1, Data: []byte("saved payload")},
+			{To: 1, Clock: 12, Seq: 1, Kind: 1, Data: nil},
+			{To: 0, Clock: 20, Seq: 3, Kind: 2, Data: []byte("after the base")},
+		},
 	}
-	snb, err := sn.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	emptySn, err := (&core.Snapshot{}).Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	add("internal/core/testdata/fuzz/FuzzDecodeSnapshot", snb, emptySn, snb[:17])
+	snb := core.AppendSnapshot(nil, sn)
+	delta := core.AppendSnapshotDelta(nil, sn, map[int]uint64{0: 2, 1: 1})
+	noHorizon := core.AppendSnapshot(nil, &core.Snapshot{Rank: 1, H: 2, SeqTo: map[int]uint64{0: 1},
+		Saved: []core.SavedMsg{{To: 0, Clock: 2, Seq: 1, Data: []byte("x")}}})
+	seqZero := core.AppendSnapshot(nil, &core.Snapshot{Rank: 1, H: 1,
+		Saved: []core.SavedMsg{{To: 0, Clock: 1, Seq: 0, Data: []byte("unsequenced")}}})
+	emptySn := core.AppendSnapshot(nil, &core.Snapshot{})
+	add("internal/core/testdata/fuzz/FuzzDecodeSnapshot", snb, delta, noHorizon, seqZero, emptySn, snb[:17])
 
-	im := &ckpt.Image{Rank: 1, Seq: 4, BaseSeq: 3, AppState: []byte("app bytes"), Proto: snb}
-	imb, err := im.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	emptyIm, err := (&ckpt.Image{}).Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	add("internal/ckpt/testdata/fuzz/FuzzDecodeImage", imb, emptyIm, imb[:8])
+	// Images: a full image and a delta over it, both carrying the
+	// horizon; empty; cut inside the frame header.
+	imb := ckpt.AppendImage(nil, &ckpt.Image{Rank: 2, Seq: 4, AppState: []byte("app bytes"), Proto: snb})
+	deltaIm := ckpt.AppendImage(nil, &ckpt.Image{Rank: 2, Seq: 5, BaseSeq: 4, AppState: []byte("app bytes'"), Proto: delta})
+	emptyIm := ckpt.AppendImage(nil, &ckpt.Image{})
+	add("internal/ckpt/testdata/fuzz/FuzzDecodeImage", imb, deltaIm, emptyIm, imb[:8])
+	// ... and the first chunk of that image as it travels.
+	add("internal/wire/testdata/fuzz/FuzzDecodeCkptChunk",
+		wire.AppendCkptChunk(nil, 4, 0, 2, imb[:len(imb)/2]))
 
 	for dir, frames := range seeds {
 		for _, frame := range frames {
