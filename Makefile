@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet test stack-check staticcheck cover race bench bench-paper bench-detsupp bench-fleet soak-smoke soak-regress ci
+.PHONY: verify build vet test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet soak-smoke soak-regress ci
 
 verify: ## build + vet + full test suite (tier-1 gate)
 	$(GO) build ./...
@@ -48,6 +48,14 @@ bench: ## Go microbenchmarks with allocation counts (wire codec, vtime actors)
 
 bench-paper: ## quick pass over every paper experiment
 	$(GO) run ./cmd/vbench -exp all -quick
+
+# bench-oracle is the refactoring gate: the simulator is deterministic,
+# so a behaviour-preserving change regenerates the committed virtual-time
+# artifacts byte for byte (BENCH_fleet.json minus its wall-clock fields).
+# Run it before any target that rewrites a committed BENCH_*.json in
+# place (bench-detsupp and bench-fleet write their -quick sweeps).
+bench-oracle: ## regenerate BENCH_{perf,ckpt,detsupp,trace,fleet}.json in scratch and diff against the committed files (~3 s)
+	bash tools/bench-oracle.sh
 
 # bench-detsupp gates the suppression layer: the sweep must emit its
 # JSON artifact, and TestDetSuppShape fails unless adaptive mode logs

@@ -38,7 +38,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "trim sweeps for a fast run")
 		list       = flag.Bool("list", false, "list experiments")
 		jsonOut    = flag.Bool("json", false, "write BENCH_<id>.json instead of printing the table")
-		elReplicas = flag.Int("elreplicas", 0, "force R replicated event loggers on the chaos experiment (0 = legacy primary+backup)")
+		elReplicas = flag.Int("elreplicas", 0, "force R replicated event loggers on the chaos experiment (0 = two partitioned loggers, each a group of one)")
 		elQuorum   = flag.Int("elquorum", 0, "write quorum Q for -elreplicas (0 = majority)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file")

@@ -44,7 +44,7 @@ func Experiments() []Experiment {
 		{ID: "fig11", Title: "Figure 11: BT-A with faults during execution", Run: Figure11},
 		{ID: "sched", Title: "§4.6.2: checkpoint scheduling policies (round-robin vs adaptive)", Run: SchedPolicies},
 		{ID: "ablate", Title: "Ablations: WAITLOGGED gating, payload routing, garbage collection", Run: Ablations},
-		{ID: "chaos", Title: "Chaos: BT-A under lossy links, node kills and service failover", Run: Chaos,
+		{ID: "chaos", Title: "Chaos: BT-A under lossy links, node kills and a service outage", Run: Chaos,
 			Data: func(q bool) (any, error) { return ChaosData(q), nil }},
 		{ID: "elrep", Title: "Replication: event-logger quorum size vs overhead under chaos", Run: ELRep,
 			Data: func(q bool) (any, error) { return ELRepData(q), nil }},

@@ -13,14 +13,14 @@ import (
 	"mpichv/internal/transport"
 )
 
-// Chaos experiment: BT class A on 4 computing nodes with replicated
-// event loggers, always-on checkpointing, a Poisson process killing
-// compute and service nodes, and a chaos fabric dropping, duplicating
+// Chaos experiment: BT class A on 4 computing nodes with two event
+// loggers, always-on checkpointing, a Poisson process killing compute
+// nodes, one event-logger kill, and a chaos fabric dropping, duplicating
 // and delaying frames at increasing rates. The paper's volatile-node
 // claim is qualitative — executions survive faults — and this sweep
-// quantifies the price: how much retry/failover machinery fires and how
-// far the elapsed time stretches as the links and nodes degrade, with
-// every run still producing verified numerics.
+// quantifies the price: how much retry machinery fires and how far the
+// elapsed time stretches as the links and nodes degrade, with every run
+// still producing verified numerics.
 
 // ChaosPoint is one point of the chaos sweep.
 type ChaosPoint struct {
@@ -32,7 +32,6 @@ type ChaosPoint struct {
 	SvcRestarts  int
 	Retransmits  int64
 	Pulls        int64
-	Failovers    int64
 	Dropped      int64 // frames the chaos fabric discarded
 	StaleRejects int64 // checkpoint saves refused for regressing the seq
 	DeltaCkpts   int64 // checkpoints shipped as deltas against an acked base
@@ -46,12 +45,12 @@ type ChaosPoint struct {
 
 // ELOverrideReplicas/ELOverrideQuorum optionally force the replicated
 // event-logger group on the chaos experiment: R independent replicas
-// with write quorum Q instead of the legacy primary+backup pair. Set
-// from vbench's -elreplicas/-elquorum flags; zero keeps the legacy
-// layout. Under the override the event-logger kill is transient (the
-// respawned replica anti-entropies its events back from the peers)
-// rather than permanent, since quorum mode has no failover rotation to
-// escape a permanently dead target.
+// with write quorum Q instead of two partitioned loggers over one
+// stable store, each serving half the ranks as a group of one. Set from
+// vbench's -elreplicas/-elquorum flags; zero keeps the partitioned
+// layout. The event-logger kill is transient in both: a lone logger's
+// clients retransmit until the respawn serves the stable store again; a
+// respawned replica anti-entropies its events back from the peers.
 var (
 	ELOverrideReplicas int
 	ELOverrideQuorum   int
@@ -91,10 +90,8 @@ func runChaosBT(b nas.Benchmark, drop float64, seed uint64) ChaosPoint {
 		}
 	}
 	// One event-logger kill plus Poisson compute kills: the acceptance
-	// scenario, swept over link quality. In the legacy layout the kill
-	// is permanent (clients must fail over to the backup); under a
-	// quorum override it is transient and answered by anti-entropy.
-	faults := []dispatcher.Fault{{Time: 60 * time.Millisecond, Rank: cluster.ELBase, Permanent: ELOverrideReplicas == 0}}
+	// scenario, swept over link quality.
+	faults := []dispatcher.Fault{{Time: 60 * time.Millisecond, Rank: cluster.ELBase}}
 	faults = append(faults, dispatcher.RandomFaults(seed, 4, 400*time.Millisecond, []int{0, 1, 2, 3})...)
 	cfg := cluster.Config{
 		Impl:           cluster.V2,
@@ -125,7 +122,6 @@ func runChaosBT(b nas.Benchmark, drop float64, seed uint64) ChaosPoint {
 		SvcRestarts:  res.ServiceRestarts,
 		Retransmits:  res.Retransmits,
 		Pulls:        res.Pulls,
-		Failovers:    res.Failovers,
 		Dropped:      res.ChaosDropped,
 		StaleRejects: res.StaleRejects,
 		DeltaCkpts:   res.DeltaCkpts,
@@ -147,13 +143,13 @@ func runChaosBT(b nas.Benchmark, drop float64, seed uint64) ChaosPoint {
 // Chaos regenerates the link-degradation experiment.
 func Chaos(w io.Writer, quick bool) error {
 	t := newTable(w)
-	t.row("drop", "time", "vs clean", "restarts", "svc k/r", "retrans", "pulls", "failovers", "dropped", "stale", "deltas", "chunkrt", "compact", "manifests", "audit", "verified")
+	t.row("drop", "time", "vs clean", "restarts", "svc k/r", "retrans", "pulls", "dropped", "stale", "deltas", "chunkrt", "compact", "manifests", "audit", "verified")
 	pts := ChaosData(quick)
 	for _, pt := range pts {
 		t.row(fmt.Sprintf("%.1f%%", pt.Drop*100), pt.Elapsed.Round(time.Millisecond),
 			fmt.Sprintf("%.2f", pt.Ratio), pt.Restarts,
 			fmt.Sprintf("%d/%d", pt.SvcKills, pt.SvcRestarts),
-			pt.Retransmits, pt.Pulls, pt.Failovers, pt.Dropped,
+			pt.Retransmits, pt.Pulls, pt.Dropped,
 			pt.StaleRejects, pt.DeltaCkpts, pt.ChunkRetrans, pt.Compactions,
 			pt.Manifests, ok(pt.AuditOK), pt.Verified)
 	}

@@ -208,37 +208,6 @@ func TestChaosCrashDuringReplay(t *testing.T) {
 	}
 }
 
-func TestEventLoggerFailover(t *testing.T) {
-	// The primary event logger of half the ranks dies permanently; the
-	// daemons' ack timeouts must re-home them to the surviving logger
-	// (which shares the stable store) without losing an event.
-	const n, rounds = 4, 25
-	finals := make([]uint64, n)
-	res := Run(Config{
-		Impl: V2, N: n,
-		EventLoggers:   2,
-		DetectionDelay: 2 * time.Millisecond,
-		Faults:         []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: ELBase, Permanent: true}},
-		Trace:          true,
-	}, ringProgram(rounds, finals))
-	if res.ServiceKills != 1 {
-		t.Fatalf("service kills = %d, want 1", res.ServiceKills)
-	}
-	if res.ServiceRestarts != 0 {
-		t.Fatalf("service restarts = %d, want 0 for a permanent fault", res.ServiceRestarts)
-	}
-	if res.Failovers == 0 {
-		t.Error("no daemon failed over to the backup event logger")
-	}
-	if finals[0] != ringExpect(n, rounds) {
-		t.Errorf("token = %d, want %d", finals[0], ringExpect(n, rounds))
-	}
-	if hb := AuditTrace(res); !hb.OK() {
-		t.Errorf("%s", hb.Summary())
-	}
-	t.Logf("failovers=%d retransmits=%d logged=%d", res.Failovers, res.Retransmits, res.ELLogged)
-}
-
 func TestEventLoggerRespawn(t *testing.T) {
 	// A transient event-logger crash: the dispatcher respawns the
 	// frontend over the shared store, daemons retransmit their batches
@@ -310,7 +279,7 @@ func TestCheckpointServerRespawn(t *testing.T) {
 
 // TestChaosBTAcceptance is the integration acceptance scenario: a BT.A
 // run with continuous checkpointing on a fabric dropping over 1% of
-// frames, during which the primary event logger is killed for good and
+// frames, during which the event logger of half the ranks is killed and
 // a compute node is killed twice — the second time mid-replay. The run
 // must complete with verified numerics and the same per-process
 // delivery sequence as the fault-free run.
@@ -344,7 +313,7 @@ func TestChaosBTAcceptance(t *testing.T) {
 			MaxDelay:  300 * time.Microsecond,
 		},
 		Faults: []dispatcher.Fault{
-			{Time: 60 * time.Millisecond, Rank: ELBase, Permanent: true},
+			{Time: 60 * time.Millisecond, Rank: ELBase},
 			{Time: 100 * time.Millisecond, Rank: 2},
 			{Time: 106 * time.Millisecond, Rank: 2}, // lands mid-replay
 		},
@@ -364,7 +333,7 @@ func TestChaosBTAcceptance(t *testing.T) {
 		}
 	}
 	if res.ServiceKills != 1 {
-		t.Errorf("service kills = %d, want 1 (the primary event logger)", res.ServiceKills)
+		t.Errorf("service kills = %d, want 1 (the event logger)", res.ServiceKills)
 	}
 	if res.Kills < 2 {
 		t.Errorf("compute kills = %d, want ≥ 2", res.Kills)
@@ -532,4 +501,54 @@ func TestChaosBrokenDeltaChainFallsBackToFullImage(t *testing.T) {
 	t.Logf("deltas=%d breaks=%d compactions=%d resyncs=%d synced=%d saves=%d",
 		res.DeltaCkpts, res.ChainBreaks, res.ChainCompactions,
 		res.Resyncs, res.SyncedEvents, res.CkptSaves)
+}
+
+func TestLoneLoggerRestartFetchOutlastsOutage(t *testing.T) {
+	// A rank dies together with the only event logger it knows, and the
+	// logger stays down far longer than the bounded retries of a restart
+	// fetch. The fetch of a group of one must never settle for an empty
+	// reply set — that would replay nothing and orphan every process the
+	// rank had sent to — but keep asking until the dispatcher has
+	// respawned the logger over its stable store, then replay.
+	const n, rounds = 4, 25
+	clean := make([]uint64, n)
+	Run(Config{Impl: V2, N: n}, ringProgram(rounds, clean))
+
+	finals := make([]uint64, n)
+	res := Run(Config{
+		Impl: V2, N: n,
+		DetectionDelay:    2 * time.Millisecond,
+		ShardRespawnDelay: 5 * time.Second, // seven doubling fetch rounds take ~2.4 s
+		Faults: []dispatcher.Fault{
+			{Time: 5 * time.Millisecond, Rank: ELNode},
+			{Time: 5 * time.Millisecond, Rank: 2},
+		},
+		Trace: true,
+	}, ringProgram(rounds, finals))
+	if res.ServiceRestarts != 1 || res.Restarts != 1 {
+		t.Fatalf("service/compute restarts = %d/%d, want 1/1", res.ServiceRestarts, res.Restarts)
+	}
+	if res.Elapsed < 5*time.Second {
+		t.Fatalf("run took %v: it did not wait out the logger outage", res.Elapsed)
+	}
+	if got := res.Daemons[2].Retransmits; got <= 7 {
+		t.Errorf("restarted rank retransmitted %d requests, want more than the bounded rounds", got)
+	}
+	if got := res.Daemons[2].Replayed; got == 0 {
+		t.Error("restarted rank replayed nothing")
+	}
+	if res.DegradedReads != 0 || res.ReplayDropped != 0 {
+		t.Errorf("degraded reads = %d, replay dropped = %d, want 0/0", res.DegradedReads, res.ReplayDropped)
+	}
+	for r := range finals {
+		if finals[r] != clean[r] {
+			t.Errorf("rank %d final = %d, fault-free run = %d", r, finals[r], clean[r])
+		}
+	}
+	if a := Audit(res); !a.OK() {
+		t.Errorf("%s", a.Summary())
+	}
+	if hb := AuditTrace(res); !hb.OK() {
+		t.Errorf("%s", hb.Summary())
+	}
 }

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mpichv/internal/ckpt"
@@ -125,10 +124,10 @@ type Config struct {
 	// ShardSeed seeds the placement ring (any value; runs with equal
 	// seeds place identically).
 	ShardSeed uint64
-	// ShardRespawnDelay is the extra time a killed service replica
-	// takes to re-provision beyond fault detection. Zero keeps respawn
-	// at the detection instant, which heals a shard before its outage
-	// broadcast fires.
+	// ShardRespawnDelay is the extra time a killed service node (of any
+	// layout, sharded or not) takes to re-provision beyond fault
+	// detection. Zero keeps respawn at the detection instant, which
+	// heals a shard before its outage broadcast fires.
 	ShardRespawnDelay time.Duration
 
 	// Checkpointing runs the checkpoint server and scheduler.
@@ -220,7 +219,7 @@ type Result struct {
 	Restarts int
 	Kills    int
 
-	// Service failover accounting.
+	// Service outage accounting.
 	ServiceKills    int
 	ServiceRestarts int
 
@@ -234,7 +233,6 @@ type Result struct {
 	// incarnation of every daemon plus the service stores.
 	Retransmits  int64 // timed-out requests re-sent
 	Pulls        int64 // starvation-triggered pull announcements
-	Failovers    int64 // daemon re-homings to backup services
 	Malformed    int64 // undecodable frames seen by daemons and services
 	ELDuplicates int64 // re-submitted events deduplicated by the loggers
 
@@ -398,11 +396,13 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		}
 	}
 
-	// Services. In the legacy (partitioned / failover) configurations
-	// every frontend of a kind shares one stable store, so a respawned
-	// or backup instance serves exactly what its predecessor stored —
+	// Services. In the partitioned configurations (EventLoggers /
+	// CkptServers) every frontend of a kind shares one stable store, and
+	// each daemon talks to its one frontend as a replica group of one:
+	// a respawned frontend serves exactly what its predecessor stored —
 	// the paper's reliable-service assumption, with only the frontend
-	// process being volatile. In quorum mode each replica owns an
+	// process being volatile, and the only place in the tree that
+	// assumption lives. With ELReplicas/CSReplicas each replica owns an
 	// INDEPENDENT store: a killed replica loses it, and the respawn
 	// comes back empty and anti-entropy resyncs from its peers.
 	switch cfg.Impl {
@@ -508,11 +508,12 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		Respawn:        func(rank int) { h.spawn(rank, true) },
 		Services:       append(append([]int{}, h.elNodes...), h.csNodes...),
 		RespawnService: h.respawnService,
+
+		ServiceRespawnDelay: cfg.ShardRespawnDelay,
 	}
 	if len(h.elShardGroups) > 1 {
 		dpcfg.ELShardOf = h.elShardOf
 		dpcfg.ELShardQuorum = cfg.ELQuorum
-		dpcfg.ServiceRespawnDelay = cfg.ShardRespawnDelay
 	}
 	h.disp = dispatcher.Start(sim, fab, dpcfg)
 
@@ -545,7 +546,6 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 	for _, st := range res.Daemons {
 		res.Retransmits += st.Retransmits
 		res.Pulls += st.Pulls
-		res.Failovers += st.Failovers
 		res.Malformed += st.Malformed
 		res.QuorumAcks += st.QuorumAcks
 		res.BelowQuorumAcks += st.BelowQuorumAcks
@@ -716,11 +716,11 @@ type harness struct {
 
 	elNodes  []int
 	csNodes  []int
-	elStore  *eventlog.Store // shared store (legacy partitioned/failover mode)
+	elStore  *eventlog.Store // shared stable store (partitioned frontends)
 	csStore  *ckpt.Store
-	elStores map[int]*eventlog.Store // per-replica stores, node → latest incarnation (quorum mode)
+	elStores map[int]*eventlog.Store // per-replica stores, node → latest incarnation (replica groups)
 	csStores map[int]*ckpt.Store
-	elQ, csQ int // write quorums; > 0 selects quorum mode
+	elQ, csQ int // write quorums; > 0 selects independent per-replica stores
 	disp     *dispatcher.Dispatcher
 
 	// Sharded-fleet layout (Config.ELShards / CSShards > 1).
@@ -736,9 +736,9 @@ type harness struct {
 	recorders []*trace.Recorder // per-rank trace rings (Config.Trace only)
 }
 
-// startEL / startCS attach one service frontend: over the shared store
-// in legacy mode, over a fresh independent store (resyncing from peers
-// when asked) in quorum mode.
+// startEL / startCS attach one service frontend: over the shared stable
+// store when partitioned, over a fresh independent store (resyncing from
+// peers when asked) in a replica group.
 func (h *harness) startEL(node int, resync bool) {
 	ep := h.fab.Attach(node, fmt.Sprintf("event-logger@%d", node))
 	if h.elQ > 0 {
@@ -783,8 +783,8 @@ func groupOf(node int, groups [][]int, all []int) []int {
 	return all
 }
 
-// respawnService restarts a crashed service frontend on its node id. In
-// quorum mode the replacement starts over an empty store and resyncs.
+// respawnService restarts a crashed service frontend on its node id. A
+// replica-group member starts over an empty store and resyncs.
 func (h *harness) respawnService(node int) {
 	for _, n := range h.elNodes {
 		if n == node {
@@ -811,73 +811,18 @@ func othersOf(self int, nodes []int) []int {
 	return out
 }
 
-// mergeReplicaDeliveries folds the replica logs into one per-rank view:
-// identical events deduplicate, and conflicting versions of the same
-// (sender, channel-seq) slot resolve exactly as a restarting daemon
-// resolves its read quorum — majority replica count, then higher
-// RecvClock, then higher SenderClock — so the merged view is what
-// recovery would actually replay.
+// mergeReplicaDeliveries folds the replica logs into one per-rank view
+// with the vote a restarting daemon applies to its read quorum
+// (core.MergeReplicaEvents), so the merged view is what recovery would
+// actually replay.
 func mergeReplicaDeliveries(n int, replicas [][][]core.Event) [][]core.Event {
 	out := make([][]core.Event, n)
-	for r := 0; r < n; r++ {
-		count := make(map[core.Event]int)
-		for _, per := range replicas {
-			for _, ev := range per[r] {
-				count[ev]++
-			}
+	copies := make([][]core.Event, len(replicas))
+	for r := range out {
+		for i, per := range replicas {
+			copies[i] = per[r]
 		}
-		type slot struct {
-			sender int
-			seq    uint64
-		}
-		best := make(map[slot]core.Event)
-		merged := make([]core.Event, 0, len(count))
-		for ev, c := range count {
-			if ev.Seq == 0 {
-				merged = append(merged, ev) // unsequenced legacy event
-				continue
-			}
-			k := slot{ev.Sender, ev.Seq}
-			cur, ok := best[k]
-			if !ok || c > count[cur] ||
-				(c == count[cur] && (ev.RecvClock > cur.RecvClock ||
-					(ev.RecvClock == cur.RecvClock && ev.SenderClock > cur.SenderClock))) {
-				best[k] = ev
-			}
-		}
-		for _, ev := range best {
-			merged = append(merged, ev)
-		}
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].RecvClock != merged[j].RecvClock {
-				return merged[i].RecvClock < merged[j].RecvClock
-			}
-			if merged[i].Sender != merged[j].Sender {
-				return merged[i].Sender < merged[j].Sender
-			}
-			return merged[i].Seq < merged[j].Seq
-		})
-		out[r] = merged
-	}
-	return out
-}
-
-// backupsFor returns every service node in nodes except primary, in
-// ring order starting after it, so failover load spreads.
-func backupsFor(primary int, nodes []int) []int {
-	if len(nodes) <= 1 {
-		return nil
-	}
-	idx := 0
-	for i, n := range nodes {
-		if n == primary {
-			idx = i
-			break
-		}
-	}
-	out := make([]int, 0, len(nodes)-1)
-	for i := 1; i < len(nodes); i++ {
-		out = append(out, nodes[(idx+i)%len(nodes)])
+		out[r] = core.MergeReplicaEvents(copies)
 	}
 	return out
 }
@@ -913,7 +858,6 @@ func (h *harness) spawn(rank int, restarted bool) {
 				nEL = 1
 			}
 			dcfg.EventLogger = elNodeFor(rank, nEL)
-			dcfg.ELBackups = backupsFor(dcfg.EventLogger, h.elNodes)
 		}
 		dcfg.Scheduler = SchedNode
 		if cfg.Checkpointing {
@@ -933,7 +877,6 @@ func (h *harness) spawn(rank int, restarted bool) {
 					nCS = 1
 				}
 				dcfg.CkptServer = csNodeFor(rank, nCS)
-				dcfg.CSBackups = backupsFor(dcfg.CkptServer, h.csNodes)
 			}
 		}
 		// On a fabric that can lose frames, the paper's fire-and-forget

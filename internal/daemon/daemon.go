@@ -62,7 +62,11 @@ type Config struct {
 	Rank int // rank and node id of this computing node
 	Size int // number of MPI processes
 
-	// Service node ids; -1 when the service is absent.
+	// Service node ids; -1 when the service is absent. EventLogger and
+	// CkptServer each name a replica group of one with quorum 1: the
+	// daemon rides out an outage of the lone node by retransmitting
+	// until the node is respawned over its stable store, and availability
+	// under service loss is the job of ELReplicas/CSReplicas ≥ 2.
 	EventLogger int
 	CkptServer  int
 	Scheduler   int
@@ -100,20 +104,14 @@ type Config struct {
 	// working across restarts.
 	Incarnation uint64
 
-	// ELBackups and CSBackups are alternate event-logger / checkpoint
-	// server node ids the daemon re-homes to (round-robin) when the
-	// current one stops acknowledging; see FailoverAfter.
-	ELBackups []int
-	CSBackups []int
-
-	// ELReplicas, together with ELQuorum ≥ 1, switches the event-log
-	// exchange from primary+failover to quorum replication: every event
-	// batch is submitted to all replicas, WAITLOGGED is satisfied only
-	// once ELQuorum distinct replicas have acked, retransmissions go
+	// ELReplicas is the event-logger replica group and ELQuorum its
+	// write quorum (non-positive: majority, R/2+1; never above R): every
+	// event batch is submitted to all replicas, WAITLOGGED is satisfied
+	// only once ELQuorum distinct replicas have acked, retransmissions go
 	// only to the still-silent replicas, and restart-time event fetches
 	// merge a read quorum of len(ELReplicas)−ELQuorum+1 replies (the
 	// smallest set guaranteed to intersect every write quorum). When
-	// set, EventLogger/ELBackups are ignored.
+	// set, EventLogger is ignored.
 	ELReplicas []int
 	ELQuorum   int
 	// CSReplicas/CSQuorum mirror the same scheme for checkpoint saves
@@ -130,15 +128,16 @@ type Config struct {
 	// all shards, and KELShardDown/KELShardUp notices from the
 	// dispatcher move a dead shard's key range to its ring successor
 	// (with a history backfill) until it rejoins. When set, ELReplicas
-	// and EventLogger/ELBackups are ignored; a single group behaves
-	// exactly like ELReplicas. ELQuorum applies per group.
+	// and EventLogger are ignored; a single group behaves exactly like
+	// ELReplicas. ELQuorum applies per group.
 	ELShardGroups [][]int
 	ELShardSeed   uint64
 
 	// Timeouts for the retry machinery on the blocking protocol paths.
 	// Each names the base of a bounded exponential backoff
 	// (transport.Backoff). Zero selects the default; negative disables
-	// that retry path.
+	// that retry path — except FetchTimeout, where it too selects the
+	// default: a restart-time fetch cannot wait without a deadline.
 	//
 	//   ELAckTimeout   — event-log submission → KEventAck (default 25ms)
 	//   CkptAckTimeout — checkpoint save → KCkptSaveAck (default 250ms)
@@ -155,11 +154,6 @@ type Config struct {
 	// recovery (default 6); a peer silent for that long is presumed
 	// crashed — its own recovery will resynchronize us.
 	RestartRetries int
-
-	// FailoverAfter is the number of consecutive unanswered
-	// (re)transmissions to a service after which the daemon re-homes
-	// to the next backup (default 3).
-	FailoverAfter int
 
 	// PullTimeout, when positive, arms a pull timer whenever the
 	// daemon starves waiting for a message: it re-announces its
@@ -405,7 +399,6 @@ type Stats struct {
 	LogOverflowed bool
 	Retransmits   int64 // timed-out requests re-sent (EL, ckpt, recovery, finalize)
 	Pulls         int64 // starvation-triggered re-announcements to peers
-	Failovers     int64 // re-homings to a backup service instance
 	Malformed     int64 // frames the daemon could not decode
 
 	// Quorum replication counters.
@@ -460,7 +453,6 @@ func (s Stats) AddTo(r *trace.Registry) {
 	r.Counter("daemon.gc_freed_bytes").Add(s.GCFreedBytes)
 	r.Counter("daemon.retransmits").Add(s.Retransmits)
 	r.Counter("daemon.pulls").Add(s.Pulls)
-	r.Counter("daemon.failovers").Add(s.Failovers)
 	r.Counter("daemon.malformed").Add(s.Malformed)
 	r.Counter("daemon.quorum_acks").Add(s.QuorumAcks)
 	r.Counter("daemon.below_quorum_acks").Add(s.BelowQuorumAcks)

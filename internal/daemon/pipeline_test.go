@@ -146,11 +146,11 @@ func TestV2ELRetransmitOrderAscending(t *testing.T) {
 		// Backdate every in-flight batch and fire the retransmit path
 		// once, directly on the idle daemon (single-threaded simulator).
 		el.seqs, el.sizes = nil, nil
-		sh := d0.elShards[0]
-		for i := range sh.ring {
-			sh.ring[i].sent = -10 * time.Hour
+		w := &d0.elShards[0].w
+		for i := range w.slots {
+			w.slots[i].sent = -10 * time.Hour
 		}
-		d0.elExpired(sh)
+		w.expired()
 		sim.Sleep(time.Millisecond)
 
 		if len(el.seqs) != 3 || el.seqs[0] != 1 || el.seqs[1] != 2 || el.seqs[2] != 3 {

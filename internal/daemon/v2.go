@@ -3,7 +3,6 @@ package daemon
 import (
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -23,8 +22,11 @@ const (
 	defCkptAckTimeout = 250 * time.Millisecond
 	defFetchTimeout   = 25 * time.Millisecond
 	defRestartRetries = 6
-	defFailoverAfter  = 3
 	finalizeRetries   = 8
+	// ckptEscalateAfter is the number of silent retransmit rounds after
+	// which a chunked checkpoint transfer falls back to one monolithic
+	// full image (see escalateCkpt).
+	ckptEscalateAfter = 3
 )
 
 // V2 is the MPICH-V2 communication daemon: a single actor owning the
@@ -72,33 +74,26 @@ type V2 struct {
 	timerSeq uint64
 
 	// Event-logger exchange state, one elShard per replica group. The
-	// non-sharded configurations (ELReplicas or legacy
-	// EventLogger+ELBackups) are the single-shard special case; with
-	// ELShardGroups the elMap ring routes each channel (sender,
-	// receiver) to its shard, elDead tracks groups the dispatcher
-	// declared below quorum (their key ranges reroute to the ring
-	// successor), elNodeShard resolves an ack's sender to its shard, and
-	// elHistory retains this rank's committed determinants per sender
-	// channel so a rebuilt or rerouted shard can be backfilled
-	// (DESIGN.md §15).
+	// non-sharded configurations (ELReplicas, or a lone EventLogger) are
+	// the single-shard special case; with ELShardGroups the elMap ring
+	// routes each channel (sender, receiver) to its shard, elDead tracks
+	// groups the dispatcher declared below quorum (their key ranges
+	// reroute to the ring successor), elNodeShard resolves an ack's
+	// sender to its shard, and elHistory retains this rank's committed
+	// determinants per sender channel so a rebuilt or rerouted shard can
+	// be backfilled (DESIGN.md §15).
 	elShards    []*elShard
 	elMap       *shard.Ring
 	elDead      map[int]bool
 	elNodeShard map[int]*elShard
 	elHistory   map[int][]core.Event
 
-	// Checkpoint push state, mirroring the event-logger ring: in-flight
-	// checkpoints live in ckptRing ascending by seq, each streaming as
-	// individually acked chunks, and retire strictly from the front so
+	// Checkpoint push state: the same quorum window as an event-logger
+	// shard, over the checkpoint servers. In-flight checkpoints stream as
+	// individually acked chunks and retire strictly from the front, so
 	// ckptDone, the delta base and the KCkptNote GC horizons advance in
-	// submission order exactly as the stop-and-wait path did.
-	csTargets []int
-	csIdx     int
-	csStrikes int
-	ckptRing  []ckptXfer
-	ckptTimer uint64
-	csQ       int
-	csBits    map[int]uint
+	// submission order.
+	cs window[ckptXfer]
 
 	// Pull recovery: when the daemon starves waiting for a deliverable
 	// message on a lossy fabric, it re-announces its delivered horizon
@@ -145,57 +140,33 @@ func StartV2(rt vtime.Runtime, fab transport.Fabric, cfg Config) (Device, *V2) {
 	d.tr.SetIncarnation(int(cfg.Incarnation))
 	d.ckptSeq = cfg.Incarnation << 32
 	d.ckptDone = d.ckptSeq
-	// Each shard is an independent submission stream: its own seq space
-	// (contiguous per shard, so the servers' cumulative-ack trackers keep
-	// working), ring, window queue and retransmit timer.
-	newShard := func(id int, targets []int, q int) *elShard {
-		if q > len(targets) {
-			q = len(targets)
+	// The one normaliser of the service spellings: shard groups, one
+	// replica list, or the lone EventLogger/CkptServer node — a group of
+	// one with quorum 1. Each shard is an independent submission stream:
+	// its own seq space (contiguous per shard, so the servers'
+	// cumulative-ack trackers keep working), window, queue and timer.
+	elGroups := cfg.ELShardGroups
+	if len(elGroups) == 0 {
+		if els := serviceGroup(cfg.ELReplicas, cfg.EventLogger); len(els) > 0 {
+			elGroups = [][]int{els}
 		}
-		return &elShard{
-			id:      id,
-			targets: append([]int(nil), targets...),
-			q:       q,
-			seq:     cfg.Incarnation << 32,
-			bits:    replicaBits(cfg.Rank, targets),
-		}
-	}
-	switch {
-	case len(cfg.ELShardGroups) > 0:
-		q := cfg.ELQuorum
-		if q <= 0 {
-			q = 1
-		}
-		for i, grp := range cfg.ELShardGroups {
-			d.elShards = append(d.elShards, newShard(i, grp, q))
-		}
-		if len(d.elShards) > 1 {
-			d.elMap = shard.New(len(d.elShards), cfg.ELShardSeed)
-			d.elDead = make(map[int]bool)
-			d.elHistory = make(map[int][]core.Event)
-		}
-	case len(cfg.ELReplicas) > 0 && cfg.ELQuorum > 0:
-		d.elShards = []*elShard{newShard(0, cfg.ELReplicas, cfg.ELQuorum)}
-	case cfg.EventLogger >= 0:
-		d.elShards = []*elShard{newShard(0, append([]int{cfg.EventLogger}, cfg.ELBackups...), 0)}
 	}
 	d.elNodeShard = make(map[int]*elShard)
-	for _, sh := range d.elShards {
-		for _, t := range sh.targets {
+	for _, grp := range elGroups {
+		sh := &elShard{seq: cfg.Incarnation << 32}
+		sh.w.init(d, newReplicaGroup(cfg.Rank, grp, cfg.ELQuorum), d.elAckTimeout(), d.sendEventFrame)
+		d.elShards = append(d.elShards, sh)
+		for _, t := range sh.w.targets {
 			d.elNodeShard[t] = sh
 		}
 	}
-	switch {
-	case len(cfg.CSReplicas) > 0 && cfg.CSQuorum > 0:
-		d.csTargets = append([]int(nil), cfg.CSReplicas...)
-		d.csQ = cfg.CSQuorum
-		if d.csQ > len(d.csTargets) {
-			d.csQ = len(d.csTargets)
-		}
-	case cfg.CkptServer >= 0:
-		d.csTargets = append([]int{cfg.CkptServer}, cfg.CSBackups...)
+	if len(d.elShards) > 1 {
+		d.elMap = shard.New(len(d.elShards), cfg.ELShardSeed)
+		d.elDead = make(map[int]bool)
+		d.elHistory = make(map[int][]core.Event)
 	}
-	d.csBits = replicaBits(cfg.Rank, d.csTargets)
+	d.cs.init(d, newReplicaGroup(cfg.Rank, serviceGroup(cfg.CSReplicas, cfg.CkptServer), cfg.CSQuorum),
+		d.ckptAckTimeout(), d.sendXfer)
 	d.ep = fab.Attach(cfg.Rank, fmt.Sprintf("cn%d", cfg.Rank))
 	d.in = vtime.NewMailbox[dEvent](rt, fmt.Sprintf("v2d%d", cfg.Rank))
 	d.rsp = vtime.NewMailbox[rankResp](rt, fmt.Sprintf("v2r%d", cfg.Rank))
@@ -204,19 +175,13 @@ func StartV2(rt vtime.Runtime, fab transport.Fabric, cfg Config) (Device, *V2) {
 	return &proxy{rank: cfg.Rank, delay: cfg.UnixDelay, in: d.in, resp: d.rsp, ckpt: &d.ckptFlag}, d
 }
 
-// replicaBits assigns each node of a target group a fixed bit in the
-// per-request ack bitmask, replacing per-ack linear scans and per-batch
-// ack sets. Replica groups are small and static for the life of a run;
-// 64 bits is far beyond any sane replication factor.
-func replicaBits(rank int, targets []int) map[int]uint {
-	if len(targets) > 64 {
-		panic(fmt.Sprintf("daemon: rank %d: %d replicas exceed the 64-bit ack mask", rank, len(targets)))
+// serviceGroup resolves a service's two Config spellings to its replica
+// list: the replicas when given, else the lone node, else nothing.
+func serviceGroup(replicas []int, node int) []int {
+	if len(replicas) == 0 && node >= 0 {
+		return []int{node}
 	}
-	m := make(map[int]uint, len(targets))
-	for i, t := range targets {
-		m[t] = uint(i)
-	}
-	return m
+	return replicas
 }
 
 // Stats returns the daemon's counters. Read it after the simulation (or
@@ -243,20 +208,21 @@ func timeout(v, def time.Duration) time.Duration {
 
 func (d *V2) elAckTimeout() time.Duration   { return timeout(d.cfg.ELAckTimeout, defELAckTimeout) }
 func (d *V2) ckptAckTimeout() time.Duration { return timeout(d.cfg.CkptAckTimeout, defCkptAckTimeout) }
-func (d *V2) fetchTimeout() time.Duration   { return timeout(d.cfg.FetchTimeout, defFetchTimeout) }
+
+// fetchTimeout is always positive: a restart-time gather cannot block
+// without a deadline, so a disabled FetchTimeout selects the default.
+func (d *V2) fetchTimeout() time.Duration {
+	if d.cfg.FetchTimeout > 0 {
+		return d.cfg.FetchTimeout
+	}
+	return defFetchTimeout
+}
 
 func (d *V2) restartRetries() int {
 	if d.cfg.RestartRetries <= 0 {
 		return defRestartRetries
 	}
 	return d.cfg.RestartRetries
-}
-
-func (d *V2) failoverAfter() int {
-	if d.cfg.FailoverAfter <= 0 {
-		return defFailoverAfter
-	}
-	return d.cfg.FailoverAfter
 }
 
 // --- Determinant suppression ----------------------------------------------
@@ -577,110 +543,54 @@ func (d *V2) recover() {
 	recoverFrom := d.rt.Now()
 	d.tr.Record(recoverFrom, trace.EvRestartBegin, 0, 0, d.cfg.Incarnation, 0)
 
-	// Phase A1: fetch the latest checkpoint image, if any. On a lossy
-	// fabric the request or the reply can vanish, so the fetch runs
-	// under a timeout with bounded backoff. A corrupt or truncated
-	// image fails the integrity check and is simply re-fetched — from
-	// the same server after a retransmit (legacy), or from the other
-	// replicas of the group (quorum). An image that damaged is never a
-	// dead end: servers only ack verified copies, so a write quorum of
-	// intact ones exists somewhere.
-	ckptValid := func(resp []byte) bool {
-		present, img, err := wire.DecodeCkptImage(resp)
-		if err != nil {
-			return false
+	// Phase A1: fetch the latest checkpoint image, if any. Fast path
+	// first: the image manifest from a read quorum, then the chunks in
+	// parallel across the replicas serving byte-identical copies,
+	// re-fetching only damaged chunks; any failure falls back to the
+	// whole-image fetch.
+	if d.hasCS() {
+		var im *ckpt.Image
+		if d.ckptChunkSize() > 0 {
+			im = d.fetchImageChunked()
 		}
-		if present {
-			if _, err := ckpt.DecodeImage(img); err != nil {
-				d.stats.CorruptImages++
-				return false
-			}
+		if im == nil {
+			im = d.fetchImageWhole()
 		}
-		return true
-	}
-	// Fast path first: fetch the image manifest from a read quorum, then
-	// pull the chunks in parallel across the replicas serving
-	// byte-identical copies, re-fetching only damaged chunks. Any
-	// failure falls back to the whole-image paths below.
-	fetched := false
-	if len(d.csTargets) > 0 && d.ckptChunkSize() > 0 {
-		if im := d.fetchImageChunked(); im != nil {
-			d.restoreImage(im)
-			fetched = true
-		}
-	}
-	switch {
-	case fetched:
-	case d.csQ > 0:
-		// Read quorum: R−Q+1 replies intersect every write quorum, so
-		// at least one carries the newest durable image; take the
-		// highest sequence among the verified replies.
-		need := len(d.csTargets) - d.csQ + 1
-		replies := d.gatherQuorum(d.csTargets, need, wire.KCkptFetch, nil, wire.KCkptImage, ckptValid, false)
-		var best *ckpt.Image
-		for _, resp := range replies {
-			present, img, _ := wire.DecodeCkptImage(resp)
-			if !present {
-				continue
-			}
-			im, err := ckpt.DecodeImage(img)
-			if err != nil {
-				continue
-			}
-			if best == nil || im.Seq > best.Seq {
-				best = im
-			}
-		}
-		if best != nil {
-			d.restoreImage(best)
-		}
-	case len(d.csTargets) > 0:
-		data := d.fetchLoop("checkpoint image", d.csTargets, wire.KCkptFetch, nil, wire.KCkptImage, ckptValid)
-		present, img, _ := wire.DecodeCkptImage(data)
-		if present {
-			im, err := ckpt.DecodeImage(img)
-			if err != nil {
-				panic(fmt.Sprintf("daemon: rank %d: corrupt checkpoint passed validation: %v", d.cfg.Rank, err))
-			}
+		if im != nil {
 			d.restoreImage(im)
 		}
 	}
 
-	// Phase A2: download the reception events to replay, same scheme.
-	// In quorum mode the read-quorum replies are merged so that no
-	// event acked at the write quorum is lost even when Q−1 of the
-	// replicas answering are stale.
+	// Phase A2: download the reception events to replay. The read-quorum
+	// replies are merged so that no event acked at the write quorum is
+	// lost even when Q−1 of the replicas answering are stale. The union
+	// is shard-aware: every shard contributes a read quorum and the merge
+	// spans all of them — a determinant is fetchable wherever its channel
+	// was logged, including a successor shard that absorbed a rebalanced
+	// range. With one shard the fetch never settles for nothing (floor
+	// 1): a restarting daemon cannot make progress without its event
+	// list, so it retries until a replica answers. In a fleet a shard
+	// that is entirely dead may answer with nothing: its surviving data,
+	// if any, lives on its successor or comes back through the daemons'
+	// history backfill, and one dead group must not wedge every restart
+	// in the system.
 	evsValid := func(resp []byte) bool {
 		_, err := wire.DecodeEvents(resp)
 		return err == nil
 	}
-	evs := []core.Event(nil)
-	switch {
-	case d.elQuorumMode():
-		// Shard-aware union: every shard contributes a read quorum of
-		// replies and the merge spans all of them — a determinant is
-		// fetchable wherever its channel was logged, including a
-		// successor shard that absorbed a rebalanced range. A shard that
-		// is entirely dead may answer with nothing (allowEmpty): its
-		// surviving data, if any, lives on its successor or comes back
-		// through the daemons' history backfill, and one dead group must
-		// not wedge every restart in the system.
-		all := make(map[int][]byte)
-		allowEmpty := len(d.elShards) > 1
-		for _, sh := range d.elShards {
-			need := len(sh.targets) - sh.q + 1
-			replies := d.gatherQuorum(sh.targets, need, wire.KEventFetch,
-				wire.EncodeU64(d.st.Clock()), wire.KEventFetched, evsValid, allowEmpty)
-			for from, data := range replies {
-				all[from] = data
-			}
-		}
-		evs = mergeEventReplies(all)
-	case d.hasEL():
-		evData := d.fetchLoop("event list", d.elShards[0].targets, wire.KEventFetch,
-			wire.EncodeU64(d.st.Clock()), wire.KEventFetched, evsValid)
-		evs, _ = wire.DecodeEvents(evData)
+	floor := 1
+	if len(d.elShards) > 1 {
+		floor = 0
 	}
+	var replies [][]core.Event
+	for _, sh := range d.elShards {
+		for _, data := range d.gatherQuorum(&sh.w.replicaGroup, floor, wire.KEventFetch,
+			wire.EncodeU64(d.st.Clock()), wire.KEventFetched, evsValid) {
+			evs, _ := wire.DecodeEvents(data)
+			replies = append(replies, evs)
+		}
+	}
+	evs := core.MergeReplicaEvents(replies)
 	// Phase A2b (suppression only): merge the determinants our peers
 	// cached off our piggybacks. A suppressed determinant can be relayed
 	// but not yet EL-durable when we fetch — the peer's cache is the
@@ -689,8 +599,14 @@ func (d *V2) recover() {
 	// a determinant nothing alive depends on; replay regenerates its
 	// delivery instead.
 	holeTolerant := d.detMode() != DetOff
-	if holeTolerant && d.cfg.Size > 1 {
-		evs = d.mergeDetFlush(evs)
+	peers := make([]int, 0, d.cfg.Size-1)
+	for q := 0; q < d.cfg.Size; q++ {
+		if q != d.cfg.Rank {
+			peers = append(peers, q)
+		}
+	}
+	if holeTolerant && len(peers) > 0 {
+		evs = d.mergeDetFlush(peers, evs)
 	}
 	// The fetched determinants re-seed the rebalancing history: after a
 	// restart this daemon must again be able to backfill a successor
@@ -707,60 +623,42 @@ func (d *V2) recover() {
 	// messages are idempotent, and peers simultaneously in recovery are
 	// answered inline so two crashed nodes cannot deadlock waiting on
 	// each other.
-	peers := make([]int, 0, d.cfg.Size-1)
-	for q := 0; q < d.cfg.Size; q++ {
-		if q != d.cfg.Rank {
-			peers = append(peers, q)
-		}
+	restartTO := timeout(d.cfg.RestartTimeout, 0) // default: disabled
+	rounds := 0
+	if restartTO > 0 {
+		rounds = d.restartRetries()
 	}
-	r2Seen := make(map[int]bool, len(peers))
-	handshake := func(f transport.Frame) {
-		switch f.Kind {
-		case wire.KRestart2:
-			hp, err := wire.DecodeU64(f.Data)
-			if err != nil {
-				d.stats.Malformed++
-				return
+	announce := func(q, _ int) {
+		d.ep.Send(q, wire.KRestart1, wire.EncodeU64(d.st.RestartAnnouncement(q)))
+	}
+	silent := d.gather(peers, len(peers), 0, rounds, restartTO, announce,
+		func(f transport.Frame) (int, bool) {
+			if f.Kind != wire.KRestart1 && f.Kind != wire.KRestart2 {
+				return 0, false
 			}
-			r2Seen[f.From] = true
-			d.transmitSaved(f.From, d.st.OnRestart2(f.From, hp))
-		case wire.KRestart1:
 			hp, err := wire.DecodeU64(f.Data)
 			if err != nil {
 				d.stats.Malformed++
-				return
+				return -1, true
+			}
+			if f.Kind == wire.KRestart2 {
+				d.transmitSaved(f.From, d.st.OnRestart2(f.From, hp))
+				return f.From, true
 			}
 			resend, myHR := d.st.OnRestart1(f.From, hp)
 			d.ep.Send(f.From, wire.KRestart2, wire.EncodeU64(myHR))
 			d.transmitSaved(f.From, resend)
-		default:
-			d.recoverPending = append(d.recoverPending, f)
-		}
-	}
-	restartTO := timeout(d.cfg.RestartTimeout, 0) // default: disabled
-	bo := transport.Backoff{Base: restartTO}
-	for attempt := 0; ; attempt++ {
-		for _, q := range peers {
-			if !r2Seen[q] {
-				if attempt > 0 {
-					d.stats.Retransmits++
-				}
-				d.ep.Send(q, wire.KRestart1, wire.EncodeU64(d.st.RestartAnnouncement(q)))
+			return -1, true
+		})
+	// The last announcement is never waited on: a peer silent this long
+	// is presumed crashed, and the RESTART2 it may still draw is handled
+	// on the normal path.
+	for _, q := range peers {
+		if silent[q] {
+			if rounds > 0 {
+				d.stats.Retransmits++
 			}
-		}
-		if restartTO <= 0 || attempt >= d.restartRetries() {
-			break
-		}
-		deadline := d.rt.Now() + bo.Delay(attempt)
-		for d.rt.Now() < deadline && len(r2Seen) < len(peers) {
-			f, ok := d.awaitAnyFrame(deadline - d.rt.Now())
-			if !ok {
-				break
-			}
-			handshake(f)
-		}
-		if len(r2Seen) == len(peers) {
-			break
+			announce(q, rounds)
 		}
 	}
 
@@ -803,6 +701,34 @@ func (d *V2) restoreImage(im *ckpt.Image) {
 	d.ckptMarks = sn.SeqTo
 }
 
+// fetchImageWhole gathers whole images from a read quorum: R−Q+1 replies
+// intersect every write quorum, so at least one carries the newest
+// durable image; the highest sequence among the verified replies wins.
+// On a lossy fabric the request or the reply can vanish, and a corrupt
+// or truncated image fails the integrity check: either way the silent
+// replicas are asked again. A damaged image is never a dead end —
+// servers only ack verified copies, so a write quorum of intact ones
+// exists somewhere.
+func (d *V2) fetchImageWhole() *ckpt.Image {
+	var best *ckpt.Image
+	d.gatherQuorum(&d.cs.replicaGroup, 1, wire.KCkptFetch, nil, wire.KCkptImage, func(resp []byte) bool {
+		present, img, err := wire.DecodeCkptImage(resp)
+		if err != nil || !present {
+			return err == nil
+		}
+		im, err := ckpt.DecodeImage(img)
+		if err != nil {
+			d.stats.CorruptImages++
+			return false
+		}
+		if best == nil || im.Seq > best.Seq {
+			best = im
+		}
+		return true
+	})
+	return best
+}
+
 // fetchImageChunked is the restart fast path: gather image manifests
 // from a read quorum, group the replicas by (seq, image CRC) so chunks
 // are only mixed across byte-identical copies, then pull the chunks of
@@ -810,17 +736,13 @@ func (d *V2) restoreImage(im *ckpt.Image) {
 // the caller falls back to the whole-image fetch.
 func (d *V2) fetchImageChunked() *ckpt.Image {
 	cs := d.ckptChunkSize()
-	need := 1
-	if d.csQ > 0 {
-		need = len(d.csTargets) - d.csQ + 1
-	}
 	d.stats.ManifestFetches++
 	req := wire.EncodeU32(uint32(cs))
 	valid := func(resp []byte) bool {
 		_, err := wire.DecodeCkptManifest(resp)
 		return err == nil
 	}
-	replies := d.gatherQuorum(d.csTargets, need, wire.KCkptManifestReq, req, wire.KCkptManifest, valid, false)
+	replies := d.gatherQuorum(&d.cs.replicaGroup, 1, wire.KCkptManifestReq, req, wire.KCkptManifest, valid)
 
 	type group struct {
 		seq uint64
@@ -872,54 +794,38 @@ func (d *V2) fetchImageChunked() *ckpt.Image {
 func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 	n := m.Chunks()
 	parts := make([][]byte, n)
-	got := 0
-	to := d.fetchTimeout()
-	if to <= 0 {
-		to = defFetchTimeout // the bounded fast path cannot block forever
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	bo := d.backoff(to)
-	for attempt := 0; got < n; attempt++ {
-		if attempt > d.restartRetries() {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			if parts[i] != nil {
-				continue
-			}
-			if attempt > 0 {
-				d.stats.Retransmits++
-			}
-			t := from[(i+attempt)%len(from)]
-			d.ep.Send(t, wire.KCkptChunkFetch,
+	missing := d.gather(ids, n, 0, d.restartRetries()+1, d.fetchTimeout(),
+		func(i, attempt int) {
+			d.ep.Send(from[(i+attempt)%len(from)], wire.KCkptChunkFetch,
 				wire.AppendCkptChunkFetch(wire.GetBuf(wire.CkptChunkFetchLen), m.Seq, uint32(i), m.ChunkSize))
-		}
-		deadline := d.rt.Now() + bo.Delay(attempt)
-		for d.rt.Now() < deadline && got < n {
-			f, ok := d.awaitAnyFrame(deadline - d.rt.Now())
-			if !ok {
-				break
-			}
+		},
+		func(f transport.Frame) (int, bool) {
 			if f.Kind != wire.KCkptChunkData {
-				d.recoverPending = append(d.recoverPending, f)
-				continue
+				return 0, false
 			}
 			seq, idx, count, body, err := wire.DecodeCkptChunk(f.Data)
 			if err != nil || seq != m.Seq || int(count) != n || int(idx) >= n {
 				d.stats.Malformed++
-				continue
+				return -1, true
 			}
 			if parts[idx] != nil {
-				continue // duplicate
+				return -1, true // duplicate
 			}
 			if crc32.ChecksumIEEE(body) != m.ChunkCRCs[idx] {
 				// Damaged past the frame CRC, or a different image's
 				// bytes: drop it and re-fetch just this chunk.
 				d.stats.CorruptImages++
-				continue
+				return -1, true
 			}
 			parts[idx] = append([]byte(nil), body...)
-			got++
-		}
+			return int(idx), true
+		})
+	if len(missing) > 0 {
+		return nil
 	}
 	img := make([]byte, 0, int(m.Size))
 	for _, p := range parts {
@@ -932,74 +838,38 @@ func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 	return img
 }
 
-// isTarget reports whether node is one of the configured targets — a
-// linear scan, fine for the restart path; the per-ack hot path uses the
-// elBits/csBits bitmask maps instead.
-func isTarget(targets []int, node int) bool {
-	for _, t := range targets {
-		if t == node {
-			return true
-		}
-	}
-	return false
-}
-
-// gatherQuorum performs a restart-time read-quorum exchange: the request
-// goes to every replica still missing a valid reply, and the call
-// returns once `need` distinct replicas have answered. After bounded
-// retries the fetch degrades to whatever non-empty reply set arrived —
-// a restarting daemon that waited forever on crashed replicas would
-// stall the whole run — and the degradation is counted so experiments
-// can report when the intersection guarantee was forfeited. allowEmpty
-// additionally lets the degrade return an empty set (a whole replica
-// group down), which only a multi-shard fetch may tolerate.
-func (d *V2) gatherQuorum(targets []int, need int, reqKind uint8, reqData []byte, respKind uint8, valid func([]byte) bool, allowEmpty bool) map[int][]byte {
-	if need > len(targets) {
-		need = len(targets)
-	}
-	to := d.fetchTimeout()
-	if to <= 0 {
-		to = defFetchTimeout // a quorum gather cannot block without a timeout
-	}
-	bo := d.backoff(to)
-	got := make(map[int][]byte, len(targets))
-	for attempt := 0; ; attempt++ {
-		for _, t := range targets {
-			if _, ok := got[t]; ok {
-				continue
-			}
-			if attempt > 0 {
-				d.stats.Retransmits++
-			}
-			d.ep.Send(t, reqKind, reqData)
-		}
-		deadline := d.rt.Now() + bo.Delay(attempt)
-		for d.rt.Now() < deadline && len(got) < need {
-			f, ok := d.awaitAnyFrame(deadline - d.rt.Now())
-			if !ok {
-				break
-			}
+// gatherQuorum performs a restart-time read-quorum exchange with one
+// replica group: the request goes to every replica still missing a
+// valid reply, and the call returns once a read quorum of distinct
+// replicas has answered. After bounded retries the fetch degrades to
+// whatever reply set of at least floor arrived — a restarting daemon
+// that waited forever on crashed replicas would stall the whole run —
+// and the degradation is counted so experiments can report when the
+// intersection guarantee was forfeited. Only a multi-shard fetch may
+// pass floor 0 and tolerate a whole group being down.
+func (d *V2) gatherQuorum(g *replicaGroup, floor int, reqKind uint8, reqData []byte, respKind uint8, valid func([]byte) bool) map[int][]byte {
+	need := g.readQuorum()
+	replies := make(map[int][]byte, len(g.targets))
+	d.gather(g.targets, need, floor, d.restartRetries()+1, d.fetchTimeout(),
+		func(t, _ int) { d.ep.Send(t, reqKind, reqData) },
+		func(f transport.Frame) (int, bool) {
 			if f.Kind != respKind {
-				d.recoverPending = append(d.recoverPending, f)
-				continue
+				return 0, false
 			}
-			if !isTarget(targets, f.From) {
-				continue
+			if _, inGroup := g.bits[f.From]; !inGroup {
+				return -1, true
 			}
 			if !valid(f.Data) {
 				d.stats.Malformed++
-				continue
+				return -1, true
 			}
-			got[f.From] = f.Data
-		}
-		if len(got) >= need {
-			return got
-		}
-		if attempt >= d.restartRetries() && (len(got) > 0 || allowEmpty) {
-			d.stats.DegradedReads++
-			return got
-		}
+			replies[f.From] = f.Data
+			return f.From, true
+		})
+	if len(replies) < need {
+		d.stats.DegradedReads++
 	}
+	return replies
 }
 
 // mergeDetFlush broadcasts KDetFlushReq to every peer and merges the
@@ -1007,56 +877,28 @@ func (d *V2) gatherQuorum(targets []int, need int, reqKind uint8, reqData []byte
 // EL events winning any clock collision. Bounded and best-effort: dead
 // peers (or peers simultaneously in recovery, whose replies are
 // buffered behind their own fetch) must not stall our restart.
-func (d *V2) mergeDetFlush(evs []core.Event) []core.Event {
-	peers := make([]int, 0, d.cfg.Size-1)
-	for q := 0; q < d.cfg.Size; q++ {
-		if q != d.cfg.Rank {
-			peers = append(peers, q)
-		}
-	}
-	to := d.fetchTimeout()
-	if to <= 0 {
-		to = defFetchTimeout // a best-effort gather cannot block forever
-	}
-	bo := d.backoff(to)
-	got := make(map[int][]byte, len(peers))
-	for attempt := 0; attempt < 3 && len(got) < len(peers); attempt++ {
-		for _, q := range peers {
-			if _, ok := got[q]; ok {
-				continue
-			}
-			if attempt > 0 {
-				d.stats.Retransmits++
-			}
-			d.ep.Send(q, wire.KDetFlushReq, nil)
-		}
-		deadline := d.rt.Now() + bo.Delay(attempt)
-		for d.rt.Now() < deadline && len(got) < len(peers) {
-			f, ok := d.awaitAnyFrame(deadline - d.rt.Now())
-			if !ok {
-				break
-			}
-			if f.Kind != wire.KDetFlushResp {
-				d.recoverPending = append(d.recoverPending, f)
-				continue
-			}
-			if _, err := wire.DecodeEvents(f.Data); err != nil {
-				d.stats.Malformed++
-				continue
-			}
-			got[f.From] = f.Data
-		}
-	}
+func (d *V2) mergeDetFlush(peers []int, evs []core.Event) []core.Event {
 	seen := make(map[uint64]bool, len(evs))
 	for _, ev := range evs {
 		seen[ev.RecvClock] = true
 	}
-	for _, data := range got {
-		flushed, err := wire.DecodeEvents(data)
-		if err != nil {
-			continue
-		}
-		for _, ev := range flushed {
+	flushed := make(map[int][]core.Event, len(peers))
+	d.gather(peers, len(peers), 0, 3, d.fetchTimeout(),
+		func(q, _ int) { d.ep.Send(q, wire.KDetFlushReq, nil) },
+		func(f transport.Frame) (int, bool) {
+			if f.Kind != wire.KDetFlushResp {
+				return 0, false
+			}
+			dets, err := wire.DecodeEvents(f.Data)
+			if err != nil {
+				d.stats.Malformed++
+				return -1, true
+			}
+			flushed[f.From] = dets
+			return f.From, true
+		})
+	for _, q := range peers {
+		for _, ev := range flushed[q] {
 			// Each RecvClock names exactly one delivery of our history;
 			// below the restored clock it is inside the checkpoint.
 			if ev.RecvClock <= d.st.Clock() || seen[ev.RecvClock] {
@@ -1068,126 +910,6 @@ func (d *V2) mergeDetFlush(evs []core.Event) []core.Event {
 		}
 	}
 	return evs
-}
-
-// mergeEventReplies folds a read quorum of event-list replies into one
-// replay list. Identical events deduplicate; when replicas disagree
-// about a (sender, channel-seq) slot — possible only when a previous
-// incarnation died mid-quorum and divergent suffixes were logged across
-// the group — the version held by more replicas wins (only it can have
-// completed a write quorum and thus have been observable), with the
-// higher RecvClock, then higher SenderClock, breaking ties
-// deterministically.
-func mergeEventReplies(replies map[int][]byte) []core.Event {
-	count := make(map[core.Event]int)
-	for _, data := range replies {
-		evs, err := wire.DecodeEvents(data)
-		if err != nil {
-			continue
-		}
-		for _, ev := range evs {
-			count[ev]++
-		}
-	}
-	type slot struct {
-		sender int
-		seq    uint64
-	}
-	best := make(map[slot]core.Event)
-	merged := make([]core.Event, 0, len(count))
-	for ev, n := range count {
-		if ev.Seq == 0 {
-			merged = append(merged, ev) // unsequenced legacy event: keep as-is
-			continue
-		}
-		k := slot{ev.Sender, ev.Seq}
-		cur, ok := best[k]
-		if !ok || n > count[cur] ||
-			(n == count[cur] && (ev.RecvClock > cur.RecvClock ||
-				(ev.RecvClock == cur.RecvClock && ev.SenderClock > cur.SenderClock))) {
-			best[k] = ev
-		}
-	}
-	for _, ev := range best {
-		merged = append(merged, ev)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].RecvClock != merged[j].RecvClock {
-			return merged[i].RecvClock < merged[j].RecvClock
-		}
-		if merged[i].Sender != merged[j].Sender {
-			return merged[i].Sender < merged[j].Sender
-		}
-		return merged[i].Seq < merged[j].Seq
-	})
-	return merged
-}
-
-// fetchLoop performs one restart-time request/reply exchange against a
-// service, retransmitting with exponential backoff on timeout or on a
-// malformed reply, and rotating to the next backup instance after
-// failoverAfter consecutive failures. It blocks until a valid reply
-// arrives — a restarting daemon cannot make progress without it.
-func (d *V2) fetchLoop(what string, targets []int, reqKind uint8, reqData []byte, respKind uint8, valid func([]byte) bool) []byte {
-	to := d.fetchTimeout()
-	bo := transport.Backoff{Base: to}
-	idx, strikes := 0, 0
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			d.stats.Retransmits++
-		}
-		d.ep.Send(targets[idx], reqKind, reqData)
-		if to <= 0 {
-			data := d.awaitFrame(respKind)
-			if valid(data) {
-				return data
-			}
-			d.stats.Malformed++
-			continue
-		}
-		deadline := d.rt.Now() + bo.Delay(attempt)
-		for d.rt.Now() < deadline {
-			f, ok := d.awaitAnyFrame(deadline - d.rt.Now())
-			if !ok {
-				break
-			}
-			if f.Kind != respKind {
-				d.recoverPending = append(d.recoverPending, f)
-				continue
-			}
-			if !valid(f.Data) {
-				d.stats.Malformed++
-				continue
-			}
-			return f.Data
-		}
-		strikes++
-		if strikes >= d.failoverAfter() && len(targets) > 1 {
-			idx = (idx + 1) % len(targets)
-			strikes = 0
-			d.stats.Failovers++
-		}
-	}
-}
-
-// awaitFrame blocks until a frame of the wanted kind arrives, buffering
-// everything else for post-recovery processing.
-func (d *V2) awaitFrame(kind uint8) []byte {
-	for {
-		e := d.next()
-		if e.isTimer {
-			d.handleTimer(e.timer)
-			continue
-		}
-		if !e.isFrame {
-			d.recoverReqs = append(d.recoverReqs, e.req)
-			continue
-		}
-		if e.frame.Kind == kind {
-			return e.frame.Data
-		}
-		d.recoverPending = append(d.recoverPending, e.frame)
-	}
 }
 
 // awaitAnyFrame waits up to timeout for any frame, buffering rank
@@ -1309,7 +1031,7 @@ func (d *V2) handleFrame(f transport.Frame) {
 		}))
 
 	case wire.KCkptOrder:
-		if len(d.csTargets) > 0 {
+		if d.hasCS() {
 			d.ckptFlag.Store(true)
 		}
 
@@ -1324,14 +1046,8 @@ func (d *V2) handleFrame(f transport.Frame) {
 			return
 		}
 		wire.PutBuf(f.Data) // seq is copied out; the frame is dead
-		bit, inGroup := d.csBits[f.From]
-		if !inGroup {
-			return // acks from nodes outside the replica group cannot count
-		}
-		if x := d.findXfer(seq); x != nil && x.fullAcked&(1<<bit) == 0 {
-			x.fullAcked |= 1 << bit
-			d.csStrikes = 0
-			d.completeCkpt(x)
+		if d.cs.ack(f.From, seq, 0) > 0 {
+			d.cs.retire(d.ckptRetired)
 		}
 
 	case wire.KCkptChunkAck:
@@ -1341,19 +1057,19 @@ func (d *V2) handleFrame(f transport.Frame) {
 			return
 		}
 		wire.PutBuf(f.Data) // fields are copied out; the frame is dead
-		bit, inGroup := d.csBits[f.From]
+		bit, inGroup := d.cs.bits[f.From]
 		if !inGroup {
-			return
+			return // acks from nodes outside the replica group cannot count
 		}
 		// Chunk acks suppress retransmission of that chunk to that
 		// replica; they never complete a transfer. Completion rides only
 		// on KCkptSaveAck: the store sends it once the assembled image
 		// verified and materialized, so per-chunk acks left behind by a
-		// replica that died mid-transfer cannot fake durability.
-		if x := d.findXfer(seq); x != nil && int(idx) < len(x.chunks) &&
-			x.chunks[idx].acked&(1<<bit) == 0 {
-			x.chunks[idx].acked |= 1 << bit
-			d.csStrikes = 0
+		// replica that died mid-transfer — respawned empty, it still
+		// looks all-chunks-acked to us but holds nothing — cannot fake
+		// durability.
+		if s := d.cs.find(seq); s != nil && int(idx) < len(s.item.chunks) {
+			s.item.chunks[idx].acked |= 1 << bit
 		}
 
 	case wire.KFinalizeAck:
@@ -1390,21 +1106,16 @@ func (d *V2) transmitSaved(to int, msgs []core.SavedMsg) {
 // --- Event-logger exchange ------------------------------------------------
 
 // elBatch is one in-flight event-log submission. Three shapes share the
-// ring, the seq stream and the cumulative-ack machinery: pessimistic
+// window, the seq stream and the cumulative-ack machinery: pessimistic
 // batches (gated == len(evs), origin < 0) whose retirement credits
 // WAITLOGGED; suppressed epoch batches (gated == 0, origin < 0) whose
 // retirement only prunes the piggyback set; and foreign relay batches
 // (origin >= 0) shipping another node's piggybacked determinants as
 // KDetRelay frames.
 type elBatch struct {
-	seq      uint64
-	evs      []core.Event
-	gated    int           // events to credit against WAITLOGGED on retire
-	origin   int           // <0: our events (KEventLog); else relay origin (KDetRelay)
-	sent     time.Duration // last (re)transmission
-	attempts int
-	acked    uint64 // replica ack bitmask (quorum mode)
-	done     bool   // complete, waiting for older batches to retire
+	evs    []core.Event
+	gated  int // events to credit against WAITLOGGED on retire
+	origin int // <0: our events (KEventLog); else relay origin (KDetRelay)
 }
 
 // Batch origins below 0 both ship as KEventLog and credit gated events
@@ -1415,45 +1126,29 @@ const (
 	originBackfill = -2
 )
 
-// elShard is one event-logger replica group of the fleet: the complete
-// exchange state the daemon used to keep globally, now per shard.
-// Requests are numbered (namespaced by incarnation) per shard, so each
-// group's replicas observe one contiguous seq stream and their
-// cumulative-ack trackers work unchanged; acks are matched back through
-// elNodeShard, so identical seqs on different shards cannot collide.
+// elShard is one event-logger replica group of the fleet. Requests are
+// numbered (namespaced by incarnation) per shard, so each group's
+// replicas observe one contiguous seq stream and their cumulative-ack
+// trackers work unchanged; acks are matched back through elNodeShard, so
+// identical seqs on different shards cannot collide.
 //
-// In-flight batches live in ring, ordered ascending by seq — the
-// submission order. The ring is the sliding window of pipelined
-// determinant logging: up to elWindow() batches may be outstanding per
-// shard, further events wait in queue for a free slot, and completed
-// batches retire strictly from the front (see retireEL) so EventsAcked
-// credits events in submission order exactly as stop-and-wait did.
-//
-// Quorum replication (q > 0) submits every batch to all targets and
-// completes it only once q distinct replicas acked, with bits assigning
-// each replica its bit in the acked bitmask. q == 0 is the legacy
-// primary+failover exchange (single shard only): idx/strikes rotate to
-// the next backup after repeated silence.
+// The window is the sliding window of pipelined determinant logging: up
+// to elWindow() batches may be outstanding per shard, further events
+// wait in queue for a free slot, and completed batches retire strictly
+// from the front (see batchRetired) so EventsAcked credits events in
+// submission order exactly as stop-and-wait did.
 type elShard struct {
-	id      int
-	targets []int
-	bits    map[int]uint
-	q       int
-	idx     int
-	strikes int
-	seq     uint64
-	ring    []elBatch
-	timer   uint64
-	queue   []core.Event // events awaiting a free window slot
+	w     window[elBatch]
+	seq   uint64
+	queue []core.Event // events awaiting a free window slot
 }
 
 // hasEL reports whether any event-logger group is configured; without
 // one nothing is logged and nothing gates.
 func (d *V2) hasEL() bool { return len(d.elShards) > 0 }
 
-// elQuorumMode reports whether the exchange runs quorum replication
-// (uniform across shards; legacy failover mode is single-shard only).
-func (d *V2) elQuorumMode() bool { return len(d.elShards) > 0 && d.elShards[0].q > 0 }
+// hasCS reports whether any checkpoint server is configured.
+func (d *V2) hasCS() bool { return len(d.cs.targets) > 0 }
 
 // elShardFor routes a channel (sender → receiver) to the shard serving
 // it under the current dead set: the ring owner, or its successor while
@@ -1484,7 +1179,7 @@ func (d *V2) elWindow() int {
 // however many events accumulated while the window was full.
 func (d *V2) pumpEL(sh *elShard) {
 	w := d.elWindow()
-	for len(sh.queue) > 0 && (w == 0 || len(sh.ring) < w) {
+	for len(sh.queue) > 0 && (w == 0 || len(sh.w.slots) < w) {
 		var evs []core.Event
 		if d.cfg.EventBatching {
 			evs = sh.queue
@@ -1500,33 +1195,22 @@ func (d *V2) pumpEL(sh *elShard) {
 	}
 }
 
-// sendEvents opens a window slot on one shard: it ships a batch to the
-// shard's current event logger — or, in quorum mode, to every replica
-// of the group — appends it to the shard's in-flight ring and arms its
-// retransmit timer. gated is how many of the events credit WAITLOGGED
-// on retirement (all of them for a pessimistic batch, none for a
-// suppressed epoch, relay or backfill batch); origin >= 0 marks a
-// foreign relay batch shipped as KDetRelay.
+// sendEvents opens a window slot on one shard: the batch ships to every
+// replica of the group and joins the shard's in-flight window. gated is
+// how many of the events credit WAITLOGGED on retirement (all of them
+// for a pessimistic batch, none for a suppressed epoch, relay or
+// backfill batch); origin >= 0 marks a foreign relay batch shipped as
+// KDetRelay.
 func (d *V2) sendEvents(sh *elShard, evs []core.Event, gated, origin int) {
 	sh.seq++
-	seq := sh.seq
-	d.tr.Record(d.rt.Now(), trace.EvDetSubmit, 0, 0, seq, uint64(len(evs)))
-	sh.ring = append(sh.ring, elBatch{seq: seq, evs: evs, gated: gated, origin: origin, sent: d.rt.Now()})
-	b := &sh.ring[len(sh.ring)-1]
-	if sh.q > 0 {
-		for _, t := range sh.targets {
-			d.sendEventFrame(t, b)
-		}
-	} else {
-		d.sendEventFrame(sh.targets[sh.idx], b)
-	}
+	d.tr.Record(d.rt.Now(), trace.EvDetSubmit, 0, 0, sh.seq, uint64(len(evs)))
+	sh.w.push(sh.seq, elBatch{evs: evs, gated: gated, origin: origin})
 	switch origin {
 	case originOwn:
 		d.stats.EventsLogged += int64(len(evs))
 	case originBackfill:
 		d.stats.ShardBackfilled += int64(len(evs))
 	}
-	d.armEL(sh)
 }
 
 // sendEventFrame encodes one KEventLog (or KDetRelay, for a foreign
@@ -1534,173 +1218,55 @@ func (d *V2) sendEvents(sh *elShard, evs []core.Event, gated, origin int) {
 // transmission gets a fresh buffer — ownership moves with the frame,
 // and the logger recycles it after decoding — so retransmissions
 // re-encode rather than caching an encoding per batch.
-func (d *V2) sendEventFrame(to int, b *elBatch) {
+func (d *V2) sendEventFrame(s *slot[elBatch], to int) {
+	b := &s.item
 	if b.origin >= 0 {
-		d.ep.Send(to, wire.KDetRelay, wire.AppendDetRelay(wire.GetBuf(wire.DetRelaySize(len(b.evs))), b.seq, b.origin, b.evs))
+		d.ep.Send(to, wire.KDetRelay, wire.AppendDetRelay(wire.GetBuf(wire.DetRelaySize(len(b.evs))), s.seq, b.origin, b.evs))
 		return
 	}
-	d.ep.Send(to, wire.KEventLog, wire.AppendEventLog(wire.GetBuf(wire.EventLogSize(len(b.evs))), b.seq, b.evs))
+	d.ep.Send(to, wire.KEventLog, wire.AppendEventLog(wire.GetBuf(wire.EventLogSize(len(b.evs))), s.seq, b.evs))
 }
 
-// elAck completes in-flight batches on the acking replica's shard: the
-// batch matching the acked seq, plus — via the server's cumulative
-// mark — every older batch the server has stored whose own ack was lost
-// on the wire. Completed batches retire strictly from the front of the
-// shard's ring (retireEL), so events are credited against WAITLOGGED in
-// submission order and unacked reaches zero at exactly the moment
-// stop-and-wait would have reached it: when every submitted batch is
-// complete. Shards gate independently: the WAITLOGGED counter in
-// core.State is a plain count, so per-shard retirement order cannot
-// misattribute credits.
+// elAck completes in-flight batches on the acking replica's shard.
+// WAITLOGGED is released only once the write quorum acked, and the
+// completed batches retire strictly from the front of the shard's
+// window, so events are credited in submission order and unacked
+// reaches zero at exactly the moment stop-and-wait would have reached
+// it: when every submitted batch is complete. Shards gate
+// independently: the WAITLOGGED counter in core.State is a plain count,
+// so per-shard retirement order cannot misattribute credits.
 func (d *V2) elAck(from int, seq, cum uint64) {
 	sh := d.elNodeShard[from]
 	if sh == nil {
 		return // acks from nodes outside every replica group cannot count
 	}
-	var mask uint64
-	if sh.q > 0 {
-		// WAITLOGGED is released only once the write quorum acked:
-		// record this replica and keep waiting below quorum.
-		mask = 1 << sh.bits[from]
+	if sh.w.ack(from, seq, cum) == 0 {
+		return
 	}
-	hi := seq
-	if cum > hi {
-		hi = cum
-	}
-	progressed := false
-	for i := range sh.ring {
-		b := &sh.ring[i]
-		if b.seq > hi {
-			break // the ring is ascending; nothing further can match
-		}
-		if b.done || (b.seq != seq && b.seq > cum) {
-			continue
-		}
-		if sh.q > 0 {
-			if b.acked&mask != 0 {
-				continue
-			}
-			b.acked |= mask
-			progressed = true
-			if bits.OnesCount64(b.acked) < sh.q {
-				continue
-			}
-			d.stats.QuorumAcks++
-		} else {
-			progressed = true
-		}
-		b.done = true
-	}
-	if !progressed {
-		return // duplicate ack, or ack of a dead incarnation's batch
-	}
-	sh.strikes = 0
-	d.retireEL(sh)
+	sh.w.retire(d.batchRetired)
 	d.pumpEL(sh)
 }
 
-// retireEL pops completed batches off the front of a shard's ring,
-// crediting their events in submission order.
-func (d *V2) retireEL(sh *elShard) {
-	n := 0
-	for n < len(sh.ring) && sh.ring[n].done {
-		b := &sh.ring[n]
-		if b.origin < 0 {
-			if d.tr != nil {
-				// Each determinant of the batch is quorum-durable the
-				// instant its batch retires in order — this, not the raw
-				// ack arrival, is the durability point WAITLOGGED waits on.
-				now := d.rt.Now()
-				for _, ev := range b.evs {
-					d.tr.Record(now, trace.EvDetDurable,
-						trace.PackSpan(d.cfg.Rank, ev.RecvClock), 0, b.seq, 0)
-				}
-			}
-			d.st.EventsAcked(b.gated)
-			if b.gated < len(b.evs) {
-				d.detRetire(b.evs)
-			}
-		}
-		n++
-	}
-	if n == 0 {
+// batchRetired credits a batch leaving the front of its shard's window.
+func (d *V2) batchRetired(s *slot[elBatch]) {
+	b := &s.item
+	if b.origin >= 0 {
 		return
 	}
-	sh.ring = append(sh.ring[:0], sh.ring[n:]...)
-	if len(sh.ring) == 0 {
-		sh.ring = nil
-	}
-}
-
-// armEL (re)arms a shard's retransmit timer for the earliest deadline
-// among its in-flight batches.
-func (d *V2) armEL(sh *elShard) {
-	to := d.elAckTimeout()
-	if sh.timer != 0 || to <= 0 {
-		return
-	}
-	bo := d.backoff(to)
-	var min time.Duration
-	first := true
-	for i := range sh.ring {
-		b := &sh.ring[i]
-		if b.done {
-			continue
-		}
-		if dl := b.sent + bo.Delay(b.attempts); first || dl < min {
-			min, first = dl, false
+	if d.tr != nil {
+		// Each determinant of the batch is quorum-durable the instant its
+		// batch retires in order — this, not the raw ack arrival, is the
+		// durability point WAITLOGGED waits on.
+		now := d.rt.Now()
+		for _, ev := range b.evs {
+			d.tr.Record(now, trace.EvDetDurable,
+				trace.PackSpan(d.cfg.Rank, ev.RecvClock), 0, s.seq, 0)
 		}
 	}
-	if first {
-		return // nothing awaiting an ack
+	d.st.EventsAcked(b.gated)
+	if b.gated < len(b.evs) {
+		d.detRetire(b.evs)
 	}
-	delay := min - d.rt.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	sh.timer = d.after(delay, func() { d.elExpired(sh) })
-}
-
-// elExpired retransmits every in-flight batch of one shard whose
-// deadline has passed, walking the ring front to back so
-// retransmissions go out in ascending seq order. Legacy mode fails over
-// to a backup logger after repeated silence; in quorum mode every
-// replica is already a target, so the batch is re-sent only to the
-// replicas that have not acked it.
-func (d *V2) elExpired(sh *elShard) {
-	sh.timer = 0
-	to := d.elAckTimeout()
-	if to <= 0 {
-		return
-	}
-	bo := d.backoff(to)
-	now := d.rt.Now()
-	for i := range sh.ring {
-		b := &sh.ring[i]
-		if b.done || b.sent+bo.Delay(b.attempts) > now {
-			continue
-		}
-		b.attempts++
-		b.sent = now
-		if sh.q > 0 {
-			for _, t := range sh.targets {
-				if b.acked&(1<<sh.bits[t]) == 0 {
-					d.sendEventFrame(t, b)
-				}
-			}
-			d.stats.Retransmits++
-			continue
-		}
-		sh.strikes++
-		if sh.strikes >= d.failoverAfter() && len(sh.targets) > 1 {
-			sh.idx = (sh.idx + 1) % len(sh.targets)
-			sh.strikes = 0
-			d.stats.Failovers++
-		}
-		d.sendEventFrame(sh.targets[sh.idx], b)
-		d.stats.Retransmits++
-	}
-	d.armEL(sh)
 }
 
 // pendingEL counts determinants not yet quorum-durable across every
@@ -1710,9 +1276,9 @@ func (d *V2) pendingEL() int {
 	n := 0
 	for _, sh := range d.elShards {
 		n += len(sh.queue)
-		for i := range sh.ring {
-			if !sh.ring[i].done {
-				n += len(sh.ring[i].evs)
+		for i := range sh.w.slots {
+			if !sh.w.slots[i].done {
+				n += len(sh.w.slots[i].item.evs)
 			}
 		}
 	}
@@ -1805,20 +1371,14 @@ func (d *V2) elShardDown(k int) {
 	d.elDead[k] = true
 	d.stats.ShardRebalances++
 	sh := d.elShards[k]
-	if sh.timer != 0 {
-		d.cancel(sh.timer)
-		sh.timer = 0
-	}
-	sh.strikes = 0
-	queue, ring := sh.queue, sh.ring
-	sh.queue, sh.ring = nil, nil
+	queue, inFlight := sh.queue, sh.w.reset()
+	sh.queue = nil
 	for _, ev := range queue {
 		nsh := d.elShardFor(ev.Sender, d.cfg.Rank)
 		nsh.queue = append(nsh.queue, ev)
 	}
-	for i := range ring {
-		b := &ring[i]
-		d.resubmitBatch(b)
+	for i := range inFlight {
+		d.resubmitBatch(&inFlight[i].item)
 	}
 	for p, hist := range d.elHistory {
 		if before[p] != k || len(hist) == 0 {
@@ -1884,7 +1444,6 @@ func (d *V2) elShardUp(k int) {
 	delete(d.elDead, k)
 	d.stats.ShardRejoins++
 	sh := d.elShards[k]
-	sh.strikes = 0
 	for p, hist := range d.elHistory {
 		if len(hist) == 0 {
 			continue
@@ -2040,7 +1599,7 @@ func (d *V2) doSend(to int, data []byte) {
 	}
 
 	if transmit {
-		if d.elQuorumMode() && d.st.SendBlocked() {
+		if d.st.SendBlocked() {
 			// A payload is leaving while reception events are still
 			// below their write quorum — every path that can do this
 			// (only the NoSendGating ablation today) is counted so the
@@ -2252,61 +1811,32 @@ func (d *V2) ckptChunkSize() int {
 // KCkptSave payload had.
 type ckptChunk struct {
 	frame []byte
-	acked uint64 // replica ack bitmask (csBits)
+	acked uint64 // replica ack bitmask (replicaGroup bits)
 }
 
-// ckptXfer is one in-flight checkpoint in the ring. The full protocol
-// snapshot is retained for three jobs that outlive the delta encoding:
-// the KCkptNote GC horizons and the next delta's base marks at
-// retirement, and the escalation path — after repeated silence the
-// daemon abandons the chunked delta and ships a monolithic full image,
-// so liveness never depends on a replica holding the delta's base.
+// ckptXfer is one in-flight checkpoint of the cs window. Its slot's ack
+// mask holds the replicas that sent a KCkptSaveAck — after a monolithic
+// save, or after their store verified and materialized a completed chunk
+// assembly — and so hold the full image; per-chunk acks only steer
+// retransmission. The full protocol snapshot is retained for three jobs
+// that outlive the delta encoding: the KCkptNote GC horizons and the
+// next delta's base marks at retirement, and the escalation path — after
+// repeated silence the daemon abandons the chunked delta and ships a
+// monolithic full image, so liveness never depends on a replica holding
+// the delta's base.
 type ckptXfer struct {
-	seq       uint64
 	sn        *core.Snapshot
 	clock     uint64 // receive clock at capture: the rebalancing-history prune horizon
 	appState  []byte
 	chunks    []ckptChunk
-	fullAcked uint64 // replicas that acked a FULL image (KCkptSaveAck)
 	full      []byte // encoded monolithic KCkptSave payload, lazily built
-	sent      time.Duration
-	attempts  int
 	escalated bool
 	isDelta   bool
-	done      bool // complete, waiting for older transfers to retire
-}
-
-// heldBy reports whether the replica behind bit holds the full image:
-// it sent a KCkptSaveAck — after a monolithic save, or after its store
-// verified and materialized a completed chunk assembly. Per-chunk acks
-// deliberately do NOT count: a replica respawned empty mid-transfer
-// still looks all-chunks-acked to us, but holds nothing.
-func (x *ckptXfer) heldBy(bit uint) bool {
-	return x.fullAcked&(1<<bit) != 0
-}
-
-// holders is the bitmask of replicas holding the full image.
-func (x *ckptXfer) holders() uint64 { return x.fullAcked }
-
-// findXfer locates an in-flight transfer by seq; the ring is ascending,
-// so the scan stops early. nil means a duplicate ack or a dead
-// incarnation's.
-func (d *V2) findXfer(seq uint64) *ckptXfer {
-	for i := range d.ckptRing {
-		x := &d.ckptRing[i]
-		if x.seq > seq {
-			return nil
-		}
-		if x.seq == seq && !x.done {
-			return x
-		}
-	}
-	return nil
 }
 
 func (d *V2) doCheckpoint(appState []byte) {
 	d.ckptFlag.Store(false)
-	if len(d.csTargets) == 0 {
+	if !d.hasCS() {
 		d.reply(rankResp{})
 		return
 	}
@@ -2342,7 +1872,7 @@ func (d *V2) doCheckpoint(appState []byte) {
 	img := ckpt.AppendImage(wire.GetBuf(ckpt.ImageSize(im)), im)
 	wire.PutBuf(proto) // copied into img
 
-	x := ckptXfer{seq: seq, sn: sn, clock: d.st.Clock(), appState: appState, isDelta: baseSeq != 0, sent: d.rt.Now()}
+	x := ckptXfer{sn: sn, clock: d.st.Clock(), appState: appState, isDelta: baseSeq != 0}
 	if cs := d.ckptChunkSize(); cs > 0 {
 		n := (len(img) + cs - 1) / cs
 		x.chunks = make([]ckptChunk, n)
@@ -2368,187 +1898,65 @@ func (d *V2) doCheckpoint(appState []byte) {
 	// The transfer is asynchronous: execution continues while the image
 	// streams to the checkpoint servers (the paper's fork trick), and
 	// unacknowledged chunks are retransmitted like event batches.
-	d.ckptRing = append(d.ckptRing, x)
-	xp := &d.ckptRing[len(d.ckptRing)-1]
-	if d.csQ > 0 {
-		for _, t := range d.csTargets {
-			d.sendXfer(xp, t)
-		}
-	} else {
-		d.sendXfer(xp, d.csTargets[d.csIdx])
-	}
-	d.armCkpt()
+	d.cs.push(seq, x)
 	d.reply(rankResp{})
 }
 
-// sendXfer ships a transfer to one server: nothing if it already holds
-// the image, the monolithic payload when escalated, else every chunk
-// the server has not acked, in ascending chunk order.
-func (d *V2) sendXfer(x *ckptXfer, t int) {
-	bit := d.csBits[t]
-	if x.fullAcked&(1<<bit) != 0 {
-		return
+// sendXfer ships a transfer to one server still short of the full
+// image: the monolithic payload when escalated, else every chunk the
+// server has not acked, in ascending chunk order. After
+// ckptEscalateAfter silent retransmit rounds the transfer escalates
+// first, so a replica that cannot complete the chunked delta is handed
+// an image with no chain to follow.
+func (d *V2) sendXfer(s *slot[ckptXfer], t int) {
+	x := &s.item
+	if !x.escalated && s.attempts >= ckptEscalateAfter {
+		d.escalateCkpt(s)
 	}
 	if x.escalated {
 		d.ep.Send(t, wire.KCkptSave, x.full)
 		return
 	}
+	bit := d.cs.bits[t]
 	for i := range x.chunks {
-		if x.chunks[i].acked&(1<<bit) == 0 {
-			d.tr.Record(d.rt.Now(), trace.EvCkptChunk, 0, 0, x.seq, uint64(i))
-			d.ep.Send(t, wire.KCkptChunk, x.chunks[i].frame)
-		}
-	}
-}
-
-// completeCkpt marks a transfer done once enough replicas hold the full
-// image — one in legacy mode, the write quorum in quorum mode — and
-// retires the ring front.
-func (d *V2) completeCkpt(x *ckptXfer) {
-	h := x.holders()
-	if d.csQ > 0 {
-		if bits.OnesCount64(h) < d.csQ {
-			return
-		}
-		d.stats.QuorumAcks++
-	} else if h == 0 {
-		return
-	}
-	x.done = true
-	d.retireCkpt()
-}
-
-// retireCkpt pops completed transfers off the front of the ring in
-// submission order: each advances ckptDone, installs itself as the next
-// delta base, and broadcasts the §4.6.1 KCkptNote GC horizons — exactly
-// the effects the stop-and-wait ack handler had, still strictly
-// in-order.
-func (d *V2) retireCkpt() {
-	n := 0
-	for n < len(d.ckptRing) && d.ckptRing[n].done {
-		x := &d.ckptRing[n]
-		n++
-		if x.seq <= d.ckptDone {
+		if x.chunks[i].acked&(1<<bit) != 0 {
 			continue
 		}
-		d.ckptDone = x.seq
-		d.ckptBase = x.seq
-		d.ckptMarks = x.sn.SeqTo
-		// Events below a durable checkpoint's clock horizon are replayed
-		// from the image, never from the EL — the rebalancing history can
-		// drop them.
-		d.pruneHistory(x.clock)
-		d.tr.Record(d.rt.Now(), trace.EvCkptDurable, 0, 0, x.seq, uint64(len(x.chunks)))
-		for q := 0; q < d.cfg.Size; q++ {
-			if q == d.cfg.Rank {
-				continue
-			}
-			// The §4.6.1 GC horizon: deliveries from q up to HR[q] are
-			// inside a durable checkpoint, so q may reclaim the SAVED
-			// copies. Recorded before the send so the note always
-			// happens-before the peer's EvGCApply.
-			d.tr.Record(d.rt.Now(), trace.EvGCNote, 0, 0, uint64(q), x.sn.HR[q])
-			d.ep.Send(q, wire.KCkptNote, wire.EncodeU64(x.sn.HR[q]))
-		}
-	}
-	if n == 0 {
-		return
-	}
-	d.ckptRing = append(d.ckptRing[:0], d.ckptRing[n:]...)
-	if len(d.ckptRing) == 0 {
-		d.ckptRing = nil
-	}
-}
-
-// armCkpt mirrors armEL: one timer for the earliest deadline among
-// in-flight transfers.
-func (d *V2) armCkpt() {
-	to := d.ckptAckTimeout()
-	if d.ckptTimer != 0 || to <= 0 {
-		return
-	}
-	bo := d.backoff(to)
-	var min time.Duration
-	first := true
-	for i := range d.ckptRing {
-		x := &d.ckptRing[i]
-		if x.done {
-			continue
-		}
-		if dl := x.sent + bo.Delay(x.attempts); first || dl < min {
-			min, first = dl, false
-		}
-	}
-	if first {
-		return // nothing awaiting acks
-	}
-	delay := min - d.rt.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	d.ckptTimer = d.after(delay, d.ckptExpired)
-}
-
-// ckptExpired walks the ring front to back (ascending seq — no
-// sort.Slice over a map needed) and retransmits only what is missing:
-// per replica, the chunks it has not acked. After failoverAfter silent
-// rounds a transfer escalates to a monolithic full image, which cannot
-// chain-break at the store; legacy mode additionally rotates to a
-// backup server, whereupon all chunks are missing there by definition.
-func (d *V2) ckptExpired() {
-	d.ckptTimer = 0
-	to := d.ckptAckTimeout()
-	if to <= 0 {
-		return
-	}
-	bo := d.backoff(to)
-	now := d.rt.Now()
-	for i := range d.ckptRing {
-		x := &d.ckptRing[i]
-		if x.done || x.sent+bo.Delay(x.attempts) > now {
-			continue
-		}
-		x.attempts++
-		x.sent = now
-		if !x.escalated && x.attempts >= d.failoverAfter() {
-			d.escalateCkpt(x)
-		}
-		if d.csQ > 0 {
-			for _, t := range d.csTargets {
-				if !x.heldBy(d.csBits[t]) {
-					d.resendXfer(x, t)
-				}
-			}
-			d.stats.Retransmits++
-			continue
-		}
-		d.csStrikes++
-		if d.csStrikes >= d.failoverAfter() && len(d.csTargets) > 1 {
-			d.csIdx = (d.csIdx + 1) % len(d.csTargets)
-			d.csStrikes = 0
-			d.stats.Failovers++
-		}
-		d.resendXfer(x, d.csTargets[d.csIdx])
-		d.stats.Retransmits++
-	}
-	d.armCkpt()
-}
-
-// resendXfer is sendXfer plus the retransmit accounting.
-func (d *V2) resendXfer(x *ckptXfer, t int) {
-	bit := d.csBits[t]
-	if x.fullAcked&(1<<bit) != 0 {
-		return
-	}
-	if x.escalated {
-		d.ep.Send(t, wire.KCkptSave, x.full)
-		return
-	}
-	for i := range x.chunks {
-		if x.chunks[i].acked&(1<<bit) == 0 {
-			d.ep.Send(t, wire.KCkptChunk, x.chunks[i].frame)
+		if s.attempts == 0 {
+			d.tr.Record(d.rt.Now(), trace.EvCkptChunk, 0, 0, s.seq, uint64(i))
+		} else {
 			d.stats.ChunkRetransmits++
 		}
+		d.ep.Send(t, wire.KCkptChunk, x.chunks[i].frame)
+	}
+}
+
+// ckptRetired applies a transfer leaving the front of the window, in
+// submission order: it advances ckptDone, installs itself as the next
+// delta base, and broadcasts the §4.6.1 KCkptNote GC horizons.
+func (d *V2) ckptRetired(s *slot[ckptXfer]) {
+	x := &s.item
+	if s.seq <= d.ckptDone {
+		return
+	}
+	d.ckptDone = s.seq
+	d.ckptBase = s.seq
+	d.ckptMarks = x.sn.SeqTo
+	// Events below a durable checkpoint's clock horizon are replayed
+	// from the image, never from the EL — the rebalancing history can
+	// drop them.
+	d.pruneHistory(x.clock)
+	d.tr.Record(d.rt.Now(), trace.EvCkptDurable, 0, 0, s.seq, uint64(len(x.chunks)))
+	for q := 0; q < d.cfg.Size; q++ {
+		if q == d.cfg.Rank {
+			continue
+		}
+		// The §4.6.1 GC horizon: deliveries from q up to HR[q] are
+		// inside a durable checkpoint, so q may reclaim the SAVED
+		// copies. Recorded before the send so the note always
+		// happens-before the peer's EvGCApply.
+		d.tr.Record(d.rt.Now(), trace.EvGCNote, 0, 0, uint64(q), x.sn.HR[q])
+		d.ep.Send(q, wire.KCkptNote, wire.EncodeU64(x.sn.HR[q]))
 	}
 }
 
@@ -2558,16 +1966,17 @@ func (d *V2) resendXfer(x *ckptXfer, t int) {
 // encodes the retained full snapshot as one monolithic KCkptSave. The
 // store accepts it unconditionally (no chain to follow), restoring the
 // pre-delta liveness guarantee.
-func (d *V2) escalateCkpt(x *ckptXfer) {
+func (d *V2) escalateCkpt(s *slot[ckptXfer]) {
+	x := &s.item
 	x.escalated = true
 	if x.full != nil {
 		return
 	}
 	proto := core.AppendSnapshot(wire.GetBuf(core.SnapshotSize(x.sn)), x.sn)
-	im := &ckpt.Image{Rank: d.cfg.Rank, Seq: x.seq, AppState: x.appState, Proto: proto}
+	im := &ckpt.Image{Rank: d.cfg.Rank, Seq: s.seq, AppState: x.appState, Proto: proto}
 	img := ckpt.AppendImage(wire.GetBuf(ckpt.ImageSize(im)), im)
 	wire.PutBuf(proto)
-	x.full = wire.EncodeCkptSave(x.seq, img)
+	x.full = wire.EncodeCkptSave(s.seq, img)
 	d.stats.CkptBytes += int64(len(img)) // the full image ships after all
 	wire.PutBuf(img)
 }

@@ -261,23 +261,11 @@ func ServeWith(o ServeOpts) error {
 			PullTimeout: o.PullTimeout,
 			DetMode:     o.DetMode,
 		}
-		// Replicated service roles: a single node keeps the legacy
-		// primary path, several switch the daemon to quorum replication
-		// (write quorum = majority, restart reads merge the complement).
-		els := pg.IDsOfRole(RoleEL)
-		if len(els) == 1 {
-			cfg.EventLogger = els[0]
-		} else if len(els) > 1 {
-			cfg.ELReplicas = els
-			cfg.ELQuorum = len(els)/2 + 1
-		}
-		css := pg.IDsOfRole(RoleCS)
-		if len(css) == 1 {
-			cfg.CkptServer = css[0]
-		} else if len(css) > 1 {
-			cfg.CSReplicas = css
-			cfg.CSQuorum = len(css)/2 + 1
-		}
+		// Each service role is one replica group, however many nodes hold
+		// it: the daemon's default write quorum is the majority, and
+		// restart reads merge the complement.
+		cfg.ELReplicas = pg.IDsOfRole(RoleEL)
+		cfg.CSReplicas = pg.IDsOfRole(RoleCS)
 		if sc, ok := pg.Find(RoleSched); ok {
 			cfg.Scheduler = sc.ID
 		}
