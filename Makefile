@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet soak-smoke soak-regress ci
+.PHONY: verify build vet test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet bench-stack soak-smoke soak-regress ci
 
 verify: ## build + vet + full test suite (tier-1 gate)
 	$(GO) build ./...
@@ -51,7 +51,7 @@ bench-paper: ## quick pass over every paper experiment
 
 # bench-oracle is the refactoring gate: the simulator is deterministic,
 # so a behaviour-preserving change regenerates the committed virtual-time
-# artifacts byte for byte (BENCH_fleet.json minus its wall-clock fields).
+# artifacts byte for byte.
 # Run it before any target that rewrites a committed BENCH_*.json in
 # place (bench-detsupp and bench-fleet write their -quick sweeps).
 bench-oracle: ## regenerate BENCH_{perf,ckpt,detsupp,trace,fleet}.json in scratch and diff against the committed files (~3 s)
@@ -66,14 +66,19 @@ bench-detsupp: ## determinant-suppression sweep + its acceptance gate
 	$(GO) run ./cmd/vbench -exp detsupp -quick -json && test -f BENCH_detsupp.json
 	$(GO) test ./internal/bench/ -run TestDetSuppShape -v
 
-# bench-fleet gates the sharded fleet + parallel core: the sweep must
-# emit its JSON artifact, 4 EL shards must log determinants at >=2x the
-# 1-shard rate on the quick workload with every audit green, and the
-# serial and parallel vtime cores must produce byte-identical schedules
-# (hash equality) across three workload shapes.
+# bench-fleet gates the sharded fleet: the sweep must emit its JSON
+# artifact, and 4 EL shards must log determinants at >=2x the 1-shard
+# rate on the quick workload with every audit green.
 bench-fleet: ## sharded-fleet scaling sweep + its acceptance gate
 	$(GO) run ./cmd/vbench -exp fleet -quick -json && test -f BENCH_fleet.json
-	$(GO) test ./internal/bench/ -run 'TestFleetShape|TestFleetParSchedulesIdentical' -v
+	$(GO) test ./internal/bench/ -run TestFleetShape -v
+
+# bench-stack runs the wall-clock benchmark's self-check: the end-to-end
+# set of workloads twice on this machine, failing if any metric of the
+# two sets differs by more than its BENCHMARK.json bound. It takes
+# minutes and measures the box it runs on, so it stays out of CI.
+bench-stack: ## self-check of the real-socket benchmark (benchmarks/stack)
+	bash benchmarks/stack/run.sh -selfcheck
 
 # soak-smoke exits non-zero unless every audit is green, the per-role
 # kill quota was met (each of cn/el/cs/sc killed at least once per

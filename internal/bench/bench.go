@@ -48,7 +48,7 @@ func Experiments() []Experiment {
 			Data: func(q bool) (any, error) { return ChaosData(q), nil }},
 		{ID: "elrep", Title: "Replication: event-logger quorum size vs overhead under chaos", Run: ELRep,
 			Data: func(q bool) (any, error) { return ELRepData(q), nil }},
-		{ID: "perf", Title: "Perf: pipelined determinant logging, window × size × batching", Run: Perf,
+		{ID: "perf", Title: "Perf: pipelined determinant logging, window × size", Run: Perf,
 			Data: func(q bool) (any, error) { return PerfData(q), nil }},
 		{ID: "detsupp", Title: "DetSupp: adaptive determinant suppression + piggybacking vs pessimistic", Run: DetSupp,
 			Data: func(q bool) (any, error) { return DetSuppData(q), nil }},
@@ -58,7 +58,7 @@ func Experiments() []Experiment {
 			Data: func(q bool) (any, error) { return TraceData(q) }},
 		{ID: "soak", Title: "Soak: real-socket deployment under process kills and live chaos", Run: SoakBench,
 			Data: SoakData},
-		{ID: "fleet", Title: "Fleet: sharded event loggers + parallel vtime core at 1000 ranks", Run: Fleet,
+		{ID: "fleet", Title: "Fleet: sharded event loggers at 1000 ranks", Run: Fleet,
 			Data: func(q bool) (any, error) { return FleetData(q), nil }},
 	}
 }

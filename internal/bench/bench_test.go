@@ -235,30 +235,33 @@ func TestPerfWindowShape(t *testing.T) {
 	// The pipelined determinant window must beat stop-and-wait on the
 	// latency-bound small-message burst (where logger round-trips
 	// dominate) and never lose anywhere: a deeper window can only
-	// overlap waits that stop-and-wait serializes.
+	// overlap waits that stop-and-wait serializes. Stop-and-wait already
+	// ships the burst's events as adaptive batches, so what the window
+	// adds on top is the overlap of those batches — about 1.15× at 0 B,
+	// not the 2.6× it bought over one-frame-per-event logging.
 	pts := PerfData(true)
-	byKey := func(size, window int, batching bool) PerfPoint {
+	byKey := func(size, window int) PerfPoint {
 		for _, pt := range pts {
-			if pt.Size == size && pt.Window == window && pt.Batching == batching {
+			if pt.Size == size && pt.Window == window {
 				return pt
 			}
 		}
-		t.Fatalf("missing point size=%d window=%d batching=%v", size, window, batching)
+		t.Fatalf("missing point size=%d window=%d", size, window)
 		return PerfPoint{}
 	}
-	small := byKey(0, 8, false)
+	small := byKey(0, 8)
 	t.Logf("0B window=8: %.2fx vs stop-and-wait", small.Speedup)
-	if small.Speedup < 1.5 {
-		t.Errorf("window=8 speedup %.2fx at 0B, want ≥ 1.5x over stop-and-wait", small.Speedup)
+	if small.Speedup < 1.1 {
+		t.Errorf("window=8 speedup %.2fx at 0B, want ≥ 1.1x over stop-and-wait", small.Speedup)
 	}
 	for _, pt := range pts {
 		if pt.Speedup < 0.99 {
-			t.Errorf("size=%d window=%d batching=%v: pipelining SLOWED the run (%.2fx)",
-				pt.Size, pt.Window, pt.Batching, pt.Speedup)
+			t.Errorf("size=%d window=%d: pipelining SLOWED the run (%.2fx)",
+				pt.Size, pt.Window, pt.Speedup)
 		}
 		if pt.Events == 0 || pt.ELWaits == 0 {
-			t.Errorf("size=%d window=%d batching=%v: workload did not stress WAITLOGGED (events=%d waits=%d)",
-				pt.Size, pt.Window, pt.Batching, pt.Events, pt.ELWaits)
+			t.Errorf("size=%d window=%d: workload did not stress WAITLOGGED (events=%d waits=%d)",
+				pt.Size, pt.Window, pt.Events, pt.ELWaits)
 		}
 	}
 }

@@ -3,18 +3,14 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"mpichv/internal/cluster"
-	"mpichv/internal/core"
 	"mpichv/internal/mpi"
-	"mpichv/internal/vtime"
 )
 
 // Fleet experiment: determinant-log throughput scaling of the sharded
-// event-logger fleet, plus the deterministic parallel vtime core that
-// makes thousand-rank runs tractable.
+// event-logger fleet.
 //
 // Leg 1 (sharded fleet, virtual time): a determinant-heavy neighbor
 // exchange where every reception's event must clear the EL before the
@@ -27,42 +23,23 @@ import (
 // Leg 2 (thousand ranks, virtual time): a 1000-rank exchange over an
 // 8-shard fleet, run to completion with the no-orphans and
 // happens-before auditors green — the scale claim.
-//
-// Leg 3 (parallel core, wall clock): the same event-lane workload
-// executed by the serial and the parallel vtime cores. The schedules
-// must be byte-identical (hash equality is the determinism contract);
-// the wall-clock ratio is the speedup real cores buy.
 
 // FleetPoint is one (shards, ranks) cell of the virtual-time sweep.
 type FleetPoint struct {
-	Shards  int
-	Ranks   int
-	Elapsed time.Duration
-	Events  int64   // determinants stored by the fleet
+	Shards    int
+	Ranks     int
+	Elapsed   time.Duration
+	Events    int64   // determinants stored by the fleet
 	DetPerSec float64 // determinant-log throughput, events per virtual second
 	Speedup   float64 // throughput vs the 1-shard row at the same rank count
 	ELWaitUS  int64   // virtual µs all ranks spent blocked in WAITLOGGED
 	AuditOK   bool    // no-orphans and happens-before auditors both green
 }
 
-// FleetParPoint is one (lanes, workers) cell of the parallel-core leg.
-type FleetParPoint struct {
-	Lanes        int
-	Workers      int
-	Events       int64
-	WallMS       float64
-	EventsPerSec float64
-	Speedup      float64 // vs the workers=1 row
-	ScheduleHash string  // FNV-1a over the (at, seq, lane) schedule
-	AuditOK      bool    // delivery streams pass the no-orphans auditor
-}
-
 // FleetResult is the machine-readable artifact (BENCH_fleet.json).
 type FleetResult struct {
-	Cores    int // GOMAXPROCS of the measuring machine (leg 3 context)
-	Sweep    []FleetPoint    // leg 1: shards × fixed ranks
-	Thousand FleetPoint      // leg 2: the scale row
-	Par      []FleetParPoint // leg 3: serial vs parallel core
+	Sweep    []FleetPoint // leg 1: shards × fixed ranks
+	Thousand FleetPoint   // leg 2: the scale row
 }
 
 // fleetProgram is the determinant-heavy workload: each round every rank
@@ -138,138 +115,10 @@ func FleetSweepData(quick bool) ([]FleetPoint, FleetPoint) {
 	return sweep, thousand
 }
 
-// --- Leg 3: the parallel vtime core -----------------------------------------
-
-// parLaneState is one lane's protocol state, touched only by events
-// executing in that lane — the isolation contract of vtime.Par.
-type parLaneState struct {
-	clock    uint64            // reception clock
-	sends    map[int]uint64    // per-destination sender clock
-	chanSeq  map[int]uint64    // per-sender channel sequence
-	delivers []core.Event      // the lane's delivery log, audit input
-	sink     uint64            // fold of the synthetic per-event work
-	left     int               // remaining self-repost steps
-}
-
-// parSpin is the synthetic per-event work (determinant serialization,
-// dedup lookups): enough CPU per event that the parallel leg measures
-// compute scaling, not merge overhead. The fold is returned so the
-// loop cannot be eliminated.
-func parSpin(x uint64) uint64 {
-	for i := 0; i < 600; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	return x
-}
-
-// fleetParRun executes the lane workload on one core configuration:
-// every lane repeatedly posts small messages to its fan neighbors, each
-// delivery committing a determinant into the receiving lane's log.
-// Per-channel delays are constant, so FIFO order is preserved by the
-// (at, seq) schedule and the delivery logs must pass the auditor.
-func fleetParRun(lanes, workers, steps, fan int) FleetParPoint {
-	p := vtime.NewPar(lanes, workers)
-	st := make([]*parLaneState, lanes)
-	for i := range st {
-		st[i] = &parLaneState{
-			sends:   make(map[int]uint64),
-			chanSeq: make(map[int]uint64),
-			left:    steps,
-		}
-	}
-	chanDelay := func(s, r int) time.Duration {
-		return time.Duration(1+(s*31+r*17)%7) * time.Microsecond
-	}
-	var step func(lane int) vtime.Handler
-	message := func(sender int, senderClock uint64) vtime.Handler {
-		return func(c *vtime.ParCtx) {
-			s := st[c.Lane()]
-			s.sink = parSpin(s.sink ^ senderClock)
-			s.clock++
-			s.chanSeq[sender]++
-			s.delivers = append(s.delivers, core.Event{
-				Sender:      sender,
-				SenderClock: senderClock,
-				RecvClock:   s.clock,
-				Seq:         s.chanSeq[sender],
-			})
-		}
-	}
-	step = func(lane int) vtime.Handler {
-		return func(c *vtime.ParCtx) {
-			s := st[lane]
-			if s.left == 0 {
-				return
-			}
-			s.left--
-			for f := 1; f <= fan; f++ {
-				to := (lane + f) % lanes
-				s.sends[to]++
-				c.Post(to, chanDelay(lane, to), message(lane, s.sends[to]))
-			}
-			c.Post(lane, 10*time.Microsecond, step(lane))
-		}
-	}
-	for i := 0; i < lanes; i++ {
-		p.Post(i, 0, step(i))
-	}
-	t0 := time.Now()
-	p.Run()
-	wall := time.Since(t0)
-
-	deliveries := make([][]core.Event, lanes)
-	for i, s := range st {
-		deliveries[i] = s.delivers
-	}
-	pt := FleetParPoint{
-		Lanes:        lanes,
-		Workers:      workers,
-		Events:       int64(p.Executed()),
-		WallMS:       float64(wall) / float64(time.Millisecond),
-		ScheduleHash: fmt.Sprintf("%016x", p.ScheduleHash()),
-		AuditOK:      cluster.Audit(cluster.Result{Deliveries: deliveries}).OK(),
-	}
-	if wall > 0 {
-		pt.EventsPerSec = float64(pt.Events) / wall.Seconds()
-	}
-	return pt
-}
-
-// FleetParData runs leg 3.
-func FleetParData(quick bool) []FleetParPoint {
-	lanes, steps, fan := 1024, 24, 4
-	if quick {
-		lanes, steps, fan = 256, 12, 4
-	}
-	serial := fleetParRun(lanes, 1, steps, fan)
-	serial.Speedup = 1
-	// The parallel row always runs with several workers, even on one
-	// core: the claim under test is the determinism contract (identical
-	// schedule hash under real concurrency), and wall-clock speedup is
-	// reported for whatever cores the machine has — ≈1× on a single
-	// core, approaching the core count otherwise.
-	w := runtime.GOMAXPROCS(0)
-	if w < 4 {
-		w = 4
-	}
-	par := fleetParRun(lanes, w, steps, fan)
-	if par.WallMS > 0 {
-		par.Speedup = serial.WallMS / par.WallMS
-	}
-	return []FleetParPoint{serial, par}
-}
-
 // FleetData assembles the whole artifact.
 func FleetData(quick bool) FleetResult {
 	sweep, thousand := FleetSweepData(quick)
-	return FleetResult{
-		Cores:    runtime.GOMAXPROCS(0),
-		Sweep:    sweep,
-		Thousand: thousand,
-		Par:      FleetParData(quick),
-	}
+	return FleetResult{Sweep: sweep, Thousand: thousand}
 }
 
 // Fleet regenerates the sharded-fleet scaling tables.
@@ -291,20 +140,7 @@ func Fleet(w io.Writer, quick bool) error {
 			pt.Events, fmt.Sprintf("%.0f", pt.DetPerSec), vs, pt.ELWaitUS, audit)
 	}
 	t.flush()
-	fmt.Fprintln(w)
-	t = newTable(w)
-	t.row("lanes", "workers", "events", "wall ms", "events/s", "speedup", "schedule", "audit")
-	for _, pt := range data.Par {
-		audit := "OK"
-		if !pt.AuditOK {
-			audit = "FAILED"
-		}
-		t.row(pt.Lanes, pt.Workers, pt.Events, fmt.Sprintf("%.1f", pt.WallMS),
-			fmt.Sprintf("%.0f", pt.EventsPerSec), fmt.Sprintf("%.2fx", pt.Speedup),
-			pt.ScheduleHash, audit)
-	}
-	t.flush()
-	fmt.Fprintf(w, "fleet sweep: %d-rank neighbor exchange; parallel core on %d cores — schedule hashes must match\n",
-		data.Sweep[0].Ranks, data.Cores)
+	fmt.Fprintf(w, "fleet sweep: %d-rank neighbor exchange; the last row is the %d-rank scale run\n",
+		data.Sweep[0].Ranks, data.Thousand.Ranks)
 	return nil
 }

@@ -24,33 +24,3 @@ func TestFleetShape(t *testing.T) {
 	t.Logf("dets/s: 1 shard %.0f, 4 shards %.0f (%.2fx)",
 		base.DetPerSec, four.DetPerSec, four.DetPerSec/base.DetPerSec)
 }
-
-// TestFleetParSchedulesIdentical is the determinism half of the gate: the
-// serial and parallel vtime cores must produce byte-identical schedules
-// (equal FNV-1a hashes over the (at, seq, lane) stream) across several
-// workload shapes, and both delivery logs must pass the auditor.
-func TestFleetParSchedulesIdentical(t *testing.T) {
-	shapes := []struct {
-		lanes, steps, fan int
-	}{
-		{64, 6, 2},
-		{96, 5, 3},
-		{128, 4, 4},
-	}
-	for _, sh := range shapes {
-		serial := fleetParRun(sh.lanes, 1, sh.steps, sh.fan)
-		par := fleetParRun(sh.lanes, 4, sh.steps, sh.fan)
-		if serial.ScheduleHash != par.ScheduleHash {
-			t.Errorf("lanes=%d: schedule diverged: serial %s, parallel %s",
-				sh.lanes, serial.ScheduleHash, par.ScheduleHash)
-		}
-		if serial.Events != par.Events {
-			t.Errorf("lanes=%d: event counts diverged: %d vs %d",
-				sh.lanes, serial.Events, par.Events)
-		}
-		if !serial.AuditOK || !par.AuditOK {
-			t.Errorf("lanes=%d: delivery audit failed (serial %v, parallel %v)",
-				sh.lanes, serial.AuditOK, par.AuditOK)
-		}
-	}
-}

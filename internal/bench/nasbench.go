@@ -24,7 +24,6 @@ func paramsFor(b nas.Benchmark) netsim.Params {
 		p.EagerLimit = int(float64(p.EagerLimit) / s)
 		p.HalfDuplexMinBytes = int(float64(p.HalfDuplexMinBytes) / s)
 		p.LogMemLimit = int64(float64(p.LogMemLimit) / s)
-		p.LogHardLimit = int64(float64(p.LogHardLimit) / s)
 		p.LogCopyPerByte = time.Duration(float64(p.LogCopyPerByte) * s)
 		p.DiskCopyPerByte = time.Duration(float64(p.DiskCopyPerByte) * s)
 		p.UnixCopyPerByte = time.Duration(float64(p.UnixCopyPerByte) * s)

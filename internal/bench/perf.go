@@ -14,20 +14,19 @@ import (
 // burst-reply pattern built to stress WAITLOGGED: each round rank 0
 // sends a burst of messages, and rank 1 — now holding one reception
 // event per message — must get every event acked by the logger before
-// its reply may leave. With stop-and-wait (window 1) the events drain
-// one logger round-trip each; a window ≥ 4 overlaps them, and event
-// batching collapses the queue into adaptive batches. The sweep prices
-// all three against each other at several message sizes.
+// its reply may leave. With stop-and-wait (window 1) the events that
+// pile up behind each logger round trip ship as one batch; a deeper
+// window overlaps the batches. The sweep prices the window depth at
+// several message sizes.
 
-// PerfPoint is one (size, window, batching) point of the sweep.
+// PerfPoint is one (size, window) point of the sweep.
 type PerfPoint struct {
-	Size     int
-	Window   int
-	Batching bool
-	Elapsed  time.Duration
-	PerMsg   time.Duration // elapsed per burst message
-	Speedup  float64       // vs window=1 at the same size and batching
-	ELWaits  int64         // sends that actually blocked on WAITLOGGED
+	Size    int
+	Window  int
+	Elapsed time.Duration
+	PerMsg  time.Duration // elapsed per burst message
+	Speedup float64       // vs window=1 at the same size
+	ELWaits int64         // sends that actually blocked on WAITLOGGED
 	// The per-message time splits into the EL-ack wait (what the window
 	// actually pipelines) and everything else — payload serialization,
 	// transport and the SAVED-log copy — which no window depth can
@@ -42,12 +41,8 @@ type PerfPoint struct {
 const perfBurst = 16 // messages per round; rank 1's reply gates on all of them
 
 // perfRun measures one point of the sweep.
-func perfRun(size, window int, batching bool, rounds int) PerfPoint {
-	res := cluster.Run(cluster.Config{
-		Impl: cluster.V2, N: 2,
-		EventBatching: batching,
-		ELWindow:      window,
-	}, func(p *mpi.Proc) {
+func perfRun(size, window, rounds int) PerfPoint {
+	res := cluster.Run(cluster.Config{Impl: cluster.V2, N: 2, ELWindow: window}, func(p *mpi.Proc) {
 		msg := make([]byte, size)
 		for r := 0; r < rounds; r++ {
 			if p.Rank() == 0 {
@@ -64,11 +59,10 @@ func perfRun(size, window int, batching bool, rounds int) PerfPoint {
 		}
 	})
 	pt := PerfPoint{
-		Size:     size,
-		Window:   window,
-		Batching: batching,
-		Elapsed:  res.Elapsed,
-		PerMsg:   res.Elapsed / time.Duration(rounds*perfBurst),
+		Size:    size,
+		Window:  window,
+		Elapsed: res.Elapsed,
+		PerMsg:  res.Elapsed / time.Duration(rounds*perfBurst),
 	}
 	for _, d := range res.Daemons {
 		pt.ELWaits += d.ELWaits
@@ -79,9 +73,8 @@ func perfRun(size, window int, batching bool, rounds int) PerfPoint {
 	return pt
 }
 
-// PerfData runs the sweep. Window 1 — explicit stop-and-wait — is
-// always first at each (size, batching) so it anchors the Speedup
-// column.
+// PerfData runs the sweep. Window 1 — stop-and-wait — is always first
+// at each size so it anchors the Speedup column.
 func PerfData(quick bool) []PerfPoint {
 	// The window sweep deliberately runs past the saturation point (a
 	// burst of perfBurst events can keep at most perfBurst batches in
@@ -96,17 +89,15 @@ func PerfData(quick bool) []PerfPoint {
 		rounds = 10
 	}
 	var out []PerfPoint
-	for _, batching := range []bool{false, true} {
-		for _, size := range sizes {
-			var base time.Duration
-			for _, w := range windows {
-				pt := perfRun(size, w, batching, rounds)
-				if w == 1 {
-					base = pt.Elapsed
-				}
-				pt.Speedup = float64(base) / float64(pt.Elapsed)
-				out = append(out, pt)
+	for _, size := range sizes {
+		var base time.Duration
+		for _, w := range windows {
+			pt := perfRun(size, w, rounds)
+			if w == 1 {
+				base = pt.Elapsed
 			}
+			pt.Speedup = float64(base) / float64(pt.Elapsed)
+			out = append(out, pt)
 		}
 	}
 	return out
@@ -116,9 +107,9 @@ func PerfData(quick bool) []PerfPoint {
 func Perf(w io.Writer, quick bool) error {
 	pts := PerfData(quick)
 	t := newTable(w)
-	t.row("size", "window", "batching", "time", "per msg", "vs w=1", "el waits", "el wait µs", "other µs", "events")
+	t.row("size", "window", "time", "per msg", "vs w=1", "el waits", "el wait µs", "other µs", "events")
 	for _, pt := range pts {
-		t.row(sizeLabel(pt.Size), pt.Window, pt.Batching,
+		t.row(sizeLabel(pt.Size), pt.Window,
 			pt.Elapsed.Round(time.Microsecond), pt.PerMsg.Round(time.Microsecond),
 			fmt.Sprintf("%.2fx", pt.Speedup), pt.ELWaits, pt.ELWaitUS, pt.OtherUS, pt.Events)
 	}

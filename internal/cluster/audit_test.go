@@ -120,10 +120,10 @@ func TestAuditSeededQuorumChaosRuns(t *testing.T) {
 		}
 		faults := dispatcher.RandomFaults(seed, 30, 120*time.Millisecond, targets)
 
-		// Cycle the EL submission mode across seeds so the no-orphans
-		// property is exercised with legacy stop-and-wait, a pipelined
-		// window of per-event batches, and a pipelined window with
-		// adaptive batching.
+		// Cycle the EL window across seeds so the no-orphans property is
+		// exercised with an unbounded window (every event ships alone),
+		// stop-and-wait batching, and a pipelined window of adaptive
+		// batches.
 		cfg := Config{
 			Impl: V2, N: n,
 			ELReplicas:     3,
@@ -134,10 +134,9 @@ func TestAuditSeededQuorumChaosRuns(t *testing.T) {
 		}
 		switch seed % 3 {
 		case 1:
-			cfg.ELWindow = 8
+			cfg.ELWindow = 1
 		case 2:
 			cfg.ELWindow = 8
-			cfg.EventBatching = true
 		}
 		res, finals, _ := chaosRing(cfg, rounds)
 
@@ -256,7 +255,6 @@ func TestQuorumBTAcceptance(t *testing.T) {
 		Impl: V2, N: n,
 		ELReplicas:     3,
 		ELWindow:       4, // acceptance runs with pipelined determinant logging
-		EventBatching:  true,
 		Checkpointing:  true,
 		SchedPeriod:    5 * time.Millisecond,
 		DetectionDelay: 3 * time.Millisecond,

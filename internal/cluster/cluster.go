@@ -135,22 +135,16 @@ type Config struct {
 	// CkptServers is the number of checkpoint servers (default 1);
 	// ranks are assigned round-robin.
 	CkptServers int
-	// EventBatching makes daemons accumulate reception events while an
-	// event-logger exchange is in flight and submit them as one batch,
-	// reducing logger load (the asynchronous-submission optimization
-	// of §4.5).
-	EventBatching bool
-	// ELWindow, when positive, pipelines determinant logging with up
-	// to ELWindow event batches in flight per daemon (1 = explicit
-	// stop-and-wait; 0 = legacy behavior). See daemon.Config.ELWindow.
+	// ELWindow bounds the event batches each daemon keeps in flight per
+	// event-logger shard; events that arrive while the window is full
+	// ship as one batch when a slot frees (the asynchronous-submission
+	// optimization of §4.5). 0 = unbounded, 1 = stop-and-wait batching.
+	// See daemon.Config.ELWindow.
 	ELWindow int
 	// DetMode selects the determinant-suppression policy of V2 daemons
 	// (daemon.DetOff/DetAdaptive/DetAggressive); see
-	// daemon.Config.DetMode. DetEpoch/DetPiggyMax tune the epoch batch
-	// size and the piggyback backlog cap (0 = daemon defaults).
-	DetMode     int
-	DetEpoch    int
-	DetPiggyMax int
+	// daemon.Config.DetMode.
+	DetMode int
 	// Policy is the checkpoint scheduling policy (default round
 	// robin).
 	Policy sched.Policy
@@ -218,6 +212,12 @@ type Result struct {
 	Daemons  []daemon.Stats // per-rank daemon counters (last incarnation)
 	Restarts int
 	Kills    int
+
+	// ScheduleHash is the simulator's FNV-1a schedule hash
+	// (vtime.Sim.ScheduleHash) at the instant every rank had finalized:
+	// equal configs and programs give equal hashes, so an unchanged hash
+	// witnesses that a refactor left the run's schedule untouched.
+	ScheduleHash uint64
 
 	// Service outage accounting.
 	ServiceKills    int
@@ -533,6 +533,7 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		Daemons:         h.daemons,
 		Restarts:        h.disp.Restarts,
 		Kills:           h.disp.Kills,
+		ScheduleHash:    sim.ScheduleHash(),
 		ServiceKills:    h.disp.ServiceKills,
 		ServiceRestarts: h.disp.ServiceRestarts,
 		NetMessages:     net.Messages,
@@ -724,7 +725,7 @@ type harness struct {
 	disp     *dispatcher.Dispatcher
 
 	// Sharded-fleet layout (Config.ELShards / CSShards > 1).
-	elShardGroups [][]int     // shard → its replica node ids
+	elShardGroups [][]int // shard → its replica node ids
 	csShardGroups [][]int
 	elShardOf     map[int]int // EL node → shard index (dispatcher liveness tracking)
 	csRing        *shard.Ring // rank → CS shard placement
@@ -893,11 +894,8 @@ func (h *harness) spawn(rank int, restarted bool) {
 				dcfg.PullTimeout = 50 * time.Millisecond
 			}
 		}
-		dcfg.EventBatching = cfg.EventBatching
 		dcfg.ELWindow = cfg.ELWindow
 		dcfg.DetMode = cfg.DetMode
-		dcfg.DetEpoch = cfg.DetEpoch
-		dcfg.DetPiggyMax = cfg.DetPiggyMax
 		dcfg.NoSendGating = cfg.NoSendGating
 		dcfg.CkptChunkSize = cfg.CkptChunk
 		dcfg.CkptNoDelta = cfg.CkptNoDelta
@@ -906,7 +904,6 @@ func (h *harness) spawn(rank int, restarted bool) {
 		dcfg.LogCopyPerByte = cfg.Params.LogCopyPerByte
 		dcfg.DiskCopyPerByte = cfg.Params.DiskCopyPerByte
 		dcfg.LogMemLimit = cfg.Params.LogMemLimit
-		dcfg.LogHardLimit = cfg.Params.LogHardLimit
 		if h.recorders != nil {
 			dcfg.Tracer = h.recorders[rank]
 		}

@@ -538,42 +538,48 @@ func TestMultipleCheckpointServers(t *testing.T) {
 	}
 }
 
-func TestEventBatchingCorrectAndCheaper(t *testing.T) {
-	// Batching pays off on reception bursts: an incast where rank 0
-	// drains many messages back to back, then answers.
-	incast := func(sums []int64) Program {
-		return func(p *mpi.Proc) {
-			const msgs = 30
-			if p.Rank() == 0 {
-				var sum int64
-				for i := 0; i < (p.Size()-1)*msgs; i++ {
-					b, _ := p.Recv(mpi.AnySource, 1)
-					sum += int64(b[0])
-				}
-				for r := 1; r < p.Size(); r++ {
-					p.Send(r, 2, []byte{byte(sum % 251)})
-				}
-				sums[0] = sum
-			} else {
-				for i := 0; i < msgs; i++ {
-					p.Send(0, 1, []byte{byte(i)})
-				}
-				b, _ := p.Recv(0, 2)
-				sums[p.Rank()] = int64(b[0])
+// incastProgram is a reception burst: rank 0 drains 30 messages from
+// every other rank back to back, then answers each with the checksum.
+func incastProgram(sums []int64) Program {
+	return func(p *mpi.Proc) {
+		const msgs = 30
+		if p.Rank() == 0 {
+			var sum int64
+			for i := 0; i < (p.Size()-1)*msgs; i++ {
+				b, _ := p.Recv(mpi.AnySource, 1)
+				sum += int64(b[0])
 			}
+			for r := 1; r < p.Size(); r++ {
+				p.Send(r, 2, []byte{byte(sum % 251)})
+			}
+			sums[0] = sum
+		} else {
+			for i := 0; i < msgs; i++ {
+				p.Send(0, 1, []byte{byte(i)})
+			}
+			b, _ := p.Recv(0, 2)
+			sums[p.Rank()] = int64(b[0])
 		}
 	}
-	run := func(batching bool) (Result, []int64) {
+}
+
+func TestEventBatchingCorrectAndCheaper(t *testing.T) {
+	// Batching pays off on reception bursts: an incast where rank 0
+	// drains many messages back to back, then answers. With an
+	// unbounded EL window (0) every event ships the moment it commits;
+	// with a window of one the events that arrive while a batch is in
+	// flight ship together when it is acked.
+	run := func(window int) (Result, []int64) {
 		sums := make([]int64, 4)
 		res := Run(Config{
 			Impl: V2, N: 4,
-			EventBatching: batching,
-			Faults:        []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: 0}},
-		}, incast(sums))
+			ELWindow: window,
+			Faults:   []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: 0}},
+		}, incastProgram(sums))
 		return res, sums
 	}
-	plain, sumsPlain := run(false)
-	batched, sumsBatched := run(true)
+	plain, sumsPlain := run(0)
+	batched, sumsBatched := run(1)
 	for r := range sumsPlain {
 		if sumsPlain[r] != sumsBatched[r] {
 			t.Fatalf("rank %d result differs: %d vs %d", r, sumsPlain[r], sumsBatched[r])

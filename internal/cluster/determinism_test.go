@@ -35,10 +35,9 @@ func TestELWindowDeterminismUnderChaos(t *testing.T) {
 	runWith := func(window int) run {
 		res, finals, seqs := chaosRing(Config{
 			Impl: V2, N: n,
-			EventBatching: true,
-			ELWindow:      window,
-			Chaos:         pol,
-			Trace:         true,
+			ELWindow: window,
+			Chaos:    pol,
+			Trace:    true,
 		}, rounds)
 		return run{res, finals, seqs}
 	}

@@ -102,8 +102,8 @@ func competingThenPingPong(reps, rounds int) Program {
 	}
 }
 
-// TestDetPoisonIsPermanent: once a channel has ever shown a competing
-// arrival, the adaptive classifier must latch it back to pessimistic
+// TestDetPoisonIsPermanent checks that once a channel has ever shown a
+// competing arrival, the adaptive classifier must latch it back to pessimistic
 // logging for good — the deterministic ping-pong that follows the
 // nondeterministic prologue still logs every determinant on the gate.
 func TestDetPoisonIsPermanent(t *testing.T) {
@@ -216,11 +216,10 @@ func TestDetSuppressionSeededChaosReplaysIdentically(t *testing.T) {
 			DetectionDelay: 2 * time.Millisecond,
 			Trace:          true,
 		}
-		// Alternate the EL submission pipeline so suppression composes
-		// with both stop-and-wait and windowed batching.
+		// Alternate the EL window so suppression composes with both the
+		// unbounded window and pipelined batching.
 		if seed%2 == 0 {
 			cfg.ELWindow = 8
-			cfg.EventBatching = true
 		}
 		res, finals, seqs := chaosRing(cfg, rounds)
 

@@ -89,7 +89,6 @@ type Config struct {
 	LogCopyPerByte  time.Duration
 	DiskCopyPerByte time.Duration
 	LogMemLimit     int64
-	LogHardLimit    int64
 
 	// Restarted indicates this daemon replaces a crashed incarnation
 	// and must run the recovery protocol before serving.
@@ -136,24 +135,18 @@ type Config struct {
 	// Timeouts for the retry machinery on the blocking protocol paths.
 	// Each names the base of a bounded exponential backoff
 	// (transport.Backoff). Zero selects the default; negative disables
-	// that retry path — except FetchTimeout, where it too selects the
-	// default: a restart-time fetch cannot wait without a deadline.
+	// that retry path. Restart-time fetches always retry on a fixed 25ms
+	// base; they and the RESTART1 handshake give up on a silent replica
+	// or peer after 6 retransmissions.
 	//
 	//   ELAckTimeout   — event-log submission → KEventAck (default 25ms)
 	//   CkptAckTimeout — checkpoint save → KCkptSaveAck (default 250ms)
-	//   FetchTimeout   — restart-time image/event-list fetch (default 25ms)
 	//   RestartTimeout — RESTART1 → RESTART2 handshake wait (default:
 	//                    disabled; the paper's protocol never waits on
 	//                    RESTART2, so this only pays off on lossy links)
 	ELAckTimeout   time.Duration
 	CkptAckTimeout time.Duration
-	FetchTimeout   time.Duration
 	RestartTimeout time.Duration
-
-	// RestartRetries bounds RESTART1 retransmissions per peer during
-	// recovery (default 6); a peer silent for that long is presumed
-	// crashed — its own recovery will resynchronize us.
-	RestartRetries int
 
 	// PullTimeout, when positive, arms a pull timer whenever the
 	// daemon starves waiting for a message: it re-announces its
@@ -163,18 +156,13 @@ type Config struct {
 	// application is blocked on a message that was never sent.
 	PullTimeout time.Duration
 
-	// EventBatching accumulates reception events while an event-logger
-	// exchange is in flight and submits them as one frame on the ack,
-	// trading a longer WAITLOGGED tail for far fewer logger messages.
-	EventBatching bool
-
-	// ELWindow, when positive, pipelines determinant logging: up to
-	// ELWindow event batches may be in flight to the logger at once,
-	// and the queue flushes into a new batch whenever a slot frees.
-	// 1 is explicit stop-and-wait; 0 keeps the legacy behavior
-	// (stop-and-wait iff EventBatching, else one batch per event with
-	// no limit). The pessimistic guarantee is unchanged: WAITLOGGED
-	// still holds sends until every submitted batch is acked.
+	// ELWindow bounds the event batches in flight to each event-logger
+	// shard: reception events queue while the window is full, and the
+	// whole queue becomes one batch whenever a slot frees, so batch size
+	// adapts to however many events accumulated meanwhile. 0 means no
+	// bound (every event ships at once, in a batch of one); 1 is
+	// stop-and-wait batching. The pessimistic guarantee is unchanged:
+	// WAITLOGGED still holds sends until every submitted batch is acked.
 	ELWindow int
 
 	// ELHighWater, when positive, bounds the daemon's memory while its
@@ -183,13 +171,12 @@ type Config struct {
 	// queue); at ELHighWater pending determinants the daemon stops
 	// committing new receptions — the application stalls in recv, so it
 	// also stops producing — and resumes once retransmissions drain the
-	// backlog to ELLowWater (default ELHighWater/2). The WAITLOGGED
-	// gate already stalls *senders* under a dead logger; the watermark
-	// extends the same pressure to receive-heavy ranks, whose resend
-	// queues would otherwise grow without bound for the whole outage.
+	// backlog to ELHighWater/2. The WAITLOGGED gate already stalls
+	// *senders* under a dead logger; the watermark extends the same
+	// pressure to receive-heavy ranks, whose resend queues would
+	// otherwise grow without bound for the whole outage.
 	// Zero disables the gate (simulated runs keep legacy behavior).
 	ELHighWater int
-	ELLowWater  int
 
 	// DetMode selects the determinant-suppression policy of the receive
 	// path (DetOff, DetAdaptive, DetAggressive). Off logs every
@@ -198,28 +185,18 @@ type Config struct {
 	// outstanding probes and no competing undelivered arrival from
 	// another sender — and suppresses the determinant of deterministic
 	// deliveries: the event skips the WAITLOGGED gate, rides outgoing
-	// payloads piggybacked, and reaches the event loggers in a periodic
-	// epoch batch off the critical path. A channel that ever shows a
-	// probe or a competing arrival is poisoned: it falls back to the
-	// full pessimistic path permanently. Aggressive suppresses on the
+	// payloads piggybacked, and reaches the event loggers in an epoch
+	// batch of 16 off the critical path (also flushed whenever the
+	// daemon starves, and synchronously at checkpoint and finalize).
+	// At most 64 suppressed determinants may await durability — the
+	// piggyback block's cap — before the classifier forces the
+	// pessimistic path until the backlog drains. A channel that ever
+	// shows a probe or a competing arrival is poisoned: it falls back to
+	// the full pessimistic path permanently. Aggressive suppresses on the
 	// probe signal alone with no poisoning — deliberately unsafe, kept
 	// for the misclassification negative tests (the happens-before
 	// auditor convicts it).
 	DetMode int
-
-	// DetEpoch is the epoch size of suppressed-determinant batching:
-	// after this many suppressed events the buffer flushes to the event
-	// loggers as one batch (default 16). Flushes also happen whenever
-	// the daemon starves waiting for traffic, and synchronously at
-	// checkpoint and finalize time so no suppressed determinant can be
-	// orphaned below a checkpoint horizon.
-	DetEpoch int
-
-	// DetPiggyMax bounds the suppressed determinants pending durability
-	// (default 64): every outgoing payload carries all of them, so the
-	// bound caps the piggyback block; at the cap the classifier forces
-	// the pessimistic path until the epoch flush drains the backlog.
-	DetPiggyMax int
 
 	// NoSendGating disables the WAITLOGGED barrier (ablation only):
 	// sends leave before reception events are acknowledged, turning
@@ -384,22 +361,21 @@ func pump(rt vtime.Runtime, name string, ep transport.Endpoint, in *vtime.Mailbo
 
 // Stats are per-daemon counters surfaced to the experiments.
 type Stats struct {
-	SentMsgs      int64
-	SentBytes     int64
-	RecvMsgs      int64
-	RecvBytes     int64
-	EventsLogged  int64
-	ELWaits       int64 // sends that actually blocked on WAITLOGGED
-	ELWaitNS      int64 // virtual nanoseconds spent blocked in WAITLOGGED
-	Checkpoints   int64
-	CkptBytes     int64
-	Replayed      int64
-	Resent        int64
-	GCFreedBytes  int64
-	LogOverflowed bool
-	Retransmits   int64 // timed-out requests re-sent (EL, ckpt, recovery, finalize)
-	Pulls         int64 // starvation-triggered re-announcements to peers
-	Malformed     int64 // frames the daemon could not decode
+	SentMsgs     int64
+	SentBytes    int64
+	RecvMsgs     int64
+	RecvBytes    int64
+	EventsLogged int64
+	ELWaits      int64 // sends that actually blocked on WAITLOGGED
+	ELWaitNS     int64 // virtual nanoseconds spent blocked in WAITLOGGED
+	Checkpoints  int64
+	CkptBytes    int64
+	Replayed     int64
+	Resent       int64
+	GCFreedBytes int64
+	Retransmits  int64 // timed-out requests re-sent (EL, ckpt, recovery, finalize)
+	Pulls        int64 // starvation-triggered re-announcements to peers
+	Malformed    int64 // frames the daemon could not decode
 
 	// Quorum replication counters.
 	QuorumAcks      int64 // batches/saves completed at their write quorum
@@ -415,7 +391,7 @@ type Stats struct {
 
 	// Degraded-mode (EL watermark) counters.
 	DegradedStalls  int64 // times the daemon crossed ELHighWater and froze delivery
-	DegradedResumes int64 // times the backlog drained to ELLowWater and delivery resumed
+	DegradedResumes int64 // times the backlog drained to ELHighWater/2 and delivery resumed
 
 	// Event-logger fleet (sharding) counters.
 	ShardRebalances int64 // KELShardDown notices applied (key range moved to successor)

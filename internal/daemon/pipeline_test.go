@@ -64,7 +64,6 @@ func TestV2ELWindowPipelinesAndRetiresInOrder(t *testing.T) {
 		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 		el := startSilentEL(sim, fab, elNode)
 		cfg := v2Config(0, 2, elNode)
-		cfg.EventBatching = true
 		cfg.ELWindow = 2
 		cfg.ELAckTimeout = -1 // no retransmits: every frame below is deliberate
 		dev0, d0 := StartV2(sim, fab, cfg)

@@ -20,7 +20,12 @@ import (
 const (
 	defELAckTimeout   = 25 * time.Millisecond
 	defCkptAckTimeout = 250 * time.Millisecond
-	defFetchTimeout   = 25 * time.Millisecond
+	// defFetchTimeout is the backoff base of every restart-time gather:
+	// a restarting daemon cannot block without a deadline.
+	defFetchTimeout = 25 * time.Millisecond
+	// defRestartRetries bounds the retransmissions of a restart-time
+	// exchange per replica or peer: a peer silent for that long is
+	// presumed crashed — its own recovery will resynchronize us.
 	defRestartRetries = 6
 	finalizeRetries   = 8
 	// ckptEscalateAfter is the number of silent retransmit rounds after
@@ -102,8 +107,8 @@ type V2 struct {
 	pullAttempts int
 
 	// elDegraded latches the bounded-memory stall while pending
-	// determinants sit between the ELLowWater/ELHighWater hysteresis
-	// band (see Config.ELHighWater).
+	// determinants sit inside the ELHighWater hysteresis band (see
+	// Config.ELHighWater).
 	elDegraded bool
 
 	// Determinant suppression (Config.DetMode). detPoisoned holds the
@@ -209,27 +214,17 @@ func timeout(v, def time.Duration) time.Duration {
 func (d *V2) elAckTimeout() time.Duration   { return timeout(d.cfg.ELAckTimeout, defELAckTimeout) }
 func (d *V2) ckptAckTimeout() time.Duration { return timeout(d.cfg.CkptAckTimeout, defCkptAckTimeout) }
 
-// fetchTimeout is always positive: a restart-time gather cannot block
-// without a deadline, so a disabled FetchTimeout selects the default.
-func (d *V2) fetchTimeout() time.Duration {
-	if d.cfg.FetchTimeout > 0 {
-		return d.cfg.FetchTimeout
-	}
-	return defFetchTimeout
-}
-
-func (d *V2) restartRetries() int {
-	if d.cfg.RestartRetries <= 0 {
-		return defRestartRetries
-	}
-	return d.cfg.RestartRetries
-}
-
 // --- Determinant suppression ----------------------------------------------
 
-// Defaults for the suppression knobs; see Config.
+// Suppression bounds; see Config.DetMode.
 const (
-	defDetEpoch    = 16
+	// defDetEpoch is the epoch size of suppressed-determinant batching:
+	// after this many suppressed events the buffer flushes to the event
+	// loggers as one batch.
+	defDetEpoch = 16
+	// defDetPiggyMax bounds the suppressed determinants pending
+	// durability: every outgoing payload carries all of them, so the
+	// bound caps the piggyback block.
 	defDetPiggyMax = 64
 	// detCacheMax bounds the per-origin foreign-determinant cache: only
 	// the newest entries matter for a restarting origin (older ones are
@@ -245,20 +240,6 @@ func (d *V2) detMode() int {
 		return DetOff
 	}
 	return d.cfg.DetMode
-}
-
-func (d *V2) detEpochSize() int {
-	if d.cfg.DetEpoch > 0 {
-		return d.cfg.DetEpoch
-	}
-	return defDetEpoch
-}
-
-func (d *V2) detPiggyMax() int {
-	if d.cfg.DetPiggyMax > 0 {
-		return d.cfg.DetPiggyMax
-	}
-	return defDetPiggyMax
 }
 
 // classify decides, before the commit, whether the determinant of the
@@ -285,7 +266,7 @@ func (d *V2) classify(from int, probes uint32, competing int) bool {
 		if d.detPoisoned[from] {
 			return false
 		}
-		if len(d.detPending) >= d.detPiggyMax() {
+		if len(d.detPending) >= defDetPiggyMax {
 			// Backlog cap: flush what is buffered and take the
 			// pessimistic path until durability catches up, so the
 			// piggyback block on every payload stays bounded.
@@ -306,7 +287,7 @@ func (d *V2) suppressEvent(ev core.Event) {
 	d.stats.DetSuppressed++
 	d.detEpoch = append(d.detEpoch, ev)
 	d.detPending = append(d.detPending, ev)
-	if len(d.detEpoch) >= d.detEpochSize() {
+	if len(d.detEpoch) >= defDetEpoch {
 		d.flushDetEpoch()
 	}
 }
@@ -322,23 +303,7 @@ func (d *V2) flushDetEpoch() {
 	evs := d.detEpoch
 	d.detEpoch = nil
 	d.stats.DetEpochFlushes++
-	if len(d.elShards) == 1 {
-		d.sendEvents(d.elShards[0], evs, 0, originOwn)
-		return
-	}
-	// Sharded: the epoch spans channels owned by different shards; split
-	// it along the placement so each determinant lands where a restart
-	// fetch will look for it.
-	groups := make(map[*elShard][]core.Event)
-	for _, ev := range evs {
-		sh := d.elShardFor(ev.Sender, d.cfg.Rank)
-		groups[sh] = append(groups[sh], ev)
-	}
-	for _, sh := range d.elShards {
-		if g := groups[sh]; len(g) > 0 {
-			d.sendEvents(sh, g, 0, originOwn)
-		}
-	}
+	d.submitRouted(evs, d.cfg.Rank, false, originOwn)
 }
 
 // detRetire prunes pending suppressed determinants that just became
@@ -415,25 +380,11 @@ func (d *V2) absorbDets(origin int, dets []core.Event) {
 		d.pruneDetCache(cache)
 	}
 	d.stats.DetRelayed += int64(len(fresh))
-	if !d.hasEL() {
-		return
-	}
-	if len(d.elShards) == 1 {
-		d.sendEvents(d.elShards[0], fresh, 0, origin)
-		return
-	}
-	// Relayed determinants describe the origin's reception channels:
-	// route each by (sender, origin) so they share the shard its own
-	// submissions and its restart fetch use.
-	groups := make(map[*elShard][]core.Event)
-	for _, ev := range fresh {
-		sh := d.elShardFor(ev.Sender, origin)
-		groups[sh] = append(groups[sh], ev)
-	}
-	for _, sh := range d.elShards {
-		if g := groups[sh]; len(g) > 0 {
-			d.sendEvents(sh, g, 0, origin)
-		}
+	if d.hasEL() {
+		// Relayed determinants describe the origin's reception channels:
+		// routed by (sender, origin) they share the shard its own
+		// submissions and its restart fetch use.
+		d.submitRouted(fresh, origin, false, origin)
 	}
 }
 
@@ -626,7 +577,7 @@ func (d *V2) recover() {
 	restartTO := timeout(d.cfg.RestartTimeout, 0) // default: disabled
 	rounds := 0
 	if restartTO > 0 {
-		rounds = d.restartRetries()
+		rounds = defRestartRetries
 	}
 	announce := func(q, _ int) {
 		d.ep.Send(q, wire.KRestart1, wire.EncodeU64(d.st.RestartAnnouncement(q)))
@@ -798,7 +749,7 @@ func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 	for i := range ids {
 		ids[i] = i
 	}
-	missing := d.gather(ids, n, 0, d.restartRetries()+1, d.fetchTimeout(),
+	missing := d.gather(ids, n, 0, defRestartRetries+1, defFetchTimeout,
 		func(i, attempt int) {
 			d.ep.Send(from[(i+attempt)%len(from)], wire.KCkptChunkFetch,
 				wire.AppendCkptChunkFetch(wire.GetBuf(wire.CkptChunkFetchLen), m.Seq, uint32(i), m.ChunkSize))
@@ -850,7 +801,7 @@ func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 func (d *V2) gatherQuorum(g *replicaGroup, floor int, reqKind uint8, reqData []byte, respKind uint8, valid func([]byte) bool) map[int][]byte {
 	need := g.readQuorum()
 	replies := make(map[int][]byte, len(g.targets))
-	d.gather(g.targets, need, floor, d.restartRetries()+1, d.fetchTimeout(),
+	d.gather(g.targets, need, floor, defRestartRetries+1, defFetchTimeout,
 		func(t, _ int) { d.ep.Send(t, reqKind, reqData) },
 		func(f transport.Frame) (int, bool) {
 			if f.Kind != respKind {
@@ -883,7 +834,7 @@ func (d *V2) mergeDetFlush(peers []int, evs []core.Event) []core.Event {
 		seen[ev.RecvClock] = true
 	}
 	flushed := make(map[int][]core.Event, len(peers))
-	d.gather(peers, len(peers), 0, 3, d.fetchTimeout(),
+	d.gather(peers, len(peers), 0, 3, defFetchTimeout,
 		func(q, _ int) { d.ep.Send(q, wire.KDetFlushReq, nil) },
 		func(f transport.Frame) (int, bool) {
 			if f.Kind != wire.KDetFlushResp {
@@ -1133,7 +1084,7 @@ const (
 // identical seqs on different shards cannot collide.
 //
 // The window is the sliding window of pipelined determinant logging: up
-// to elWindow() batches may be outstanding per shard, further events
+// to Config.ELWindow batches may be outstanding per shard, further events
 // wait in queue for a free slot, and completed batches retire strictly
 // from the front (see batchRetired) so EventsAcked credits events in
 // submission order exactly as stop-and-wait did.
@@ -1160,39 +1111,17 @@ func (d *V2) elShardFor(sender, receiver int) *elShard {
 	return d.elShards[d.elMap.OwnerLive(sender, receiver, d.elDead)]
 }
 
-// elWindow is the bound on in-flight batches: ELWindow when configured,
-// else the legacy behavior — stop-and-wait under EventBatching,
-// unbounded (one batch per event, 0 = no limit) without it.
-func (d *V2) elWindow() int {
-	if d.cfg.ELWindow > 0 {
-		return d.cfg.ELWindow
-	}
-	if d.cfg.EventBatching {
-		return 1
-	}
-	return 0
-}
-
-// pumpEL flushes a shard's queued events into new batches while its
-// window has free slots — the adaptive close of the pipeline: under
-// batching the whole queue becomes one batch, so batch size adapts to
-// however many events accumulated while the window was full.
+// pumpEL flushes a shard's queue into one new batch when its window has
+// a free slot (ELWindow 0: always) — the adaptive close of the pipeline:
+// batch size adapts to however many events accumulated while the window
+// was full.
 func (d *V2) pumpEL(sh *elShard) {
-	w := d.elWindow()
-	for len(sh.queue) > 0 && (w == 0 || len(sh.w.slots) < w) {
-		var evs []core.Event
-		if d.cfg.EventBatching {
-			evs = sh.queue
-			sh.queue = nil
-		} else {
-			evs = sh.queue[:1:1]
-			sh.queue = sh.queue[1:]
-		}
-		d.sendEvents(sh, evs, len(evs), originOwn)
+	if len(sh.queue) == 0 || (d.cfg.ELWindow > 0 && len(sh.w.slots) >= d.cfg.ELWindow) {
+		return
 	}
-	if len(sh.queue) == 0 {
-		sh.queue = nil
-	}
+	evs := sh.queue
+	sh.queue = nil
+	d.sendEvents(sh, evs, len(evs), originOwn)
 }
 
 // sendEvents opens a window slot on one shard: the batch ships to every
@@ -1285,21 +1214,17 @@ func (d *V2) pendingEL() int {
 	return n
 }
 
-// elStalled evaluates the ELHighWater/ELLowWater hysteresis band and
-// latches the degraded state across the threshold crossings, counting
-// each transition once.
+// elStalled evaluates the hysteresis band between ELHighWater and half
+// of it and latches the degraded state across the threshold crossings,
+// counting each transition once.
 func (d *V2) elStalled() bool {
 	hi := d.cfg.ELHighWater
 	if hi <= 0 {
 		return false
 	}
-	lo := d.cfg.ELLowWater
-	if lo <= 0 || lo >= hi {
-		lo = hi / 2
-	}
 	n := d.pendingEL()
 	if d.elDegraded {
-		if n <= lo {
+		if n <= hi/2 {
 			d.elDegraded = false
 			d.stats.DegradedResumes++
 		}
@@ -1401,29 +1326,41 @@ func (d *V2) elShardDown(k int) {
 // accounting carries over exactly; ungated and relay batches re-submit
 // ungated. Own events re-count as backfill, not as fresh logging.
 func (d *V2) resubmitBatch(b *elBatch) {
-	receiver := d.cfg.Rank
-	if b.origin >= 0 {
-		receiver = b.origin
+	receiver, origin := d.cfg.Rank, b.origin
+	if origin >= 0 {
+		receiver = origin
+	} else {
+		origin = originBackfill
+	}
+	d.submitRouted(b.evs, receiver, b.gated > 0, origin)
+}
+
+// submitRouted opens one batch per shard for the events whose channel
+// (sender → receiver) that shard owns under the current dead set, in
+// shard order, so each determinant lands where a restart fetch will look
+// for it. Gated batches credit all their events against WAITLOGGED on
+// retirement; the rest credit none. A single shard owns every channel
+// and takes the events as one batch.
+func (d *V2) submitRouted(evs []core.Event, receiver int, gated bool, origin int) {
+	credit := func(evs []core.Event) int {
+		if gated {
+			return len(evs)
+		}
+		return 0
+	}
+	if len(d.elShards) == 1 {
+		d.sendEvents(d.elShards[0], evs, credit(evs), origin)
+		return
 	}
 	groups := make(map[*elShard][]core.Event)
-	for _, ev := range b.evs {
-		nsh := d.elShardFor(ev.Sender, receiver)
-		groups[nsh] = append(groups[nsh], ev)
+	for _, ev := range evs {
+		sh := d.elShardFor(ev.Sender, receiver)
+		groups[sh] = append(groups[sh], ev)
 	}
-	for _, nsh := range d.elShards {
-		evs := groups[nsh]
-		if len(evs) == 0 {
-			continue
+	for _, sh := range d.elShards {
+		if g := groups[sh]; len(g) > 0 {
+			d.sendEvents(sh, g, credit(g), origin)
 		}
-		gated := 0
-		if b.gated > 0 {
-			gated = len(evs)
-		}
-		origin := b.origin
-		if origin == originOwn {
-			origin = originBackfill
-		}
-		d.sendEvents(nsh, evs, gated, origin)
 	}
 }
 
@@ -1569,9 +1506,6 @@ func (d *V2) doSend(to int, data []byte) {
 		}
 		if d.cfg.LogMemLimit > 0 && d.st.LogBytes() > d.cfg.LogMemLimit {
 			cost += time.Duration(n) * d.cfg.DiskCopyPerByte
-		}
-		if d.cfg.LogHardLimit > 0 && d.st.LogBytes() > d.cfg.LogHardLimit {
-			d.stats.LogOverflowed = true
 		}
 		if cost > 0 {
 			d.rt.Sleep(cost)

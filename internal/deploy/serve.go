@@ -86,9 +86,9 @@ type ServeOpts struct {
 	Heartbeat time.Duration
 
 	// Daemon knobs for running against a faulty network (CN roles):
-	// the degraded-mode watermarks and the starvation pull timer.
+	// the degraded-mode high watermark (the daemon resumes at half of
+	// it) and the starvation pull timer.
 	ELHighWater int
-	ELLowWater  int
 	PullTimeout time.Duration
 
 	// DetMode selects the daemon's determinant-suppression policy
@@ -257,7 +257,6 @@ func ServeWith(o ServeOpts) error {
 			Restarted:   o.Restarted,
 			Incarnation: o.Incarnation,
 			ELHighWater: o.ELHighWater,
-			ELLowWater:  o.ELLowWater,
 			PullTimeout: o.PullTimeout,
 			DetMode:     o.DetMode,
 		}
@@ -316,7 +315,6 @@ const (
 	envDiskSeed  = "MPICHV_DISK_SEED"
 	envHB        = "MPICHV_HB_MS"
 	envELHigh    = "MPICHV_EL_HIGH"
-	envELLow     = "MPICHV_EL_LOW"
 	envPull      = "MPICHV_PULL_MS"
 	envDetMode   = "MPICHV_DETMODE"
 )
@@ -352,9 +350,6 @@ func (o *ServeOpts) Env(pgPath string) []string {
 	}
 	if o.ELHighWater > 0 {
 		env = append(env, envELHigh+"="+strconv.Itoa(o.ELHighWater))
-	}
-	if o.ELLowWater > 0 {
-		env = append(env, envELLow+"="+strconv.Itoa(o.ELLowWater))
 	}
 	if o.PullTimeout > 0 {
 		env = append(env, envPull+"="+strconv.FormatInt(o.PullTimeout.Milliseconds(), 10))
@@ -404,7 +399,6 @@ func MaybeServe(lookup func(name string) (App, bool)) {
 		DiskFaultEvery: envInt(envDiskEvery),
 		Heartbeat:      time.Duration(envInt(envHB)) * time.Millisecond,
 		ELHighWater:    envInt(envELHigh),
-		ELLowWater:     envInt(envELLow),
 		PullTimeout:    time.Duration(envInt(envPull)) * time.Millisecond,
 		DetMode:        envInt(envDetMode),
 	}

@@ -304,7 +304,6 @@ func TestServeOptsEnvRoundTrip(t *testing.T) {
 		DiskFaultSeed:  99,
 		Heartbeat:      150 * time.Millisecond,
 		ELHighWater:    512,
-		ELLowWater:     128,
 		PullTimeout:    250 * time.Millisecond,
 	}
 	env := o.Env("/tmp/p.pg")
@@ -313,7 +312,7 @@ func TestServeOptsEnvRoundTrip(t *testing.T) {
 		"MPICHV_RESTARTED=1", "MPICHV_EPOCH=1234567890", "MPICHV_INC=3",
 		"MPICHV_TRACEDIR=/tmp/tr", "MPICHV_WALDIR=/tmp/wal",
 		"MPICHV_DISK_EVERY=5", "MPICHV_DISK_SEED=99",
-		"MPICHV_HB_MS=150", "MPICHV_EL_HIGH=512", "MPICHV_EL_LOW=128",
+		"MPICHV_HB_MS=150", "MPICHV_EL_HIGH=512",
 		"MPICHV_PULL_MS=250",
 	}
 	got := strings.Join(env, "\n")

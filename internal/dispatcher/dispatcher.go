@@ -9,8 +9,7 @@
 // Beyond computing nodes, the dispatcher also monitors the service
 // nodes (event loggers, checkpoint servers): a crashed service is
 // respawned over its stable store after the same detection delay,
-// while the daemons bridge the outage with their retransmit/failover
-// machinery.
+// while the daemons bridge the outage with their retransmit machinery.
 package dispatcher
 
 import (
@@ -23,13 +22,10 @@ import (
 )
 
 // Fault is one scheduled node kill. Rank may name a computing node or a
-// monitored service node. A Permanent fault is never respawned — the
-// volatile-node model's definitive departure — forcing clients onto
-// backups.
+// monitored service node; either is respawned after the detection delay.
 type Fault struct {
-	Time      time.Duration // virtual time at which the node dies
-	Rank      int
-	Permanent bool
+	Time time.Duration // virtual time at which the node dies
+	Rank int
 }
 
 // Config parameterizes a Dispatcher.
@@ -97,13 +93,12 @@ type Dispatcher struct {
 }
 
 type event struct {
-	frame     transport.Frame
-	isFrame   bool
-	fault     int // rank to kill now
-	respawn   int // rank to respawn now
-	permanent bool
-	isNotice  bool // detection fired: re-evaluate shard quorum state
-	notice    int  // shard index under evaluation
+	frame    transport.Frame
+	isFrame  bool
+	fault    int  // rank to kill now
+	respawn  int  // rank to respawn now
+	isNotice bool // detection fired: re-evaluate shard quorum state
+	notice   int  // shard index under evaluation
 }
 
 // Start attaches and runs the dispatcher. Done() signals when every rank
@@ -141,7 +136,7 @@ func Start(rt vtime.Runtime, fab transport.Fabric, cfg Config) *Dispatcher {
 	})
 	for _, f := range cfg.Faults {
 		f := f
-		d.in.SendAfter(f.Time, event{fault: f.Rank, respawn: -1, permanent: f.Permanent})
+		d.in.SendAfter(f.Time, event{fault: f.Rank, respawn: -1})
 	}
 	rt.Go("dispatcher", d.run)
 	return d
@@ -214,9 +209,7 @@ func (d *Dispatcher) run() {
 					d.shardAlive[k]--
 					d.in.SendAfter(d.cfg.DetectionDelay, event{isNotice: true, notice: k, fault: -1, respawn: -1})
 				}
-				if !e.permanent {
-					d.in.SendAfter(d.cfg.DetectionDelay+d.cfg.ServiceRespawnDelay, event{respawn: e.fault, fault: -1})
-				}
+				d.in.SendAfter(d.cfg.DetectionDelay+d.cfg.ServiceRespawnDelay, event{respawn: e.fault, fault: -1})
 				continue
 			}
 			if e.fault < 0 || e.fault >= d.cfg.Ranks {
@@ -231,9 +224,7 @@ func (d *Dispatcher) run() {
 			}
 			d.Kills++
 			d.cfg.Kill(e.fault)
-			if !e.permanent {
-				d.in.SendAfter(d.cfg.DetectionDelay, event{respawn: e.fault, fault: -1})
-			}
+			d.in.SendAfter(d.cfg.DetectionDelay, event{respawn: e.fault, fault: -1})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 )
 
 // Checkpointable MPI-layer state. The application provides its own
@@ -32,6 +33,18 @@ type savedInMsg struct {
 	ID   uint32
 	Size int
 	Data []byte
+}
+
+// Gob numbers types process-wide in the order it first meets them, and
+// the numbers travel inside every encoding. Meeting procState while the
+// package initializes gives it the same numbers in every process, so a
+// checkpoint image — and every virtual time that depends on its size —
+// does not change with whatever else the process gob-encoded earlier
+// (a NAS kernel's state, say, in an earlier test of the same binary).
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(&procState{}); err != nil {
+		panic(err)
+	}
 }
 
 func (p *Proc) quiescent() bool {

@@ -85,9 +85,6 @@ type Params struct {
 	// DiskCopyPerByte is the extra per-byte cost once the log spills
 	// to disk (~15 MB/s 2003 IDE disk ≈ 67 ns/byte).
 	DiskCopyPerByte time.Duration
-	// LogHardLimit is the absolute message-log capacity per node
-	// (paper: 2 GB = 1 GB memory + 1 GB disk; FT class B exceeds it).
-	LogHardLimit int64
 	// EagerLimit is the largest payload sent eagerly; above it the
 	// MPI layer uses the rendezvous protocol (figure 10 shows the
 	// protocol switch between 64 KB and 128 KB).
@@ -111,7 +108,6 @@ func Params2003() Params {
 		LogCopyPerByte:     5 * time.Nanosecond,
 		LogMemLimit:        1 << 30,
 		DiskCopyPerByte:    67 * time.Nanosecond,
-		LogHardLimit:       2 << 30,
 		EagerLimit:         64 << 10,
 		FlopRate:           2e8,
 	}

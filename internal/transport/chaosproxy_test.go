@@ -10,7 +10,7 @@ import (
 
 // proxyRig wires endpoint 1 (plain) and endpoint 2 (behind a chaos
 // proxy) on one TCP fabric: 1 dials 2 through the proxy front, 2
-// listens on its real bind address. Each endpoint's inbox is drained by
+// listens on the ephemeral port it bound first. Each endpoint's inbox is drained by
 // a single collector goroutine so tests never race over Recv.
 type proxyRig struct {
 	a, b     Endpoint
@@ -21,15 +21,17 @@ type proxyRig struct {
 func newProxyRig(t *testing.T, pol ProxyPolicy) *proxyRig {
 	t.Helper()
 	rt := vtime.NewReal()
-	backend := freePort(t)
-	fab := NewTCPFabric(rt, map[int]string{1: "127.0.0.1:0"})
-	px, err := NewChaosProxy(rt, 2, "127.0.0.1:0", backend, pol)
+	fab := NewTCPFabric(rt, map[int]string{1: "127.0.0.1:0", 2: "127.0.0.1:0"})
+	// The backend holds its listener from the moment the kernel picks
+	// the port, so nothing can take the address before the proxy dials
+	// it; peers are then pointed at the proxy front instead.
+	b := fab.Attach(2, "proxied")
+	px, err := NewChaosProxy(rt, 2, "127.0.0.1:0", fab.addr(2), pol)
 	if err != nil {
+		b.Close()
 		t.Fatal(err)
 	}
 	fab.SetAddr(2, px.Addr())
-	fab.SetBind(2, backend)
-	b := fab.Attach(2, "proxied")
 	a := fab.Attach(1, "plain")
 	t.Cleanup(func() {
 		a.Close()
@@ -54,16 +56,6 @@ func collect(ep Endpoint) <-chan Frame {
 		}
 	}()
 	return ch
-}
-
-// freePort reserves an ephemeral port and returns its address.
-func freePort(t *testing.T) string {
-	t.Helper()
-	fab := NewTCPFabric(vtime.NewReal(), map[int]string{9: "127.0.0.1:0"})
-	ep := fab.Attach(9, "probe")
-	addr := fab.addr(9)
-	ep.Close()
-	return addr
 }
 
 func recvN(ch <-chan Frame, n int, timeout time.Duration) []Frame {

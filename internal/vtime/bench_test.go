@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -79,30 +78,5 @@ func BenchmarkHeap4PushPop(b *testing.B) {
 		spare.at, spare.seq = time.Duration(seq%257), seq
 		h.Push(spare)
 		spare = h.Pop()
-	}
-}
-
-// BenchmarkParEpoch prices the parallel core end to end: lanes each
-// reposting an event per epoch, measured per executed event.
-func BenchmarkParEpoch(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(map[bool]string{true: "serial", false: "parallel"}[workers == 1], func(b *testing.B) {
-			const lanes = 256
-			p := NewPar(lanes, workers)
-			rounds := b.N/lanes + 1
-			var step Handler
-			step = func(c *ParCtx) {
-				if c.Now() < time.Duration(rounds)*time.Microsecond {
-					c.Post(c.Lane(), time.Microsecond, step)
-				}
-			}
-			for l := 0; l < lanes; l++ {
-				p.Post(l, 0, step)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			p.Run()
-			b.StopTimer()
-		})
 	}
 }

@@ -18,10 +18,6 @@ type heap4[T lesser[T]] struct{ s []T }
 // Len reports the number of queued elements.
 func (h *heap4[T]) Len() int { return len(h.s) }
 
-// Min returns the minimum element without removing it. Call only when
-// Len() > 0.
-func (h *heap4[T]) Min() T { return h.s[0] }
-
 // Push inserts x.
 func (h *heap4[T]) Push(x T) {
 	h.s = append(h.s, x)

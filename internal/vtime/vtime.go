@@ -91,11 +91,42 @@ type Sim struct {
 	stopped bool
 	nactors int
 	wg      sync.WaitGroup
+	hash    uint64 // running FNV-1a over the schedule; see ScheduleHash
 }
+
+// FNV-1a 64-bit parameters of the schedule hash.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // NewSim returns a simulator with the clock at zero.
 func NewSim() *Sim {
-	return &Sim{blocked: make(map[*waiter]struct{})}
+	return &Sim{blocked: make(map[*waiter]struct{}), hash: fnvOffset}
+}
+
+// ScheduleHash returns the FNV-1a hash of the schedule executed so far:
+// every token grant as (now, waiter seq) and every popped event as (at,
+// seq), in dispatch order. Two runs with equal hashes took the same
+// scheduling decisions at the same virtual instants, so a refactor that
+// leaves the hash of a workload unchanged did not perturb its schedule.
+func (s *Sim) ScheduleHash() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hash
+}
+
+// fold mixes one schedule step into the hash, little-endian byte by
+// byte. Lock must be held.
+func (s *Sim) fold(at time.Duration, seq uint64) {
+	h := s.hash
+	for _, v := range [2]uint64{uint64(at), seq} {
+		for i := 0; i < 64; i += 8 {
+			h ^= (v >> i) & 0xff
+			h *= fnvPrime
+		}
+	}
+	s.hash = h
 }
 
 // Now reports the current virtual time.
@@ -151,6 +182,7 @@ func (s *Sim) dispatch() {
 			s.readyQ = s.readyQ[1:]
 			w.granted = true
 			s.current = w.actor
+			s.fold(s.now, w.seq)
 			close(w.ch)
 			return
 		}
@@ -159,6 +191,7 @@ func (s *Sim) dispatch() {
 			if ev.at > s.now {
 				s.now = ev.at
 			}
+			s.fold(ev.at, ev.seq)
 			ev.fn()
 			continue
 		}

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -333,5 +334,103 @@ func TestPropertyClockMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleHash: the schedule hash is a pure function of the program —
+// two runs of the same actors agree — and it sees the schedule, not just
+// the outcome: moving one sleep changes the hash even though every actor
+// still computes the same thing.
+func TestScheduleHash(t *testing.T) {
+	run := func(nap time.Duration) (uint64, int) {
+		s := NewSim()
+		sum := 0
+		s.Run(func() {
+			mb := NewMailbox[int](s, "mb")
+			for i := 1; i <= 3; i++ {
+				s.Go("worker", func() {
+					s.Sleep(time.Duration(i) * time.Millisecond)
+					if i == 2 {
+						s.Sleep(nap)
+					}
+					mb.Send(i)
+				})
+			}
+			for range 3 {
+				v, _ := mb.Recv()
+				sum += v
+			}
+		})
+		return s.ScheduleHash(), sum
+	}
+	a, sumA := run(5 * time.Millisecond)
+	b, sumB := run(5 * time.Millisecond)
+	c, sumC := run(6 * time.Millisecond)
+	if a != b {
+		t.Fatalf("identical programs hashed %#x and %#x", a, b)
+	}
+	if a == c {
+		t.Fatalf("a changed sleep left the schedule hash at %#x", a)
+	}
+	if sumA != 6 || sumB != 6 || sumC != 6 {
+		t.Fatalf("sums %d/%d/%d, want 6", sumA, sumB, sumC)
+	}
+	if NewSim().ScheduleHash() == a {
+		t.Fatal("an empty schedule hashes like a running one")
+	}
+}
+
+// xorshift is a deterministic pseudo-random step for the heap tests.
+func xorshift(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// TestHeap4Order drains pseudo-random events and checks the pop sequence
+// matches a reference sort by (at, seq).
+func TestHeap4Order(t *testing.T) {
+	var h heap4[*event]
+	r := uint64(42)
+	var ref []*event
+	for i := 0; i < 2000; i++ {
+		r = xorshift(r)
+		ev := &event{at: time.Duration(r % 127), seq: uint64(i)}
+		ref = append(ref, ev)
+		h.Push(ev)
+	}
+	sort.Slice(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
+	for i, want := range ref {
+		if got := h.Pop(); got != want {
+			t.Fatalf("pop %d: got (%v,%d) want (%v,%d)", i, got.at, got.seq, want.at, want.seq)
+		}
+	}
+	if h.Len() != 0 {
+		t.Fatalf("heap not drained: %d left", h.Len())
+	}
+}
+
+// TestHeap4ZeroAllocs: push/pop on the event heap allocates nothing once
+// the backing array has grown.
+func TestHeap4ZeroAllocs(t *testing.T) {
+	var h heap4[*event]
+	evs := make([]*event, 513)
+	for i := range evs {
+		evs[i] = &event{at: time.Duration(i * 31 % 257), seq: uint64(i)}
+	}
+	for _, ev := range evs[:512] {
+		h.Push(ev)
+	}
+	spare := evs[512]
+	seq := uint64(1000)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		spare.at, spare.seq = time.Duration(seq%257), seq
+		h.Push(spare)
+		spare = h.Pop()
+	})
+	if allocs != 0 {
+		t.Fatalf("push/pop hot path allocates %v/op, want 0", allocs)
 	}
 }
