@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"mpichv/internal/daemon"
 	"mpichv/internal/dispatcher"
+	"mpichv/internal/mpi"
 	"mpichv/internal/transport"
 )
 
@@ -19,6 +21,13 @@ func TestScheduleHashPinned(t *testing.T) {
 	ring := func(rounds int) func(n int) Program {
 		return func(n int) Program { return ringProgram(rounds, make([]uint64, n)) }
 	}
+	ckptKill := Config{
+		N: 4, Checkpointing: true, SchedPeriod: 2 * time.Millisecond,
+		Faults: []dispatcher.Fault{{Time: 20 * time.Millisecond, Rank: 1}},
+	}
+	ckptKillAdaptive := ckptKill
+	ckptKillAdaptive.DetMode = daemon.DetAdaptive
+	ckpt := func(n int) Program { return ckptProgram(60, make([]float64, n)) }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -26,10 +35,7 @@ func TestScheduleHashPinned(t *testing.T) {
 		want uint64
 	}{
 		{"ring", Config{N: 4}, ring(20), 0x1047b15031c5e6be},
-		{"ckpt-kill", Config{
-			N: 4, Checkpointing: true, SchedPeriod: 2 * time.Millisecond,
-			Faults: []dispatcher.Fault{{Time: 20 * time.Millisecond, Rank: 1}},
-		}, func(n int) Program { return ckptProgram(60, make([]float64, n)) }, 0xf72b68448ca882c5},
+		{"ckpt-kill", ckptKill, ckpt, 0xf72b68448ca882c5},
 		{"quorum-chaos-kill", Config{
 			N: 4, ELReplicas: 3, DetectionDelay: 2 * time.Millisecond,
 			Chaos:  transport.ChaosPolicy{Seed: 5, Drop: 0.02, Duplicate: 0.01, Delay: 0.05},
@@ -41,15 +47,53 @@ func TestScheduleHashPinned(t *testing.T) {
 			N: 4, ELWindow: 1,
 			Faults: []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: 0}},
 		}, func(n int) Program { return incastProgram(make([]int64, n)) }, 0x70a6e3fb8fde5ece},
+		// The Channel Memory path and the Unix-socket copy costs of V1,
+		// and P4's in-process driver.
+		{"v1-ring", Config{N: 4, Impl: V1}, ring(20), 0xc22b2569eecd8e84},
+		{"p4-ring", Config{N: 4, Impl: P4}, ring(20), 0x5f96275f53f6d7a2},
+		// Suppression with checkpoints and a kill: the determinant drain
+		// before each capture, and the replay receive after the restart.
+		{"ckpt-kill-detadaptive", ckptKillAdaptive, ckpt, 0xb02fc452fafb6a48},
+		// A probing ring with a kill: the restarted rank replays the
+		// logged probe outcomes and waits for the probed messages.
+		{"probe-kill", Config{
+			N:      4,
+			Faults: []dispatcher.Fault{{Time: 2 * time.Millisecond, Rank: 2}},
+		}, func(n int) Program { return probeRingProgram(15, make([]uint64, n)) }, 0x606f8bfa10b2bc76},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.Impl = V2
-			got := Run(cfg, tc.prog(cfg.N)).ScheduleHash
+			got := Run(tc.cfg, tc.prog(tc.cfg.N)).ScheduleHash
 			if got != tc.want {
 				t.Errorf("schedule hash %#016x, pinned %#016x", got, tc.want)
 			}
 		})
+	}
+}
+
+// probeRingProgram shifts a counter around the ring: every round each
+// rank sends to its right, then polls Iprobe until the message from its
+// left is in. The daemons answer probes, and a replay must reproduce the
+// logged probe outcomes and wait for the probed message's re-send.
+func probeRingProgram(rounds int, finals []uint64) Program {
+	return func(p *mpi.Proc) {
+		n := p.Size()
+		right := (p.Rank() + 1) % n
+		left := (p.Rank() - 1 + n) % n
+		var token uint64
+		buf := make([]byte, 8)
+		for r := 0; r < rounds; r++ {
+			binary.BigEndian.PutUint64(buf, token+1)
+			p.Send(right, 1, buf)
+			for {
+				if _, ok := p.Iprobe(left, 1); ok {
+					break
+				}
+				p.ComputeTime(50 * time.Microsecond)
+			}
+			b, _ := p.Recv(left, 1)
+			token = binary.BigEndian.Uint64(b)
+		}
+		finals[p.Rank()] = token
 	}
 }
