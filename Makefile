@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet bench-stack soak-smoke soak-regress ci
+.PHONY: verify build vet fmt test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet bench-stack soak-smoke soak-regress ci
 
 verify: ## build + vet + full test suite (tier-1 gate)
 	$(GO) build ./...
@@ -13,6 +13,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt is `gofmt -l .` minus hidden directories: .bench_build holds a
+# parent checkout after tools/ab.sh, which is not this tree's code.
+fmt: ## fail when any Go file is not gofmt-formatted
+	@out=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -103,11 +109,13 @@ soak-regress: ## soak-smoke gated on committed goodput (>20% drop fails)
 		-drop 0.02 -dup 0.01 -delay 0.1 -maxdelay 2ms -disk 9 \
 		-timeout 2m -out "" -regress BENCH_soak.json -regress-tol 0.2
 
-ci: ## the full gate: build + vet + staticcheck + tests + coverage floor + race core
+ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core
 	$(GO) build ./...
+	$(MAKE) fmt
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(MAKE) cover
 	$(MAKE) stack-check
+	$(MAKE) bench-oracle
 	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
-		./internal/cluster/ ./internal/transport/
+		./internal/cluster/ ./internal/transport/ ./internal/daemon/

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"mpichv/internal/apps"
-	"mpichv/internal/daemon"
 	"mpichv/internal/deploy"
 	"mpichv/internal/transport"
 )
@@ -84,21 +83,13 @@ func main() {
 		outPath  = flag.String("out", "BENCH_soak.json", "report path (empty = stdout only)")
 		regress  = flag.String("regress", "", "baseline BENCH_soak.json to gate goodput against (empty = no gate)")
 		regTol   = flag.Float64("regress-tol", 0.2, "fractional goodput drop tolerated by -regress")
-		detMode  = flag.String("detmode", "off", "determinant suppression policy on the CN daemons (off, adaptive, aggressive)")
+		detMode  = flag.String("detmode", "off", "determinant suppression policy on the CN daemons (off, adaptive)")
 		verbose  = flag.Bool("v", false, "stream supervision log to stderr")
 	)
 	flag.Parse()
 
-	var det int
-	switch *detMode {
-	case "", "off":
-		det = daemon.DetOff
-	case "adaptive":
-		det = daemon.DetAdaptive
-	case "aggressive":
-		det = daemon.DetAggressive
-	default:
-		fatal(fmt.Errorf("unknown -detmode %q (off, adaptive, aggressive)", *detMode))
+	if _, err := deploy.ParseDetMode(*detMode); err != nil {
+		fatal(err)
 	}
 
 	roles, err := parseRoles(*rolesStr)
@@ -150,7 +141,7 @@ func main() {
 		},
 		ProxyServices:  *proxySvc,
 		DiskFaultEvery: *disk,
-		DetMode:        det,
+		DetMode:        *detMode,
 		Timeout:        *timeout,
 	}
 	if *verbose {

@@ -33,13 +33,13 @@ type DetSuppPoint struct {
 	// Gate accounting: the experiment's claim is that adaptive moves
 	// determinants off the WAITLOGGED critical path, so the forced count
 	// and the time actually spent blocked in the gate must both drop.
-	ELWaits    int64   // sends that blocked on WAITLOGGED
-	ELWaitUS   int64   // virtual µs spent blocked in WAITLOGGED
-	Forced     int64   // determinants that joined the gate (pessimistic path)
-	Suppressed int64   // determinants kept off the gate
+	ELWaits      int64   // sends that blocked on WAITLOGGED
+	ELWaitUS     int64   // virtual µs spent blocked in WAITLOGGED
+	Forced       int64   // determinants that joined the gate (pessimistic path)
+	Suppressed   int64   // determinants kept off the gate
 	ForcedPerMsg float64 // forced determinants per delivered message
-	Piggybacked int64  // suppressed determinants carried on payload frames
-	Events     int64   // event batches' contents submitted to the EL (incl. epochs)
+	Piggybacked  int64   // suppressed determinants carried on payload frames
+	Events       int64   // event batches' contents submitted to the EL (incl. epochs)
 }
 
 // detSuppModes maps row labels to daemon policies, in table order.

@@ -186,16 +186,16 @@ func TraceData(quick bool) (TraceReport, error) {
 		RawOverheadPct: rawOverhead,
 		Samples:        samples,
 		Events:         len(traced.Trace.Evs),
-		Dropped:      traced.Trace.Dropped,
-		AuditOK:      hb.OK(),
-		AuditSummary: hb.Summary(),
-		Sends:        hb.Sends,
-		Deliveries:   hb.Deliveries,
-		Durables:     hb.Durables,
-		Replays:      hb.Replays,
-		Restarts:     traced.Restarts,
-		CriticalRank: crit,
-		Metrics:      traced.Metrics.Snapshot(),
+		Dropped:        traced.Trace.Dropped,
+		AuditOK:        hb.OK(),
+		AuditSummary:   hb.Summary(),
+		Sends:          hb.Sends,
+		Deliveries:     hb.Deliveries,
+		Durables:       hb.Durables,
+		Replays:        hb.Replays,
+		Restarts:       traced.Restarts,
+		CriticalRank:   crit,
+		Metrics:        traced.Metrics.Snapshot(),
 	}
 	for _, row := range rows {
 		rep.CriticalPath = append(rep.CriticalPath, TracePathRow{

@@ -838,7 +838,7 @@ func (h *harness) spawn(rank int, restarted bool) {
 		CkptServer:  -1,
 		Scheduler:   -1,
 		Dispatcher:  DispNode,
-		UnixDelay:   cfg.Params.UnixOverhead,
+		Cost:        cfg.Params,
 		Restarted:   restarted,
 		Incarnation: h.spawns[rank],
 	}
@@ -899,11 +899,6 @@ func (h *harness) spawn(rank int, restarted bool) {
 		dcfg.NoSendGating = cfg.NoSendGating
 		dcfg.CkptChunkSize = cfg.CkptChunk
 		dcfg.CkptNoDelta = cfg.CkptNoDelta
-		dcfg.UnixCopyPerByte = cfg.Params.UnixCopyPerByte
-		dcfg.PipelineLimit = cfg.Params.EagerLimit
-		dcfg.LogCopyPerByte = cfg.Params.LogCopyPerByte
-		dcfg.DiskCopyPerByte = cfg.Params.DiskCopyPerByte
-		dcfg.LogMemLimit = cfg.Params.LogMemLimit
 		if h.recorders != nil {
 			dcfg.Tracer = h.recorders[rank]
 		}
@@ -911,13 +906,9 @@ func (h *harness) spawn(rank int, restarted bool) {
 		dev, d2 = daemon.StartV2(h.sim, h.fab, dcfg)
 		h.v2ds[rank] = d2
 	case P4:
-		dcfg.UnixDelay = 0 // the P4 driver lives inside the MPI process
 		dev, _ = daemon.StartP4(h.sim, h.fab, dcfg, cfg.Params.Bandwidth)
 	case V1:
-		dcfg.UnixCopyPerByte = cfg.Params.UnixCopyPerByte
-		dcfg.PipelineLimit = cfg.Params.EagerLimit
-		dcfg.ChannelMemory = func(r int) int { return CMBase + r/cfg.CMFanIn }
-		dev, _ = daemon.StartV1(h.sim, h.fab, dcfg)
+		dev, _ = daemon.StartV1(h.sim, h.fab, dcfg, func(r int) int { return CMBase + r/cfg.CMFanIn })
 	}
 
 	opts := mpi.Options{

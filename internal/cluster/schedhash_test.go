@@ -48,7 +48,7 @@ func TestScheduleHashPinned(t *testing.T) {
 			Faults: []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: 0}},
 		}, func(n int) Program { return incastProgram(make([]int64, n)) }, 0x70a6e3fb8fde5ece},
 		// The Channel Memory path and the Unix-socket copy costs of V1,
-		// and P4's in-process driver.
+		// and P4, which runs in the MPI process.
 		{"v1-ring", Config{N: 4, Impl: V1}, ring(20), 0xc22b2569eecd8e84},
 		{"p4-ring", Config{N: 4, Impl: P4}, ring(20), 0x5f96275f53f6d7a2},
 		// Suppression with checkpoints and a kill: the determinant drain

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpichv/internal/netsim"
 	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
@@ -67,28 +68,20 @@ type Config struct {
 	// daemon rides out an outage of the lone node by retransmitting
 	// until the node is respawned over its stable store, and availability
 	// under service loss is the job of ELReplicas/CSReplicas ≥ 2.
+	// No daemon reads Scheduler: scheduler polls are answered to their
+	// sender. It stays because the benchmark harness sets it.
 	EventLogger int
 	CkptServer  int
 	Scheduler   int
 	Dispatcher  int
 
-	// ChannelMemory maps a destination rank to its Channel Memory
-	// node id (V1 only).
-	ChannelMemory func(rank int) int
-
-	// UnixDelay is the cost of one MPI-process↔daemon socket
-	// crossing.
-	UnixDelay time.Duration
-	// UnixCopyPerByte is the store-and-forward copy cost for payloads
-	// up to PipelineLimit crossing the Unix socket (larger transfers
-	// pipeline and pay nothing extra).
-	UnixCopyPerByte time.Duration
-	PipelineLimit   int
-
-	// Sender-based logging costs (V2 only); see netsim.Params.
-	LogCopyPerByte  time.Duration
-	DiskCopyPerByte time.Duration
-	LogMemLimit     int64
+	// Cost is the simulator's cost profile, charged in virtual time. V1
+	// and V2 pay UnixOverhead per MPI-process↔daemon socket crossing and
+	// UnixCopyPerByte for payloads up to EagerLimit (larger transfers
+	// pipeline and pay nothing extra); V2 also pays the sender-based
+	// logging costs. P4 charges nothing: it runs inside the MPI process.
+	// The zero value charges nothing, as on the real path.
+	Cost netsim.Params
 
 	// Restarted indicates this daemon replaces a crashed incarnation
 	// and must run the recovery protocol before serving.
@@ -132,20 +125,13 @@ type Config struct {
 	ELShardGroups [][]int
 	ELShardSeed   uint64
 
-	// Timeouts for the retry machinery on the blocking protocol paths.
-	// Each names the base of a bounded exponential backoff
-	// (transport.Backoff). Zero selects the default; negative disables
-	// that retry path. Restart-time fetches always retry on a fixed 25ms
-	// base; they and the RESTART1 handshake give up on a silent replica
-	// or peer after 6 retransmissions.
-	//
-	//   ELAckTimeout   — event-log submission → KEventAck (default 25ms)
-	//   CkptAckTimeout — checkpoint save → KCkptSaveAck (default 250ms)
-	//   RestartTimeout — RESTART1 → RESTART2 handshake wait (default:
-	//                    disabled; the paper's protocol never waits on
-	//                    RESTART2, so this only pays off on lossy links)
-	ELAckTimeout   time.Duration
-	CkptAckTimeout time.Duration
+	// RestartTimeout, when positive, is the backoff base
+	// (transport.Backoff) of the RESTART1 → RESTART2 handshake wait.
+	// Disabled by default: the paper's protocol never waits on RESTART2,
+	// so this only pays off on lossy links. Event-log submissions retry
+	// on a 25ms base, checkpoint saves on 250ms, and restart-time fetches
+	// on 25ms; those fetches and the handshake give up on a silent
+	// replica or peer after 6 retransmissions.
 	RestartTimeout time.Duration
 
 	// PullTimeout, when positive, arms a pull timer whenever the
@@ -251,7 +237,8 @@ const (
 type rankOp uint8
 
 const (
-	opInit rankOp = iota
+	opNone rankOp = iota
+	opInit
 	opSend
 	opRecv
 	opProbe
@@ -332,6 +319,16 @@ func (p *proxy) Checkpoint(appState []byte) {
 
 func (p *proxy) Finish() {
 	p.call(rankReq{op: opFinish})
+}
+
+// unixCopy is the store-and-forward cost of moving an n-byte payload
+// across the Unix socket: eager payloads pay it per byte, larger ones
+// pipeline through the daemon and pay nothing extra.
+func unixCopy(c *netsim.Params, n int) time.Duration {
+	if c.EagerLimit > 0 && n > c.EagerLimit {
+		return 0
+	}
+	return time.Duration(n) * c.UnixCopyPerByte
 }
 
 // killedPanic is used internally by daemon actors to unwind when their

@@ -380,9 +380,9 @@ func TestV2DiskSpillSlowsLogging(t *testing.T) {
 			fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 			startFakeEL(sim, fab, elNode, 0)
 			cfg := v2Config(0, 2, elNode)
-			cfg.LogCopyPerByte = 5 * time.Nanosecond
-			cfg.DiskCopyPerByte = 67 * time.Nanosecond
-			cfg.LogMemLimit = memLimit
+			cfg.Cost.LogCopyPerByte = 5 * time.Nanosecond
+			cfg.Cost.DiskCopyPerByte = 67 * time.Nanosecond
+			cfg.Cost.LogMemLimit = memLimit
 			dev, _ := StartV2(sim, fab, cfg)
 			dev.Init()
 			t0 := sim.Now()

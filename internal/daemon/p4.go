@@ -43,7 +43,7 @@ func StartP4(rt vtime.Runtime, fab transport.Fabric, cfg Config, driverBPS float
 	d.rsp = vtime.NewMailbox[rankResp](rt, fmt.Sprintf("p4r%d", cfg.Rank))
 	pump(rt, fmt.Sprintf("pump-p4-%d", cfg.Rank), d.ep, d.in)
 	rt.Go(fmt.Sprintf("daemon-p4-%d", cfg.Rank), d.run)
-	return &proxy{rank: cfg.Rank, delay: cfg.UnixDelay, in: d.in, resp: d.rsp, ckpt: &noCkpt}, d
+	return &proxy{rank: cfg.Rank, in: d.in, resp: d.rsp, ckpt: &noCkpt}, d
 }
 
 // Stats returns the daemon's counters.
@@ -147,4 +147,6 @@ func (d *P4) doProbe() {
 	d.reply(rankResp{flag: len(d.arrived) > 0})
 }
 
-func (d *P4) reply(r rankResp) { d.rsp.SendAfter(d.cfg.UnixDelay, r) }
+// reply answers the MPI process with no Unix-socket crossing: P4 runs
+// inside the MPI process.
+func (d *P4) reply(r rankResp) { d.rsp.SendAfter(0, r) }

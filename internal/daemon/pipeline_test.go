@@ -13,7 +13,9 @@ import (
 // silentEL records every KEventLog submission but never acks, so tests
 // can fill the pipelined window and release it ack by ack from the
 // root actor. The recordings are read from the root actor too — safe
-// under the single-threaded token-passing simulator.
+// under the single-threaded token-passing simulator. The tests using it
+// finish within a few ms of virtual time, under the 25ms retransmit
+// base, so every submission they see is deliberate.
 type silentEL struct {
 	ep    transport.Endpoint
 	seqs  []uint64
@@ -65,7 +67,6 @@ func TestV2ELWindowPipelinesAndRetiresInOrder(t *testing.T) {
 		el := startSilentEL(sim, fab, elNode)
 		cfg := v2Config(0, 2, elNode)
 		cfg.ELWindow = 2
-		cfg.ELAckTimeout = -1 // no retransmits: every frame below is deliberate
 		dev0, d0 := StartV2(sim, fab, cfg)
 		dev0.Init()
 
@@ -127,7 +128,6 @@ func TestV2ELRetransmitOrderAscending(t *testing.T) {
 		el := startSilentEL(sim, fab, elNode)
 		cfg := v2Config(0, 2, elNode)
 		cfg.ELWindow = 8
-		cfg.ELAckTimeout = time.Hour // armed, but never fires on its own
 		dev0, d0 := StartV2(sim, fab, cfg)
 		dev0.Init()
 
@@ -172,7 +172,6 @@ func TestV2SenderLogGCUnderPipelining(t *testing.T) {
 		startSilentEL(sim, fab, elNode)
 		cfg := v2Config(0, 2, elNode)
 		cfg.ELWindow = 4
-		cfg.ELAckTimeout = -1
 		dev0, d0 := StartV2(sim, fab, cfg)
 		dev0.Init()
 		peer := fab.Attach(1, "peer")

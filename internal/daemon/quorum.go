@@ -67,7 +67,7 @@ type slot[T any] struct {
 type window[T any] struct {
 	replicaGroup
 	d     *V2
-	bo    transport.Backoff        // zero Base: retransmission disabled
+	bo    transport.Backoff
 	send  func(s *slot[T], to int) // ships s to one replica; attempts > 0 on a retransmit
 	fire  func()                   // w.expired, bound once so arming allocates nothing
 	slots []slot[T]
@@ -76,9 +76,7 @@ type window[T any] struct {
 
 func (w *window[T]) init(d *V2, g replicaGroup, ackTimeout time.Duration, send func(*slot[T], int)) {
 	w.replicaGroup, w.d, w.send, w.fire = g, d, send, w.expired
-	if ackTimeout > 0 {
-		w.bo = d.backoff(ackTimeout)
-	}
+	w.bo = d.backoff(ackTimeout)
 }
 
 // push opens a slot: the request goes to every replica and the
@@ -158,7 +156,7 @@ func (w *window[T]) retire(fn func(*slot[T])) {
 // arm (re)arms the timer for the earliest deadline among the slots
 // still short of quorum.
 func (w *window[T]) arm() {
-	if w.timer != 0 || w.bo.Base <= 0 {
+	if w.timer != 0 {
 		return
 	}
 	var earliest time.Duration

@@ -134,11 +134,10 @@ func TestCkptEscalatesAfterSilentRounds(t *testing.T) {
 		kinds := startSilentCS(sim, fab, csNode)
 		cfg := v2Config(0, 1, -1)
 		cfg.CkptServer = csNode
-		cfg.CkptAckTimeout = time.Millisecond
 		dev, d := StartV2(sim, fab, cfg)
 		dev.Init()
 		dev.Checkpoint([]byte("app"))
-		sim.Sleep(100 * time.Millisecond)
+		sim.Sleep(5 * time.Second) // three rounds on the 250ms base escalate by ~1.75s
 
 		want := make([]uint8, 0, ckptEscalateAfter+1)
 		for i := 0; i < ckptEscalateAfter; i++ {
@@ -170,7 +169,6 @@ func TestReplicaListWithoutQuorumMeansMajority(t *testing.T) {
 		els := []*silentEL{startSilentEL(sim, fab, elNode), startSilentEL(sim, fab, elNode+1), startSilentEL(sim, fab, elNode+2)}
 		cfg := v2Config(0, 2, -1)
 		cfg.ELReplicas = []int{elNode, elNode + 1, elNode + 2}
-		cfg.ELAckTimeout = -1
 		dev, d := StartV2(sim, fab, cfg)
 		dev.Init()
 

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"time"
 
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
@@ -20,25 +19,23 @@ import (
 type V1 struct {
 	rt    vtime.Runtime
 	cfg   Config
+	cm    func(rank int) int
 	ep    transport.Endpoint
 	in    *vtime.Mailbox[dEvent]
 	rsp   *vtime.Mailbox[rankResp]
 	stats Stats
 }
 
-// StartV1 attaches a V1 daemon; cfg.ChannelMemory must map every rank to
-// its Channel Memory node id.
-func StartV1(rt vtime.Runtime, fab transport.Fabric, cfg Config) (Device, *V1) {
-	if cfg.ChannelMemory == nil {
-		panic("daemon: V1 requires a ChannelMemory mapping")
-	}
-	d := &V1{rt: rt, cfg: cfg}
+// StartV1 attaches a V1 daemon; cm maps every rank to its Channel Memory
+// node id.
+func StartV1(rt vtime.Runtime, fab transport.Fabric, cfg Config, cm func(rank int) int) (Device, *V1) {
+	d := &V1{rt: rt, cfg: cfg, cm: cm}
 	d.ep = fab.Attach(cfg.Rank, fmt.Sprintf("v1-%d", cfg.Rank))
 	d.in = vtime.NewMailbox[dEvent](rt, fmt.Sprintf("v1d%d", cfg.Rank))
 	d.rsp = vtime.NewMailbox[rankResp](rt, fmt.Sprintf("v1r%d", cfg.Rank))
 	pump(rt, fmt.Sprintf("pump-v1-%d", cfg.Rank), d.ep, d.in)
 	rt.Go(fmt.Sprintf("daemon-v1-%d", cfg.Rank), d.run)
-	return &proxy{rank: cfg.Rank, delay: cfg.UnixDelay, in: d.in, resp: d.rsp, ckpt: &noCkpt}, d
+	return &proxy{rank: cfg.Rank, delay: cfg.Cost.UnixOverhead, in: d.in, resp: d.rsp, ckpt: &noCkpt}, d
 }
 
 // Stats returns the daemon's counters.
@@ -101,19 +98,18 @@ func (d *V1) doSend(to int, data []byte) {
 	if to == d.cfg.Rank {
 		panic("daemon: device-level self send")
 	}
-	if n := len(data); n > 0 && d.cfg.UnixCopyPerByte > 0 &&
-		(d.cfg.PipelineLimit <= 0 || n <= d.cfg.PipelineLimit) {
-		d.rt.Sleep(time.Duration(n) * d.cfg.UnixCopyPerByte)
+	if c := unixCopy(&d.cfg.Cost, len(data)); c > 0 {
+		d.rt.Sleep(c)
 	}
 	// The message is stored on the *receiver's* Channel Memory.
-	d.ep.Send(d.cfg.ChannelMemory(to), wire.KCMPut, wire.EncodeCMPut(to, data))
+	d.ep.Send(d.cm(to), wire.KCMPut, wire.EncodeCMPut(to, data))
 	d.stats.SentMsgs++
 	d.stats.SentBytes += int64(len(data))
 	d.reply(rankResp{})
 }
 
 func (d *V1) doRecv() {
-	d.ep.Send(d.cfg.ChannelMemory(d.cfg.Rank), wire.KCMGet, []byte{wire.CMGetBlock})
+	d.ep.Send(d.cm(d.cfg.Rank), wire.KCMGet, []byte{wire.CMGetBlock})
 	f := d.awaitCM()
 	present, origFrom, data, err := wire.DecodeCMMsg(f.Data)
 	if err != nil || !present {
@@ -121,15 +117,14 @@ func (d *V1) doRecv() {
 	}
 	d.stats.RecvMsgs++
 	d.stats.RecvBytes += int64(len(data))
-	if n := len(data); n > 0 && d.cfg.UnixCopyPerByte > 0 &&
-		(d.cfg.PipelineLimit <= 0 || n <= d.cfg.PipelineLimit) {
-		d.rt.Sleep(time.Duration(n) * d.cfg.UnixCopyPerByte)
+	if c := unixCopy(&d.cfg.Cost, len(data)); c > 0 {
+		d.rt.Sleep(c)
 	}
 	d.reply(rankResp{from: origFrom, data: data})
 }
 
 func (d *V1) doProbe() {
-	d.ep.Send(d.cfg.ChannelMemory(d.cfg.Rank), wire.KCMGet, []byte{wire.CMGetProbe})
+	d.ep.Send(d.cm(d.cfg.Rank), wire.KCMGet, []byte{wire.CMGetProbe})
 	f := d.awaitCM()
 	present, _, _, err := wire.DecodeCMMsg(f.Data)
 	if err != nil {
@@ -138,7 +133,7 @@ func (d *V1) doProbe() {
 	d.reply(rankResp{flag: present})
 }
 
-func (d *V1) reply(r rankResp) { d.rsp.SendAfter(d.cfg.UnixDelay, r) }
+func (d *V1) reply(r rankResp) { d.rsp.SendAfter(d.cfg.Cost.UnixOverhead, r) }
 
 // ChannelMemory is the reliable store-and-forward node of MPICH-V1. One
 // instance serves a group of computing nodes; in the paper's setups one

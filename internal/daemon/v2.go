@@ -60,10 +60,14 @@ type V2 struct {
 	ckptBase  uint64
 	ckptMarks map[int]uint64
 
-	finished bool
 	finAcked bool
 	finTimer uint64
 	stats    Stats
+
+	// parked is the rank request in service, from its arrival to its
+	// reply. A request that cannot finish on arrival stays here, and run
+	// re-evaluates it after every frame or timer it dispatches.
+	parked parkedReq
 
 	// tr mirrors cfg.Tracer; nil disables tracing (every Record call
 	// is a nil-receiver no-op).
@@ -159,7 +163,7 @@ func StartV2(rt vtime.Runtime, fab transport.Fabric, cfg Config) (Device, *V2) {
 	d.elNodeShard = make(map[int]*elShard)
 	for _, grp := range elGroups {
 		sh := &elShard{seq: cfg.Incarnation << 32}
-		sh.w.init(d, newReplicaGroup(cfg.Rank, grp, cfg.ELQuorum), d.elAckTimeout(), d.sendEventFrame)
+		sh.w.init(d, newReplicaGroup(cfg.Rank, grp, cfg.ELQuorum), defELAckTimeout, d.sendEventFrame)
 		d.elShards = append(d.elShards, sh)
 		for _, t := range sh.w.targets {
 			d.elNodeShard[t] = sh
@@ -171,13 +175,13 @@ func StartV2(rt vtime.Runtime, fab transport.Fabric, cfg Config) (Device, *V2) {
 		d.elHistory = make(map[int][]core.Event)
 	}
 	d.cs.init(d, newReplicaGroup(cfg.Rank, serviceGroup(cfg.CSReplicas, cfg.CkptServer), cfg.CSQuorum),
-		d.ckptAckTimeout(), d.sendXfer)
+		defCkptAckTimeout, d.sendXfer)
 	d.ep = fab.Attach(cfg.Rank, fmt.Sprintf("cn%d", cfg.Rank))
 	d.in = vtime.NewMailbox[dEvent](rt, fmt.Sprintf("v2d%d", cfg.Rank))
 	d.rsp = vtime.NewMailbox[rankResp](rt, fmt.Sprintf("v2r%d", cfg.Rank))
 	pump(rt, fmt.Sprintf("pump-cn%d", cfg.Rank), d.ep, d.in)
 	rt.Go(fmt.Sprintf("daemon-cn%d", cfg.Rank), d.run)
-	return &proxy{rank: cfg.Rank, delay: cfg.UnixDelay, in: d.in, resp: d.rsp, ckpt: &d.ckptFlag}, d
+	return &proxy{rank: cfg.Rank, delay: cfg.Cost.UnixOverhead, in: d.in, resp: d.rsp, ckpt: &d.ckptFlag}, d
 }
 
 // serviceGroup resolves a service's two Config spellings to its replica
@@ -196,23 +200,6 @@ func (d *V2) Stats() Stats { return d.stats }
 // State exposes the protocol state for tests and the checkpoint
 // scheduler status plumbing.
 func (d *V2) State() *core.State { return d.st }
-
-// --- Timeout configuration -----------------------------------------------
-
-// timeout resolves a Config duration: zero selects the default,
-// negative disables (returns 0).
-func timeout(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-func (d *V2) elAckTimeout() time.Duration   { return timeout(d.cfg.ELAckTimeout, defELAckTimeout) }
-func (d *V2) ckptAckTimeout() time.Duration { return timeout(d.cfg.CkptAckTimeout, defCkptAckTimeout) }
 
 // --- Determinant suppression ----------------------------------------------
 
@@ -325,30 +312,6 @@ func (d *V2) detRetire(evs []core.Event) {
 	d.detPending = kept
 	if len(d.detPending) == 0 {
 		d.detPending = nil
-	}
-}
-
-// drainDetPending blocks until every suppressed determinant is
-// quorum-durable — the synchronous closing of the asynchronous path,
-// used where volatile determinants must not survive: before a snapshot
-// is captured (a crash after the checkpoint could otherwise leave
-// permanent holes below its horizon, unreachable by replay
-// regeneration) and before finalize (the post-run audits demand a
-// gap-free logged history). The EL retransmit timers keep the exchange
-// turning while we wait.
-func (d *V2) drainDetPending() {
-	if !d.hasEL() {
-		return
-	}
-	for len(d.detPending) > 0 {
-		e := d.next()
-		if e.isFrame {
-			d.handleFrame(e.frame)
-		} else if e.isTimer {
-			d.handleTimer(e.timer)
-		} else {
-			panic(fmt.Sprintf("daemon: rank %d: concurrent rank request during determinant drain", d.cfg.Rank))
-		}
 	}
 }
 
@@ -465,14 +428,27 @@ func (d *V2) run() {
 	}
 	for {
 		e := d.next()
-		if e.isFrame {
-			d.handleFrame(e.frame)
-			continue
+		d.dispatch(e)
+		if !e.isReq {
+			// A request is evaluated on arrival; only a frame or a timer
+			// can release the parked one.
+			d.resume()
 		}
-		if e.isTimer {
-			d.handleTimer(e.timer)
-			continue
-		}
+	}
+}
+
+// dispatch hands one inbox event to its handler. The MPI process blocks
+// on every call, so a rank request while another is in service is a
+// broken caller.
+func (d *V2) dispatch(e dEvent) {
+	switch {
+	case e.isFrame:
+		d.handleFrame(e.frame)
+	case e.isTimer:
+		d.handleTimer(e.timer)
+	case d.parked.op != opNone:
+		panic(fmt.Sprintf("daemon: rank %d: concurrent rank request", d.cfg.Rank))
+	default:
 		d.handleReq(e.req)
 	}
 }
@@ -574,7 +550,7 @@ func (d *V2) recover() {
 	// messages are idempotent, and peers simultaneously in recovery are
 	// answered inline so two crashed nodes cannot deadlock waiting on
 	// each other.
-	restartTO := timeout(d.cfg.RestartTimeout, 0) // default: disabled
+	restartTO := max(d.cfg.RestartTimeout, 0) // default: disabled
 	rounds := 0
 	if restartTO > 0 {
 		rounds = defRestartRetries
@@ -1400,11 +1376,10 @@ func (d *V2) elShardUp(k int) {
 // lossy fabric dropped. Duplicates are discarded by the clock/sequence
 // dedup on the receive path.
 func (d *V2) beginStarve() {
-	to := timeout(d.cfg.PullTimeout, 0) // default: disabled
-	if to <= 0 || d.pullTimer != 0 {
-		return
+	if d.cfg.PullTimeout <= 0 || d.pullTimer != 0 {
+		return // disabled by default
 	}
-	bo := transport.Backoff{Base: to}
+	bo := transport.Backoff{Base: d.cfg.PullTimeout}
 	d.pullTimer = d.after(bo.Delay(d.pullAttempts), d.pullExpired)
 }
 
@@ -1431,108 +1406,140 @@ func (d *V2) pullExpired() {
 
 // --- Rank requests -------------------------------------------------------
 
+// parkedReq is the rank request in service (opNone: none) with what its
+// continuation needs. A send keeps the message PrepareSend logged and,
+// when it is held at WAITLOGGED, when and behind how many events it
+// started to wait.
+type parkedReq struct {
+	rankReq
+	clock, seq      uint64
+	transmit, gated bool
+	since           time.Duration
+	unacked         uint64
+}
+
 func (d *V2) handleReq(r rankReq) {
+	d.parked = parkedReq{rankReq: r}
 	switch r.op {
 	case opInit:
 		d.reply(rankResp{rank: d.cfg.Rank, size: d.cfg.Size, appState: d.appState, restarted: d.restored || d.st.Replaying()})
 	case opSend:
-		d.doSend(r.to, r.data)
+		d.doSend()
 	case opRecv:
 		d.doRecv()
 	case opProbe:
 		d.doProbe()
 	case opCkpt:
-		d.doCheckpoint(r.data)
+		d.doCheckpoint()
 	case opFinish:
 		d.doFinish()
 	}
 }
 
+// resume re-evaluates the parked request, in the order its arrival
+// evaluated it; the request stays parked until it replies.
+func (d *V2) resume() {
+	switch d.parked.op {
+	case opSend:
+		d.sendLogged()
+	case opRecv:
+		d.deliver()
+	case opProbe:
+		d.probeReplayed()
+	case opCkpt:
+		d.capture()
+	case opFinish:
+		d.finish()
+	}
+}
+
+func (d *V2) reply(r rankResp) {
+	d.parked = parkedReq{}
+	d.rsp.SendAfter(d.cfg.Cost.UnixOverhead, r)
+}
+
+// doFinish closes the run. A finalize with suppressed determinants still
+// volatile would leave permanent holes in the logged channel history (the
+// post-run audits demand a gap-free one), so the epoch tail is flushed
+// and finish waits for every suppressed determinant to be quorum-durable.
 func (d *V2) doFinish() {
-	// A finalize with suppressed determinants still volatile would leave
-	// permanent holes in the logged channel history; flush and drain
-	// them first (one epoch tail per run).
 	d.flushDetEpoch()
-	d.drainDetPending()
+	d.finish()
+}
+
+func (d *V2) finish() {
+	if len(d.detPending) > 0 {
+		return
+	}
 	if d.cfg.Dispatcher >= 0 {
 		d.ep.Send(d.cfg.Dispatcher, wire.KFinalize, nil)
 		// Retransmit the finalize until the dispatcher confirms it:
 		// losing it would leave the run waiting on a node that has in
 		// fact completed. Bounded — a dead dispatcher must not keep the
 		// virtual timeline alive forever.
-		if to := d.elAckTimeout(); to > 0 {
-			bo := transport.Backoff{Base: to}
-			var rearm func(attempt int)
-			rearm = func(attempt int) {
-				if d.finAcked || attempt >= finalizeRetries {
+		bo := transport.Backoff{Base: defELAckTimeout}
+		var rearm func(attempt int)
+		rearm = func(attempt int) {
+			if d.finAcked || attempt >= finalizeRetries {
+				return
+			}
+			d.finTimer = d.after(bo.Delay(attempt), func() {
+				d.finTimer = 0
+				if d.finAcked {
 					return
 				}
-				d.finTimer = d.after(bo.Delay(attempt), func() {
-					d.finTimer = 0
-					if d.finAcked {
-						return
-					}
-					d.ep.Send(d.cfg.Dispatcher, wire.KFinalize, nil)
-					d.stats.Retransmits++
-					rearm(attempt + 1)
-				})
-			}
-			rearm(0)
+				d.ep.Send(d.cfg.Dispatcher, wire.KFinalize, nil)
+				d.stats.Retransmits++
+				rearm(attempt + 1)
+			})
 		}
+		rearm(0)
 	}
-	d.finished = true
 	d.reply(rankResp{})
 }
 
-func (d *V2) reply(r rankResp) {
-	d.rsp.SendAfter(d.cfg.UnixDelay, r)
-}
-
-func (d *V2) doSend(to int, data []byte) {
-	if to == d.cfg.Rank {
+func (d *V2) doSend() {
+	p := &d.parked
+	if p.to == d.cfg.Rank {
 		panic("daemon: device-level self send (the MPI layer must short-circuit self messages)")
 	}
-	id, seq, transmit := d.st.PrepareSend(to, 0, data)
+	id, seq, transmit := d.st.PrepareSend(p.to, 0, p.data)
+	p.clock, p.seq, p.transmit = id.Clock, seq, transmit
 
 	// Sender-based logging cost: copying the payload into the SAVED
 	// log, plus the Unix-socket copy for store-and-forwarded eager
 	// payloads, spilling to disk past the memory budget (§5.2: LU's
 	// poor performance; the daemon "becomes a competitor of the MPI
 	// process for CPU resources").
-	if n := len(data); n > 0 {
-		cost := time.Duration(n) * d.cfg.LogCopyPerByte
-		if d.cfg.PipelineLimit <= 0 || n <= d.cfg.PipelineLimit {
-			cost += time.Duration(n) * d.cfg.UnixCopyPerByte
-		}
-		if d.cfg.LogMemLimit > 0 && d.st.LogBytes() > d.cfg.LogMemLimit {
-			cost += time.Duration(n) * d.cfg.DiskCopyPerByte
-		}
-		if cost > 0 {
-			d.rt.Sleep(cost)
-		}
+	c, n := &d.cfg.Cost, len(p.data)
+	cost := time.Duration(n)*c.LogCopyPerByte + unixCopy(c, n)
+	if c.LogMemLimit > 0 && d.st.LogBytes() > c.LogMemLimit {
+		cost += time.Duration(n) * c.DiskCopyPerByte
+	}
+	if cost > 0 {
+		d.rt.Sleep(cost)
 	}
 
 	// WAITLOGGED(): no payload leaves before the event logger has
 	// acknowledged every reception event submitted so far.
 	if d.st.SendBlocked() && !d.cfg.NoSendGating {
 		d.stats.ELWaits++
-		waitFrom := d.rt.Now()
-		unacked := uint64(d.st.UnackedEvents())
-		for d.st.SendBlocked() {
-			e := d.next()
-			if e.isFrame {
-				d.handleFrame(e.frame)
-			} else if e.isTimer {
-				d.handleTimer(e.timer)
-			} else {
-				panic(fmt.Sprintf("daemon: rank %d: concurrent rank request during send", d.cfg.Rank))
-			}
-		}
-		d.stats.ELWaitNS += int64(d.rt.Now() - waitFrom)
-		d.tr.Record(d.rt.Now(), trace.EvWaitLogged, 0, 0, uint64(d.rt.Now()-waitFrom), unacked)
+		p.gated, p.since, p.unacked = true, d.rt.Now(), uint64(d.st.UnackedEvents())
 	}
+	d.sendLogged()
+}
 
-	if transmit {
+// sendLogged transmits the parked send once WAITLOGGED lets it go.
+func (d *V2) sendLogged() {
+	p := &d.parked
+	if p.gated {
+		if d.st.SendBlocked() {
+			return
+		}
+		d.stats.ELWaitNS += int64(d.rt.Now() - p.since)
+		d.tr.Record(d.rt.Now(), trace.EvWaitLogged, 0, 0, uint64(d.rt.Now()-p.since), p.unacked)
+	}
+	if p.transmit {
 		if d.st.SendBlocked() {
 			// A payload is leaving while reception events are still
 			// below their write quorum — every path that can do this
@@ -1540,9 +1547,9 @@ func (d *V2) doSend(to int, data []byte) {
 			// auditor can assert the invariant held.
 			d.stats.BelowQuorumAcks++
 		}
-		hdr := wire.PayloadHeader{SenderClock: id.Clock, PairSeq: seq}
+		hdr := wire.PayloadHeader{SenderClock: p.clock, PairSeq: p.seq}
 		if d.tr != nil {
-			hdr.Span = trace.PackSpan(d.cfg.Rank, id.Clock)
+			hdr.Span = trace.PackSpan(d.cfg.Rank, p.clock)
 		}
 		// Every payload carries the suppressed determinants still short
 		// of durability: the receiver caches and relays them, so any
@@ -1552,77 +1559,39 @@ func (d *V2) doSend(to int, data []byte) {
 			hdr.Dets = d.detPending
 			d.stats.DetPiggybacked += int64(len(d.detPending))
 		}
-		d.ep.Send(to, wire.KPayload, wire.AppendPayload(wire.GetBuf(wire.PayloadSizeH(hdr, len(data))), hdr, data))
-		d.tr.Record(d.rt.Now(), trace.EvSend, hdr.Span, uint64(len(hdr.Dets)), uint64(to), uint64(len(data)))
+		d.ep.Send(p.to, wire.KPayload, wire.AppendPayload(wire.GetBuf(wire.PayloadSizeH(hdr, len(p.data))), hdr, p.data))
+		d.tr.Record(d.rt.Now(), trace.EvSend, hdr.Span, uint64(len(hdr.Dets)), uint64(p.to), uint64(len(p.data)))
 		d.stats.SentMsgs++
-		d.stats.SentBytes += int64(len(data))
-		d.schedSent += uint64(len(data))
+		d.stats.SentBytes += int64(len(p.data))
+		d.schedSent += uint64(len(p.data))
 	}
 	d.reply(rankResp{})
 }
 
 func (d *V2) doRecv() {
-	if d.st.Replaying() {
-		for {
-			if m, rev, ok := d.st.TakeStashed(); ok {
-				d.endStarve()
-				d.stats.Replayed++
-				d.tr.Record(d.rt.Now(), trace.EvReplay,
-					trace.PackSpan(d.cfg.Rank, rev.RecvClock),
-					trace.PackSpan(m.From, m.Clock), uint64(m.From), m.Seq)
-				if !d.st.Replaying() {
-					d.arrived = append(d.arrived, d.st.DrainStash()...)
-				}
-				d.replyPayload(m.From, m.Data)
-				return
-			}
-			// A clock hole in the replay can only be a delivery whose
-			// suppressed determinant died with the crash; fill it by
-			// regenerating the delivery fresh — a new, pessimistically
-			// gated event that must reach the EL like any other.
-			if m, rev, ok := d.st.RegenerateReplay(); ok {
-				d.endStarve()
-				d.stats.DetRegenerated++
-				gated := uint64(0)
-				if d.hasEL() {
-					gated = 1
-					d.stats.DetForced++
-				}
-				d.tr.Record(d.rt.Now(), trace.EvDeliver,
-					trace.PackSpan(d.cfg.Rank, rev.RecvClock),
-					trace.PackSpan(m.From, m.Clock), m.Seq, gated)
-				d.noteHistory(rev)
-				d.submitEvent(rev)
-				d.replyPayload(m.From, m.Data)
-				return
-			}
-			d.beginStarve()
-			e := d.next()
-			if e.isFrame {
-				d.handleFrame(e.frame)
-			} else if e.isTimer {
-				d.handleTimer(e.timer)
-			}
-		}
-	}
-	if len(d.arrived) == 0 {
+	if !d.st.Replaying() && len(d.arrived) == 0 {
 		// Starving: the application is blocked anyway, so ship the
 		// suppressed-determinant epoch early — durability for free.
 		d.flushDetEpoch()
+	}
+	d.deliver()
+}
+
+// deliver hands the MPI process its next message. With none
+// deliverable it arms the pull timer and the receive stays parked.
+func (d *V2) deliver() {
+	if d.st.Replaying() {
+		d.deliverReplay()
+		return
 	}
 	// elStalled is the degraded-mode gate: with the EL quorum
 	// unreachable the daemon refuses to commit further receptions, so
 	// the application blocks here and stops feeding the resend queues.
 	// Retransmission timers keep the loop turning, and the first acks
 	// from a healed logger drain the backlog and lift the gate.
-	for len(d.arrived) == 0 || d.elStalled() {
+	if len(d.arrived) == 0 || d.elStalled() {
 		d.beginStarve()
-		e := d.next()
-		if e.isFrame {
-			d.handleFrame(e.frame)
-		} else if e.isTimer {
-			d.handleTimer(e.timer)
-		}
+		return
 	}
 	d.endStarve()
 	m := d.arrived[0]
@@ -1671,12 +1640,49 @@ func (d *V2) doRecv() {
 	d.replyPayload(m.From, m.Data)
 }
 
+// deliverReplay hands over the next logged reception once its message
+// has been re-sent to us.
+func (d *V2) deliverReplay() {
+	if m, rev, ok := d.st.TakeStashed(); ok {
+		d.endStarve()
+		d.stats.Replayed++
+		d.tr.Record(d.rt.Now(), trace.EvReplay,
+			trace.PackSpan(d.cfg.Rank, rev.RecvClock),
+			trace.PackSpan(m.From, m.Clock), uint64(m.From), m.Seq)
+		if !d.st.Replaying() {
+			d.arrived = append(d.arrived, d.st.DrainStash()...)
+		}
+		d.replyPayload(m.From, m.Data)
+		return
+	}
+	// A clock hole in the replay can only be a delivery whose
+	// suppressed determinant died with the crash; fill it by
+	// regenerating the delivery fresh — a new, pessimistically
+	// gated event that must reach the EL like any other.
+	if m, rev, ok := d.st.RegenerateReplay(); ok {
+		d.endStarve()
+		d.stats.DetRegenerated++
+		gated := uint64(0)
+		if d.hasEL() {
+			gated = 1
+			d.stats.DetForced++
+		}
+		d.tr.Record(d.rt.Now(), trace.EvDeliver,
+			trace.PackSpan(d.cfg.Rank, rev.RecvClock),
+			trace.PackSpan(m.From, m.Clock), m.Seq, gated)
+		d.noteHistory(rev)
+		d.submitEvent(rev)
+		d.replyPayload(m.From, m.Data)
+		return
+	}
+	d.beginStarve()
+}
+
 // replyPayload delivers a payload to the MPI process, charging the
 // Unix-socket copy for store-and-forwarded eager messages.
 func (d *V2) replyPayload(from int, data []byte) {
-	if n := len(data); n > 0 && d.cfg.UnixCopyPerByte > 0 &&
-		(d.cfg.PipelineLimit <= 0 || n <= d.cfg.PipelineLimit) {
-		d.rt.Sleep(time.Duration(n) * d.cfg.UnixCopyPerByte)
+	if c := unixCopy(&d.cfg.Cost, len(data)); c > 0 {
+		d.rt.Sleep(c)
 	}
 	d.reply(rankResp{from: from, data: data})
 }
@@ -1691,13 +1697,7 @@ func (d *V2) doProbe() {
 		if e.closed {
 			panic(killedPanic{})
 		}
-		if e.isFrame {
-			d.handleFrame(e.frame)
-		} else if e.isTimer {
-			d.handleTimer(e.timer)
-		} else {
-			panic("daemon: concurrent rank request during probe")
-		}
+		d.dispatch(e)
 	}
 	if d.st.Replaying() {
 		// The log dictates the exact probe outcomes (§4.5: "in order
@@ -1706,17 +1706,7 @@ func (d *V2) doProbe() {
 			d.reply(rankResp{flag: false})
 			return
 		}
-		for !d.st.ReplayReady() {
-			d.beginStarve()
-			e := d.next()
-			if e.isFrame {
-				d.handleFrame(e.frame)
-			} else if e.isTimer {
-				d.handleTimer(e.timer)
-			}
-		}
-		d.endStarve()
-		d.reply(rankResp{flag: true})
+		d.probeReplayed()
 		return
 	}
 	if len(d.arrived) > 0 {
@@ -1725,6 +1715,17 @@ func (d *V2) doProbe() {
 	}
 	d.st.ProbeMiss()
 	d.reply(rankResp{flag: false})
+}
+
+// probeReplayed answers a replayed successful probe once the probed
+// message has physically arrived.
+func (d *V2) probeReplayed() {
+	if !d.st.ReplayReady() {
+		d.beginStarve()
+		return
+	}
+	d.endStarve()
+	d.reply(rankResp{flag: true})
 }
 
 // --- Checkpoint transfer ring ---------------------------------------------
@@ -1768,20 +1769,27 @@ type ckptXfer struct {
 	isDelta   bool
 }
 
-func (d *V2) doCheckpoint(appState []byte) {
+func (d *V2) doCheckpoint() {
 	d.ckptFlag.Store(false)
 	if !d.hasCS() {
 		d.reply(rankResp{})
 		return
 	}
-	// Drain suppressed determinants before capturing the snapshot:
-	// replay regeneration only reaches above the restored clock, so a
-	// determinant that stayed volatile below this checkpoint's horizon
-	// would be a permanent hole in the logged channel history. The
-	// drain is synchronous but rare — checkpoint cadence, not message
-	// cadence.
 	d.flushDetEpoch()
-	d.drainDetPending()
+	d.capture()
+}
+
+// capture takes the checkpoint once every suppressed determinant is
+// quorum-durable: replay regeneration only reaches above the restored
+// clock, so a determinant that stayed volatile below this checkpoint's
+// horizon would be a permanent hole in the logged channel history. The
+// wait is rare — checkpoint cadence, not message cadence — and the EL
+// retransmit timers keep the exchange turning meanwhile.
+func (d *V2) capture() {
+	if len(d.detPending) > 0 {
+		return
+	}
+	appState := d.parked.data
 	d.ckptSeq++
 	seq := d.ckptSeq
 	sn := d.st.Snapshot()

@@ -46,11 +46,11 @@ cn 127.0.0.1:9101
 
 func TestParseRejectsBadFiles(t *testing.T) {
 	cases := []string{
-		"cn 127.0.0.1:9100",               // no event logger
-		"el 127.0.0.1:9000",               // no computing node
-		"xx 127.0.0.1:9000\ncn a\nel b",   // unknown role
-		"cn 127.0.0.1:9100 a b c\nel b",   // wrong field count
-		"el a\nsc b\nsc c\ncn d",          // two schedulers
+		"cn 127.0.0.1:9100",             // no event logger
+		"el 127.0.0.1:9000",             // no computing node
+		"xx 127.0.0.1:9000\ncn a\nel b", // unknown role
+		"cn 127.0.0.1:9100 a b c\nel b", // wrong field count
+		"el a\nsc b\nsc c\ncn d",        // two schedulers
 	}
 	for _, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {

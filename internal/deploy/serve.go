@@ -91,9 +91,22 @@ type ServeOpts struct {
 	ELHighWater int
 	PullTimeout time.Duration
 
-	// DetMode selects the daemon's determinant-suppression policy
-	// (daemon.DetOff / DetAdaptive / DetAggressive). CN roles only.
-	DetMode int
+	// DetMode names the daemon's determinant-suppression policy (see
+	// ParseDetMode). CN roles only.
+	DetMode string
+}
+
+// ParseDetMode resolves a determinant-suppression policy name of the
+// real path: "off" (or empty) and "adaptive". daemon.DetAggressive is
+// deliberately unsound and stays with the simulator's negative tests.
+func ParseDetMode(name string) (int, error) {
+	switch name {
+	case "", "off":
+		return daemon.DetOff, nil
+	case "adaptive":
+		return daemon.DetAdaptive, nil
+	}
+	return 0, fmt.Errorf("deploy: unknown determinant-suppression mode %q (off, adaptive)", name)
 }
 
 func (o *ServeOpts) runtime() *vtime.Real {
@@ -173,6 +186,10 @@ func ServeWith(o ServeOpts) error {
 	}
 	if node == nil {
 		return fmt.Errorf("deploy: node id %d not in program file", o.ID)
+	}
+	detMode, err := ParseDetMode(o.DetMode)
+	if err != nil {
+		return err
 	}
 
 	rt := o.runtime()
@@ -258,7 +275,7 @@ func ServeWith(o ServeOpts) error {
 			Incarnation: o.Incarnation,
 			ELHighWater: o.ELHighWater,
 			PullTimeout: o.PullTimeout,
-			DetMode:     o.DetMode,
+			DetMode:     detMode,
 		}
 		// Each service role is one replica group, however many nodes hold
 		// it: the daemon's default write quorum is the majority, and
@@ -354,8 +371,8 @@ func (o *ServeOpts) Env(pgPath string) []string {
 	if o.PullTimeout > 0 {
 		env = append(env, envPull+"="+strconv.FormatInt(o.PullTimeout.Milliseconds(), 10))
 	}
-	if o.DetMode > 0 {
-		env = append(env, envDetMode+"="+strconv.Itoa(o.DetMode))
+	if o.DetMode != "" {
+		env = append(env, envDetMode+"="+o.DetMode)
 	}
 	return env
 }
@@ -400,7 +417,7 @@ func MaybeServe(lookup func(name string) (App, bool)) {
 		Heartbeat:      time.Duration(envInt(envHB)) * time.Millisecond,
 		ELHighWater:    envInt(envELHigh),
 		PullTimeout:    time.Duration(envInt(envPull)) * time.Millisecond,
-		DetMode:        envInt(envDetMode),
+		DetMode:        os.Getenv(envDetMode),
 	}
 	if ns, err := strconv.ParseInt(os.Getenv(envEpoch), 10, 64); err == nil && ns > 0 {
 		o.Epoch = time.Unix(0, ns)

@@ -94,9 +94,9 @@ type SoakConfig struct {
 	// DiskFaultEvery arms torn-write injection on the EL/CS WALs.
 	DiskFaultEvery int
 
-	// DetMode selects the CN daemons' determinant-suppression policy
-	// (daemon.DetOff / DetAdaptive / DetAggressive).
-	DetMode int
+	// DetMode names the CN daemons' determinant-suppression policy
+	// (see ParseDetMode).
+	DetMode string
 
 	Heartbeat time.Duration // worker heartbeat cadence (default 100ms)
 	Timeout   time.Duration // wall-clock safety limit (default 2m)

@@ -39,7 +39,7 @@ type LapSample struct {
 // TCPSample is one "VRUN-TCP ..." line: a snapshot of the worker
 // fabric's TCPStats counters, in declaration order.
 type TCPSample struct {
-	Dials, Redials, Retransmits, DroppedFrames int64
+	Dials, Redials, Retransmits, DroppedFrames  int64
 	HelloTimeouts, WriteTimeouts, StaleReplaced int64
 }
 
@@ -123,12 +123,12 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		cfg.Restart = transport.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	}
 	s := &Supervisor{
-		cfg:      cfg,
-		pg:       pg,
-		workers:  make(map[int]*supWorker),
-		spawns:   make(map[int]int),
-		tcp:      make(map[int]map[uint64]TCPSample),
-		finished: make(map[int]bool),
+		cfg:       cfg,
+		pg:        pg,
+		workers:   make(map[int]*supWorker),
+		spawns:    make(map[int]int),
+		tcp:       make(map[int]map[uint64]TCPSample),
+		finished:  make(map[int]bool),
 		exits:     make(chan supExit, 256),
 		doneCh:    make(chan struct{}),
 		quitHB:    make(chan struct{}),

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mpichv/internal/daemon"
 	"mpichv/internal/transport"
 )
 
@@ -305,6 +306,7 @@ func TestServeOptsEnvRoundTrip(t *testing.T) {
 		Heartbeat:      150 * time.Millisecond,
 		ELHighWater:    512,
 		PullTimeout:    250 * time.Millisecond,
+		DetMode:        "adaptive",
 	}
 	env := o.Env("/tmp/p.pg")
 	want := []string{
@@ -313,12 +315,36 @@ func TestServeOptsEnvRoundTrip(t *testing.T) {
 		"MPICHV_TRACEDIR=/tmp/tr", "MPICHV_WALDIR=/tmp/wal",
 		"MPICHV_DISK_EVERY=5", "MPICHV_DISK_SEED=99",
 		"MPICHV_HB_MS=150", "MPICHV_EL_HIGH=512",
-		"MPICHV_PULL_MS=250",
+		"MPICHV_PULL_MS=250", "MPICHV_DETMODE=adaptive",
 	}
 	got := strings.Join(env, "\n")
 	for _, kv := range want {
 		if !strings.Contains(got, kv) {
 			t.Errorf("env missing %q:\n%s", kv, got)
+		}
+	}
+}
+
+// TestDetModeRealPathOnly: a deployed daemon runs suppression off or
+// adaptive. Any other name — the unsound aggressive policy, or an
+// integer that used to pass through the environment unchecked — fails
+// the worker at start instead of reaching the daemon.
+func TestDetModeRealPathOnly(t *testing.T) {
+	for name, want := range map[string]int{"": daemon.DetOff, "off": daemon.DetOff, "adaptive": daemon.DetAdaptive} {
+		if got, err := ParseDetMode(name); err != nil || got != want {
+			t.Errorf("ParseDetMode(%q) = %d, %v; want %d", name, got, err, want)
+		}
+	}
+	pg, err := ParseFile(fakeProgram(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"aggressive", "2", "7"} {
+		if _, err := ParseDetMode(name); err == nil {
+			t.Errorf("ParseDetMode(%q) accepted", name)
+		}
+		if err := ServeWith(ServeOpts{Program: pg, ID: 0, DetMode: name}); err == nil || !strings.Contains(err.Error(), "determinant-suppression") {
+			t.Errorf("ServeWith with DetMode %q: err = %v, want a refusal at start", name, err)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func TestAuditHBSummaryTruncates(t *testing.T) {
 	det := PackSpan(1, 5)
 	evs = append(evs, Ev{T: 1, Kind: EvDeliver, Rank: 1, Span: det, A: 1, B: 1})
 	for i := 0; i < 12; i++ {
-		evs = append(evs, Ev{T: time.Duration(2 + i), Kind: EvSend, Rank: 1, Span: PackSpan(1, uint64(6 + i)), A: 0, B: 8})
+		evs = append(evs, Ev{T: time.Duration(2 + i), Kind: EvSend, Rank: 1, Span: PackSpan(1, uint64(6+i)), A: 0, B: 8})
 	}
 	rep := AuditHB(mkTrace(evs...))
 	if len(rep.EarlySends) != 12 {

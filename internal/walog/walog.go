@@ -1,7 +1,7 @@
 // Package walog is a minimal crash-tolerant append-only record log,
-// the stable storage behind the deployed event-logger and checkpoint
-//-server workers (cmd/soak, cmd/vrun with a WAL directory). A record
-// is framed as
+// the stable storage behind the deployed event-logger and
+// checkpoint-server workers (cmd/soak, cmd/vrun with a WAL directory).
+// A record is framed as
 //
 //	magic "MVWL" | u32 body length | u32 CRC-32 (IEEE) of body | body
 //
