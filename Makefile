@@ -49,8 +49,8 @@ cover: ## coverage summary; internal/trace (recorder+auditor) must hold >=80%
 race: ## race detector over the full tree (mirrors the CI race job)
 	$(GO) test -race -count=1 ./...
 
-bench: ## Go microbenchmarks with allocation counts (wire codec, vtime actors)
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/ ./internal/vtime/
+bench: ## Go microbenchmarks with allocation counts (wire codec, vtime actors, TCP frame echo)
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/ ./internal/vtime/ ./internal/transport/
 
 bench-paper: ## quick pass over every paper experiment
 	$(GO) run ./cmd/vbench -exp all -quick
@@ -118,4 +118,4 @@ ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor
 	$(MAKE) stack-check
 	$(MAKE) bench-oracle
 	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
-		./internal/cluster/ ./internal/transport/ ./internal/daemon/
+		./internal/cluster/ ./internal/transport/ ./internal/vtime/ ./internal/daemon/

@@ -76,6 +76,10 @@ type Store struct {
 	// durable prefix instead of an empty store. Volatile in-memory
 	// stores (the simulation) never set it.
 	wal *walog.Writer
+	// fresh and rec are addLocked's scratch for the events a submission
+	// adds and the WAL record holding them; wal.Append copies rec.
+	fresh []core.Event
+	rec   []byte
 
 	stats Stats
 }
@@ -111,7 +115,7 @@ func (st *Store) addLocked(node int, evs []core.Event, countDups bool) int {
 		st.events[node] = m
 	}
 	added := 0
-	var fresh []core.Event
+	fresh := st.fresh[:0]
 	for _, ev := range evs {
 		if _, dup := m[ev.RecvClock]; dup {
 			if countDups {
@@ -128,8 +132,10 @@ func (st *Store) addLocked(node int, evs []core.Event, countDups bool) int {
 	if len(fresh) > 0 {
 		// A failed (or injection-torn) append is silent, as a real torn
 		// write would be; the loader's resync absorbs the damage.
-		st.wal.Append(wire.EncodeNodeEvents(map[int][]core.Event{node: fresh}))
+		st.rec = wire.AppendNodeEvents(st.rec[:0], node, fresh)
+		st.wal.Append(st.rec)
 	}
+	st.fresh = fresh
 	return added
 }
 

@@ -220,8 +220,8 @@ func (p *ChaosProxy) acceptLoop() {
 		}
 		link := &proxyLink{proxy: p, client: c, backend: b, peer: -1}
 		p.wg.Add(2)
-		go link.pipe(c, b, true)
-		go link.pipe(b, c, false)
+		go link.pipe(true)
+		go link.pipe(false)
 	}
 }
 
@@ -233,13 +233,28 @@ type proxyLink struct {
 	client  net.Conn
 	backend net.Conn
 	peer    int32
-	cmu     sync.Mutex // client-side write ordering (delayed frames)
-	bmu     sync.Mutex // backend-side write ordering
+	cmu     sync.Mutex // client-side write ordering (delayed frames); guards cw
+	bmu     sync.Mutex // backend-side write ordering; guards bw
+	cw, bw  frameWriter
 }
 
 func (l *proxyLink) sever() {
 	l.client.Close()
 	l.backend.Close()
+}
+
+// forward writes f toward the backend or toward the client under that
+// side's write lock; a failed write severs the pair.
+func (l *proxyLink) forward(toBackend bool, f Frame) {
+	dst, mu, fw := l.client, &l.cmu, &l.cw
+	if toBackend {
+		dst, mu, fw = l.backend, &l.bmu, &l.bw
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fw.write(dst, f) != nil {
+		l.sever()
+	}
 }
 
 // verdict is one frame's drawn fate, all variates consumed in fixed
@@ -315,19 +330,20 @@ func (p *ChaosProxy) judge(from, to int, payloadLen int) verdict {
 
 // pipe forwards frames src → dst, inbound toward the backend when
 // toBackend, applying the policy per frame.
-func (l *proxyLink) pipe(src, dst net.Conn, toBackend bool) {
+func (l *proxyLink) pipe(toBackend bool) {
 	p := l.proxy
+	src := l.backend
+	if toBackend {
+		src = l.client
+	}
 	defer p.wg.Done()
 	defer p.untrack(src)
 	defer l.sever() // a dead leg kills the pair; half-open is Stall's job
-	wmu := &l.bmu
-	if !toBackend {
-		wmu = &l.cmu
-	}
+	fr := newFrameReader(src)
 	var budget int64 // bandwidth pacing debt, bytes
 	var since time.Duration
 	for {
-		f, err := ReadFrame(src)
+		f, err := fr.read()
 		if err != nil {
 			return
 		}
@@ -356,7 +372,7 @@ func (l *proxyLink) pipe(src, dst net.Conn, toBackend bool) {
 		} else if v.trunc {
 			f.Data = f.Data[:len(f.Data)/2]
 		}
-		n := int64(frameHeaderLen + 4 + len(f.Data))
+		n := int64(frameLen + len(f.Data))
 		if toBackend {
 			atomic.AddInt64(&p.ctr.FramesIn, 1)
 			atomic.AddInt64(&p.ctr.BytesIn, n)
@@ -364,27 +380,21 @@ func (l *proxyLink) pipe(src, dst net.Conn, toBackend bool) {
 			atomic.AddInt64(&p.ctr.FramesOut, 1)
 			atomic.AddInt64(&p.ctr.BytesOut, n)
 		}
-		write := func(fr Frame) {
-			wmu.Lock()
-			defer wmu.Unlock()
-			if WriteFrame(dst, fr) != nil {
-				l.sever()
-			}
-		}
+		// Each frame is read into a body of its own, which nothing
+		// mutates, so the duplicate and the delayed write share it.
 		if v.dup {
-			write(Frame{From: f.From, Kind: f.Kind, Data: append([]byte(nil), f.Data...)})
+			l.forward(toBackend, f)
 		}
 		if v.jitter > 0 {
-			fr := Frame{From: f.From, Kind: f.Kind, Data: append([]byte(nil), f.Data...)}
 			jitter := v.jitter
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
 				p.rt.Sleep(jitter)
-				write(fr)
+				l.forward(toBackend, f)
 			}()
 		} else {
-			write(f)
+			l.forward(toBackend, f)
 		}
 		if p.pol.Bandwidth > 0 {
 			// Token-bucket pacing: accumulate forwarded bytes and sleep

@@ -147,7 +147,8 @@ type tcpEndpoint struct {
 	mu            sync.Mutex
 	conns         map[int]net.Conn
 	everConnected map[int]bool // peers we dialed at least once (redial counting)
-	wmu           sync.Mutex   // serializes frame writes
+	wmu           sync.Mutex   // serializes frame writes and guards fw
+	fw            frameWriter
 	closed        bool
 }
 
@@ -226,14 +227,16 @@ func (e *tcpEndpoint) register(peer int, c net.Conn) {
 // remote node id for dialed connections; -1 for accepted ones, whose
 // dialer is identified by its first frame — which must arrive within
 // HelloTimeout, so a stalled dialer cannot pin an anonymous connection
-// (and its goroutine) on the accept path forever.
+// (and its goroutine) on the accept path forever. The deadline is set on
+// the connection, so it bounds the reads the buffered frame reader makes.
 func (e *tcpEndpoint) readLoop(c net.Conn, peer int) {
 	defer c.Close()
+	fr := newFrameReader(c)
 	for {
 		if peer < 0 && HelloTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(HelloTimeout))
 		}
-		f, err := ReadFrame(c)
+		f, err := fr.read()
 		if err != nil {
 			if peer < 0 && errors.Is(err, os.ErrDeadlineExceeded) {
 				atomic.AddInt64(&e.fab.stats.HelloTimeouts, 1)
@@ -286,7 +289,7 @@ func (e *tcpEndpoint) Close() {
 }
 
 // conn returns the connection for a peer, dialing (with a hello) if
-// none is registered.
+// none is registered. Callers hold wmu: the hello goes through fw.
 func (e *tcpEndpoint) conn(to int) (net.Conn, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -307,7 +310,7 @@ func (e *tcpEndpoint) conn(to int) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(c, Frame{From: e.id, Kind: helloKind}); err != nil {
+	if err := e.fw.write(c, Frame{From: e.id, Kind: helloKind}); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -381,7 +384,7 @@ func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
 		if WriteTimeout > 0 {
 			c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 		}
-		err = WriteFrame(c, Frame{From: e.id, Kind: kind, Data: data})
+		err = e.fw.write(c, Frame{From: e.id, Kind: kind, Data: data})
 		if WriteTimeout > 0 {
 			c.SetWriteDeadline(time.Time{})
 		}

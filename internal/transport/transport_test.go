@@ -93,10 +93,15 @@ func TestMemFabricRoundTrip(t *testing.T) {
 }
 
 func TestFrameCodecRoundTrip(t *testing.T) {
+	big := make([]byte, 3*maxUpfront+1) // read in growing steps
+	for i := range big {
+		big[i] = byte(i * 31)
+	}
 	frames := []Frame{
 		{From: 0, Kind: 0, Data: nil},
 		{From: 42, Kind: 255, Data: []byte("payload")},
 		{From: -1, Kind: 9, Data: bytes.Repeat([]byte{0xAB}, 100000)},
+		{From: 7, Kind: 3, Data: big},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {

@@ -103,8 +103,7 @@ func (m *Mailbox[T]) Recv() (v T, ok bool) {
 				panic(errStopped{})
 			}
 			if len(m.q) > 0 {
-				v = m.q[0]
-				m.q = m.q[1:]
+				v = m.pop()
 				s.mu.Unlock()
 				return v, true
 			}
@@ -123,11 +122,27 @@ func (m *Mailbox[T]) Recv() (v T, ok bool) {
 		m.cond.Wait()
 	}
 	if len(m.q) > 0 {
-		v = m.q[0]
-		m.q = m.q[1:]
-		return v, true
+		return m.pop(), true
 	}
 	return v, false
+}
+
+// pop dequeues the head of a non-empty queue; callers hold the lock of
+// their runtime. The vacated slot is zeroed so the queue does not keep
+// a received value alive. A queue that drains is resliced to [:0], not
+// [1:], which would give up a slot on every drain: a mailbox holding one
+// item at a time — every hop on a ping-pong's critical path — thus
+// never reallocates.
+func (m *Mailbox[T]) pop() T {
+	v := m.q[0]
+	var zero T
+	m.q[0] = zero
+	if len(m.q) == 1 {
+		m.q = m.q[:0]
+	} else {
+		m.q = m.q[1:]
+	}
+	return v
 }
 
 // TryRecv pops an item if one is immediately available.
@@ -136,18 +151,14 @@ func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
 		m.sim.mu.Lock()
 		defer m.sim.mu.Unlock()
 		if len(m.q) > 0 {
-			v = m.q[0]
-			m.q = m.q[1:]
-			return v, true
+			return m.pop(), true
 		}
 		return v, false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.q) > 0 {
-		v = m.q[0]
-		m.q = m.q[1:]
-		return v, true
+		return m.pop(), true
 	}
 	return v, false
 }

@@ -66,23 +66,55 @@ func TestSimVirtualTimeIsFast(t *testing.T) {
 	}
 }
 
+// TestMailboxFIFO: order holds across bursts that partly drain, refill
+// behind the remaining tail and drain to empty — the queue states a
+// drained-queue reslice must not reorder — in both runtimes, through
+// both Recv and TryRecv.
 func TestMailboxFIFO(t *testing.T) {
-	s := NewSim()
-	s.Run(func() {
-		mb := NewMailbox[int](s, "fifo")
-		for i := 0; i < 100; i++ {
-			mb.Send(i)
+	check := func(t *testing.T, rt Runtime) {
+		mb := NewMailbox[int](rt, "fifo")
+		sent, want := 0, 0
+		recv := func(n int, try bool) {
+			for ; n > 0; n-- {
+				var v int
+				var ok bool
+				if try {
+					v, ok = mb.TryRecv()
+				} else {
+					v, ok = mb.Recv()
+				}
+				if !ok || v != want {
+					t.Fatalf("receive #%d = (%d,%v), want (%d,true)", want, v, ok, want)
+				}
+				want++
+			}
 		}
-		for i := 0; i < 100; i++ {
-			v, ok := mb.Recv()
-			if !ok || v != i {
-				t.Fatalf("Recv #%d = (%d,%v), want (%d,true)", i, v, ok, i)
+		for round, burst := range []int{100, 1, 3, 1, 7, 2, 64, 5} {
+			for i := 0; i < burst; i++ {
+				mb.Send(sent)
+				sent++
+			}
+			recv(burst/2, round%2 == 0)
+			mb.Send(sent)
+			sent++
+			recv(sent-want, round%2 == 1)
+			if mb.Len() != 0 {
+				t.Fatalf("round %d: Len = %d after draining, want 0", round, mb.Len())
 			}
 		}
 		if _, ok := mb.TryRecv(); ok {
 			t.Error("TryRecv on empty mailbox reported ok")
 		}
+		// A hop through a drained mailbox reuses its array.
+		if a := testing.AllocsPerRun(100, func() { mb.Send(0); mb.Recv() }); a != 0 {
+			t.Errorf("Send+Recv on a drained mailbox: %.1f allocs, want 0", a)
+		}
+	}
+	t.Run("sim", func(t *testing.T) {
+		s := NewSim()
+		s.Run(func() { check(t, s) })
 	})
+	t.Run("real", func(t *testing.T) { check(t, NewReal()) })
 }
 
 func TestMailboxSendAfterDeliversInTimeOrder(t *testing.T) {

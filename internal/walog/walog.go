@@ -44,11 +44,18 @@ type TornConfig struct {
 // Active reports whether the config injects anything.
 func (tc TornConfig) Active() bool { return tc.Every > 0 }
 
-// Writer appends records to a log file.
+// scratchLen bounds the records Append assembles in the Writer's reused
+// scratch: event-log records fit, while a checkpoint image takes a
+// buffer of its own, so the writer does not hold image-sized memory.
+const scratchLen = 4 << 10
+
+// Writer appends records to a log file. It is not safe for concurrent
+// use; the stores behind it append under their own lock.
 type Writer struct {
-	f    *os.File
-	torn TornConfig
-	rng  uint64
+	f       *os.File
+	torn    TornConfig
+	rng     uint64
+	scratch []byte
 
 	// Torn counts appends deliberately damaged by the fault injector.
 	Torn int64
@@ -61,9 +68,10 @@ func Open(path string, torn TornConfig) (*Writer, error) {
 		return nil, err
 	}
 	return &Writer{
-		f:    f,
-		torn: torn,
-		rng:  (torn.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
+		f:       f,
+		torn:    torn,
+		rng:     (torn.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
+		scratch: make([]byte, 0, scratchLen),
 	}, nil
 }
 
@@ -71,11 +79,16 @@ func Open(path string, torn TornConfig) (*Writer, error) {
 // deliberately truncated; the caller cannot tell (a real torn write is
 // silent too), the loader recovers by resync.
 func (w *Writer) Append(body []byte) error {
-	hdr := make([]byte, headerLen, headerLen+len(body))
-	copy(hdr, magic[:])
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(body))
-	rec := append(hdr, body...)
+	var rec []byte
+	if headerLen+len(body) <= scratchLen {
+		rec = w.scratch[:0]
+	} else {
+		rec = make([]byte, 0, headerLen+len(body))
+	}
+	rec = append(rec, magic[:]...)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(body)))
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
+	rec = append(rec, body...)
 	if w.torn.Active() {
 		w.rng = w.rng*6364136223846793005 + 1442695040888963407
 		if int(w.rng%uint64(w.torn.Every)) == 0 {

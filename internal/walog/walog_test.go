@@ -41,6 +41,11 @@ func TestRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		bodies = append(bodies, []byte(fmt.Sprintf("record-%d-%s", i, string(bytes.Repeat([]byte{byte(i)}, i)))))
 	}
+	// Records on both sides of the writer's scratch, each followed by a
+	// small one that reuses it.
+	for i, n := range []int{scratchLen - headerLen - 1, scratchLen - headerLen, scratchLen - headerLen + 1} {
+		bodies = append(bodies, bytes.Repeat([]byte{byte(0xA0 + i)}, n), []byte{byte(i)})
+	}
 	writeAll(t, path, TornConfig{}, bodies)
 	got, res := loadAll(t, path)
 	if res.Torn != 0 || res.Records != len(bodies) {

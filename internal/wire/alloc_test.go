@@ -29,6 +29,7 @@ func TestAppendCodecsZeroAlloc(t *testing.T) {
 	hdr := PayloadHeader{SenderClock: 7, PairSeq: 3, DevKind: 1}
 	ackBuf := make([]byte, 0, eventAckLen)
 	evBuf := make([]byte, 0, EventLogSize(len(evs)))
+	neBuf := make([]byte, 0, 8+EventsSize(len(evs)))
 	plBuf := make([]byte, 0, PayloadSize(len(body)))
 	chBuf := make([]byte, 0, CkptChunkSize(len(body)))
 	caBuf := make([]byte, 0, CkptChunkAckLen)
@@ -41,6 +42,7 @@ func TestAppendCodecsZeroAlloc(t *testing.T) {
 		{"AppendPayload", func() { plBuf = AppendPayload(plBuf[:0], hdr, body) }},
 		{"AppendEvents", func() { evBuf = AppendEvents(evBuf[:0], evs) }},
 		{"AppendEventLog", func() { evBuf = AppendEventLog(evBuf[:0], 42, evs) }},
+		{"AppendNodeEvents", func() { neBuf = AppendNodeEvents(neBuf[:0], 3, evs) }},
 		{"AppendEventAck", func() { ackBuf = AppendEventAck(ackBuf[:0], 42, 41) }},
 		{"AppendCkptChunk", func() { chBuf = AppendCkptChunk(chBuf[:0], 42, 3, 9, body) }},
 		{"AppendCkptChunkAck", func() { caBuf = AppendCkptChunkAck(caBuf[:0], 42, 3) }},

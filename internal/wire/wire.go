@@ -603,6 +603,15 @@ func EncodeNodeEvents(m map[int][]core.Event) []byte {
 	return out
 }
 
+// AppendNodeEvents appends to dst the EncodeNodeEvents encoding of the
+// one-node map {node: evs}, without building the map. With dst capacity
+// for 8+EventsSize(len(evs)) bytes it performs no allocation.
+func AppendNodeEvents(dst []byte, node int, evs []core.Event) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, 1)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(node)))
+	return AppendEvents(dst, evs)
+}
+
 // DecodeNodeEvents parses a sync response.
 func DecodeNodeEvents(data []byte) (map[int][]core.Event, error) {
 	if len(data) < 4 {

@@ -136,6 +136,26 @@ func TestPropertyEventsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPropertyAppendNodeEventsMatchesMap: the map-free one-node encoder
+// writes exactly the bytes EncodeNodeEvents writes for {node: evs},
+// behind whatever dst already holds.
+func TestPropertyAppendNodeEventsMatchesMap(t *testing.T) {
+	f := func(node int32, prefix []byte, senders []int32, clocks []uint64, probes uint32) bool {
+		evs := make([]core.Event, len(senders)%65)
+		for i := range evs {
+			evs[i] = core.Event{Sender: int(senders[i]), RecvClock: uint64(i), Probes: probes + uint32(i)}
+			if i < len(clocks) {
+				evs[i].SenderClock, evs[i].Seq = clocks[i], clocks[i]^0x5555
+			}
+		}
+		want := append(append([]byte(nil), prefix...), EncodeNodeEvents(map[int][]core.Event{int(node): evs})...)
+		return bytes.Equal(AppendNodeEvents(prefix, int(node), evs), want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScalars(t *testing.T) {
 	if v, err := DecodeU64(EncodeU64(1 << 63)); err != nil || v != 1<<63 {
 		t.Errorf("u64: %d %v", v, err)
