@@ -49,8 +49,8 @@ cover: ## coverage summary; internal/trace (recorder+auditor) must hold >=80%
 race: ## race detector over the full tree (mirrors the CI race job)
 	$(GO) test -race -count=1 ./...
 
-bench: ## Go microbenchmarks with allocation counts (wire codec, vtime actors, TCP frame echo)
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/ ./internal/vtime/ ./internal/transport/
+bench: ## Go microbenchmarks with allocation counts (wire codec, vtime actors, TCP frame echo, checkpoint capture)
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/ ./internal/vtime/ ./internal/transport/ ./internal/daemon/
 
 bench-paper: ## quick pass over every paper experiment
 	$(GO) run ./cmd/vbench -exp all -quick
@@ -109,7 +109,7 @@ soak-regress: ## soak-smoke gated on committed goodput (>20% drop fails)
 		-drop 0.02 -dup 0.01 -delay 0.1 -maxdelay 2ms -disk 9 \
 		-timeout 2m -out "" -regress BENCH_soak.json -regress-tol 0.2
 
-ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core
+ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core + shuffled order
 	$(GO) build ./...
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -119,3 +119,5 @@ ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor
 	$(MAKE) bench-oracle
 	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
 		./internal/cluster/ ./internal/transport/ ./internal/vtime/ ./internal/daemon/
+	# Checkpoint bytes and the schedule hashes must not depend on test order.
+	$(GO) test -shuffle=on -count=5 ./internal/cluster/ ./internal/nas/

@@ -89,6 +89,23 @@ func AppendImage(dst []byte, im *Image) []byte {
 	return sealImage(append(dst, im.Proto...), start)
 }
 
+// SnapshotImageSize returns the exact encoded size of
+// AppendSnapshotImage's output.
+func SnapshotImageSize(im *Image, sn *core.Snapshot, marks map[int]uint64) int {
+	return imageSize(len(im.AppState), core.SnapshotDeltaSize(sn, marks))
+}
+
+// AppendSnapshotImage appends the image of im whose proto section is
+// core.AppendSnapshotDelta(sn, marks), encoded straight into dst behind
+// the app state instead of apart and then copied in; im.Proto is ignored.
+// The bytes are those of AppendImage with that encoding as im.Proto. With
+// dst capacity of at least SnapshotImageSize it performs no allocation.
+func AppendSnapshotImage(dst []byte, im *Image, sn *core.Snapshot, marks map[int]uint64) []byte {
+	start := len(dst)
+	dst = appendImageHead(dst, im, core.SnapshotDeltaSize(sn, marks))
+	return sealImage(core.AppendSnapshotDelta(dst, sn, marks), start)
+}
+
 // appendImageHead appends everything ahead of the proto bytes: the
 // frame header (left blank for sealImage), the fixed fields, the app
 // state and the proto length.
@@ -740,11 +757,10 @@ func (s *Server) run() {
 				s.countMalformed()
 				continue
 			}
-			// Like saves, chunk frames are retained by the daemon for
-			// retransmission and never recycled here; the body is copied
-			// into the partial assembly. A full-image ack (the store holds
-			// a verified image at or above seq) supersedes the chunk ack:
-			// only it counts toward the daemon's write quorum.
+			// Chunk frames are never recycled here; PutChunk copies the
+			// body into the partial assembly. A full-image ack (the store
+			// holds a verified image at or above seq) supersedes the chunk
+			// ack: only it counts toward the daemon's write quorum.
 			ack, full, chainBreak := s.Store.PutChunk(f.From, seq, idx, count, body)
 			switch {
 			case full:

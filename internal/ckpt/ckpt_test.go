@@ -281,26 +281,7 @@ func TestImagesKeyedPerRank(t *testing.T) {
 // having delivered clock 3, so the sender collected "one": the delta's
 // horizon says so and the materialized image must not hold it.
 func chainImages(rank int, seq1, seq2 uint64) (base, delta, full []byte) {
-	sn1 := &core.Snapshot{
-		Rank: rank, H: 12,
-		HS: map[int]uint64{0: 2}, HR: map[int]uint64{1: 1},
-		SeqTo: map[int]uint64{0: 2, 1: 1}, SeqIn: map[int]uint64{1: 3},
-		Saved: []core.SavedMsg{
-			{To: 0, Clock: 3, Seq: 1, Kind: 1, Data: []byte("one")},
-			{To: 1, Clock: 5, Seq: 1, Kind: 1, Data: []byte("two")},
-			{To: 0, Clock: 7, Seq: 2, Kind: 1, Data: []byte("three")},
-		},
-	}
-	sn2 := &core.Snapshot{
-		Rank: rank, H: 30,
-		HS: map[int]uint64{0: 6, 1: 2}, HR: map[int]uint64{1: 4},
-		SeqTo: map[int]uint64{0: 3, 1: 2}, SeqIn: map[int]uint64{1: 9},
-		Collected: map[int]uint64{0: 3},
-		Saved: append(append([]core.SavedMsg(nil), sn1.Saved[1:]...),
-			core.SavedMsg{To: 1, Clock: 9, Seq: 2, Kind: 1, Data: []byte("four")},
-			core.SavedMsg{To: 0, Clock: 11, Seq: 3, Kind: 2, Data: []byte("five!")},
-		),
-	}
+	sn1, sn2 := chainSnapshots(rank)
 	enc := func(im *Image) []byte {
 		b, _ := im.Encode()
 		return b
@@ -312,6 +293,54 @@ func chainImages(rank int, seq1, seq2 uint64) (base, delta, full []byte) {
 	full = enc(&Image{Rank: rank, Seq: seq2, AppState: []byte("app@2"),
 		Proto: core.AppendSnapshot(nil, sn2)})
 	return base, delta, full
+}
+
+// chainSnapshots are the protocol snapshots behind chainImages.
+func chainSnapshots(rank int) (sn1, sn2 *core.Snapshot) {
+	sn1 = &core.Snapshot{
+		Rank: rank, H: 12,
+		HS: map[int]uint64{0: 2}, HR: map[int]uint64{1: 1},
+		SeqTo: map[int]uint64{0: 2, 1: 1}, SeqIn: map[int]uint64{1: 3},
+		Saved: []core.SavedMsg{
+			{To: 0, Clock: 3, Seq: 1, Kind: 1, Data: []byte("one")},
+			{To: 1, Clock: 5, Seq: 1, Kind: 1, Data: []byte("two")},
+			{To: 0, Clock: 7, Seq: 2, Kind: 1, Data: []byte("three")},
+		},
+	}
+	sn2 = &core.Snapshot{
+		Rank: rank, H: 30,
+		HS: map[int]uint64{0: 6, 1: 2}, HR: map[int]uint64{1: 4},
+		SeqTo: map[int]uint64{0: 3, 1: 2}, SeqIn: map[int]uint64{1: 9},
+		Collected: map[int]uint64{0: 3},
+		Saved: append(append([]core.SavedMsg(nil), sn1.Saved[1:]...),
+			core.SavedMsg{To: 1, Clock: 9, Seq: 2, Kind: 1, Data: []byte("four")},
+			core.SavedMsg{To: 0, Clock: 11, Seq: 3, Kind: 2, Data: []byte("five!")},
+		),
+	}
+	return sn1, sn2
+}
+
+// TestAppendSnapshotImageMatchesAppendImage: encoding the snapshot in
+// place gives AppendImage's bytes, full or delta, at the promised size.
+func TestAppendSnapshotImageMatchesAppendImage(t *testing.T) {
+	sn1, sn2 := chainSnapshots(4)
+	base, delta, full := chainImages(4, 1, 2)
+	for _, c := range []struct {
+		name  string
+		im    Image
+		sn    *core.Snapshot
+		marks map[int]uint64
+		want  []byte
+	}{
+		{"base", Image{Rank: 4, Seq: 1, AppState: []byte("app@1")}, sn1, nil, base},
+		{"delta", Image{Rank: 4, Seq: 2, BaseSeq: 1, AppState: []byte("app@2")}, sn2, sn1.SeqTo, delta},
+		{"full", Image{Rank: 4, Seq: 2, AppState: []byte("app@2")}, sn2, nil, full},
+	} {
+		size := SnapshotImageSize(&c.im, c.sn, c.marks)
+		if got := AppendSnapshotImage(make([]byte, 0, size), &c.im, c.sn, c.marks); !bytes.Equal(got, c.want) || len(got) != size {
+			t.Errorf("%s: %d bytes (size %d) differ from AppendImage's %d", c.name, len(got), size, len(c.want))
+		}
+	}
 }
 
 func TestDeltaMaterializesToFullImage(t *testing.T) {

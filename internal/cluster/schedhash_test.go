@@ -35,7 +35,7 @@ func TestScheduleHashPinned(t *testing.T) {
 		want uint64
 	}{
 		{"ring", Config{N: 4}, ring(20), 0x1047b15031c5e6be},
-		{"ckpt-kill", ckptKill, ckpt, 0xf72b68448ca882c5},
+		{"ckpt-kill", ckptKill, ckpt, 0x564cb38c25ad416c},
 		{"quorum-chaos-kill", Config{
 			N: 4, ELReplicas: 3, DetectionDelay: 2 * time.Millisecond,
 			Chaos:  transport.ChaosPolicy{Seed: 5, Drop: 0.02, Duplicate: 0.01, Delay: 0.05},
@@ -53,7 +53,7 @@ func TestScheduleHashPinned(t *testing.T) {
 		{"p4-ring", Config{N: 4, Impl: P4}, ring(20), 0x5f96275f53f6d7a2},
 		// Suppression with checkpoints and a kill: the determinant drain
 		// before each capture, and the replay receive after the restart.
-		{"ckpt-kill-detadaptive", ckptKillAdaptive, ckpt, 0xb02fc452fafb6a48},
+		{"ckpt-kill-detadaptive", ckptKillAdaptive, ckpt, 0xdf16afb606ccce8d},
 		// A probing ring with a kill: the restarted rank replays the
 		// logged probe outcomes and waits for the probed messages.
 		{"probe-kill", Config{

@@ -1,0 +1,247 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"net"
+	"testing"
+	"time"
+
+	"mpichv/internal/ckpt"
+	"mpichv/internal/core"
+	"mpichv/internal/netsim"
+	"mpichv/internal/transport"
+	"mpichv/internal/vtime"
+	"mpichv/internal/wire"
+)
+
+// forgeCRC appends four bytes to data that bring its CRC-32 (IEEE) to
+// want, by running the register backwards from want: a chunk of the
+// wrong length that still matches its manifest CRC.
+func forgeCRC(data []byte, want uint32) []byte {
+	var inv [256]byte
+	for i, v := range crc32.IEEETable {
+		inv[v>>24] = byte(i)
+	}
+	reg := ^want
+	for i := 0; i < 4; i++ {
+		idx := inv[reg>>24]
+		reg = (reg^crc32.IEEETable[idx])<<8 | uint32(idx)
+	}
+	return binary.LittleEndian.AppendUint32(bytes.Clone(data), reg^^crc32.ChecksumIEEE(data))
+}
+
+// TestRestartRefetchesChunkOfWrongLength: during a restart's chunked
+// image fetch, a chunk whose length disagrees with the manifest — one
+// that would overrun the image, one that falls short — is rejected and
+// re-fetched like a CRC mismatch, even when its CRC matches the
+// manifest's, and the rank restarts from the chunked image.
+func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
+	const csNode, cs = 901, 64
+	app := bytes.Repeat([]byte("app state "), 30)
+	img := ckpt.AppendImage(nil, &ckpt.Image{Rank: 0, Seq: 1, AppState: app,
+		Proto: core.AppendSnapshot(nil, core.NewState(0).Snapshot())})
+	n := (len(img) + cs - 1) / cs
+	m := wire.CkptManifest{Present: true, Seq: 1, Size: uint64(len(img)), ChunkSize: cs,
+		ImageCRC: crc32.ChecksumIEEE(img), ChunkCRCs: make([]uint32, n)}
+	chunk := func(i int) []byte { return img[i*cs : min((i+1)*cs, len(img))] }
+	for i := range m.ChunkCRCs {
+		m.ChunkCRCs[i] = crc32.ChecksumIEEE(chunk(i))
+	}
+	// First answers for two chunks: the last one four bytes too long
+	// (past the image's end), a middle one four bytes short.
+	last, mid := n-1, n/2
+	forged := map[int][]byte{
+		last: forgeCRC(chunk(last), m.ChunkCRCs[last]),
+		mid:  forgeCRC(chunk(mid)[:cs-8], m.ChunkCRCs[mid]),
+	}
+	for i, b := range forged {
+		if crc32.ChecksumIEEE(b) != m.ChunkCRCs[i] || len(b) == len(chunk(i)) {
+			t.Fatalf("chunk %d: forged %d bytes with CRC %08x, want another length and CRC %08x",
+				i, len(b), crc32.ChecksumIEEE(b), m.ChunkCRCs[i])
+		}
+	}
+
+	sim := vtime.NewSim()
+	sim.Run(func() {
+		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
+		ep := fab.Attach(csNode, "fake-cs")
+		fetches := map[int]int{}
+		wholeFetches := 0
+		sim.Go("fake-cs", func() {
+			for {
+				f, ok := ep.Inbox().Recv()
+				if !ok {
+					return
+				}
+				switch f.Kind {
+				case wire.KCkptManifestReq:
+					ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(m))
+				case wire.KCkptChunkFetch:
+					_, idx, _, _ := wire.DecodeCkptChunkFetch(f.Data)
+					i := int(idx)
+					fetches[i]++
+					body := chunk(i)
+					if b, ok := forged[i]; ok && fetches[i] == 1 {
+						body = b
+					}
+					ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, 1, idx, uint32(n), body))
+				case wire.KCkptFetch:
+					wholeFetches++
+					ep.Send(f.From, wire.KCkptImage, wire.EncodeCkptImage(false, nil))
+				}
+			}
+		})
+		cfg := v2Config(0, 1, -1)
+		cfg.CkptServer, cfg.CkptChunkSize, cfg.Restarted = csNode, cs, true
+		dev, d := StartV2(sim, fab, cfg)
+		_, _, got, restarted := dev.Init()
+		if !restarted || !bytes.Equal(got, app) {
+			t.Fatalf("restarted=%v with %d bytes of app state, want the %d checkpointed", restarted, len(got), len(app))
+		}
+		if wholeFetches != 0 {
+			t.Errorf("fell back to the whole-image fetch %d times", wholeFetches)
+		}
+		if fetches[last] != 2 || fetches[mid] != 2 || fetches[0] != 1 {
+			t.Errorf("fetches per chunk %v, want the two forged chunks twice and the rest once", fetches)
+		}
+		if st := d.Stats(); st.CorruptImages != 2 {
+			t.Errorf("CorruptImages = %d, want 2", st.CorruptImages)
+		}
+		fab.Kill(0)
+		ep.Close()
+	})
+}
+
+// waitStored polls until the store's latest image for rank is seq.
+func waitStored(t *testing.T, st *ckpt.Store, rank int, seq uint64) []byte {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if img, ok := st.Get(rank); ok {
+			if im, err := ckpt.DecodeImage(img); err == nil && im.Seq == seq {
+				return img
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("checkpoint %d of rank %d never stored", seq, rank)
+	return nil
+}
+
+// TestChunkedCheckpointOverTCPRestarts: chunks written from the image
+// over real sockets, a delta among them, materialize at the checkpoint
+// server byte for byte as the full encoding of the snapshot the daemon
+// took, and a restarted rank comes back with that state.
+func TestChunkedCheckpointOverTCPRestarts(t *testing.T) {
+	const csNode = 901
+	rt := vtime.NewReal()
+	fab := transport.NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", csNode: "127.0.0.1:0"})
+	store := ckpt.NewStore()
+	csEp := fab.Attach(csNode, "cs")
+	defer csEp.Close()
+	ckpt.NewServerWithStore(rt, csEp, store).Start()
+	// Rank 1 is a bare endpoint: it takes rank 0's payloads, so they
+	// enter the SAVED log, and answers nothing.
+	peer := fab.Attach(1, "peer")
+	defer peer.Close()
+
+	cfg := v2Config(0, 2, -1)
+	cfg.CkptServer, cfg.CkptChunkSize = csNode, 1<<10
+	dev, d := StartV2(rt, fab, cfg)
+	dev.Init()
+	app := bytes.Repeat([]byte("app state "), 500)
+	var sn *core.Snapshot
+	var seq uint64
+	var img []byte
+	for store.Stats().DeltaSaves == 0 {
+		if seq++; seq > 5 {
+			t.Fatal("no checkpoint shipped as a delta")
+		}
+		dev.BSend(1, bytes.Repeat([]byte{byte(seq)}, 3000))
+		dev.Checkpoint(app)
+		sn = d.State().Snapshot()
+		img = waitStored(t, store, 0, seq)
+		time.Sleep(10 * time.Millisecond) // the ack retires the base of the next delta
+	}
+	want := ckpt.AppendImage(nil, &ckpt.Image{Rank: 0, Seq: seq, AppState: app, Proto: core.AppendSnapshot(nil, sn)})
+	if !bytes.Equal(img, want) {
+		t.Fatalf("stored image (%d bytes) differs from the full encoding of the snapshot (%d bytes)", len(img), len(want))
+	}
+
+	fab.Kill(0)
+	cfg.Restarted, cfg.Incarnation = true, 1
+	dev2, d2 := StartV2(rt, fab, cfg)
+	defer fab.Kill(0)
+	_, _, got, restarted := dev2.Init()
+	if !restarted || !bytes.Equal(got, app) {
+		t.Fatalf("restarted=%v with %d bytes of app state, want the %d checkpointed", restarted, len(got), len(app))
+	}
+	if !bytes.Equal(core.AppendSnapshot(nil, d2.State().Snapshot()), core.AppendSnapshot(nil, sn)) {
+		t.Error("restarted protocol state differs from the checkpointed snapshot")
+	}
+	if st := d2.Stats(); st.ManifestFetches != 1 || st.CorruptImages != 0 || st.SentMsgs != 0 {
+		t.Errorf("restart stats %+v, want one clean chunked fetch", st)
+	}
+}
+
+// BenchmarkCapture prices one checkpoint capture on the real path — the
+// snapshot, the image with a 1 MiB app state and a 1 MiB SAVED log, and
+// the push of every chunk over TCP to a server that reads and discards —
+// at the default chunk size and at a quarter of it. Allocations per op
+// must not grow with the chunk count.
+func BenchmarkCapture(b *testing.B) {
+	for _, chunk := range []int{defCkptChunk, defCkptChunk / 4} {
+		b.Run(fmt.Sprintf("chunk=%dKiB", chunk>>10), func(b *testing.B) { benchCapture(b, chunk) })
+	}
+}
+
+func benchCapture(b *testing.B, chunk int) {
+	const csNode = 901
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	rt := vtime.NewReal()
+	fab := transport.NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", csNode: ln.Addr().String()})
+	cfg := v2Config(0, 2, -1)
+	cfg.CkptServer, cfg.CkptChunkSize = csNode, chunk
+	d := &V2{rt: rt, cfg: cfg, st: core.NewState(0), timers: make(map[uint64]func()),
+		in: vtime.NewMailbox[dEvent](rt, "in"), rsp: vtime.NewMailbox[rankResp](rt, "rsp")}
+	d.ep = fab.Attach(0, "cn0")
+	defer d.ep.Close()
+	d.cs.init(d, newReplicaGroup(0, []int{csNode}, 1), defCkptAckTimeout, d.sendXfer)
+	for i := 0; i < 16; i++ {
+		d.st.PrepareSend(1, 0, make([]byte, 64<<10))
+	}
+	app := make([]byte, 1<<20)
+	capture := func() {
+		d.parked = parkedReq{rankReq: rankReq{op: opCkpt, data: app}}
+		d.capture()
+		d.rsp.Recv()
+		d.cs.reset() // nothing acks: drop the transfer instead of retaining it
+	}
+	capture() // dial
+	b.SetBytes(int64(len(app)) + d.st.LogBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		capture()
+	}
+}

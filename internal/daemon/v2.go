@@ -717,10 +717,12 @@ func (d *V2) fetchImageChunked() *ckpt.Image {
 // byte-identical images, so any replica can serve any chunk — and
 // validating each against its manifest CRC. Each retry round rotates
 // the assignment and re-requests only the chunks still missing or
-// received damaged.
+// received damaged. Each validated body is copied straight to its offset
+// in the one image buffer.
 func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 	n := m.Chunks()
-	parts := make([][]byte, n)
+	img := make([]byte, m.Size)
+	got := make([]bool, n)
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
@@ -739,26 +741,25 @@ func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 				d.stats.Malformed++
 				return -1, true
 			}
-			if parts[idx] != nil {
+			if got[idx] {
 				return -1, true // duplicate
 			}
-			if crc32.ChecksumIEEE(body) != m.ChunkCRCs[idx] {
-				// Damaged past the frame CRC, or a different image's
-				// bytes: drop it and re-fetch just this chunk.
+			off := int(idx) * int(m.ChunkSize)
+			if len(body) != min(int(m.ChunkSize), len(img)-off) || crc32.ChecksumIEEE(body) != m.ChunkCRCs[idx] {
+				// Cut at another size, damaged past the frame CRC, or a
+				// different image's bytes: drop it and re-fetch just this
+				// chunk.
 				d.stats.CorruptImages++
 				return -1, true
 			}
-			parts[idx] = append([]byte(nil), body...)
+			copy(img[off:], body)
+			got[idx] = true
 			return int(idx), true
 		})
 	if len(missing) > 0 {
 		return nil
 	}
-	img := make([]byte, 0, int(m.Size))
-	for _, p := range parts {
-		img = append(img, p...)
-	}
-	if uint64(len(img)) != m.Size || crc32.ChecksumIEEE(img) != m.ImageCRC {
+	if crc32.ChecksumIEEE(img) != m.ImageCRC {
 		d.stats.CorruptImages++
 		return nil
 	}
@@ -1740,12 +1741,15 @@ func (d *V2) ckptChunkSize() int {
 	return d.cfg.CkptChunkSize // negative: monolithic saves
 }
 
-// ckptChunk is one retained chunk frame of an in-flight transfer. The
-// frame buffer is shared with every (re)transmission of the chunk and
-// is therefore never recycled — the same ownership rule the monolithic
-// KCkptSave payload had.
+// ckptChunk is one chunk of an in-flight transfer: its frame header and
+// the slice of the transfer's image it carries. Every (re)transmission
+// writes the two as one frame, so the image is the only copy of the
+// chunk's bytes; it stays alive, and is never recycled, while the
+// transfer is in the window — the same ownership rule the monolithic
+// KCkptSave payload has.
 type ckptChunk struct {
-	frame []byte
+	hdr   [wire.CkptChunkHeaderLen]byte
+	body  []byte
 	acked uint64 // replica ack bitmask (replicaGroup bits)
 }
 
@@ -1803,39 +1807,31 @@ func (d *V2) capture() {
 	if !d.cfg.CkptNoDelta && d.ckptBase != 0 && d.ckptMarks != nil {
 		marks, baseSeq = d.ckptMarks, d.ckptBase
 	}
-	var protoSize int
-	if marks != nil {
-		protoSize = core.SnapshotDeltaSize(sn, marks)
-	} else {
-		protoSize = core.SnapshotSize(sn)
-	}
-	proto := core.AppendSnapshotDelta(wire.GetBuf(protoSize), sn, marks)
-	im := &ckpt.Image{Rank: d.cfg.Rank, Seq: seq, BaseSeq: baseSeq, AppState: appState, Proto: proto}
-	img := ckpt.AppendImage(wire.GetBuf(ckpt.ImageSize(im)), im)
-	wire.PutBuf(proto) // copied into img
-
+	im := &ckpt.Image{Rank: d.cfg.Rank, Seq: seq, BaseSeq: baseSeq, AppState: appState}
 	x := ckptXfer{sn: sn, clock: d.st.Clock(), appState: appState, isDelta: baseSeq != 0}
+	size := ckpt.SnapshotImageSize(im, sn, marks)
 	if cs := d.ckptChunkSize(); cs > 0 {
-		n := (len(img) + cs - 1) / cs
+		// The snapshot is encoded straight into the image, and each chunk
+		// borrows its slice of it: one copy of the state, however many
+		// chunks and retransmissions.
+		img := ckpt.AppendSnapshotImage(make([]byte, 0, size), im, sn, marks)
+		n := (size + cs - 1) / cs
 		x.chunks = make([]ckptChunk, n)
 		for i := range x.chunks {
-			lo := i * cs
-			hi := min(lo+cs, len(img))
-			body := img[lo:hi]
-			x.chunks[i].frame = wire.AppendCkptChunk(
-				wire.GetBuf(wire.CkptChunkSize(len(body))), seq, uint32(i), uint32(n), body)
+			c := &x.chunks[i]
+			c.body = img[i*cs : min((i+1)*cs, size)]
+			wire.AppendCkptChunkHeader(c.hdr[:0], seq, uint32(i), uint32(n), c.body)
 		}
 	} else {
 		// Monolithic mode: the whole image as one legacy KCkptSave.
 		x.escalated = true
-		x.full = wire.EncodeCkptSave(seq, img)
+		x.full = ckptSave(im, sn, marks)
 	}
 	d.stats.Checkpoints++
-	d.stats.CkptBytes += int64(len(img))
+	d.stats.CkptBytes += int64(size)
 	if x.isDelta {
 		d.stats.DeltaCkpts++
 	}
-	wire.PutBuf(img) // copied into the chunk frames / the full payload
 
 	// The transfer is asynchronous: execution continues while the image
 	// streams to the checkpoint servers (the paper's fork trick), and
@@ -1869,7 +1865,7 @@ func (d *V2) sendXfer(s *slot[ckptXfer], t int) {
 		} else {
 			d.stats.ChunkRetransmits++
 		}
-		d.ep.Send(t, wire.KCkptChunk, x.chunks[i].frame)
+		transport.SendParts(d.ep, t, wire.KCkptChunk, x.chunks[i].hdr[:], x.chunks[i].body)
 	}
 }
 
@@ -1914,11 +1910,14 @@ func (d *V2) escalateCkpt(s *slot[ckptXfer]) {
 	if x.full != nil {
 		return
 	}
-	proto := core.AppendSnapshot(wire.GetBuf(core.SnapshotSize(x.sn)), x.sn)
-	im := &ckpt.Image{Rank: d.cfg.Rank, Seq: s.seq, AppState: x.appState, Proto: proto}
-	img := ckpt.AppendImage(wire.GetBuf(ckpt.ImageSize(im)), im)
-	wire.PutBuf(proto)
-	x.full = wire.EncodeCkptSave(s.seq, img)
-	d.stats.CkptBytes += int64(len(img)) // the full image ships after all
-	wire.PutBuf(img)
+	x.full = ckptSave(&ckpt.Image{Rank: d.cfg.Rank, Seq: s.seq, AppState: x.appState}, x.sn, nil)
+	d.stats.CkptBytes += int64(len(x.full) - 8) // the full image ships after all
+}
+
+// ckptSave builds the KCkptSave payload for im whose snapshot is sn (a
+// delta against marks when non-nil): the 8-byte seq and the image in one
+// exactly sized buffer, with the snapshot encoded in place.
+func ckptSave(im *ckpt.Image, sn *core.Snapshot, marks map[int]uint64) []byte {
+	buf := wire.AppendU64(make([]byte, 0, 8+ckpt.SnapshotImageSize(im, sn, marks)), im.Seq)
+	return ckpt.AppendSnapshotImage(buf, im, sn, marks)
 }

@@ -1,8 +1,6 @@
 package nas
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 
 	"mpichv/internal/mpi"
@@ -384,15 +382,9 @@ func runADI(p *mpi.Proc, bm Benchmark) Result {
 	blk := adiInit(bm, q, pi, pj)
 
 	st := adiState{U: blk.u}
-	p.SetStateProvider(func() []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-			p.Abortf("encoding ADI state: %v", err)
-		}
-		return buf.Bytes()
-	})
+	p.SetStateProvider(st.encode)
 	if blob, restarted := p.Restarted(); restarted && blob != nil {
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		if err := st.decode(blob); err != nil {
 			p.Abortf("decoding ADI state: %v", err)
 		}
 		blk.u = st.U

@@ -1,11 +1,6 @@
 package nas
 
-import (
-	"bytes"
-	"encoding/gob"
-
-	"mpichv/internal/mpi"
-)
+import "mpichv/internal/mpi"
 
 // CG: the NPB conjugate-gradient kernel structure — outer power-method
 // iterations, each running a fixed 25-step CG solve on a sparse
@@ -177,15 +172,9 @@ func cgDriver(c cgComm, m *cgMatrix, lo, hi, outer int, p *mpi.Proc) float64 {
 		st.Rhs[i] = 1.0
 	}
 	if p != nil {
-		p.SetStateProvider(func() []byte {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-				p.Abortf("encoding CG state: %v", err)
-			}
-			return buf.Bytes()
-		})
+		p.SetStateProvider(st.encode)
 		if blob, restarted := p.Restarted(); restarted && blob != nil {
-			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+			if err := st.decode(blob); err != nil {
 				p.Abortf("decoding CG state: %v", err)
 			}
 		}

@@ -27,31 +27,38 @@ const frameLen = 4 + frameHeaderLen
 // MaxFrameSize before a single body byte shows up.
 const maxUpfront = 1 << 20
 
-// frameWriter writes each frame with one write: header and body go out
-// as one writev on a connection. The header and the buffer list live in
-// the writer, so a long-lived one — one per endpoint or proxy leg,
-// guarded by its owner's write lock — allocates nothing per frame.
+// frameWriter writes each frame with one write: the header and the
+// frame's data — one part, or two laid end to end — go out as one writev
+// on a connection. The header and the buffer list live in the writer, so
+// a long-lived one — one per endpoint or proxy leg, guarded by its
+// owner's write lock — allocates nothing per frame.
 type frameWriter struct {
 	hdr  [frameLen]byte
-	bufs [2][]byte
+	bufs [3][]byte
 	vec  net.Buffers
 }
 
 func (fw *frameWriter) write(w io.Writer, f Frame) error {
-	if frameHeaderLen+len(f.Data) > MaxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(f.Data))
+	return fw.writeParts(w, f.From, f.Kind, nil, f.Data)
+}
+
+// writeParts writes the frame whose data is head followed by body.
+func (fw *frameWriter) writeParts(w io.Writer, from int, kind uint8, head, body []byte) error {
+	n := len(head) + len(body)
+	if frameHeaderLen+n > MaxFrameSize {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(frameHeaderLen+len(f.Data)))
-	binary.BigEndian.PutUint32(fw.hdr[4:8], uint32(int32(f.From)))
-	fw.hdr[8] = f.Kind
-	if len(f.Data) == 0 {
+	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(frameHeaderLen+n))
+	binary.BigEndian.PutUint32(fw.hdr[4:8], uint32(int32(from)))
+	fw.hdr[8] = kind
+	if n == 0 {
 		_, err := w.Write(fw.hdr[:])
 		return err
 	}
-	fw.bufs = [2][]byte{fw.hdr[:], f.Data}
+	fw.bufs = [3][]byte{fw.hdr[:], head, body}
 	fw.vec = fw.bufs[:]
 	_, err := fw.vec.WriteTo(w)
-	fw.bufs = [2][]byte{} // do not pin the caller's body
+	fw.bufs = [3][]byte{} // do not pin the caller's parts
 	return err
 }
 

@@ -364,6 +364,12 @@ const sendRetries = 12
 var sendBackoff = Backoff{Base: 5 * time.Millisecond, Max: 500 * time.Millisecond}
 
 func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
+	return e.sendParts(to, kind, nil, data)
+}
+
+// sendParts is Send for a frame whose data is head followed by body; both
+// are borrowed only for the call.
+func (e *tcpEndpoint) sendParts(to int, kind uint8, head, body []byte) bool {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	for attempt := 0; attempt < sendRetries; attempt++ {
@@ -381,13 +387,13 @@ func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
 			time.Sleep(sendBackoff.Delay(attempt))
 			continue
 		}
+		// Every frame write sets its own deadline, so none is cleared
+		// afterwards: a later write replaces it, and the hello goes out
+		// on a freshly dialled connection that never had one.
 		if WriteTimeout > 0 {
 			c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 		}
-		err = e.fw.write(c, Frame{From: e.id, Kind: kind, Data: data})
-		if WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Time{})
-		}
+		err = e.fw.writeParts(c, e.id, kind, head, body)
 		if err == nil {
 			return true
 		}

@@ -36,6 +36,23 @@ type Endpoint interface {
 	Close()
 }
 
+// SendParts is ep.Send of a frame whose data is head followed by body,
+// for a sender that keeps a frame's bulk where it already lies (a
+// checkpoint chunk inside its image) rather than copying it next to its
+// header. A
+// TCP endpoint writes the frame header, head and body as one writev and
+// borrows the parts only for the call. Every other endpoint — simulated,
+// in-memory, chaos, or a wrapper around any of them — is sent one joined
+// copy through Send, since its receiver owns the slice it gets; the bytes
+// and the delivery times are those of Send with the joined data.
+func SendParts(ep Endpoint, to int, kind uint8, head, body []byte) bool {
+	if t, ok := ep.(*tcpEndpoint); ok {
+		return t.sendParts(to, kind, head, body)
+	}
+	data := make([]byte, 0, len(head)+len(body))
+	return ep.Send(to, kind, append(append(data, head...), body...))
+}
+
 // Fabric connects endpoints by node id.
 type Fabric interface {
 	// Attach creates the endpoint for a node id. Re-attaching an id

@@ -34,6 +34,7 @@ func TestAppendCodecsZeroAlloc(t *testing.T) {
 	chBuf := make([]byte, 0, CkptChunkSize(len(body)))
 	caBuf := make([]byte, 0, CkptChunkAckLen)
 	cfBuf := make([]byte, 0, CkptChunkFetchLen)
+	var chHdr [CkptChunkHeaderLen]byte
 
 	cases := []struct {
 		name string
@@ -45,6 +46,7 @@ func TestAppendCodecsZeroAlloc(t *testing.T) {
 		{"AppendNodeEvents", func() { neBuf = AppendNodeEvents(neBuf[:0], 3, evs) }},
 		{"AppendEventAck", func() { ackBuf = AppendEventAck(ackBuf[:0], 42, 41) }},
 		{"AppendCkptChunk", func() { chBuf = AppendCkptChunk(chBuf[:0], 42, 3, 9, body) }},
+		{"AppendCkptChunkHeader", func() { AppendCkptChunkHeader(chHdr[:0], 42, 3, 9, body) }},
 		{"AppendCkptChunkAck", func() { caBuf = AppendCkptChunkAck(caBuf[:0], 42, 3) }},
 		{"AppendCkptChunkFetch", func() { cfBuf = AppendCkptChunkFetch(cfBuf[:0], 42, 3, 4096) }},
 	}

@@ -22,6 +22,24 @@ func TestCkptChunkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCkptChunkHeaderPlusBody: a frame sent as its header and its body in
+// two parts is, byte for byte, the one-buffer encoding.
+func TestCkptChunkHeaderPlusBody(t *testing.T) {
+	for _, body := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xAB, 1, 2}, 6000)} {
+		hdr := AppendCkptChunkHeader(nil, 77, 3, 9, body)
+		if len(hdr) != CkptChunkHeaderLen {
+			t.Fatalf("header is %d bytes, want %d", len(hdr), CkptChunkHeaderLen)
+		}
+		frame := append(hdr, body...)
+		if want := AppendCkptChunk(nil, 77, 3, 9, body); !bytes.Equal(frame, want) {
+			t.Fatalf("%dB body: header‖body differs from AppendCkptChunk", len(body))
+		}
+		if seq, idx, count, got, err := DecodeCkptChunk(frame); err != nil || seq != 77 || idx != 3 || count != 9 || !bytes.Equal(got, body) {
+			t.Fatalf("%dB body: decode = (%d, %d, %d, %v)", len(body), seq, idx, count, err)
+		}
+	}
+}
+
 func TestDecodeCkptChunkRejectsDamage(t *testing.T) {
 	frame := AppendCkptChunk(nil, 77, 3, 9, bytes.Repeat([]byte{5}, 64))
 	for cut := 0; cut < len(frame); cut += 5 {

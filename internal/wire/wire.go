@@ -700,34 +700,43 @@ func DecodeCkptEntries(data []byte) ([]CkptEntry, error) {
 // the whole image to assemble.
 var chunkMagic = [4]byte{'M', 'V', 'C', 'H'}
 
-// chunkHeaderLen is magic + seq + idx + count + body length + CRC-32.
-const chunkHeaderLen = 4 + 8 + 4 + 4 + 4 + 4
+// CkptChunkHeaderLen is the size of a chunk frame's header: magic, seq,
+// idx, count, body length and CRC-32.
+const CkptChunkHeaderLen = 4 + 8 + 4 + 4 + 4 + 4
 
 // CkptChunkSize is the encoded size of a chunk frame with an n-byte body.
-func CkptChunkSize(n int) int { return chunkHeaderLen + n }
+func CkptChunkSize(n int) int { return CkptChunkHeaderLen + n }
 
 // AppendCkptChunk appends one checkpoint chunk frame to dst: chunk idx
 // of count for checkpoint seq, carrying body bytes under their own
-// magic/length/CRC-32 framing. The checksum covers the routing fields
-// (seq, idx, count, body length) as well as the body: a bit flip that
-// would steer an intact body into the wrong assembly slot is rejected
-// at decode, not discovered after a whole image assembles corrupt. With
-// dst capacity of at least CkptChunkSize(len(body)) — e.g. a GetBuf
-// buffer — it performs no allocation. The same encoding serves the save
-// path (KCkptChunk) and the restart fetch path (KCkptChunkData).
+// magic/length/CRC-32 framing — AppendCkptChunkHeader followed by the
+// body. With dst capacity of at least CkptChunkSize(len(body)) — e.g. a
+// GetBuf buffer — it performs no allocation. The same encoding serves the
+// save path (KCkptChunk) and the restart fetch path (KCkptChunkData).
 func AppendCkptChunk(dst []byte, seq uint64, idx, count uint32, body []byte) []byte {
+	return append(AppendCkptChunkHeader(dst, seq, idx, count, body), body...)
+}
+
+// AppendCkptChunkHeader appends the CkptChunkHeaderLen-byte header of the
+// chunk frame that carries body, without the body itself, so a sender can
+// write the frame as two parts and leave the body where it lies. The
+// checksum covers the routing fields (seq, idx, count, body length) as
+// well as the body: a bit flip that would steer an intact body into the
+// wrong assembly slot is rejected at decode, not discovered after a whole
+// image assembles corrupt. With CkptChunkHeaderLen bytes of spare
+// capacity in dst it performs no allocation.
+func AppendCkptChunkHeader(dst []byte, seq uint64, idx, count uint32, body []byte) []byte {
 	start := len(dst)
-	var hdr [chunkHeaderLen]byte
+	var hdr [CkptChunkHeaderLen]byte
 	copy(hdr[0:4], chunkMagic[:])
 	binary.BigEndian.PutUint64(hdr[4:12], seq)
 	binary.BigEndian.PutUint32(hdr[12:16], idx)
 	binary.BigEndian.PutUint32(hdr[16:20], count)
 	binary.BigEndian.PutUint32(hdr[20:24], uint32(len(body)))
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, body...)
 	// Checksum in place over dst (not over the stack header, which would
 	// escape through crc32's indirect call and cost an allocation).
-	sum := crc32.Update(crc32.ChecksumIEEE(dst[start+4:start+24]), crc32.IEEETable, dst[start+chunkHeaderLen:])
+	sum := crc32.Update(crc32.ChecksumIEEE(dst[start+4:start+24]), crc32.IEEETable, body)
 	binary.BigEndian.PutUint32(dst[start+24:start+28], sum)
 	return dst
 }
@@ -736,13 +745,13 @@ func AppendCkptChunk(dst []byte, seq uint64, idx, count uint32, body []byte) []b
 // and the checksum over both routing fields and body. The body aliases
 // data.
 func DecodeCkptChunk(data []byte) (seq uint64, idx, count uint32, body []byte, err error) {
-	if len(data) < chunkHeaderLen {
+	if len(data) < CkptChunkHeaderLen {
 		return 0, 0, 0, nil, fmt.Errorf("wire: chunk frame of %d bytes shorter than its header", len(data))
 	}
 	if !bytes.Equal(data[0:4], chunkMagic[:]) {
 		return 0, 0, 0, nil, fmt.Errorf("wire: bad chunk magic %x", data[0:4])
 	}
-	body = data[chunkHeaderLen:]
+	body = data[CkptChunkHeaderLen:]
 	if n := binary.BigEndian.Uint32(data[20:24]); int(n) != len(body) {
 		return 0, 0, 0, nil, fmt.Errorf("wire: chunk body of %d bytes, framed as %d", len(body), n)
 	}
