@@ -2,8 +2,8 @@
 // §4.7): it reads a program file describing the machines of the run —
 // computing nodes, event logger, checkpoint server, checkpoint
 // scheduler — launches every role as an OS process over real TCP,
-// monitors the computing nodes, and re-launches crashed ones with the
-// recovery protocol.
+// monitors them, and re-launches crashed ones with the recovery
+// protocol.
 //
 // Usage:
 //
@@ -18,9 +18,17 @@
 //	cn 127.0.0.1:9101
 //	cn 127.0.0.1:9102
 //
-// Kill a worker process mid-run (kill -9 <pid>) to watch the dispatcher
-// restart it and the protocol replay its messages. Available apps:
-// vrun -list.
+// Kill a worker process mid-run (kill -9 <pid>; the "spawned" log line
+// names each worker's pid) to watch the supervisor restart it and the
+// protocol replay its messages. Available apps: vrun -list.
+//
+// Every worker is this binary re-executed with its node in the
+// environment. To start one node by hand:
+//
+//	MPICHV_SERVE=<id> MPICHV_PG=<file> MPICHV_APP=<app> MPICHV_INC=<n> vrun
+//
+// where n counts the node's earlier launches (0 for the first), plus
+// MPICHV_RESTARTED=1 to recover it from its logs.
 package main
 
 import (
@@ -41,11 +49,9 @@ func main() {
 	})
 
 	var (
-		pgPath    = flag.String("pg", "", "program file (required)")
-		appName   = flag.String("app", "tokenring", "registered MPI program to run")
-		serve     = flag.Int("serve", -1, "internal: serve one node id of the program file")
-		restarted = flag.Bool("restarted", false, "internal: recover this node from its logs")
-		list      = flag.Bool("list", false, "list registered apps")
+		pgPath  = flag.String("pg", "", "program file (required)")
+		appName = flag.String("app", "tokenring", "registered MPI program to run")
+		list    = flag.Bool("list", false, "list registered apps")
 	)
 	flag.Parse()
 
@@ -60,22 +66,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	if *serve >= 0 {
-		pg, err := deploy.ParseFile(*pgPath)
-		if err != nil {
-			fatal(err)
-		}
-		app, ok := apps.Get(*appName)
-		if !ok {
-			fatal(fmt.Errorf("unknown app %q (try -list)", *appName))
-		}
-		if err := deploy.Serve(pg, *serve, deploy.App(app), *restarted, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if _, ok := apps.Get(*appName); !ok {
 		fatal(fmt.Errorf("unknown app %q (try -list)", *appName))
 	}
@@ -83,10 +73,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	l := &deploy.Launcher{Program: *pgPath, AppName: *appName, Exe: exe}
-	if err := l.Run(); err != nil {
+	sup, err := deploy.StartSupervisor(deploy.SupervisorConfig{
+		ProgramPath: *pgPath,
+		Exe:         exe,
+		AppName:     *appName,
+		Log:         os.Stdout,
+	})
+	if err != nil {
 		fatal(err)
 	}
+	<-sup.Done()
+	sup.Stop()
+	if err := sup.Err(); err != nil {
+		fatal(err)
+	}
+	fmt.Println("vrun: all ranks finalized; cleaning the execution pool")
 }
 
 func fatal(err error) {

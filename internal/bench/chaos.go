@@ -37,7 +37,7 @@ type ChaosPoint struct {
 	DeltaCkpts   int64 // checkpoints shipped as deltas against an acked base
 	ChunkRetrans int64 // checkpoint chunks re-sent after a timeout
 	Compactions  int64 // superseded delta chains dropped by the stores
-	Manifests    int64 // restart-time manifest gathers (chunked fast path)
+	Manifests    int64 // restart-time manifest gathers (one per image fetch attempt)
 	Audit        string
 	AuditOK      bool
 	Verified     bool

@@ -66,8 +66,7 @@ func fleetProgram(rounds, fan int) cluster.Program {
 func fleetRun(shards, ranks, fan, rounds int) FleetPoint {
 	cfg := cluster.Config{
 		Impl: cluster.V2, N: ranks,
-		ShardSeed: 42,
-		Trace:     true, TraceCap: 512,
+		Trace: true, TraceCap: 512,
 	}
 	if shards > 1 {
 		cfg.ELShards = shards

@@ -201,7 +201,7 @@ func (im *Image) ProtoSnapshot() (*core.Snapshot, error) {
 type Stats struct {
 	Saves            int64 // images accepted
 	SavedBytes       int64 // bytes of accepted (materialized) images
-	Fetches          int64 // fetch/manifest requests served
+	Fetches          int64 // manifest requests served (one per restart-time image fetch)
 	Duplicates       int64 // saves re-transmitted at the stored seq and ignored
 	StaleRejects     int64 // saves below the stored seq, dropped as stale
 	Malformed        int64 // frames or images that failed to decode/verify
@@ -551,7 +551,7 @@ func (st *Store) Has(rank int) bool {
 }
 
 // Manifest describes the latest stored image for a rank, cut at
-// chunkSize bytes per chunk, for the restart fast path: per-chunk
+// chunkSize bytes per chunk, for the restart-time fetch: per-chunk
 // CRC-32s let the fetcher validate each pulled chunk independently, and
 // the whole-image CRC lets it group replicas serving byte-identical
 // copies.
@@ -793,12 +793,6 @@ func (s *Server) run() {
 			if frame, ok := s.Store.ChunkAt(f.From, seq, idx, chunkSize); ok {
 				s.ep.Send(f.From, wire.KCkptChunkData, frame)
 			}
-		case wire.KCkptFetch:
-			s.Store.mu.Lock()
-			s.Store.stats.Fetches++
-			s.Store.mu.Unlock()
-			img, ok := s.Store.Get(f.From)
-			s.ep.Send(f.From, wire.KCkptImage, wire.EncodeCkptImage(ok, img))
 		case wire.KCSSyncReq:
 			marks, err := wire.DecodeSyncMarks(f.Data)
 			if err != nil {

@@ -79,6 +79,38 @@ func recvKind(t *testing.T, ep transport.Endpoint, kind uint8) transport.Frame {
 	}
 }
 
+// fetchImage reads the client's latest image back from server the way a
+// restarting daemon does: the manifest, then every chunk it describes,
+// each checked against its manifest CRC. ok=false means the server holds
+// no image for the client.
+func fetchImage(t *testing.T, client transport.Endpoint, server int) (img []byte, ok bool) {
+	t.Helper()
+	const chunkSize = 64
+	client.Send(server, wire.KCkptManifestReq, wire.EncodeU32(chunkSize))
+	m, err := wire.DecodeCkptManifest(recvKind(t, client, wire.KCkptManifest).Data)
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	if !m.Present {
+		return nil, false
+	}
+	if m.ChunkSize != chunkSize {
+		t.Fatalf("manifest cut at %d bytes, asked for %d", m.ChunkSize, chunkSize)
+	}
+	for i := 0; i < m.Chunks(); i++ {
+		client.Send(server, wire.KCkptChunkFetch, wire.AppendCkptChunkFetch(nil, m.Seq, uint32(i), chunkSize))
+		seq, idx, count, body, err := wire.DecodeCkptChunk(recvKind(t, client, wire.KCkptChunkData).Data)
+		if err != nil || seq != m.Seq || int(idx) != i || int(count) != m.Chunks() || crc32.ChecksumIEEE(body) != m.ChunkCRCs[i] {
+			t.Fatalf("chunk %d of seq %d: got chunk %d/%d of seq %d, err %v", i, m.Seq, idx, count, seq, err)
+		}
+		img = append(img, body...)
+	}
+	if uint64(len(img)) != m.Size || crc32.ChecksumIEEE(img) != m.ImageCRC {
+		t.Fatalf("assembled %d bytes, manifest says %d (or the image CRC differs)", len(img), m.Size)
+	}
+	return img, true
+}
+
 func TestSaveAndFetch(t *testing.T) {
 	img := makeImage(t, 4, 1)
 	serverHarness(t, func(s *vtime.Sim, srv *Server, client transport.Endpoint) {
@@ -91,22 +123,16 @@ func TestSaveAndFetch(t *testing.T) {
 			t.Fatal("server has no image for rank 4")
 		}
 
-		client.Send(200, wire.KCkptFetch, nil)
-		f = recvKind(t, client, wire.KCkptImage)
-		present, got, err := wire.DecodeCkptImage(f.Data)
-		if err != nil || !present || !bytes.Equal(got, img) {
-			t.Fatalf("fetch: present=%v err=%v equal=%v", present, err, bytes.Equal(got, img))
+		if got, present := fetchImage(t, client, 200); !present || !bytes.Equal(got, img) {
+			t.Fatalf("fetch: present=%v equal=%v", present, bytes.Equal(got, img))
 		}
 	})
 }
 
 func TestFetchWithoutImage(t *testing.T) {
 	serverHarness(t, func(s *vtime.Sim, srv *Server, client transport.Endpoint) {
-		client.Send(200, wire.KCkptFetch, nil)
-		f := recvKind(t, client, wire.KCkptImage)
-		present, _, err := wire.DecodeCkptImage(f.Data)
-		if err != nil || present {
-			t.Fatalf("fetch on empty server: present=%v err=%v", present, err)
+		if _, present := fetchImage(t, client, 200); present {
+			t.Fatal("fetch on empty server found an image")
 		}
 	})
 }
@@ -120,9 +146,7 @@ func TestNewerImageReplacesOlder(t *testing.T) {
 		client.Send(200, wire.KCkptSave, wire.EncodeCkptSave(2, img2))
 		recvKind(t, client, wire.KCkptSaveAck)
 
-		client.Send(200, wire.KCkptFetch, nil)
-		f := recvKind(t, client, wire.KCkptImage)
-		_, got, _ := wire.DecodeCkptImage(f.Data)
+		got, _ := fetchImage(t, client, 200)
 		im, err := DecodeImage(got)
 		if err != nil || im.Seq != 2 {
 			t.Fatalf("latest image seq = %v err=%v", im, err)
@@ -148,9 +172,7 @@ func TestStaleSaveIgnoredButAcked(t *testing.T) {
 		if seq, _ := wire.DecodeU64(f.Data); seq != 1 {
 			t.Fatalf("stale save not re-acked: seq = %d", seq)
 		}
-		client.Send(200, wire.KCkptFetch, nil)
-		f = recvKind(t, client, wire.KCkptImage)
-		_, got, _ := wire.DecodeCkptImage(f.Data)
+		got, _ := fetchImage(t, client, 200)
 		im, err := DecodeImage(got)
 		if err != nil || im.Seq != 2 {
 			t.Fatalf("stored image regressed: %v err=%v", im, err)
@@ -219,11 +241,8 @@ func TestReplicaResyncPullsLatestImages(t *testing.T) {
 		b.Start()
 		sim.Sleep(50 * time.Millisecond)
 
-		client.Send(201, wire.KCkptFetch, nil)
-		f := recvKind(t, client, wire.KCkptImage)
-		present, got, err := wire.DecodeCkptImage(f.Data)
-		if err != nil || !present || !bytes.Equal(got, img) {
-			t.Fatalf("resynced replica fetch: present=%v err=%v", present, err)
+		if got, present := fetchImage(t, client, 201); !present || !bytes.Equal(got, img) {
+			t.Fatalf("resynced replica fetch: present=%v equal=%v", present, bytes.Equal(got, img))
 		}
 		if st := b.Store.Stats(); st.SyncedIn != 1 {
 			t.Errorf("SyncedIn = %d, want 1", st.SyncedIn)
@@ -244,11 +263,8 @@ func TestServersShareStore(t *testing.T) {
 		client := fab.Attach(4, "client")
 		client.Send(200, wire.KCkptSave, wire.EncodeCkptSave(1, img))
 		recvKind(t, client, wire.KCkptSaveAck)
-		client.Send(201, wire.KCkptFetch, nil)
-		f := recvKind(t, client, wire.KCkptImage)
-		present, got, err := wire.DecodeCkptImage(f.Data)
-		if err != nil || !present || !bytes.Equal(got, img) {
-			t.Fatalf("backup fetch: present=%v err=%v", present, err)
+		if got, present := fetchImage(t, client, 201); !present || !bytes.Equal(got, img) {
+			t.Fatalf("backup fetch: present=%v equal=%v", present, bytes.Equal(got, img))
 		}
 	})
 }
@@ -266,9 +282,7 @@ func TestImagesKeyedPerRank(t *testing.T) {
 		if srv.HasImage(5) {
 			t.Error("rank 5 should have no image")
 		}
-		c5.Send(200, wire.KCkptFetch, nil)
-		f := recvKind(t, c5, wire.KCkptImage)
-		if present, _, _ := wire.DecodeCkptImage(f.Data); present {
+		if _, present := fetchImage(t, c5, 200); present {
 			t.Error("rank 5 fetched rank 4's image")
 		}
 	})

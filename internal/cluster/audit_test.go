@@ -166,8 +166,8 @@ func TestAuditSeededQuorumChaosRuns(t *testing.T) {
 }
 
 // TestDoubleFaultMidRestart kills a second node while the first is
-// still inside its RESTART1/RESTART2 handshake: the first victim's
-// recovery must not deadlock on a peer that died under it, and both
+// still recovering and its peers are answering its RESTART1: the first
+// victim's recovery must not deadlock on a peer that died under it, and both
 // recoveries — running concurrently over the same replica group — must
 // converge to the fault-free result.
 func TestDoubleFaultMidRestart(t *testing.T) {
@@ -177,10 +177,9 @@ func TestDoubleFaultMidRestart(t *testing.T) {
 		Impl: V2, N: n,
 		ELReplicas:     3,
 		DetectionDelay: 2 * time.Millisecond,
-		RestartTimeout: 5 * time.Millisecond, // rank 1 insists on RESTART2s
 		Faults: []dispatcher.Fault{
 			{Time: 6 * time.Millisecond, Rank: 1},
-			// Rank 1 is respawned at ~8ms and enters its handshake; rank
+			// Rank 1 is respawned at ~8ms and announces its restart; rank
 			// 2 dies right in the middle of answering it.
 			{Time: 8200 * time.Microsecond, Rank: 2},
 		},

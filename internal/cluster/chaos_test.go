@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,6 +124,54 @@ func TestChaosTokenRingProperty(t *testing.T) {
 			seed, res.Kills, res.ChaosDropped, res.ChaosDuplicated, res.ChaosDelayed,
 			res.ChaosPartitioned, res.Retransmits, res.Pulls)
 	}
+}
+
+// TestLostRestartAnnouncementIsPulled: the respawned rank is cut off
+// from every peer rank for 3 ms from its respawn, so the one RESTART1 it
+// sends each peer is lost, and nothing waits for a RESTART2. The
+// starvation pull re-announces its horizon, and the run converges to the
+// fault-free delivery sequences.
+func TestLostRestartAnnouncementIsPulled(t *testing.T) {
+	const (
+		n, rounds, victim = 4, 15, 2
+		kill, detect      = 5 * time.Millisecond, 2 * time.Millisecond
+	)
+	_, wantFinals, wantSeqs := chaosRing(Config{Impl: V2, N: n}, rounds)
+	var cuts []transport.Partition
+	for q := 0; q < n; q++ {
+		if q != victim {
+			cuts = append(cuts, transport.Partition{A: victim, B: q,
+				From: kill + detect, Until: kill + detect + 3*time.Millisecond})
+		}
+	}
+	res, finals, seqs := chaosRing(Config{
+		Impl: V2, N: n,
+		DetectionDelay: detect,
+		Chaos:          transport.ChaosPolicy{Partitions: cuts},
+		Faults:         []dispatcher.Fault{{Time: kill, Rank: victim}},
+		Trace:          true,
+	}, rounds)
+	if res.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", res.Restarts)
+	}
+	if res.ChaosPartitioned != n-1 {
+		t.Errorf("%d frames cut, want the %d announcements", res.ChaosPartitioned, n-1)
+	}
+	if res.Pulls == 0 {
+		t.Error("no pull re-announced the lost horizon")
+	}
+	for r := 0; r < n; r++ {
+		if finals[r] != wantFinals[r] || !slices.Equal(seqs[r], wantSeqs[r]) {
+			t.Errorf("rank %d: final %d, deliveries %v; want %d, %v", r, finals[r], seqs[r], wantFinals[r], wantSeqs[r])
+		}
+	}
+	if rep := Audit(res); !rep.OK() {
+		t.Errorf("%s", rep.Summary())
+	}
+	if hb := AuditTrace(res); !hb.OK() {
+		t.Errorf("%s", hb.Summary())
+	}
+	t.Logf("elapsed=%v cut=%d pulls=%d", res.Elapsed, res.ChaosPartitioned, res.Pulls)
 }
 
 func TestChaosRunsAreDeterministic(t *testing.T) {
@@ -391,7 +440,7 @@ func compareChannels(t *testing.T, n int, want, got [][]core.Event) {
 // still hold for it are phantom, so completion must ride only on full
 // save acks — the write quorum may never count a replica that holds
 // nothing. A later compute kill then restarts through the manifest
-// fast path against the healed group.
+// fetch against the healed group.
 func TestChaosCSReplicaKilledMidChunkedTransfer(t *testing.T) {
 	const n, iters = 4, 50
 	finals := make([]float64, n)
@@ -429,7 +478,7 @@ func TestChaosCSReplicaKilledMidChunkedTransfer(t *testing.T) {
 		t.Error("steady-state checkpointing never shipped a delta")
 	}
 	if res.ManifestFetches == 0 {
-		t.Error("restart did not take the chunked manifest fast path")
+		t.Error("restart gathered no image manifest")
 	}
 	if res.BelowQuorumAcks != 0 {
 		t.Errorf("%d sends escaped below the write quorum", res.BelowQuorumAcks)

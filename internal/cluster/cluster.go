@@ -112,18 +112,16 @@ type Config struct {
 	// groups (shards). Each shard is its own ELReplicas/ELQuorum quorum
 	// group; the daemons place every channel (sender, receiver) on a
 	// shard through the deterministic consistent-hash ring seeded by
-	// ShardSeed, gate WAITLOGGED per shard, and union the shards' logs
+	// shard.Seed, gate WAITLOGGED per shard, and union the shards' logs
 	// at restart. When a shard loses its write quorum the dispatcher
 	// broadcasts the outage and its key range rides on the ring
 	// successor until the respawns bring it back (ELReplicas defaults
 	// to 1 per shard). 0 or 1 means the unsharded layouts above.
 	ELShards int
 	// CSShards mirrors the split for the checkpoint service: each rank
-	// checkpoints to the replica group its rank hashes to.
+	// checkpoints to the replica group its rank hashes to (on a ring
+	// seeded by shard.Seed+1).
 	CSShards int
-	// ShardSeed seeds the placement ring (any value; runs with equal
-	// seeds place identically).
-	ShardSeed uint64
 	// ShardRespawnDelay is the extra time a killed service node (of any
 	// layout, sharded or not) takes to re-provision beyond fault
 	// detection. Zero keeps respawn at the detection instant, which
@@ -176,13 +174,12 @@ type Config struct {
 	// fabric reliable.
 	Chaos transport.ChaosPolicy
 
-	// RestartTimeout and PullTimeout override the V2 daemons' recovery
-	// handshake and starvation-pull timers. Zero means automatic:
-	// enabled with conservative bases when Chaos can lose frames,
+	// PullTimeout overrides the V2 daemons' starvation-pull timer, the
+	// repair for lost frames — lost RESTART1/RESTART2 announcements
+	// included. Zero means automatic: 50 ms when Chaos can lose frames,
 	// disabled on a reliable fabric (the paper's configuration);
 	// negative disables explicitly.
-	RestartTimeout time.Duration
-	PullTimeout    time.Duration
+	PullTimeout time.Duration
 
 	// CkptChunk is the chunked checkpoint transfer's chunk size in
 	// bytes (0 = daemon default, negative = monolithic saves); see
@@ -262,7 +259,7 @@ type Result struct {
 	CkptShippedBytes int64
 	DeltaCkpts       int64 // checkpoints shipped as deltas
 	ChunkRetransmits int64 // checkpoint chunks re-sent after a timeout
-	ManifestFetches  int64 // restart-time manifest gathers (chunked fast path)
+	ManifestFetches  int64 // restart-time manifest gathers (one per image fetch attempt)
 	ChainCompactions int64 // superseded chain images compacted by the stores
 	ChainBreaks      int64 // deltas that arrived at a store missing their base
 
@@ -456,7 +453,7 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 				h.csQ = cfg.CSQuorum
 				h.csStores = make(map[int]*ckpt.Store)
 				h.csShardGroups = make([][]int, cfg.CSShards)
-				h.csRing = shard.New(cfg.CSShards, cfg.ShardSeed+1)
+				h.csRing = shard.New(cfg.CSShards, shard.Seed+1)
 				for k := 0; k < cfg.CSShards; k++ {
 					for i := 0; i < stride; i++ {
 						n := CSBase + k*stride + i
@@ -848,7 +845,6 @@ func (h *harness) spawn(rank int, restarted bool) {
 	case V2:
 		if len(h.elShardGroups) > 0 {
 			dcfg.ELShardGroups = h.elShardGroups
-			dcfg.ELShardSeed = cfg.ShardSeed
 			dcfg.ELQuorum = cfg.ELQuorum
 		} else if cfg.ELReplicas > 0 {
 			dcfg.ELReplicas = append([]int(nil), h.elNodes...)
@@ -881,18 +877,11 @@ func (h *harness) spawn(rank int, restarted bool) {
 			}
 		}
 		// On a fabric that can lose frames, the paper's fire-and-forget
-		// RESTART1 handshake and the push-only receive path are not
-		// live; enable the handshake confirmation and the starvation
-		// pull with conservative bases.
-		dcfg.RestartTimeout = cfg.RestartTimeout
+		// RESTART1 and the push-only receive path are not live; enable
+		// the starvation pull with a conservative base.
 		dcfg.PullTimeout = cfg.PullTimeout
-		if cfg.Chaos.Lossy() {
-			if dcfg.RestartTimeout == 0 {
-				dcfg.RestartTimeout = 25 * time.Millisecond
-			}
-			if dcfg.PullTimeout == 0 {
-				dcfg.PullTimeout = 50 * time.Millisecond
-			}
+		if cfg.Chaos.Lossy() && dcfg.PullTimeout == 0 {
+			dcfg.PullTimeout = 50 * time.Millisecond
 		}
 		dcfg.ELWindow = cfg.ELWindow
 		dcfg.DetMode = cfg.DetMode

@@ -122,9 +122,6 @@ func TestCkptChunkingDeterminism(t *testing.T) {
 		if c.chunk < 0 && res.ChunkRetransmits != 0 {
 			t.Errorf("%s: %d chunk retransmits in monolithic mode", c.name, res.ChunkRetransmits)
 		}
-		if c.chunk < 0 && res.ManifestFetches != 0 {
-			t.Errorf("%s: %d manifest fetches in monolithic mode", c.name, res.ManifestFetches)
-		}
 		if rep := Audit(res); !rep.OK() {
 			t.Errorf("%s: %s", c.name, rep.Summary())
 		}

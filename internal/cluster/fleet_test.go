@@ -20,11 +20,11 @@ func TestFleetShardedTopologies(t *testing.T) {
 		cfg    Config
 		minUse int // replicas that must hold at least one event
 	}{
-		{"2shards-1replica", Config{ELShards: 2, ShardSeed: 42}, 2},
-		{"4shards-1replica", Config{ELShards: 4, ShardSeed: 42}, 3},
-		{"4shards-3replicas-q2", Config{ELShards: 4, ELReplicas: 3, ELQuorum: 2, ShardSeed: 7}, 6},
+		{"2shards-1replica", Config{ELShards: 2}, 2},
+		{"4shards-1replica", Config{ELShards: 4}, 3},
+		{"4shards-3replicas-q2", Config{ELShards: 4, ELReplicas: 3, ELQuorum: 2}, 6},
 		{"4shards-ckpt-2csshards", Config{
-			ELShards: 4, CSShards: 2, ShardSeed: 11,
+			ELShards: 4, CSShards: 2,
 			Checkpointing: true, SchedPeriod: 5 * time.Millisecond,
 		}, 3},
 	}
@@ -76,11 +76,10 @@ func TestFleetShardKillMidRun(t *testing.T) {
 		n, rounds = 8, 40
 		shards    = 4
 		replicas  = 3
-		seed      = 42
 	)
 	// Kill the shard that owns the ring channel 0 → 1, so the outage is
 	// guaranteed to displace live traffic.
-	victim := shard.New(shards, seed).Owner(0, 1)
+	victim := shard.New(shards, shard.Seed).Owner(0, 1)
 	var faults []dispatcher.Fault
 	for i := 0; i < replicas; i++ {
 		faults = append(faults, dispatcher.Fault{
@@ -92,7 +91,7 @@ func TestFleetShardKillMidRun(t *testing.T) {
 	finals := make([]uint64, n)
 	res := Run(Config{
 		Impl: V2, N: n,
-		ELShards: shards, ELReplicas: replicas, ELQuorum: 2, ShardSeed: seed,
+		ELShards: shards, ELReplicas: replicas, ELQuorum: 2,
 		DetectionDelay:    2 * time.Millisecond,
 		ShardRespawnDelay: 25 * time.Millisecond,
 		Faults:            faults,
@@ -138,7 +137,7 @@ func TestFleetShardedDeterminism(t *testing.T) {
 		finals := make([]uint64, 6)
 		res := Run(Config{
 			Impl: V2, N: 6,
-			ELShards: 3, ShardSeed: 9,
+			ELShards: 3,
 		}, ringProgram(10, finals))
 		return res.Elapsed
 	}

@@ -36,13 +36,15 @@ func TestScheduleHashPinned(t *testing.T) {
 	}{
 		{"ring", Config{N: 4}, ring(20), 0x1047b15031c5e6be},
 		{"ckpt-kill", ckptKill, ckpt, 0x564cb38c25ad416c},
+		// Lossy: the restart announces once and the pull repairs what the
+		// fabric drops.
 		{"quorum-chaos-kill", Config{
 			N: 4, ELReplicas: 3, DetectionDelay: 2 * time.Millisecond,
 			Chaos:  transport.ChaosPolicy{Seed: 5, Drop: 0.02, Duplicate: 0.01, Delay: 0.05},
 			Faults: []dispatcher.Fault{{Time: 5 * time.Millisecond, Rank: 2}},
-		}, ring(15), 0x8bed76b8cdfd64e2},
+		}, ring(15), 0x281e9b56b72f0404},
 		{"detadaptive", Config{N: 4, DetMode: daemon.DetAdaptive}, ring(20), 0x26c0a48eda714b48},
-		{"fleet-4shards", Config{N: 8, ELShards: 4, ShardSeed: 42}, ring(12), 0xc744301d12d3a5d6},
+		{"fleet-4shards", Config{N: 8, ELShards: 4}, ring(12), 0xc744301d12d3a5d6},
 		{"incast-window1", Config{
 			N: 4, ELWindow: 1,
 			Faults: []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: 0}},

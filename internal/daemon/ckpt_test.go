@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"net"
 	"testing"
 	"time"
@@ -33,6 +34,21 @@ func forgeCRC(data []byte, want uint32) []byte {
 	return binary.LittleEndian.AppendUint32(bytes.Clone(data), reg^^crc32.ChecksumIEEE(data))
 }
 
+// chunkedImage encodes rank 0's image at seq with a fresh protocol
+// state and the given app state, and the manifest a store cutting it at
+// cs bytes per chunk serves for it.
+func chunkedImage(seq uint64, app []byte, cs int) ([]byte, wire.CkptManifest) {
+	img := ckpt.AppendImage(nil, &ckpt.Image{Rank: 0, Seq: seq, AppState: app,
+		Proto: core.AppendSnapshot(nil, core.NewState(0).Snapshot())})
+	n := (len(img) + cs - 1) / cs
+	m := wire.CkptManifest{Present: true, Seq: seq, Size: uint64(len(img)), ChunkSize: uint32(cs),
+		ImageCRC: crc32.ChecksumIEEE(img), ChunkCRCs: make([]uint32, n)}
+	for i := range m.ChunkCRCs {
+		m.ChunkCRCs[i] = crc32.ChecksumIEEE(img[i*cs : min((i+1)*cs, len(img))])
+	}
+	return img, m
+}
+
 // TestRestartRefetchesChunkOfWrongLength: during a restart's chunked
 // image fetch, a chunk whose length disagrees with the manifest — one
 // that would overrun the image, one that falls short — is rejected and
@@ -41,15 +57,9 @@ func forgeCRC(data []byte, want uint32) []byte {
 func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
 	const csNode, cs = 901, 64
 	app := bytes.Repeat([]byte("app state "), 30)
-	img := ckpt.AppendImage(nil, &ckpt.Image{Rank: 0, Seq: 1, AppState: app,
-		Proto: core.AppendSnapshot(nil, core.NewState(0).Snapshot())})
-	n := (len(img) + cs - 1) / cs
-	m := wire.CkptManifest{Present: true, Seq: 1, Size: uint64(len(img)), ChunkSize: cs,
-		ImageCRC: crc32.ChecksumIEEE(img), ChunkCRCs: make([]uint32, n)}
+	img, m := chunkedImage(1, app, cs)
+	n := m.Chunks()
 	chunk := func(i int) []byte { return img[i*cs : min((i+1)*cs, len(img))] }
-	for i := range m.ChunkCRCs {
-		m.ChunkCRCs[i] = crc32.ChecksumIEEE(chunk(i))
-	}
 	// First answers for two chunks: the last one four bytes too long
 	// (past the image's end), a middle one four bytes short.
 	last, mid := n-1, n/2
@@ -69,7 +79,6 @@ func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
 		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 		ep := fab.Attach(csNode, "fake-cs")
 		fetches := map[int]int{}
-		wholeFetches := 0
 		sim.Go("fake-cs", func() {
 			for {
 				f, ok := ep.Inbox().Recv()
@@ -88,9 +97,6 @@ func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
 						body = b
 					}
 					ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, 1, idx, uint32(n), body))
-				case wire.KCkptFetch:
-					wholeFetches++
-					ep.Send(f.From, wire.KCkptImage, wire.EncodeCkptImage(false, nil))
 				}
 			}
 		})
@@ -101,9 +107,6 @@ func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
 		if !restarted || !bytes.Equal(got, app) {
 			t.Fatalf("restarted=%v with %d bytes of app state, want the %d checkpointed", restarted, len(got), len(app))
 		}
-		if wholeFetches != 0 {
-			t.Errorf("fell back to the whole-image fetch %d times", wholeFetches)
-		}
 		if fetches[last] != 2 || fetches[mid] != 2 || fetches[0] != 1 {
 			t.Errorf("fetches per chunk %v, want the two forged chunks twice and the rest once", fetches)
 		}
@@ -111,6 +114,107 @@ func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
 			t.Errorf("CorruptImages = %d, want 2", st.CorruptImages)
 		}
 		fab.Kill(0)
+		ep.Close()
+	})
+}
+
+// TestRestartRegathersManifest: a manifest promises an image whose
+// chunks stop coming — the server moved on to a newer checkpoint — so
+// the restart gathers manifests again and comes back from the newer
+// image.
+func TestRestartRegathersManifest(t *testing.T) {
+	const csNode, cs = 901, 64
+	app1, app2 := bytes.Repeat([]byte("first "), 30), bytes.Repeat([]byte("second "), 30)
+	img1, m1 := chunkedImage(1, app1, cs)
+	img2, m2 := chunkedImage(2, app2, cs)
+	sim := vtime.NewSim()
+	sim.Run(func() {
+		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
+		ep := fab.Attach(csNode, "fake-cs")
+		manifests := 0
+		sim.Go("fake-cs", func() {
+			for {
+				f, ok := ep.Inbox().Recv()
+				if !ok {
+					return
+				}
+				switch f.Kind {
+				case wire.KCkptManifestReq:
+					manifests++
+					m := m1
+					if manifests > 1 {
+						m = m2
+					}
+					ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(m))
+				case wire.KCkptChunkFetch:
+					seq, idx, _, _ := wire.DecodeCkptChunkFetch(f.Data)
+					// Seq 1 serves its first chunk and then nothing more.
+					img, m := img2, m2
+					if seq == 1 {
+						if idx != 0 {
+							continue
+						}
+						img, m = img1, m1
+					}
+					body := img[int(idx)*cs : min(int(idx+1)*cs, len(img))]
+					ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, seq, idx, uint32(m.Chunks()), body))
+				}
+			}
+		})
+		cfg := v2Config(0, 1, -1)
+		cfg.CkptServer, cfg.CkptChunkSize, cfg.Restarted = csNode, cs, true
+		dev, d := StartV2(sim, fab, cfg)
+		_, _, got, restarted := dev.Init()
+		if !restarted || !bytes.Equal(got, app2) {
+			t.Fatalf("restarted=%v with app state %.12q, want seq 2's %.12q", restarted, got, app2)
+		}
+		if st := d.Stats(); st.ManifestFetches != 2 || st.CorruptImages != 0 {
+			t.Errorf("ManifestFetches=%d CorruptImages=%d, want 2 and 0", st.ManifestFetches, st.CorruptImages)
+		}
+		fab.Kill(0)
+		ep.Close()
+	})
+}
+
+// TestRestartBeforeFirstCheckpoint: a rank restarting with no image
+// stored sends one manifest gather and no other image request, and
+// starts from scratch.
+func TestRestartBeforeFirstCheckpoint(t *testing.T) {
+	const csNode = 901
+	sim := vtime.NewSim()
+	sim.Run(func() {
+		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
+		ep := fab.Attach(csNode, "fake-cs")
+		kinds := map[string]int{}
+		sim.Go("fake-cs", func() {
+			for {
+				f, ok := ep.Inbox().Recv()
+				if !ok {
+					return
+				}
+				kinds[wire.KindName(f.Kind)]++
+				if f.Kind == wire.KCkptManifestReq {
+					ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(wire.CkptManifest{}))
+				}
+			}
+		})
+		for _, chunk := range []int{0, -1} { // chunked and monolithic saves fetch alike
+			cfg := v2Config(0, 1, -1)
+			cfg.CkptServer, cfg.CkptChunkSize, cfg.Restarted = csNode, chunk, true
+			dev, d := StartV2(sim, fab, cfg)
+			if _, _, got, restarted := dev.Init(); restarted || got != nil {
+				t.Errorf("chunk %d: restarted=%v with %d bytes of app state, want a fresh start", chunk, restarted, len(got))
+			}
+			sim.Sleep(time.Millisecond)
+			if want := map[string]int{wire.KindName(wire.KCkptManifestReq): 1}; !maps.Equal(kinds, want) {
+				t.Errorf("chunk %d: the checkpoint server saw %v, want %v", chunk, kinds, want)
+			}
+			if st := d.Stats(); st.ManifestFetches != 1 {
+				t.Errorf("chunk %d: ManifestFetches = %d, want 1", chunk, st.ManifestFetches)
+			}
+			clear(kinds)
+			fab.Kill(0)
+		}
 		ep.Close()
 	})
 }

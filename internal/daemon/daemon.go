@@ -114,7 +114,7 @@ type Config struct {
 	// ELShardGroups shards the event-logger fleet (DESIGN.md §15): each
 	// group is one ELReplicas/ELQuorum replica set, and every channel
 	// (sender, receiver) maps to a shard through the deterministic
-	// consistent-hash ring seeded by ELShardSeed. Submissions,
+	// consistent-hash ring seeded by shard.Seed. Submissions,
 	// WAITLOGGED gating, retransmission and cumulative acks run
 	// independently per shard, restart fetches union determinants across
 	// all shards, and KELShardDown/KELShardUp notices from the
@@ -123,23 +123,17 @@ type Config struct {
 	// and EventLogger are ignored; a single group behaves exactly like
 	// ELReplicas. ELQuorum applies per group.
 	ELShardGroups [][]int
-	ELShardSeed   uint64
-
-	// RestartTimeout, when positive, is the backoff base
-	// (transport.Backoff) of the RESTART1 → RESTART2 handshake wait.
-	// Disabled by default: the paper's protocol never waits on RESTART2,
-	// so this only pays off on lossy links. Event-log submissions retry
-	// on a 25ms base, checkpoint saves on 250ms, and restart-time fetches
-	// on 25ms; those fetches and the handshake give up on a silent
-	// replica or peer after 6 retransmissions.
-	RestartTimeout time.Duration
 
 	// PullTimeout, when positive, arms a pull timer whenever the
 	// daemon starves waiting for a message: it re-announces its
 	// delivered horizon (a RESTART1) to every peer, making them
-	// re-send anything the network may have dropped. Disabled by
-	// default — on a reliable fabric starvation just means the
-	// application is blocked on a message that was never sent.
+	// re-send anything the network may have dropped. It is also what
+	// makes recovery live on a lossy link: a restarted daemon sends
+	// each peer one RESTART1 and never waits for the RESTART2, so a
+	// lost announcement or reply is repaired by whichever side then
+	// starves. Disabled by default — on a reliable fabric starvation
+	// just means the application is blocked on a message that was never
+	// sent.
 	PullTimeout time.Duration
 
 	// ELWindow bounds the event batches in flight to each event-logger
@@ -150,19 +144,6 @@ type Config struct {
 	// stop-and-wait batching. The pessimistic guarantee is unchanged:
 	// WAITLOGGED still holds sends until every submitted batch is acked.
 	ELWindow int
-
-	// ELHighWater, when positive, bounds the daemon's memory while its
-	// event-logger quorum is unreachable. Determinants that cannot
-	// reach quorum pile up (in-flight batches plus the submission
-	// queue); at ELHighWater pending determinants the daemon stops
-	// committing new receptions — the application stalls in recv, so it
-	// also stops producing — and resumes once retransmissions drain the
-	// backlog to ELHighWater/2. The WAITLOGGED gate already stalls
-	// *senders* under a dead logger; the watermark extends the same
-	// pressure to receive-heavy ranks, whose resend queues would
-	// otherwise grow without bound for the whole outage.
-	// Zero disables the gate (simulated runs keep legacy behavior).
-	ELHighWater int
 
 	// DetMode selects the determinant-suppression policy of the receive
 	// path (DetOff, DetAdaptive, DetAggressive). Off logs every
@@ -384,11 +365,11 @@ type Stats struct {
 	// Incremental chunked checkpointing counters.
 	DeltaCkpts       int64 // checkpoints shipped as deltas against an acked base
 	ChunkRetransmits int64 // individual checkpoint chunks re-sent after a timeout
-	ManifestFetches  int64 // restart-time manifest gathers (chunked fast path)
+	ManifestFetches  int64 // restart-time manifest gathers (one per image fetch attempt)
 
 	// Degraded-mode (EL watermark) counters.
-	DegradedStalls  int64 // times the daemon crossed ELHighWater and froze delivery
-	DegradedResumes int64 // times the backlog drained to ELHighWater/2 and delivery resumed
+	DegradedStalls  int64 // times the daemon reached elHighWater pending determinants and froze delivery
+	DegradedResumes int64 // times the backlog drained to elHighWater/2 and delivery resumed
 
 	// Event-logger fleet (sharding) counters.
 	ShardRebalances int64 // KELShardDown notices applied (key range moved to successor)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -274,6 +275,57 @@ func TestV2RestartResendsSaved(t *testing.T) {
 	})
 }
 
+// TestV2StallsAtELHighWater: with the event logger silent, a receiver
+// stops delivering once elHighWater determinants are pending, stays
+// stalled until cumulative acks drain the backlog to half of that, and
+// then delivers every remaining message.
+func TestV2StallsAtELHighWater(t *testing.T) {
+	const msgs = elHighWater + 88
+	sim := vtime.NewSim()
+	sim.Run(func() {
+		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
+		el := fab.Attach(elNode, "silent-el") // receives batches, acks only when told
+		dev0, d0 := StartV2(sim, fab, v2Config(0, 2, elNode))
+		dev1, _ := StartV2(sim, fab, v2Config(1, 2, elNode))
+		dev0.Init()
+		dev1.Init()
+		delivered := 0
+		sim.Go("rank0", func() {
+			for i := 0; i < msgs; i++ {
+				dev0.BRecv()
+				delivered++
+			}
+		})
+		for i := 0; i < msgs; i++ {
+			dev1.BSend(0, []byte{byte(i)})
+		}
+		// One batch per determinant (ELWindow 0): batch seq k carries the
+		// k-th delivery, and acking through k leaves delivered-k pending.
+		ackThrough := func(seq uint64) {
+			el.Send(0, wire.KEventAck, wire.EncodeEventAck(seq, seq))
+			sim.Sleep(10 * time.Millisecond)
+		}
+		sim.Sleep(50 * time.Millisecond)
+		if st := d0.Stats(); delivered != elHighWater || st.DegradedStalls != 1 || st.DegradedResumes != 0 {
+			t.Fatalf("silent logger: delivered %d, stalls %d, resumes %d; want %d, 1, 0",
+				delivered, st.DegradedStalls, st.DegradedResumes, elHighWater)
+		}
+		ackThrough(elHighWater/2 - 1) // elHighWater/2 + 1 pending: still stalled
+		if st := d0.Stats(); delivered != elHighWater || st.DegradedResumes != 0 {
+			t.Fatalf("%d pending: delivered %d, resumes %d; want the stall held", elHighWater/2+1, delivered, st.DegradedResumes)
+		}
+		ackThrough(elHighWater / 2) // elHighWater/2 pending: resumes
+		ackThrough(msgs)
+		if st := d0.Stats(); delivered != msgs || st.DegradedStalls != 1 || st.DegradedResumes != 1 {
+			t.Errorf("after the acks: delivered %d, stalls %d, resumes %d; want %d, 1, 1",
+				delivered, st.DegradedStalls, st.DegradedResumes, msgs)
+		}
+		fab.Kill(0)
+		fab.Kill(1)
+		el.Close()
+	})
+}
+
 func TestP4DirectDelivery(t *testing.T) {
 	sim := vtime.NewSim()
 	sim.Run(func() {
@@ -397,6 +449,32 @@ func TestV2DiskSpillSlowsLogging(t *testing.T) {
 	slow := elapsed(100_000) // spills after the first message
 	if slow <= fast {
 		t.Errorf("disk spill did not slow logging: mem=%v disk=%v", fast, slow)
+	}
+}
+
+// TestConfigHarnessFields pins the Config fields the wall-clock
+// benchmark harness (benchmarks/stack, its own module) sets, with their
+// types: the twelve of its README's surface rule plus DetMode, which one
+// rung sets. Removing or retyping one fails here, before the harness
+// build.
+func TestConfigHarnessFields(t *testing.T) {
+	want := map[string]string{
+		"Rank": "int", "Size": "int",
+		"EventLogger": "int", "CkptServer": "int", "Scheduler": "int", "Dispatcher": "int",
+		"ELReplicas": "[]int", "ELQuorum": "int", "CSReplicas": "[]int", "CSQuorum": "int",
+		"Restarted": "bool", "Incarnation": "uint64",
+		"DetMode": "int",
+	}
+	cfg := reflect.TypeOf(Config{})
+	for name, typ := range want {
+		f, ok := cfg.FieldByName(name)
+		if !ok {
+			t.Errorf("Config has no field %s", name)
+			continue
+		}
+		if got := f.Type.String(); got != typ {
+			t.Errorf("Config.%s is %s, want %s", name, got, typ)
+		}
 	}
 }
 

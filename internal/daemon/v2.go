@@ -111,8 +111,7 @@ type V2 struct {
 	pullAttempts int
 
 	// elDegraded latches the bounded-memory stall while pending
-	// determinants sit inside the ELHighWater hysteresis band (see
-	// Config.ELHighWater).
+	// determinants sit inside the elHighWater hysteresis band.
 	elDegraded bool
 
 	// Determinant suppression (Config.DetMode). detPoisoned holds the
@@ -170,7 +169,7 @@ func StartV2(rt vtime.Runtime, fab transport.Fabric, cfg Config) (Device, *V2) {
 		}
 	}
 	if len(d.elShards) > 1 {
-		d.elMap = shard.New(len(d.elShards), cfg.ELShardSeed)
+		d.elMap = shard.New(len(d.elShards), shard.Seed)
 		d.elDead = make(map[int]bool)
 		d.elHistory = make(map[int][]core.Event)
 	}
@@ -470,18 +469,15 @@ func (d *V2) recover() {
 	recoverFrom := d.rt.Now()
 	d.tr.Record(recoverFrom, trace.EvRestartBegin, 0, 0, d.cfg.Incarnation, 0)
 
-	// Phase A1: fetch the latest checkpoint image, if any. Fast path
-	// first: the image manifest from a read quorum, then the chunks in
-	// parallel across the replicas serving byte-identical copies,
-	// re-fetching only damaged chunks; any failure falls back to the
-	// whole-image fetch.
+	// Phase A1: fetch the latest checkpoint image, if any: the image
+	// manifest from a read quorum, then the chunks in parallel across the
+	// replicas serving byte-identical copies, re-fetching only damaged
+	// chunks. A manifest whose image cannot be assembled (the replicas
+	// moved on to a newer image meanwhile, or died) is gathered again.
 	if d.hasCS() {
-		var im *ckpt.Image
-		if d.ckptChunkSize() > 0 {
-			im = d.fetchImageChunked()
-		}
-		if im == nil {
-			im = d.fetchImageWhole()
+		im, ok := d.fetchImage()
+		for !ok {
+			im, ok = d.fetchImage()
 		}
 		if im != nil {
 			d.restoreImage(im)
@@ -526,14 +522,8 @@ func (d *V2) recover() {
 	// a determinant nothing alive depends on; replay regenerates its
 	// delivery instead.
 	holeTolerant := d.detMode() != DetOff
-	peers := make([]int, 0, d.cfg.Size-1)
-	for q := 0; q < d.cfg.Size; q++ {
-		if q != d.cfg.Rank {
-			peers = append(peers, q)
-		}
-	}
-	if holeTolerant && len(peers) > 0 {
-		evs = d.mergeDetFlush(peers, evs)
+	if holeTolerant && d.cfg.Size > 1 {
+		evs = d.mergeDetFlush(evs)
 	}
 	// The fetched determinants re-seed the rebalancing history: after a
 	// restart this daemon must again be able to backfill a successor
@@ -543,51 +533,12 @@ func (d *V2) recover() {
 	}
 	d.stats.ReplayDropped += int64(d.st.StartRecoveryWith(evs, holeTolerant))
 
-	// Phase B: ask every peer to re-send from what we have delivered.
-	// Without a restart timeout this is fire-and-forget, as in the
-	// paper; with one, we insist on a RESTART2 from each live peer,
-	// retransmitting RESTART1 to the silent ones with backoff. Both
-	// messages are idempotent, and peers simultaneously in recovery are
-	// answered inline so two crashed nodes cannot deadlock waiting on
-	// each other.
-	restartTO := max(d.cfg.RestartTimeout, 0) // default: disabled
-	rounds := 0
-	if restartTO > 0 {
-		rounds = defRestartRetries
-	}
-	announce := func(q, _ int) {
-		d.ep.Send(q, wire.KRestart1, wire.EncodeU64(d.st.RestartAnnouncement(q)))
-	}
-	silent := d.gather(peers, len(peers), 0, rounds, restartTO, announce,
-		func(f transport.Frame) (int, bool) {
-			if f.Kind != wire.KRestart1 && f.Kind != wire.KRestart2 {
-				return 0, false
-			}
-			hp, err := wire.DecodeU64(f.Data)
-			if err != nil {
-				d.stats.Malformed++
-				return -1, true
-			}
-			if f.Kind == wire.KRestart2 {
-				d.transmitSaved(f.From, d.st.OnRestart2(f.From, hp))
-				return f.From, true
-			}
-			resend, myHR := d.st.OnRestart1(f.From, hp)
-			d.ep.Send(f.From, wire.KRestart2, wire.EncodeU64(myHR))
-			d.transmitSaved(f.From, resend)
-			return -1, true
-		})
-	// The last announcement is never waited on: a peer silent this long
-	// is presumed crashed, and the RESTART2 it may still draw is handled
-	// on the normal path.
-	for _, q := range peers {
-		if silent[q] {
-			if rounds > 0 {
-				d.stats.Retransmits++
-			}
-			announce(q, rounds)
-		}
-	}
+	// Phase B: ask every peer to re-send from what we have delivered —
+	// one RESTART1 each, never waited on, as in the paper. The RESTART2
+	// replies are handled on the normal path. On a lossy link the pull
+	// timer (Config.PullTimeout) repairs a lost announcement or reply:
+	// whichever side then starves for a message re-announces its horizon.
+	d.announce()
 
 	d.tr.Record(d.rt.Now(), trace.EvRestartEnd, 0, 0,
 		d.cfg.Incarnation, uint64(d.rt.Now()-recoverFrom))
@@ -628,46 +579,28 @@ func (d *V2) restoreImage(im *ckpt.Image) {
 	d.ckptMarks = sn.SeqTo
 }
 
-// fetchImageWhole gathers whole images from a read quorum: R−Q+1 replies
-// intersect every write quorum, so at least one carries the newest
-// durable image; the highest sequence among the verified replies wins.
-// On a lossy fabric the request or the reply can vanish, and a corrupt
-// or truncated image fails the integrity check: either way the silent
-// replicas are asked again. A damaged image is never a dead end —
-// servers only ack verified copies, so a write quorum of intact ones
-// exists somewhere.
-func (d *V2) fetchImageWhole() *ckpt.Image {
-	var best *ckpt.Image
-	d.gatherQuorum(&d.cs.replicaGroup, 1, wire.KCkptFetch, nil, wire.KCkptImage, func(resp []byte) bool {
-		present, img, err := wire.DecodeCkptImage(resp)
-		if err != nil || !present {
-			return err == nil
-		}
-		im, err := ckpt.DecodeImage(img)
-		if err != nil {
-			d.stats.CorruptImages++
-			return false
-		}
-		if best == nil || im.Seq > best.Seq {
-			best = im
-		}
-		return true
-	})
-	return best
-}
-
-// fetchImageChunked is the restart fast path: gather image manifests
-// from a read quorum, group the replicas by (seq, image CRC) so chunks
-// are only mixed across byte-identical copies, then pull the chunks of
-// the best group in parallel. Returns nil when anything falls short —
-// the caller falls back to the whole-image fetch.
-func (d *V2) fetchImageChunked() *ckpt.Image {
+// fetchImage is the restart-time image fetch: gather image manifests
+// from a read quorum — R−Q+1 replies intersect every write quorum, so at
+// least one describes the newest durable image — group the replicas by
+// (seq, image CRC) so chunks are only mixed across byte-identical
+// copies, then pull the chunks of the newest group in parallel. Every
+// stored image is served this way, monolithic and escalated saves
+// included: the store cuts it at the requested size, and a daemon that
+// saves monolithically asks for the default cut. It returns nil, true
+// when no replica of the read quorum holds an image, and ok=false when
+// the manifest's image could not be assembled — the caller gathers
+// manifests again. A damaged image is never a dead end: servers only
+// ack verified copies, so a write quorum of intact ones exists.
+func (d *V2) fetchImage() (im *ckpt.Image, ok bool) {
 	cs := d.ckptChunkSize()
+	if cs < 0 {
+		cs = defCkptChunk
+	}
 	d.stats.ManifestFetches++
 	req := wire.EncodeU32(uint32(cs))
 	valid := func(resp []byte) bool {
-		_, err := wire.DecodeCkptManifest(resp)
-		return err == nil
+		m, err := wire.DecodeCkptManifest(resp)
+		return err == nil && (!m.Present || m.ChunkSize == uint32(cs))
 	}
 	replies := d.gatherQuorum(&d.cs.replicaGroup, 1, wire.KCkptManifestReq, req, wire.KCkptManifest, valid)
 
@@ -678,8 +611,8 @@ func (d *V2) fetchImageChunked() *ckpt.Image {
 	servers := make(map[group][]int)
 	manifests := make(map[group]wire.CkptManifest)
 	for from, resp := range replies {
-		m, err := wire.DecodeCkptManifest(resp)
-		if err != nil || !m.Present || m.ChunkSize != uint32(cs) {
+		m, _ := wire.DecodeCkptManifest(resp)
+		if !m.Present {
 			continue
 		}
 		g := group{m.Seq, m.ImageCRC}
@@ -695,21 +628,21 @@ func (d *V2) fetchImageChunked() *ckpt.Image {
 		}
 	}
 	if !found {
-		return nil
+		return nil, true
 	}
 	m := manifests[best]
 	from := servers[best]
 	sort.Ints(from) // deterministic chunk→replica assignment
 	img := d.fetchChunks(m, from)
 	if img == nil {
-		return nil
+		return nil, false
 	}
 	im, err := ckpt.DecodeImage(img)
 	if err != nil || im.BaseSeq != 0 {
 		d.stats.CorruptImages++
-		return nil
+		return nil, false
 	}
-	return im
+	return im, true
 }
 
 // fetchChunks pulls every chunk the manifest describes, spreading the
@@ -805,7 +738,13 @@ func (d *V2) gatherQuorum(g *replicaGroup, floor int, reqKind uint8, reqData []b
 // EL events winning any clock collision. Bounded and best-effort: dead
 // peers (or peers simultaneously in recovery, whose replies are
 // buffered behind their own fetch) must not stall our restart.
-func (d *V2) mergeDetFlush(peers []int, evs []core.Event) []core.Event {
+func (d *V2) mergeDetFlush(evs []core.Event) []core.Event {
+	peers := make([]int, 0, d.cfg.Size-1)
+	for q := 0; q < d.cfg.Size; q++ {
+		if q != d.cfg.Rank {
+			peers = append(peers, q)
+		}
+	}
 	seen := make(map[uint64]bool, len(evs))
 	for _, ev := range evs {
 		seen[ev.RecvClock] = true
@@ -1191,21 +1130,28 @@ func (d *V2) pendingEL() int {
 	return n
 }
 
-// elStalled evaluates the hysteresis band between ELHighWater and half
+// elHighWater bounds the daemon's memory while its event-logger quorum
+// is unreachable. Determinants that cannot reach quorum pile up
+// (in-flight batches plus the submission queue); at elHighWater pending
+// determinants the daemon stops committing new receptions — the
+// application stalls in recv, so it also stops producing — and resumes
+// once retransmissions drain the backlog to elHighWater/2. The
+// WAITLOGGED gate already stalls *senders* under a dead logger; the
+// watermark extends the same pressure to receive-heavy ranks, whose
+// resend queues would otherwise grow without bound for the whole outage.
+const elHighWater = 512
+
+// elStalled evaluates the hysteresis band between elHighWater and half
 // of it and latches the degraded state across the threshold crossings,
 // counting each transition once.
 func (d *V2) elStalled() bool {
-	hi := d.cfg.ELHighWater
-	if hi <= 0 {
-		return false
-	}
 	n := d.pendingEL()
 	if d.elDegraded {
-		if n <= hi/2 {
+		if n <= elHighWater/2 {
 			d.elDegraded = false
 			d.stats.DegradedResumes++
 		}
-	} else if n >= hi {
+	} else if n >= elHighWater {
 		d.elDegraded = true
 		d.stats.DegradedStalls++
 	}
@@ -1396,13 +1342,18 @@ func (d *V2) pullExpired() {
 	d.pullTimer = 0
 	d.pullAttempts++
 	d.stats.Pulls++
-	for q := 0; q < d.cfg.Size; q++ {
-		if q == d.cfg.Rank {
-			continue
-		}
-		d.ep.Send(q, wire.KRestart1, wire.EncodeU64(d.st.RestartAnnouncement(q)))
-	}
+	d.announce()
 	d.beginStarve()
+}
+
+// announce sends every peer a RESTART1 carrying what we have delivered
+// from it, asking it to re-send anything beyond.
+func (d *V2) announce() {
+	for q := 0; q < d.cfg.Size; q++ {
+		if q != d.cfg.Rank {
+			d.ep.Send(q, wire.KRestart1, wire.EncodeU64(d.st.RestartAnnouncement(q)))
+		}
+	}
 }
 
 // --- Rank requests -------------------------------------------------------

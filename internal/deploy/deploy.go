@@ -2,10 +2,11 @@
 // the paper's deployment mode (§4.7). A program file — the equivalent
 // of MPICH's P4PGFILE — lists every machine with its role (computing
 // node, event logger, checkpoint server, checkpoint scheduler) and
-// address. cmd/vrun plays the dispatcher: it launches the workers,
-// watches them ("a socket disconnection is considered as a trusty fault
-// detector" — here, a worker process exiting before it finished), and
-// re-launches crashed computing nodes with the recovery flag.
+// address. The Supervisor plays the dispatcher for cmd/vrun and the soak:
+// it launches the workers, watches them ("a socket disconnection is
+// considered as a trusty fault detector" — here, a worker process exiting
+// before it finished), and re-launches crashed nodes with the recovery
+// flag and their next incarnation.
 package deploy
 
 import (
@@ -13,10 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
-	"sync"
-	"time"
 
 	"mpichv/internal/mpi"
 )
@@ -208,213 +206,9 @@ func (p *Program) AddrMap() map[int]string {
 }
 
 // DoneMarker is printed by a computing-node worker when its MPI program
-// finalized; the launcher uses it to distinguish completion from a
+// finalized; the supervisor uses it to distinguish completion from a
 // crash.
 const DoneMarker = "VRUN-RANK-DONE"
 
 // App is a runnable MPI program.
 type App func(p *mpi.Proc)
-
-// Serve runs one node of the program in this process. Computing nodes
-// run the app, print DoneMarker, and then keep serving (their message
-// logs may be needed by recovering peers) until the launcher kills
-// them. Service nodes serve forever. Serve is the legacy entry point;
-// it is ServeWith with every fault-injection knob off.
-func Serve(pg *Program, id int, app App, restarted bool, out io.Writer) error {
-	return ServeWith(ServeOpts{
-		Program:   pg,
-		ID:        id,
-		App:       app,
-		Restarted: restarted,
-		Out:       out,
-	})
-}
-
-// Launcher spawns and supervises the worker processes of one run.
-type Launcher struct {
-	Program  string // program file path
-	AppName  string
-	Exe      string    // worker executable (usually os.Executable())
-	Stdout   io.Writer // launcher log
-	MaxSpawn int       // restart budget per rank (default 10)
-}
-
-type workerExit struct {
-	rank int
-	done bool
-	err  error
-}
-
-// Run launches the system and blocks until every rank completed. Killed
-// computing nodes (e.g. kill -9 from another terminal) are re-launched
-// with the recovery flag, exactly like the paper's execution monitor.
-func (l *Launcher) Run() error {
-	pg, err := ParseFile(l.Program)
-	if err != nil {
-		return err
-	}
-	if l.Stdout == nil {
-		l.Stdout = os.Stdout
-	}
-	if l.MaxSpawn <= 0 {
-		l.MaxSpawn = 10
-	}
-
-	var mu sync.Mutex
-	var services []*exec.Cmd
-	stopping := false
-	defer func() {
-		mu.Lock()
-		stopping = true
-		for _, c := range services {
-			if c.Process != nil {
-				c.Process.Kill()
-			}
-		}
-		mu.Unlock()
-	}()
-
-	// Services are supervised like computing nodes: an event logger,
-	// checkpoint server or scheduler that dies mid-run is re-launched
-	// with the recovery flag (it reloads its WAL and, for replicated
-	// roles, resyncs from its surviving peers) under the same restart
-	// budget. The paper assumes these nodes are reliable; the launcher
-	// no longer does.
-	svcSpawns := make(map[int]int)
-	var spawnService func(n Node, restarted bool) error
-	spawnService = func(n Node, restarted bool) error {
-		mu.Lock()
-		if stopping {
-			mu.Unlock()
-			return nil
-		}
-		svcSpawns[n.ID]++
-		if svcSpawns[n.ID] > l.MaxSpawn {
-			mu.Unlock()
-			return fmt.Errorf("deploy: service %s %d exceeded %d restarts", n.Role, n.ID, l.MaxSpawn)
-		}
-		mu.Unlock()
-		args := []string{"-pg", l.Program, "-serve", fmt.Sprint(n.ID), "-app", l.AppName}
-		if restarted {
-			args = append(args, "-restarted")
-		}
-		cmd := exec.Command(l.Exe, args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return err
-		}
-		mu.Lock()
-		services = append(services, cmd)
-		mu.Unlock()
-		go func() {
-			err := cmd.Wait()
-			mu.Lock()
-			dead := stopping
-			mu.Unlock()
-			if dead {
-				return
-			}
-			fmt.Fprintf(l.Stdout, "vrun: %s %d died (%v); re-launching with recovery\n", n.Role, n.ID, err)
-			time.Sleep(200 * time.Millisecond) // port release
-			if err := spawnService(n, true); err != nil {
-				fmt.Fprintf(l.Stdout, "vrun: %v\n", err)
-			}
-		}()
-		return nil
-	}
-	for _, n := range pg.Nodes {
-		if n.Role != RoleCN {
-			fmt.Fprintf(l.Stdout, "vrun: starting %s on %s\n", n.Role, n.Addr)
-			if err := spawnService(n, false); err != nil {
-				return err
-			}
-		}
-	}
-	time.Sleep(300 * time.Millisecond) // let the services bind
-
-	exits := make(chan workerExit, len(pg.CNs())*l.MaxSpawn)
-	spawnCN := func(rank int, restarted bool) (*exec.Cmd, error) {
-		args := []string{"-pg", l.Program, "-serve", fmt.Sprint(rank), "-app", l.AppName}
-		if restarted {
-			args = append(args, "-restarted")
-		}
-		cmd := exec.Command(l.Exe, args...)
-		cmd.Stderr = os.Stderr
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		go func() {
-			done := false
-			sc := bufio.NewScanner(stdout)
-			for sc.Scan() {
-				line := sc.Text()
-				if line == DoneMarker {
-					done = true
-					exits <- workerExit{rank: rank, done: true}
-				} else {
-					fmt.Fprintf(l.Stdout, "[rank %d] %s\n", rank, line)
-				}
-			}
-			err := cmd.Wait()
-			if !done {
-				exits <- workerExit{rank: rank, err: err}
-			}
-		}()
-		mu.Lock()
-		services = append(services, cmd)
-		mu.Unlock()
-		return cmd, nil
-	}
-
-	spawns := make(map[int]int)
-	for _, n := range pg.CNs() {
-		fmt.Fprintf(l.Stdout, "vrun: starting rank %d on %s\n", n.ID, n.Addr)
-		spawns[n.ID]++
-		if _, err := spawnCN(n.ID, false); err != nil {
-			return err
-		}
-	}
-
-	finished := make(map[int]bool)
-	for len(finished) < len(pg.CNs()) {
-		ex := <-exits
-		switch {
-		case ex.done:
-			if !finished[ex.rank] {
-				finished[ex.rank] = true
-				fmt.Fprintf(l.Stdout, "vrun: rank %d finalized (%d/%d)\n", ex.rank, len(finished), len(pg.CNs()))
-			}
-		case finished[ex.rank]:
-			// A finalized worker died. Its MPI program is done, but
-			// its daemon still holds the SAVED payload log that
-			// recovering peers may need — re-launch it with the
-			// recovery flag (it replays to completion and resumes
-			// serving).
-			fmt.Fprintf(l.Stdout, "vrun: finalized rank %d died; re-launching its daemon\n", ex.rank)
-			spawns[ex.rank]++
-			if spawns[ex.rank] > l.MaxSpawn {
-				return fmt.Errorf("deploy: rank %d exceeded %d restarts", ex.rank, l.MaxSpawn)
-			}
-			time.Sleep(200 * time.Millisecond)
-			if _, err := spawnCN(ex.rank, true); err != nil {
-				return err
-			}
-		default:
-			fmt.Fprintf(l.Stdout, "vrun: rank %d died (%v); re-launching with recovery\n", ex.rank, ex.err)
-			spawns[ex.rank]++
-			if spawns[ex.rank] > l.MaxSpawn {
-				return fmt.Errorf("deploy: rank %d exceeded %d restarts", ex.rank, l.MaxSpawn)
-			}
-			time.Sleep(200 * time.Millisecond) // detection + port release
-			if _, err := spawnCN(ex.rank, true); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Fprintln(l.Stdout, "vrun: all ranks finalized; cleaning the execution pool")
-	return nil
-}

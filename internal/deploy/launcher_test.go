@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -90,15 +91,15 @@ func TestVrunEndToEnd(t *testing.T) {
 }
 
 // TestVrunSurvivesKill9 kills a live worker with SIGKILL mid-run; the
-// launcher must re-launch it with the recovery flag and the run must
-// still complete and verify.
+// supervisor must re-launch it as the rank's next incarnation with the
+// recovery flag, and the run must still complete and verify.
 func TestVrunSurvivesKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes; skipped in short mode")
 	}
 	exe := buildVrun(t)
 	pg := writeProgram(t, false, 3)
-	var out bytes.Buffer
+	var out syncBuffer
 	cmd := exec.Command(exe, "-pg", pg, "-app", "tokenring")
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -120,7 +121,7 @@ func TestVrunSurvivesKill9(t *testing.T) {
 	var victim int
 	for i := 0; i < 40 && victim == 0; i++ {
 		time.Sleep(25 * time.Millisecond)
-		victim = findWorkerPID(t, pg, 1)
+		victim, _ = findWorker(t, pg, 1)
 	}
 	if victim == 0 {
 		t.Fatalf("no rank-1 worker found\n%s", out.String())
@@ -128,6 +129,19 @@ func TestVrunSurvivesKill9(t *testing.T) {
 	time.Sleep(300 * time.Millisecond) // let the ring make some progress
 	if err := syscall.Kill(victim, syscall.SIGKILL); err != nil {
 		t.Fatalf("kill: %v", err)
+	}
+
+	// The respawn serves until the run is over, so it can be read while
+	// the ring replays through it.
+	respawn, inc := 0, ""
+	for i := 0; i < 400 && (respawn == 0 || respawn == victim); i++ {
+		time.Sleep(5 * time.Millisecond)
+		respawn, inc = findWorker(t, pg, 1)
+	}
+	if respawn == 0 || respawn == victim {
+		t.Errorf("no respawned rank-1 worker found\n%s", out.String())
+	} else if inc != "1" {
+		t.Errorf("respawned rank 1 runs as incarnation %q, want 1", inc)
 	}
 
 	select {
@@ -140,44 +154,59 @@ func TestVrunSurvivesKill9(t *testing.T) {
 		t.Fatalf("vrun did not finish after kill\n%s", out.String())
 	}
 	s := out.String()
-	if !strings.Contains(s, "re-launching with recovery") {
-		t.Errorf("launcher never recovered a worker:\n%s", s)
+	if !strings.Contains(s, "spawned cn 1 (pid "+fmt.Sprint(respawn)+", incarnation 1, restarted=true)") {
+		t.Errorf("supervisor never logged the recovering respawn:\n%s", s)
 	}
 	if !strings.Contains(s, "all ranks finalized") {
 		t.Errorf("run did not complete:\n%s", s)
 	}
 }
 
-// findWorkerPID scans /proc for a vrun process serving the given rank of
-// the program file.
-func findWorkerPID(t *testing.T, pgPath string, rank int) int {
+// syncBuffer is a bytes.Buffer safe to read while a child process
+// writes to it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// findWorker scans /proc for a worker serving the given rank of the
+// program file — a process whose environment names both — and returns
+// its pid and MPICHV_INC.
+func findWorker(t *testing.T, pgPath string, rank int) (pid int, inc string) {
 	t.Helper()
 	entries, err := os.ReadDir("/proc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		pid := 0
 		if _, err := fmt.Sscanf(e.Name(), "%d", &pid); err != nil || pid <= 0 {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join("/proc", e.Name(), "cmdline"))
+		raw, err := os.ReadFile(filepath.Join("/proc", e.Name(), "environ"))
 		if err != nil {
 			continue
 		}
-		args := strings.Split(string(raw), "\x00")
-		hasServe, hasPg := false, false
-		for i, a := range args {
-			if a == "-serve" && i+1 < len(args) && args[i+1] == fmt.Sprint(rank) {
-				hasServe = true
-			}
-			if a == "-pg" && i+1 < len(args) && args[i+1] == pgPath {
-				hasPg = true
+		env := map[string]string{}
+		for _, kv := range strings.Split(string(raw), "\x00") {
+			if k, v, ok := strings.Cut(kv, "="); ok {
+				env[k] = v
 			}
 		}
-		if hasServe && hasPg {
-			return pid
+		if env["MPICHV_SERVE"] == fmt.Sprint(rank) && env["MPICHV_PG"] == pgPath {
+			return pid, env["MPICHV_INC"]
 		}
 	}
-	return 0
+	return 0, ""
 }

@@ -43,8 +43,8 @@ const (
 )
 
 // ServeOpts fully describes one worker process of a deployed run. The
-// zero value of every optional field selects the legacy Serve behavior,
-// so ServeWith is a strict superset of Serve.
+// zero value of every optional field turns its feature off: no shared
+// epoch, no WALs, no traces, no heartbeat, no pull timer.
 type ServeOpts struct {
 	Program   *Program
 	ID        int
@@ -85,10 +85,8 @@ type ServeOpts struct {
 	// role. The supervisor kills workers whose heartbeat goes stale.
 	Heartbeat time.Duration
 
-	// Daemon knobs for running against a faulty network (CN roles):
-	// the degraded-mode high watermark (the daemon resumes at half of
-	// it) and the starvation pull timer.
-	ELHighWater int
+	// PullTimeout arms the daemon's starvation pull timer for running
+	// against a faulty network (CN roles); see daemon.Config.PullTimeout.
 	PullTimeout time.Duration
 
 	// DetMode names the daemon's determinant-suppression policy (see
@@ -170,7 +168,7 @@ func peersOf(pg *Program, node *Node) []int {
 // ServeWith runs one node of the program in this process, with the full
 // fault-injection surface: bind/advertise address split, shared epoch,
 // durable service stores with torn-write injection, crash-surviving
-// trace snapshots, heartbeats, and the daemon's degraded-mode knobs.
+// trace snapshots, heartbeats, and the daemon's pull timer.
 // Computing nodes run the app, print DoneMarker, and keep serving;
 // service nodes serve forever.
 func ServeWith(o ServeOpts) error {
@@ -273,7 +271,6 @@ func ServeWith(o ServeOpts) error {
 			Dispatcher:  -1,
 			Restarted:   o.Restarted,
 			Incarnation: o.Incarnation,
-			ELHighWater: o.ELHighWater,
 			PullTimeout: o.PullTimeout,
 			DetMode:     detMode,
 		}
@@ -331,7 +328,6 @@ const (
 	envDiskEvery = "MPICHV_DISK_EVERY"
 	envDiskSeed  = "MPICHV_DISK_SEED"
 	envHB        = "MPICHV_HB_MS"
-	envELHigh    = "MPICHV_EL_HIGH"
 	envPull      = "MPICHV_PULL_MS"
 	envDetMode   = "MPICHV_DETMODE"
 )
@@ -364,9 +360,6 @@ func (o *ServeOpts) Env(pgPath string) []string {
 	}
 	if o.Heartbeat > 0 {
 		env = append(env, envHB+"="+strconv.FormatInt(o.Heartbeat.Milliseconds(), 10))
-	}
-	if o.ELHighWater > 0 {
-		env = append(env, envELHigh+"="+strconv.Itoa(o.ELHighWater))
 	}
 	if o.PullTimeout > 0 {
 		env = append(env, envPull+"="+strconv.FormatInt(o.PullTimeout.Milliseconds(), 10))
@@ -415,7 +408,6 @@ func MaybeServe(lookup func(name string) (App, bool)) {
 		WALDir:         os.Getenv(envWALDir),
 		DiskFaultEvery: envInt(envDiskEvery),
 		Heartbeat:      time.Duration(envInt(envHB)) * time.Millisecond,
-		ELHighWater:    envInt(envELHigh),
 		PullTimeout:    time.Duration(envInt(envPull)) * time.Millisecond,
 		DetMode:        os.Getenv(envDetMode),
 	}

@@ -489,7 +489,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			DiskFaultEvery: cfg.DiskFaultEvery,
 			DiskFaultSeed:  cfg.Seed,
 			Heartbeat:      cfg.Heartbeat,
-			ELHighWater:    512,
 			PullTimeout:    250 * time.Millisecond,
 			DetMode:        cfg.DetMode,
 		},

@@ -107,7 +107,7 @@ type Supervisor struct {
 }
 
 // StartSupervisor launches every node of the program and begins
-// supervision. Call Wait for completion and Stop to tear down.
+// supervision. Wait on Done for completion and call Stop to tear down.
 func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	pg, err := ParseFile(cfg.ProgramPath)
 	if err != nil {
@@ -201,7 +201,7 @@ func (s *Supervisor) spawn(n Node, restarted bool) error {
 	w := &supWorker{node: n, inc: inc, cmd: cmd, lastHB: time.Now()}
 	s.workers[n.ID] = w
 	s.event(n.ID, inc, "spawn", string(n.Role))
-	s.logf("spawned %s %d (incarnation %d, restarted=%v)", n.Role, n.ID, inc, restarted)
+	s.logf("spawned %s %d (pid %d, incarnation %d, restarted=%v)", n.Role, n.ID, cmd.Process.Pid, inc, restarted)
 
 	s.wg.Add(1)
 	go s.scan(w, stdout)

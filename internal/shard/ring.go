@@ -26,6 +26,11 @@ package shard
 // multipliers are bijections on the slot space.
 const NSlots = 1024
 
+// Seed is the placement seed of every fleet: the event-logger ring uses
+// Seed, the checkpoint-server ring Seed+1, so daemons, dispatcher and
+// harness place every channel and every rank identically.
+const Seed = 42
+
 // Ring is an immutable placement function: (sender, receiver) → shard.
 // Liveness is not ring state — callers pass the current dead set, so one
 // ring value is shared by daemons, dispatcher, and harness without

@@ -251,14 +251,15 @@ func AuditHBWith(tr *Trace, opts AuditHBOpts) HBReport {
 
 // CriticalPath is the per-rank decomposition of where a run's virtual
 // time went, extracted from the trace plus the MPI-layer Stats: pure
-// compute, EL ack stalls (WAITLOGGED), recovery (restart handshakes),
-// and the residual transfer/queueing time inside communication.
+// compute, EL ack stalls (WAITLOGGED), recovery (restart fetches and
+// announcements), and the residual transfer/queueing time inside
+// communication.
 type CriticalPath struct {
 	Rank     int
 	Compute  time.Duration
 	Comm     time.Duration // total MPI communication time
 	ELWait   time.Duration // WAITLOGGED stalls inside Comm
-	Recovery time.Duration // restart handshake + fetch time
+	Recovery time.Duration // restart fetch + announcement time
 	Transfer time.Duration // Comm minus ELWait minus Recovery (clamped)
 }
 

@@ -64,9 +64,9 @@ const (
 	EvReplay
 	// EvRestartBegin: recovery started. A = incarnation.
 	EvRestartBegin
-	// EvRestartEnd: recovery finished (RESTART1/2 handshake done,
-	// replay may still be draining). A = incarnation, B = recovery
-	// duration in virtual nanoseconds.
+	// EvRestartEnd: recovery finished (image and events fetched,
+	// RESTART1s sent; replay may still be draining). A = incarnation,
+	// B = recovery duration in virtual nanoseconds.
 	EvRestartEnd
 	// EvDetSuppressed: a delivery was classified deterministic and its
 	// determinant suppressed off the critical path (epoch-batched to the

@@ -35,8 +35,8 @@ const (
 	// Computing node ↔ checkpoint server.
 	KCkptSave    // data: u64 seq + image bytes
 	KCkptSaveAck // data: u64 seq
-	KCkptFetch   // data: empty
-	KCkptImage   // data: u8 present + image bytes
+	_            // retired: the whole-image fetch (restarts fetch a manifest, then chunks)
+	_            // retired: its reply
 
 	// Checkpoint scheduler ↔ computing node.
 	KSchedPoll // data: empty
@@ -66,9 +66,8 @@ const (
 
 	// Chunked checkpoint transfer (appended after KCSSyncResp, same
 	// numbering-stability reason). The save path streams an image as
-	// fixed-size chunks, each acked individually; the restart fast path
-	// fetches a manifest first and then pulls chunks across the read
-	// quorum.
+	// fixed-size chunks, each acked individually; a restart fetches a
+	// manifest first and then pulls chunks across the read quorum.
 	KCkptChunk       // data: chunk frame (magic + seq/idx/count + len + CRC + body)
 	KCkptChunkAck    // data: u64 seq + u32 chunk index
 	KCkptManifestReq // data: u32 desired chunk size
@@ -106,7 +105,6 @@ func KindName(k uint8) string {
 		KCkptNote: "ckpt-note", KEventLog: "event-log", KEventAck: "event-ack",
 		KEventFetch: "event-fetch", KEventFetched: "event-fetched",
 		KCkptSave: "ckpt-save", KCkptSaveAck: "ckpt-save-ack",
-		KCkptFetch: "ckpt-fetch", KCkptImage: "ckpt-image",
 		KSchedPoll: "sched-poll", KSchedStat: "sched-stat", KCkptOrder: "ckpt-order",
 		KHello: "hello", KFinalize: "finalize", KFinalizeAck: "finalize-ack",
 		KCMPut: "cm-put", KCMGet: "cm-get", KCMMsg: "cm-msg",
@@ -522,25 +520,6 @@ func DecodeCkptSave(data []byte) (seq uint64, image []byte, err error) {
 		return 0, nil, fmt.Errorf("wire: ckpt save frame too short")
 	}
 	return binary.BigEndian.Uint64(data), data[8:], nil
-}
-
-// EncodeCkptImage frames a fetch response; present=false means the
-// server has no image for the rank (restart from scratch).
-func EncodeCkptImage(present bool, image []byte) []byte {
-	out := make([]byte, 1+len(image))
-	if present {
-		out[0] = 1
-	}
-	copy(out[1:], image)
-	return out
-}
-
-// DecodeCkptImage splits a KCkptImage payload.
-func DecodeCkptImage(data []byte) (present bool, image []byte, err error) {
-	if len(data) < 1 {
-		return false, nil, fmt.Errorf("wire: ckpt image frame too short")
-	}
-	return data[0] == 1, data[1:], nil
 }
 
 // --- Replica anti-entropy -------------------------------------------------

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -187,19 +188,8 @@ func TestCkptFraming(t *testing.T) {
 	if err != nil || seq != 9 || string(img) != "image" {
 		t.Errorf("ckpt save: %d %q %v", seq, img, err)
 	}
-	present, img, err := DecodeCkptImage(EncodeCkptImage(true, []byte("x")))
-	if err != nil || !present || string(img) != "x" {
-		t.Errorf("ckpt image: %v %q %v", present, img, err)
-	}
-	present, img, err = DecodeCkptImage(EncodeCkptImage(false, nil))
-	if err != nil || present || len(img) != 0 {
-		t.Errorf("empty ckpt image: %v %q %v", present, img, err)
-	}
 	if _, _, err := DecodeCkptSave([]byte{1}); err == nil {
 		t.Error("short ckpt save accepted")
-	}
-	if _, _, err := DecodeCkptImage(nil); err == nil {
-		t.Error("empty ckpt image frame accepted")
 	}
 }
 
@@ -220,18 +210,46 @@ func TestCMFraming(t *testing.T) {
 	}
 }
 
+// TestKindNames covers every kind: the live kinds have distinct values
+// and distinct names, the retired slots keep their numbers but no name,
+// and together they fill 1..KELShardUp with no gap.
 func TestKindNames(t *testing.T) {
-	kinds := []uint8{KPayload, KRestart1, KRestart2, KCkptNote, KEventLog, KEventAck,
-		KEventFetch, KEventFetched, KCkptSave, KCkptSaveAck, KCkptFetch, KCkptImage,
-		KSchedPoll, KSchedStat, KCkptOrder, KHello, KFinalize, KCMPut, KCMGet, KCMMsg}
-	seen := map[uint8]bool{}
-	for _, k := range kinds {
-		if seen[k] {
+	live := []uint8{KPayload, KRestart1, KRestart2, KCkptNote,
+		KEventLog, KEventAck, KEventFetch, KEventFetched,
+		KCkptSave, KCkptSaveAck,
+		KSchedPoll, KSchedStat, KCkptOrder, KHello, KFinalize,
+		KCMPut, KCMGet, KCMMsg, KFinalizeAck,
+		KELSyncReq, KELSyncResp, KCSSyncReq, KCSSyncResp,
+		KCkptChunk, KCkptChunkAck, KCkptManifestReq, KCkptManifest, KCkptChunkFetch, KCkptChunkData,
+		KDetRelay, KDetFlushReq, KDetFlushResp, KELShardDown, KELShardUp}
+	retired := []uint8{KCkptSaveAck + 1, KCkptSaveAck + 2} // the whole-image fetch and its reply
+	values, names := map[uint8]bool{}, map[string]uint8{}
+	for _, k := range live {
+		if values[k] {
 			t.Errorf("duplicate kind value %d", k)
 		}
-		seen[k] = true
-		if KindName(k) == "" || KindName(k)[0] == 'k' {
+		values[k] = true
+		n := KindName(k)
+		if n == fmt.Sprintf("kind-%d", k) {
 			t.Errorf("kind %d has no name", k)
+		}
+		if prev, dup := names[n]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, n)
+		}
+		names[n] = k
+	}
+	for _, k := range retired {
+		if values[k] {
+			t.Errorf("retired slot %d is a live kind", k)
+		}
+		values[k] = true
+		if n := KindName(k); n != fmt.Sprintf("kind-%d", k) {
+			t.Errorf("retired slot %d is named %q", k, n)
+		}
+	}
+	for k := uint8(1); k <= KELShardUp; k++ {
+		if !values[k] {
+			t.Errorf("kind value %d is neither live nor retired in this test", k)
 		}
 	}
 	if KindName(200) != "kind-200" {
