@@ -59,7 +59,13 @@ type SavedMsg struct {
 	Clock uint64 // sender clock at emission
 	Seq   uint64 // per-destination channel sequence (1, 2, 3, …)
 	Kind  uint8  // device-level frame kind, replayed verbatim
-	Data  []byte
+	// Data is immutable once logged: no one writes it after PrepareSend
+	// (or Restore) hands it to the log, and no one recycles it into a
+	// buffer pool — garbage collection only drops the log's reference.
+	// Snapshots and restored states therefore share it instead of
+	// copying it, and a snapshot stays a point-in-time view because the
+	// live log only ever appends and removes entries.
+	Data []byte
 }
 
 // StashedMsg is a message received during replay ahead of its logged
@@ -168,11 +174,13 @@ func (s *State) SavedCount() int { return len(s.saved) }
 // --- Sending -----------------------------------------------------------
 
 // PrepareSend implements the send(m,q) action: it ticks the clock,
-// stores a copy of the payload in the SAVED log (always — Lemma 1 needs
+// stores the payload in the SAVED log (always — Lemma 1 needs
 // re-executed sends to repopulate the log), and reports whether the
 // message must actually be transmitted. Transmission is suppressed when
 // the receiver is known to have delivered it already (H_p < HS_p[q]
-// after a RESTART1/RESTART2 exchange told us what q had seen).
+// after a RESTART1/RESTART2 exchange told us what q had seen). The log
+// keeps data itself, not a copy: the caller hands it over and must never
+// write it again (see SavedMsg.Data).
 func (s *State) PrepareSend(to int, kind uint8, data []byte) (id MsgID, seq uint64, transmit bool) {
 	s.h++
 	s.seqTo[to]++

@@ -26,12 +26,14 @@ type Snapshot struct {
 	Saved     []SavedMsg
 }
 
-// Snapshot captures a deep copy of the protocol state. It must be taken
-// at a quiescent point (no partially received message), which the daemon
-// guarantees by checkpointing between protocol messages — the same
-// guarantee the paper gets by triggering Condor checkpoints from the
-// daemon ("this insures that there are no active communication at fork
-// time").
+// Snapshot captures the protocol state: its own vectors and SAVED
+// entries, whose payloads it shares with the live log (SavedMsg.Data is
+// immutable), so later sends, deliveries and garbage collection never
+// reach it. It must be taken at a quiescent point (no partially received
+// message), which the daemon guarantees by checkpointing between
+// protocol messages — the same guarantee the paper gets by triggering
+// Condor checkpoints from the daemon ("this insures that there are no
+// active communication at fork time").
 func (s *State) Snapshot() *Snapshot {
 	sn := &Snapshot{
 		Rank:      s.rank,
@@ -58,16 +60,13 @@ func (s *State) Snapshot() *Snapshot {
 	for k, v := range s.collected {
 		sn.Collected[k] = v
 	}
-	for i, m := range s.saved {
-		cp := m
-		cp.Data = append([]byte(nil), m.Data...)
-		sn.Saved[i] = cp
-	}
+	copy(sn.Saved, s.saved)
 	return sn
 }
 
 // Restore rebuilds a State from a snapshot, as the ROLLBACK() routine
-// does from a checkpoint image.
+// does from a checkpoint image. The restored log shares the snapshot's
+// payloads (DecodeSnapshot already copied them out of the image).
 func Restore(sn *Snapshot) *State {
 	s := NewState(sn.Rank)
 	s.h = sn.H
@@ -88,10 +87,8 @@ func Restore(sn *Snapshot) *State {
 		s.collected[k] = v
 	}
 	s.saved = make([]SavedMsg, len(sn.Saved))
-	for i, m := range sn.Saved {
-		cp := m
-		cp.Data = append([]byte(nil), m.Data...)
-		s.saved[i] = cp
+	copy(s.saved, sn.Saved)
+	for _, m := range sn.Saved {
 		s.logBytes += int64(len(m.Data))
 	}
 	return s

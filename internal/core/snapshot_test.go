@@ -277,6 +277,53 @@ func TestPropertyChainEqualsLiveLog(t *testing.T) {
 	}
 }
 
+// A snapshot shares the live log's payloads, and is still a
+// point-in-time view: over seeded histories, a snapshot's SAVED payloads
+// are the log's own buffers at capture, and after 200 further random
+// sends, deliveries and collections on the live state it encodes to the
+// very bytes it did at capture.
+func TestPropertySnapshotSharesPayloads(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		live := NewState(0)
+		peerClock := map[int]uint64{}
+		step := func() {
+			peer := 1 + rng.Intn(3)
+			switch r := rng.Intn(10); {
+			case r < 5:
+				data := make([]byte, 1+rng.Intn(48))
+				rng.Read(data)
+				live.PrepareSend(peer, uint8(rng.Intn(3)), data)
+			case r < 7:
+				peerClock[peer] += 1 + uint64(rng.Intn(3))
+				live.Commit(peer, peerClock[peer], 0)
+				live.EventsAcked(1)
+			default:
+				live.CollectGarbage(peer, uint64(rng.Int63n(int64(live.Clock())+2)))
+			}
+		}
+		for i := 0; i < 50+rng.Intn(100); i++ {
+			step()
+		}
+		sn := live.Snapshot()
+		at := AppendSnapshot(nil, sn)
+		if len(sn.Saved) != len(live.saved) {
+			t.Fatalf("seed %d: snapshot holds %d entries, the log %d", seed, len(sn.Saved), len(live.saved))
+		}
+		for i := range sn.Saved {
+			if &sn.Saved[i].Data[0] != &live.saved[i].Data[0] {
+				t.Fatalf("seed %d: snapshot entry %d is a copy of the log's payload", seed, i)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			step()
+		}
+		if !bytes.Equal(AppendSnapshot(nil, sn), at) {
+			t.Fatalf("seed %d: the snapshot changed with the live state", seed)
+		}
+	}
+}
+
 func TestSnapshotDeltaNilMarksIsFull(t *testing.T) {
 	sn := sampleSnapshot()
 	a := AppendSnapshot(nil, sn)

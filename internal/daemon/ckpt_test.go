@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"maps"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -291,54 +292,154 @@ func TestChunkedCheckpointOverTCPRestarts(t *testing.T) {
 	}
 }
 
+// captureDaemon is a rank-0 V2 daemon without its actor loop, on ep, whose
+// checkpoints go to the given servers (write quorum: all of them) in
+// chunks of the given size; a test drives capture and the cs window by
+// hand.
+func captureDaemon(rt vtime.Runtime, ep transport.Endpoint, servers []int, chunk int) *V2 {
+	cfg := v2Config(0, 2, -1)
+	cfg.CSReplicas, cfg.CkptChunkSize = servers, chunk
+	d := &V2{rt: rt, cfg: cfg, st: core.NewState(0), timers: make(map[uint64]func()),
+		in: vtime.NewMailbox[dEvent](rt, "in"), rsp: vtime.NewMailbox[rankResp](rt, "rsp"), ep: ep}
+	d.cs.init(d, newReplicaGroup(0, servers, len(servers)), defCkptAckTimeout, d.sendXfer)
+	return d
+}
+
+// checkpointNow hands the daemon a checkpoint request and waits for the
+// rank's reply.
+func checkpointNow(d *V2, app []byte) {
+	d.parked = parkedReq{rankReq: rankReq{op: opCkpt, data: app}}
+	d.capture()
+	d.rsp.Recv()
+}
+
+// batchEndpoint counts the SendFrames calls made on it, per destination,
+// and passes each frame on through the inner endpoint's Send.
+type batchEndpoint struct {
+	transport.Endpoint
+	calls map[int]int
+}
+
+func (e *batchEndpoint) SendFrames(to int, kind uint8, frames []transport.Parts) bool {
+	e.calls[to]++
+	for _, f := range frames {
+		e.Send(to, kind, append(append([]byte(nil), f.Head...), f.Body...))
+	}
+	return true
+}
+
+// TestCkptRetransmitIsOneBatchOfUnackedChunks: after partial chunk acks,
+// a retransmit round sends each server exactly the chunks it has not
+// acked, in ascending order, in one SendFrames call; the first push was
+// one call per server too.
+func TestCkptRetransmitIsOneBatchOfUnackedChunks(t *testing.T) {
+	servers := []int{901, 902}
+	rt := vtime.NewReal()
+	fab := transport.NewMemFabric(rt)
+	ep := &batchEndpoint{Endpoint: fab.Attach(0, "cn0"), calls: map[int]int{}}
+	inbox := map[int]*vtime.Mailbox[transport.Frame]{}
+	for _, s := range servers {
+		inbox[s] = fab.Attach(s, "cs").Inbox()
+	}
+	d := captureDaemon(rt, ep, servers, 1<<10)
+	d.st.PrepareSend(1, 0, bytes.Repeat([]byte("saved "), 500))
+	// received drains what a server got: the chunk indices, in order.
+	received := func(s int) []uint32 {
+		var idx []uint32
+		for {
+			f, ok := inbox[s].TryRecv()
+			if !ok {
+				return idx
+			}
+			_, i, _, _, err := wire.DecodeCkptChunk(f.Data)
+			if f.Kind != wire.KCkptChunk || err != nil {
+				t.Fatalf("server %d got a %s frame (%v), want chunks", s, wire.KindName(f.Kind), err)
+			}
+			idx = append(idx, i)
+		}
+	}
+
+	checkpointNow(d, bytes.Repeat([]byte("app state "), 800))
+	x := &d.cs.slots[0].item
+	n := uint32(len(x.chunks))
+	all := make([]uint32, n)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	for _, s := range servers {
+		if got := received(s); !reflect.DeepEqual(got, all) || ep.calls[s] != 1 {
+			t.Fatalf("first push to server %d: chunks %v in %d calls, want all %d in one", s, got, ep.calls[s], n)
+		}
+	}
+
+	// Server 901 acks the even chunks, 902 the first half.
+	want := map[int][]uint32{}
+	for i := uint32(0); i < n; i++ {
+		for _, s := range servers {
+			if (s == 901 && i%2 == 0) || (s == 902 && i < n/2) {
+				d.handleFrame(transport.Frame{From: s, Kind: wire.KCkptChunkAck,
+					Data: wire.AppendCkptChunkAck(nil, d.cs.slots[0].seq, i)})
+			} else {
+				want[s] = append(want[s], i)
+			}
+		}
+	}
+	clear(ep.calls)
+	d.cs.slots[0].sent = -time.Hour // overdue
+	d.cs.expired()
+	for _, s := range servers {
+		if got := received(s); !reflect.DeepEqual(got, want[s]) || ep.calls[s] != 1 {
+			t.Errorf("retransmit to server %d: chunks %v in %d calls, want %v in one", s, got, ep.calls[s], want[s])
+		}
+	}
+	if got, w := d.stats.ChunkRetransmits, int64(len(want[901])+len(want[902])); got != w {
+		t.Errorf("ChunkRetransmits = %d, want %d", got, w)
+	}
+	d.cs.reset()
+}
+
 // BenchmarkCapture prices one checkpoint capture on the real path — the
 // snapshot, the image with a 1 MiB app state and a 1 MiB SAVED log, and
-// the push of every chunk over TCP to a server that reads and discards —
-// at the default chunk size and at a quarter of it. Allocations per op
-// must not grow with the chunk count.
+// the push of every chunk over TCP to servers that read and discard — at
+// the default chunk size and at a quarter of it, to one server and to
+// two (halo_ckpt's checkpoint-server layout). Allocations per op must not
+// grow with the chunk count or the server count.
 func BenchmarkCapture(b *testing.B) {
-	for _, chunk := range []int{defCkptChunk, defCkptChunk / 4} {
-		b.Run(fmt.Sprintf("chunk=%dKiB", chunk>>10), func(b *testing.B) { benchCapture(b, chunk) })
+	for _, servers := range []int{1, 2} {
+		for _, chunk := range []int{defCkptChunk, defCkptChunk / 4} {
+			name := fmt.Sprintf("chunk=%dKiB", chunk>>10)
+			if servers > 1 {
+				name += fmt.Sprintf(",servers=%d", servers)
+			}
+			b.Run(name, func(b *testing.B) { benchCapture(b, chunk, servers) })
+		}
 	}
 }
 
-func benchCapture(b *testing.B, chunk int) {
-	const csNode = 901
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 64<<10)
-		for {
-			if _, err := c.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
+func benchCapture(b *testing.B, chunk, nServers int) {
 	rt := vtime.NewReal()
-	fab := transport.NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", csNode: ln.Addr().String()})
-	cfg := v2Config(0, 2, -1)
-	cfg.CkptServer, cfg.CkptChunkSize = csNode, chunk
-	d := &V2{rt: rt, cfg: cfg, st: core.NewState(0), timers: make(map[uint64]func()),
-		in: vtime.NewMailbox[dEvent](rt, "in"), rsp: vtime.NewMailbox[rankResp](rt, "rsp")}
-	d.ep = fab.Attach(0, "cn0")
-	defer d.ep.Close()
-	d.cs.init(d, newReplicaGroup(0, []int{csNode}, 1), defCkptAckTimeout, d.sendXfer)
+	addrs := map[int]string{0: "127.0.0.1:0"}
+	var servers []int
+	for i := 0; i < nServers; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ln.Close()
+		go discard(ln)
+		servers = append(servers, 901+i)
+		addrs[901+i] = ln.Addr().String()
+	}
+	fab := transport.NewTCPFabric(rt, addrs)
+	ep := fab.Attach(0, "cn0")
+	defer ep.Close()
+	d := captureDaemon(rt, ep, servers, chunk)
 	for i := 0; i < 16; i++ {
 		d.st.PrepareSend(1, 0, make([]byte, 64<<10))
 	}
 	app := make([]byte, 1<<20)
 	capture := func() {
-		d.parked = parkedReq{rankReq: rankReq{op: opCkpt, data: app}}
-		d.capture()
-		d.rsp.Recv()
+		checkpointNow(d, app)
 		d.cs.reset() // nothing acks: drop the transfer instead of retaining it
 	}
 	capture() // dial
@@ -347,5 +448,20 @@ func benchCapture(b *testing.B, chunk int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		capture()
+	}
+}
+
+// discard accepts one connection and reads and discards everything.
+func discard(ln net.Listener) {
+	c, err := ln.Accept()
+	if err != nil {
+		return
+	}
+	defer c.Close()
+	buf := make([]byte, 64<<10)
+	for {
+		if _, err := c.Read(buf); err != nil {
+			return
+		}
 	}
 }

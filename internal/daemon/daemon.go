@@ -36,7 +36,8 @@ type Device interface {
 	// snapshot when restarting from a checkpoint.
 	Init() (rank, size int, appState []byte, restarted bool)
 	// BSend transmits one protocol-layer block to the daemon of rank
-	// "to".
+	// "to". The daemon may keep data (the V2 SAVED log does), so the
+	// caller must not write it afterwards.
 	BSend(to int, data []byte)
 	// BRecv blocks for the next protocol-layer block.
 	BRecv() (from int, data []byte)

@@ -101,8 +101,9 @@ type V2 struct {
 	// shard, over the checkpoint servers. In-flight checkpoints stream as
 	// individually acked chunks and retire strictly from the front, so
 	// ckptDone, the delta base and the KCkptNote GC horizons advance in
-	// submission order.
-	cs window[ckptXfer]
+	// submission order. xferFrames is sendXfer's batch scratch.
+	cs         window[ckptXfer]
+	xferFrames []transport.Parts
 
 	// Pull recovery: when the daemon starves waiting for a deliverable
 	// message on a lossy fabric, it re-announces its delivered horizon
@@ -1784,8 +1785,9 @@ func (d *V2) capture() {
 		d.stats.DeltaCkpts++
 	}
 
-	// The transfer is asynchronous: execution continues while the image
-	// streams to the checkpoint servers (the paper's fork trick), and
+	// The rank waits until push has handed every replica its batch of
+	// chunks (one SendFrames each; on TCP, written into the socket), not
+	// for the acks: those arrive while execution goes on, and
 	// unacknowledged chunks are retransmitted like event batches.
 	d.cs.push(seq, x)
 	d.reply(rankResp{})
@@ -1793,10 +1795,10 @@ func (d *V2) capture() {
 
 // sendXfer ships a transfer to one server still short of the full
 // image: the monolithic payload when escalated, else every chunk the
-// server has not acked, in ascending chunk order. After
-// ckptEscalateAfter silent retransmit rounds the transfer escalates
-// first, so a replica that cannot complete the chunked delta is handed
-// an image with no chain to follow.
+// server has not acked, in ascending chunk order, as one SendFrames
+// batch. After ckptEscalateAfter silent retransmit rounds the transfer
+// escalates first, so a replica that cannot complete the chunked delta
+// is handed an image with no chain to follow.
 func (d *V2) sendXfer(s *slot[ckptXfer], t int) {
 	x := &s.item
 	if !x.escalated && s.attempts >= ckptEscalateAfter {
@@ -1807,8 +1809,10 @@ func (d *V2) sendXfer(s *slot[ckptXfer], t int) {
 		return
 	}
 	bit := d.cs.bits[t]
+	frames := d.xferFrames[:0]
 	for i := range x.chunks {
-		if x.chunks[i].acked&(1<<bit) != 0 {
+		c := &x.chunks[i]
+		if c.acked&(1<<bit) != 0 {
 			continue
 		}
 		if s.attempts == 0 {
@@ -1816,8 +1820,13 @@ func (d *V2) sendXfer(s *slot[ckptXfer], t int) {
 		} else {
 			d.stats.ChunkRetransmits++
 		}
-		transport.SendParts(d.ep, t, wire.KCkptChunk, x.chunks[i].hdr[:], x.chunks[i].body)
+		frames = append(frames, transport.Parts{Head: c.hdr[:], Body: c.body})
 	}
+	if len(frames) > 0 {
+		transport.SendFrames(d.ep, t, wire.KCkptChunk, frames)
+	}
+	clear(frames) // do not pin the image past its transfer
+	d.xferFrames = frames[:0]
 }
 
 // ckptRetired applies a transfer leaving the front of the window, in

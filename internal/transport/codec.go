@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"time"
 )
 
 // Wire format for a frame: a 4-byte big-endian length of the remainder,
@@ -27,39 +28,106 @@ const frameLen = 4 + frameHeaderLen
 // MaxFrameSize before a single body byte shows up.
 const maxUpfront = 1 << 20
 
-// frameWriter writes each frame with one write: the header and the
-// frame's data — one part, or two laid end to end — go out as one writev
-// on a connection. The header and the buffer list live in the writer, so
-// a long-lived one — one per endpoint or proxy leg, guarded by its
-// owner's write lock — allocates nothing per frame.
+// Parts is the data of one frame laid out in two pieces, Head followed
+// by Body, for a sender that keeps a frame's bulk where it already lies
+// (a checkpoint chunk inside its image) rather than copying it next to
+// its header. Either piece may be empty.
+type Parts struct{ Head, Body []byte }
+
+// A writev call carries at most maxWritev bytes in at most maxIovecs
+// buffers (IOV_MAX on Linux), so a batch of frames goes out as a few
+// bounded calls and a per-call write deadline bounds a stall, not the
+// size of the batch.
+const (
+	maxWritev = 1 << 20
+	maxIovecs = 1024
+)
+
+// frameWriter writes a batch of frames — each a header, then its Head
+// and Body — as one byte stream, in writev calls of at most maxWritev
+// bytes and maxIovecs buffers each. The headers, the buffer list and the
+// frame end offsets live in the writer, so a long-lived one — one per
+// endpoint or proxy leg, guarded by its owner's write lock — allocates
+// nothing once it has seen a batch of the size it is handed.
 type frameWriter struct {
-	hdr  [frameLen]byte
-	bufs [3][]byte
+	hdrs [][frameLen]byte
+	bufs [][]byte
+	ends []int64 // stream offset just past each frame of the batch
 	vec  net.Buffers
 }
 
+// deadliner is a connection whose writes take a deadline.
+type deadliner interface{ SetWriteDeadline(time.Time) error }
+
 func (fw *frameWriter) write(w io.Writer, f Frame) error {
-	return fw.writeParts(w, f.From, f.Kind, nil, f.Data)
+	_, err := fw.writeFrames(w, f.From, f.Kind, []Parts{{Body: f.Data}}, 0)
+	return err
 }
 
-// writeParts writes the frame whose data is head followed by body.
-func (fw *frameWriter) writeParts(w io.Writer, from int, kind uint8, head, body []byte) error {
-	n := len(head) + len(body)
-	if frameHeaderLen+n > MaxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+// writeFrames writes frames in order and returns how many of them w
+// accepted whole; on an error the frame it broke in, and all after it,
+// were not (completely) written. With timeout > 0 and a w that takes
+// write deadlines, every writev call gets its own deadline of now +
+// timeout. A frame over MaxFrameSize fails the batch before any byte is
+// written.
+func (fw *frameWriter) writeFrames(w io.Writer, from int, kind uint8, frames []Parts, timeout time.Duration) (int, error) {
+	fw.hdrs = slices.Grow(fw.hdrs[:0], len(frames))[:len(frames)]
+	fw.ends = fw.ends[:0]
+	bufs := fw.bufs[:0]
+	var end int64
+	for i, f := range frames {
+		n := len(f.Head) + len(f.Body)
+		if frameHeaderLen+n > MaxFrameSize {
+			clear(bufs)
+			return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		}
+		h := &fw.hdrs[i]
+		binary.BigEndian.PutUint32(h[0:4], uint32(frameHeaderLen+n))
+		binary.BigEndian.PutUint32(h[4:8], uint32(int32(from)))
+		h[8] = kind
+		bufs = append(bufs, h[:])
+		for _, p := range [2][]byte{f.Head, f.Body} {
+			if len(p) > 0 {
+				bufs = append(bufs, p)
+			}
+		}
+		end += int64(frameLen + n)
+		fw.ends = append(fw.ends, end)
 	}
-	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(frameHeaderLen+n))
-	binary.BigEndian.PutUint32(fw.hdr[4:8], uint32(int32(from)))
-	fw.hdr[8] = kind
-	if n == 0 {
-		_, err := w.Write(fw.hdr[:])
-		return err
+	fw.bufs = bufs
+	defer clear(bufs) // do not pin the caller's frames
+
+	var written int64
+	for pos := 0; pos < len(bufs); {
+		// The call's buffers: up to the caps, splitting the buffer that
+		// straddles maxWritev and keeping its rest for the next call.
+		stop, size := pos, 0
+		for stop < len(bufs) && stop-pos < maxIovecs && size < maxWritev {
+			size += len(bufs[stop])
+			stop++
+		}
+		var rest []byte
+		if over := size - maxWritev; over > 0 {
+			last := bufs[stop-1]
+			bufs[stop-1], rest = last[:len(last)-over], last[len(last)-over:]
+		}
+		if dw, ok := w.(deadliner); ok && timeout > 0 {
+			dw.SetWriteDeadline(time.Now().Add(timeout))
+		}
+		fw.vec = bufs[pos:stop]
+		n, err := fw.vec.WriteTo(w)
+		written += n
+		if err != nil {
+			done, _ := slices.BinarySearch(fw.ends, written+1)
+			return done, err
+		}
+		pos = stop
+		if rest != nil {
+			pos--
+			bufs[pos] = rest
+		}
 	}
-	fw.bufs = [3][]byte{fw.hdr[:], head, body}
-	fw.vec = fw.bufs[:]
-	_, err := fw.vec.WriteTo(w)
-	fw.bufs = [3][]byte{} // do not pin the caller's parts
-	return err
+	return len(frames), nil
 }
 
 // WriteFrame encodes f onto w.

@@ -2,7 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,12 +20,44 @@ var partsCases = []struct{ head, body int }{
 	{0, 0}, {0, 100}, {28, 0}, {28, 1}, {28, 16 << 10}, {4096, 4096 + 1},
 }
 
-func parts(head, body int) ([]byte, []byte) {
-	return sizedFrame(1, head).Data, sizedFrame(2, body).Data
+func parts(head, body int) Parts {
+	return Parts{Head: sizedFrame(1, head).Data, Body: sizedFrame(2, body).Data}
 }
 
-// TestSendPartsTCP: over connected TCP endpoints a two-part frame arrives
-// as exactly head‖body.
+// caseBatch is one frame per partsCases entry.
+func caseBatch() []Parts {
+	var frames []Parts
+	for _, c := range partsCases {
+		frames = append(frames, parts(c.head, c.body))
+	}
+	return frames
+}
+
+// numberedBatch builds n frames whose heads carry their index and whose
+// sizes cycle through empty heads and bodies, bodies straddling the
+// reader's buffer and 16 KiB chunks: a batch of 600 needs more than
+// maxIovecs buffers and more than maxWritev bytes.
+func numberedBatch(n int) []Parts {
+	frames := make([]Parts, n)
+	for i := range frames {
+		head := []int{0, 28, 4096}[i%3]
+		body := []int{0, 1, 100, 16 << 10, 4097}[i%5]
+		f := parts(head, body)
+		if len(f.Head) >= 4 {
+			binary.BigEndian.PutUint32(f.Head, uint32(i))
+		}
+		if len(f.Body) > 0 {
+			f.Body[0] = byte(i)
+		}
+		frames[i] = f
+	}
+	return frames
+}
+
+func joined(p Parts) []byte { return append(append([]byte{}, p.Head...), p.Body...) }
+
+// TestSendPartsTCP: over connected TCP endpoints a batch of 1, 129 or 600
+// frames arrives intact and in order, each frame as exactly Head‖Body.
 func TestSendPartsTCP(t *testing.T) {
 	rt := vtime.NewReal()
 	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
@@ -29,35 +65,45 @@ func TestSendPartsTCP(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	ch := collect(b)
-	for i, c := range partsCases {
-		head, body := parts(c.head, c.body)
-		if !SendParts(a, 1, uint8(i), head, body) {
-			t.Fatalf("%d+%dB: send failed", c.head, c.body)
+	for kind, frames := range [][]Parts{caseBatch(), numberedBatch(1), numberedBatch(129), numberedBatch(600)} {
+		if !SendFrames(a, 1, uint8(kind), frames) {
+			t.Fatalf("batch of %d: send failed", len(frames))
 		}
-		got := recvN(ch, 1, 5*time.Second)
-		want := append(append([]byte(nil), head...), body...)
-		if len(got) != 1 || got[0].From != 0 || got[0].Kind != uint8(i) || !bytes.Equal(got[0].Data, want) {
-			t.Fatalf("%d+%dB: delivered %d frames, want head‖body", c.head, c.body, len(got))
+		got := recvN(ch, len(frames), 10*time.Second)
+		if len(got) != len(frames) {
+			t.Fatalf("batch of %d: delivered %d frames", len(frames), len(got))
 		}
+		for i, f := range got {
+			if f.From != 0 || f.Kind != uint8(kind) || !bytes.Equal(f.Data, joined(frames[i])) {
+				t.Fatalf("batch of %d: frame %d is not Head‖Body of frame %d", len(frames), i, i)
+			}
+		}
+	}
+	if st := fab.Stats(); st.Retransmits != 0 || st.DroppedFrames != 0 {
+		t.Errorf("stats %+v, want no retransmit and no drop", st)
 	}
 }
 
 // TestSendPartsCopiesOnOtherFabrics: a receiver on a fabric that hands
 // over the slice itself owns what it gets — the sender reusing its parts
-// after the call does not reach the delivered frame.
+// after the call does not reach the delivered frames.
 func TestSendPartsCopiesOnOtherFabrics(t *testing.T) {
 	check := func(t *testing.T, a Endpoint, recv func() Frame) {
-		for _, c := range partsCases {
-			head, body := parts(c.head, c.body)
-			want := append(append([]byte(nil), head...), body...)
-			SendParts(a, 1, 9, head, body)
-			for i := range head {
-				head[i]++
+		frames := caseBatch()
+		var want [][]byte
+		for _, p := range frames {
+			want = append(want, joined(p))
+		}
+		SendFrames(a, 1, 9, frames)
+		for _, p := range frames {
+			for _, b := range [][]byte{p.Head, p.Body} {
+				for i := range b {
+					b[i]++
+				}
 			}
-			for i := range body {
-				body[i]++
-			}
-			if f := recv(); f.From != 0 || f.Kind != 9 || !bytes.Equal(f.Data, want) {
+		}
+		for i, c := range partsCases {
+			if f := recv(); f.From != 0 || f.Kind != 9 || !bytes.Equal(f.Data, want[i]) {
 				t.Fatalf("%d+%dB: delivered frame changed with the sender's parts", c.head, c.body)
 			}
 		}
@@ -77,33 +123,42 @@ func TestSendPartsCopiesOnOtherFabrics(t *testing.T) {
 	})
 }
 
-// TestSimSendPartsTimesLikeSend: a two-part frame takes the simulated
-// wire exactly as long as the joined frame through Send.
+// TestSimSendPartsTimesLikeSend: on the simulated wire a batch takes
+// exactly the delivery times of the same frames joined and sent one by
+// one through Send.
 func TestSimSendPartsTimesLikeSend(t *testing.T) {
-	var at [2]time.Duration
+	var at [2][]time.Duration
 	for i := range at {
 		sim := vtime.NewSim()
 		sim.Run(func() {
 			fab := NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 			a, b := fab.Attach(0, "a"), fab.Attach(1, "b")
-			head, body := parts(28, 16<<10)
+			frames := caseBatch()
 			if i == 0 {
-				a.Send(1, 9, append(append([]byte(nil), head...), body...))
+				for _, p := range frames {
+					a.Send(1, 9, joined(p))
+				}
 			} else {
-				SendParts(a, 1, 9, head, body)
+				SendFrames(a, 1, 9, frames)
 			}
-			b.Inbox().Recv()
-			at[i] = sim.Now()
+			for range frames {
+				b.Inbox().Recv()
+				at[i] = append(at[i], sim.Now())
+			}
 		})
 	}
-	if at[0] != at[1] {
-		t.Fatalf("joined frame delivered at %v, two-part frame at %v", at[0], at[1])
+	for j := range at[0] {
+		if at[0][j] != at[1][j] {
+			t.Fatalf("frame %d: sent alone at %v, in a batch at %v", j, at[0][j], at[1][j])
+		}
 	}
 }
 
-// TestTCPSendPartsAllocs: the sending side of a 16 KiB two-part frame
-// allocates nothing. The peer is a raw socket that discards what it
-// reads into a fixed buffer, so every allocation counted is the sender's.
+// TestTCPSendPartsAllocs: the sending side allocates nothing for a 16 KiB
+// frame sent alone, nor for a warm batch of 129 of them — a checkpoint
+// image's chunks to one server. The peer is a raw socket that discards
+// what it reads into a fixed buffer, so every allocation counted is the
+// sender's.
 func TestTCPSendPartsAllocs(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -127,14 +182,251 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
 	a := fab.Attach(0, "sender")
 	defer a.Close()
-	head, body := parts(28, 16<<10)
-	send := func() {
-		if !SendParts(a, 1, 7, head, body) {
-			t.Fatal("send failed")
+	batch := make([]Parts, 129)
+	for i := range batch {
+		batch[i] = parts(28, 16<<10)
+	}
+	for _, frames := range [][]Parts{batch[:1], batch} {
+		send := func() {
+			if !SendFrames(a, 1, 7, frames) {
+				t.Fatal("send failed")
+			}
+		}
+		send() // dial and hello, and size the writer's scratch
+		if got := testing.AllocsPerRun(20, send); got != 0 {
+			t.Errorf("batch of %d: %.1f allocs per send, want 0", len(frames), got)
 		}
 	}
-	send() // dial and hello
-	if got := testing.AllocsPerRun(200, send); got != 0 {
-		t.Errorf("%d+%dB: %.1f allocs per send, want 0", len(head), len(body), got)
+}
+
+// TestSendFramesResumesAfterPeerCloses: a peer that closes its connection
+// in the middle of a batch gets, over the sender's redial, every frame
+// from the one the write broke in to the last — each whole, none it
+// already read whole — and the fabric counts a retransmit and no drop.
+func TestSendFramesResumesAfterPeerCloses(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const n = 600
+	body := make([]byte, 64<<10) // shared: the batch is ~39 MB on the wire, far past the socket buffers
+	frames := make([]Parts, n)
+	for i := range frames {
+		frames[i] = Parts{Head: binary.BigEndian.AppendUint32(nil, uint32(i)), Body: body}
+	}
+	// readFrames returns the indices of the whole frames a connection
+	// carries after its hello, up to maxBytes (then it closes) or EOF.
+	readFrames := func(c net.Conn, maxBytes int64) ([]int, error) {
+		defer c.Close()
+		r := io.Reader(c)
+		if maxBytes > 0 {
+			r = io.LimitReader(c, maxBytes)
+		}
+		var idx []int
+		for {
+			f, err := ReadFrame(r)
+			if err != nil {
+				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+					return idx, nil
+				}
+				return idx, err
+			}
+			if f.Kind == helloKind {
+				continue
+			}
+			if len(f.Data) != 4+len(body) || !bytes.Equal(f.Data[4:], body) {
+				return idx, errors.New("a frame arrived damaged")
+			}
+			idx = append(idx, int(binary.BigEndian.Uint32(f.Data)))
+		}
+	}
+	type result struct {
+		idx []int
+		err error
+	}
+	got := make(chan result, 2)
+	go func() {
+		for _, limit := range []int64{1 << 20, 0} {
+			c, err := ln.Accept()
+			if err != nil {
+				got <- result{err: err}
+				return
+			}
+			idx, err := readFrames(c, limit)
+			got <- result{idx, err}
+		}
+	}()
+
+	fab := NewTCPFabric(vtime.NewReal(), map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+	a := fab.Attach(0, "sender")
+	defer a.Close()
+	if !SendFrames(a, 1, 7, frames) {
+		t.Fatal("send failed")
+	}
+	a.Close() // the second connection's reader stops at its EOF
+	first, second := <-got, <-got
+	for _, r := range []result{first, second} {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	if len(first.idx) == 0 || len(second.idx) == 0 {
+		t.Fatalf("first connection carried %d whole frames, second %d; want some on both", len(first.idx), len(second.idx))
+	}
+	for i, k := range first.idx {
+		if k != i {
+			t.Fatalf("first connection: frame %d arrived in place %d", k, i)
+		}
+	}
+	resume := second.idx[0]
+	if resume < len(first.idx) {
+		t.Errorf("the redial repeats frame %d, which the peer had already read whole", resume)
+	}
+	for i, k := range second.idx {
+		if k != resume+i {
+			t.Fatalf("second connection: frame %d arrived in place %d, want the run %d..%d", k, i, resume, n-1)
+		}
+	}
+	if last := second.idx[len(second.idx)-1]; last != n-1 {
+		t.Errorf("second connection ends at frame %d, want %d", last, n-1)
+	}
+	if st := fab.Stats(); st.Retransmits == 0 || st.DroppedFrames != 0 {
+		t.Errorf("stats %+v, want a retransmit and no dropped frame", st)
+	}
+}
+
+// callRecorder is a connection stand-in that records the bytes and the
+// buffers of each call between two write deadlines, and fails once
+// failAt bytes have gone through.
+type callRecorder struct {
+	calls  []struct{ bytes, bufs int }
+	total  int
+	failAt int
+}
+
+func (r *callRecorder) SetWriteDeadline(time.Time) error {
+	r.calls = append(r.calls, struct{ bytes, bufs int }{})
+	return nil
+}
+
+func (r *callRecorder) Write(p []byte) (int, error) {
+	c := &r.calls[len(r.calls)-1]
+	if r.failAt > 0 && r.total+len(p) > r.failAt {
+		n := r.failAt - r.total
+		r.total, c.bytes = r.failAt, c.bytes+n
+		return n, errors.New("connection reset")
+	}
+	r.total += len(p)
+	c.bytes += len(p)
+	c.bufs++
+	return len(p), nil
+}
+
+// TestFrameWriterBoundsEachCall: a batch goes out in calls of at most
+// maxWritev bytes and maxIovecs buffers, each after a fresh deadline —
+// a frame bigger than one call spans several — and on a failure the
+// writer reports exactly the frames that went through whole.
+func TestFrameWriterBoundsEachCall(t *testing.T) {
+	big := Parts{Body: make([]byte, 3*maxWritev+5)}
+	for _, tc := range []struct {
+		name   string
+		frames []Parts
+	}{
+		{"600 mixed frames", numberedBatch(600)},
+		{"2000 empty frames", make([]Parts, 2000)},
+		{"one frame of three calls", []Parts{big}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fw frameWriter
+			rec := &callRecorder{}
+			done, err := fw.writeFrames(rec, 0, 1, tc.frames, time.Second)
+			if err != nil || done != len(tc.frames) {
+				t.Fatalf("wrote %d of %d frames: %v", done, len(tc.frames), err)
+			}
+			want := 0
+			for _, p := range tc.frames {
+				want += frameLen + len(p.Head) + len(p.Body)
+			}
+			if rec.total != want {
+				t.Fatalf("wrote %d bytes, want %d", rec.total, want)
+			}
+			if min := (want + maxWritev - 1) / maxWritev; len(rec.calls) < min {
+				t.Errorf("%d calls, want at least %d", len(rec.calls), min)
+			}
+			for i, c := range rec.calls {
+				if c.bytes > maxWritev || c.bufs > maxIovecs || c.bytes == 0 {
+					t.Errorf("call %d: %d bytes in %d buffers, want 1..%d in at most %d", i, c.bytes, c.bufs, maxWritev, maxIovecs)
+				}
+			}
+		})
+	}
+	t.Run("a failure reports the frames written whole", func(t *testing.T) {
+		frames := numberedBatch(40)
+		var ends []int
+		end := 0
+		for _, p := range frames {
+			end += frameLen + len(p.Head) + len(p.Body)
+			ends = append(ends, end)
+		}
+		for _, failAt := range []int{1, ends[0], ends[0] + 1, ends[17] - 1, ends[17], ends[38]} {
+			var fw frameWriter
+			done, err := fw.writeFrames(&callRecorder{failAt: failAt}, 0, 1, frames, time.Second)
+			want := 0
+			for want < len(ends) && ends[want] <= failAt {
+				want++
+			}
+			if err == nil || done != want {
+				t.Errorf("failure after %d bytes: %d frames reported whole (err %v), want %d", failAt, done, err, want)
+			}
+		}
+	})
+}
+
+// TestSendFramesConcurrentBatchesStayWhole: batches and single frames
+// sent on one endpoint from several goroutines at once arrive whole,
+// never interleaved inside a frame, each goroutine's in its order.
+func TestSendFramesConcurrentBatchesStayWhole(t *testing.T) {
+	rt := vtime.NewReal()
+	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
+	a, b := fab.Attach(0, "a"), fab.Attach(1, "b")
+	defer a.Close()
+	defer b.Close()
+	ch := collect(b)
+	const senders, rounds, batch = 4, 20, 10
+	body := bytes.Repeat([]byte("0123456789abcdef"), 1<<10) // 16 KiB
+	frame := func(g, seq int) Parts {
+		return Parts{Head: []byte{byte(g), byte(seq), byte(seq >> 8)}, Body: body[:(seq*997)%len(body)]}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seq := 0
+			for r := 0; r < rounds; r++ {
+				frames := make([]Parts, batch)
+				for i := range frames {
+					frames[i] = frame(g, seq)
+					seq++
+				}
+				SendFrames(a, 1, 7, frames)
+				a.Send(1, 7, joined(frame(g, seq)))
+				seq++
+			}
+		}()
+	}
+	wg.Wait()
+	got := recvN(ch, senders*rounds*(batch+1), 10*time.Second)
+	if len(got) != senders*rounds*(batch+1) {
+		t.Fatalf("delivered %d frames, want %d", len(got), senders*rounds*(batch+1))
+	}
+	next := make([]int, senders)
+	for _, f := range got {
+		g := int(f.Data[0])
+		if !bytes.Equal(f.Data, joined(frame(g, next[g]))) {
+			t.Fatalf("sender %d: frame %d arrived damaged or out of order", g, next[g])
+		}
+		next[g]++
 	}
 }

@@ -46,7 +46,7 @@ type TCPStats struct {
 	Retransmits   int64 // Send attempts retried after a failed write/dial
 	DroppedFrames int64 // frames dropped after exhausting every retry
 	HelloTimeouts int64 // accepted connections that never sent their hello
-	WriteTimeouts int64 // writes aborted by the per-frame write deadline
+	WriteTimeouts int64 // writes aborted by the per-call write deadline
 	StaleReplaced int64 // cached connections replaced by a newer inbound one
 }
 
@@ -89,7 +89,8 @@ const helloKind uint8 = 0xFF
 // and, worse, its connection could never be garbage collected.
 var HelloTimeout = 3 * time.Second
 
-// WriteTimeout bounds a single frame write. A half-open peer — crashed
+// WriteTimeout bounds a single write call — one frame, or up to 1 MiB of
+// a batch (see SendFrames). A half-open peer — crashed
 // without a FIN, or SIGSTOPped with a full receive window — otherwise
 // blocks the sending daemon indefinitely inside write(2). On expiry the
 // connection is dropped and the send retried over a fresh dial, exactly
@@ -364,36 +365,40 @@ const sendRetries = 12
 var sendBackoff = Backoff{Base: 5 * time.Millisecond, Max: 500 * time.Millisecond}
 
 func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
-	return e.sendParts(to, kind, nil, data)
-}
-
-// sendParts is Send for a frame whose data is head followed by body; both
-// are borrowed only for the call.
-func (e *tcpEndpoint) sendParts(to int, kind uint8, head, body []byte) bool {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	for attempt := 0; attempt < sendRetries; attempt++ {
+	return e.sendFrames(to, kind, []Parts{{Body: data}})
+}
+
+// SendFrames writes a batch of frames under one hold of the write lock;
+// see the package-level SendFrames.
+func (e *tcpEndpoint) SendFrames(to int, kind uint8, frames []Parts) bool {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	return e.sendFrames(to, kind, frames)
+}
+
+// sendFrames writes frames to peer to; callers hold wmu. A failed write
+// drops the connection and retries over a fresh dial from the frame it
+// broke in: frames the kernel accepted whole are not sent twice.
+func (e *tcpEndpoint) sendFrames(to int, kind uint8, frames []Parts) bool {
+	for attempt := 0; attempt < sendRetries && len(frames) > 0; attempt++ {
 		if attempt > 0 {
 			atomic.AddInt64(&e.fab.stats.Retransmits, 1)
 		}
 		c, err := e.conn(to)
 		if err != nil {
-			e.mu.Lock()
-			closed := e.closed
-			e.mu.Unlock()
-			if closed {
+			if e.isClosed() {
 				return false
 			}
 			time.Sleep(sendBackoff.Delay(attempt))
 			continue
 		}
-		// Every frame write sets its own deadline, so none is cleared
-		// afterwards: a later write replaces it, and the hello goes out
-		// on a freshly dialled connection that never had one.
-		if WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(WriteTimeout))
-		}
-		err = e.fw.writeParts(c, e.id, kind, head, body)
+		// writeFrames sets a deadline before every writev call, so none
+		// is cleared afterwards: a later write replaces it, and the hello
+		// goes out on a freshly dialled connection that never had one.
+		done, err := e.fw.writeFrames(c, e.id, kind, frames, WriteTimeout)
+		frames = frames[done:]
 		if err == nil {
 			return true
 		}
@@ -407,11 +412,16 @@ func (e *tcpEndpoint) sendParts(to int, kind uint8, head, body []byte) bool {
 		// retry over a fresh dial.
 		e.dropConn(to, c)
 	}
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if !closed {
-		atomic.AddInt64(&e.fab.stats.DroppedFrames, 1)
+	if e.isClosed() {
+		return false
 	}
-	return !closed // peer unreachable: frame dropped, like a crash
+	// Peer unreachable: the frames left are dropped, like a crash.
+	atomic.AddInt64(&e.fab.stats.DroppedFrames, int64(len(frames)))
+	return true
+}
+
+func (e *tcpEndpoint) isClosed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
 }

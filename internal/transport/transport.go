@@ -36,21 +36,30 @@ type Endpoint interface {
 	Close()
 }
 
-// SendParts is ep.Send of a frame whose data is head followed by body,
-// for a sender that keeps a frame's bulk where it already lies (a
-// checkpoint chunk inside its image) rather than copying it next to its
-// header. A
-// TCP endpoint writes the frame header, head and body as one writev and
-// borrows the parts only for the call. Every other endpoint — simulated,
-// in-memory, chaos, or a wrapper around any of them — is sent one joined
-// copy through Send, since its receiver owns the slice it gets; the bytes
-// and the delivery times are those of Send with the joined data.
-func SendParts(ep Endpoint, to int, kind uint8, head, body []byte) bool {
-	if t, ok := ep.(*tcpEndpoint); ok {
-		return t.sendParts(to, kind, head, body)
+// batchSender is an endpoint that writes a batch of frames itself.
+type batchSender interface {
+	SendFrames(to int, kind uint8, frames []Parts) bool
+}
+
+// SendFrames sends frames to node "to", in order, each with data
+// Head‖Body. A TCP endpoint writes the whole batch under one hold of its
+// write lock, in a few bounded writev calls, and borrows the parts only
+// for the call. Every other endpoint — simulated, in-memory, chaos, or a
+// wrapper around any of them — is sent one joined copy per frame through
+// Send, since its receiver owns the slice it gets; the bytes and the
+// delivery times are those of Send with the joined data, frame by frame.
+// It reports false if the local endpoint is closed.
+func SendFrames(ep Endpoint, to int, kind uint8, frames []Parts) bool {
+	if b, ok := ep.(batchSender); ok {
+		return b.SendFrames(to, kind, frames)
 	}
-	data := make([]byte, 0, len(head)+len(body))
-	return ep.Send(to, kind, append(append(data, head...), body...))
+	for _, f := range frames {
+		data := make([]byte, 0, len(f.Head)+len(f.Body))
+		if !ep.Send(to, kind, append(append(data, f.Head...), f.Body...)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fabric connects endpoints by node id.
