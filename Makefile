@@ -60,7 +60,7 @@ bench-paper: ## quick pass over every paper experiment
 # artifacts byte for byte.
 # Run it before any target that rewrites a committed BENCH_*.json in
 # place (bench-detsupp and bench-fleet write their -quick sweeps).
-bench-oracle: ## regenerate BENCH_{perf,ckpt,detsupp,trace,fleet}.json in scratch and diff against the committed files (~3 s)
+bench-oracle: ## regenerate BENCH_{perf,ckpt,detsupp,trace,fleet,chaos,elrep}.json in scratch and diff against the committed files (~9 s)
 	bash tools/bench-oracle.sh
 
 # bench-detsupp gates the suppression layer: the sweep must emit its

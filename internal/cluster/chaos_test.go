@@ -10,6 +10,7 @@ import (
 	"mpichv/internal/dispatcher"
 	"mpichv/internal/mpi"
 	"mpichv/internal/nas"
+	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 )
 
@@ -294,26 +295,56 @@ func TestEventLoggerRespawn(t *testing.T) {
 }
 
 func TestCheckpointServerRespawn(t *testing.T) {
-	// Same for the checkpoint server: saves retransmit into the outage
-	// and the respawned frontend keeps serving the stored images.
+	// Same for the lone checkpoint server: it dies right after rank 0's
+	// first checkpoint, saves retransmit into the outage, and rank 0 then
+	// dies before its next checkpoint. Its only image is the one the
+	// killed server stored, so the restart must find it on the respawned
+	// server's disk and resume from it, not from the beginning.
 	const n, iters = 4, 50
+	const csKill, rankKill = 10 * time.Millisecond, 25 * time.Millisecond
 	finals := make([]float64, n)
+	resumed := -1 // the iteration rank 0's restart resumed from
+	prog := ckptProgram(iters, finals)
 	res := Run(Config{
 		Impl: V2, N: n,
 		Checkpointing:  true,
 		SchedPeriod:    2 * time.Millisecond,
 		DetectionDelay: 3 * time.Millisecond,
 		Faults: []dispatcher.Fault{
-			{Time: 10 * time.Millisecond, Rank: CSNode},
-			{Time: 30 * time.Millisecond, Rank: 2},
+			{Time: csKill, Rank: CSNode},
+			{Time: rankKill, Rank: 0},
 		},
 		Trace: true,
-	}, ckptProgram(iters, finals))
-	if res.ServiceKills != 1 || res.ServiceRestarts != 1 {
-		t.Fatalf("service kills/restarts = %d/%d, want 1/1", res.ServiceKills, res.ServiceRestarts)
+	}, func(p *mpi.Proc) {
+		if blob, restarted := p.Restarted(); restarted && p.Rank() == 0 {
+			resumed = 0
+			if blob != nil {
+				resumed = int(binary.BigEndian.Uint64(blob))
+			}
+		}
+		prog(p)
+	})
+	if res.ServiceKills != 1 || res.ServiceRestarts != 1 || res.Restarts != 1 {
+		t.Fatalf("service kills/restarts = %d/%d, compute restarts = %d, want 1/1, 1",
+			res.ServiceKills, res.ServiceRestarts, res.Restarts)
 	}
-	if res.CkptSaves == 0 {
-		t.Error("no checkpoints stored")
+	var before, during int
+	for _, ev := range res.Trace.Evs {
+		if ev.Kind == trace.EvCkptDurable && ev.Rank == 0 {
+			switch {
+			case time.Duration(ev.T) < csKill:
+				before++
+			case time.Duration(ev.T) < rankKill:
+				during++
+			}
+		}
+	}
+	if before == 0 || during != 0 {
+		t.Fatalf("rank 0 checkpointed %d times before the server kill and %d times between the kills, want >0 and 0",
+			before, during)
+	}
+	if resumed <= 0 {
+		t.Errorf("rank 0 resumed from iteration %d, want the image stored before the server kill", resumed)
 	}
 	want := ckptExpect(n, iters)
 	for r, v := range finals {

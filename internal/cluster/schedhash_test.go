@@ -27,6 +27,12 @@ func TestScheduleHashPinned(t *testing.T) {
 	}
 	ckptKillAdaptive := ckptKill
 	ckptKillAdaptive.DetMode = daemon.DetAdaptive
+	// Partitioned loggers under suppression: relayed determinants, a
+	// restart fetch from a rank's own logger, then a logger kill whose
+	// respawn must serve what its predecessor stored.
+	partitionedELKill := ckptKillAdaptive
+	partitionedELKill.EventLoggers = 2
+	partitionedELKill.Faults = []dispatcher.Fault{{Time: 20 * time.Millisecond, Rank: 1}, {Time: 40 * time.Millisecond, Rank: ELBase}}
 	ckpt := func(n int) Program { return ckptProgram(60, make([]float64, n)) }
 	cases := []struct {
 		name string
@@ -62,6 +68,7 @@ func TestScheduleHashPinned(t *testing.T) {
 			N:      4,
 			Faults: []dispatcher.Fault{{Time: 2 * time.Millisecond, Rank: 2}},
 		}, func(n int) Program { return probeRingProgram(15, make([]uint64, n)) }, 0x606f8bfa10b2bc76},
+		{"partitioned-el-kill-detadaptive", partitionedELKill, ckpt, 0x65ce63f17c6b0e50},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

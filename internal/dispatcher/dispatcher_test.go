@@ -1,6 +1,7 @@
 package dispatcher
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -115,4 +116,40 @@ func TestFaultOnFinalizedRankIgnored(t *testing.T) {
 			t.Errorf("Kills = %d", d.Kills)
 		}
 	})
+}
+
+// TestFaultPlansPinned pins the seeded plans: a refactor of the
+// generators must keep every draw, or the chaos and elrep sweeps built
+// on them move.
+func TestFaultPlansPinned(t *testing.T) {
+	targets := []int{0, 1, 2, 3}
+	plan := func(ts ...int64) []Fault {
+		var out []Fault
+		for i := 0; i < len(ts); i += 2 {
+			out = append(out, Fault{Time: time.Duration(ts[i]), Rank: int(ts[i+1])})
+		}
+		return out
+	}
+	cases := []struct {
+		seed           uint64
+		random, double []Fault
+	}{
+		{1,
+			plan(93152053, 2, 99870678, 0, 167797388, 0, 174263021, 2, 215168727, 3, 246431957, 1, 249402246, 1),
+			plan(75543654, 1, 91404587, 2, 154352170, 3, 188606441, 1, 222123350, 0, 235664183, 1, 227554051, 0, 264418584, 2)},
+		{7,
+			plan(122438626, 0, 123545415, 1, 195533131, 1, 218798304, 0, 299670316, 0),
+			plan(183630337, 3, 195171671, 2, 260979670, 0, 299407139, 2, 269093814, 1, 280578184, 0)},
+		{42,
+			plan(32850653, 3, 59755465, 3, 165760255, 0, 186142961, 3, 188791586, 0, 298886214, 1),
+			plan(155776258, 0, 186281404, 1, 220232119, 3, 254543217, 1, 298241776, 1)},
+	}
+	for _, tc := range cases {
+		if got := RandomFaults(tc.seed, 20, 300*time.Millisecond, targets); !slices.Equal(got, tc.random) {
+			t.Errorf("RandomFaults(seed %d) = %v, pinned %v", tc.seed, got, tc.random)
+		}
+		if got := DoubleFaults(tc.seed, 10, 300*time.Millisecond, 40*time.Millisecond, targets); !slices.Equal(got, tc.double) {
+			t.Errorf("DoubleFaults(seed %d) = %v, pinned %v", tc.seed, got, tc.double)
+		}
+	}
 }
