@@ -45,12 +45,12 @@ type ChaosPoint struct {
 
 // ELOverrideReplicas/ELOverrideQuorum optionally force the replicated
 // event-logger group on the chaos experiment: R independent replicas
-// with write quorum Q instead of two partitioned loggers over one
-// stable store, each serving half the ranks as a group of one. Set from
-// vbench's -elreplicas/-elquorum flags; zero keeps the partitioned
-// layout. The event-logger kill is transient in both: a lone logger's
-// clients retransmit until the respawn serves the stable store again; a
-// respawned replica anti-entropies its events back from the peers.
+// with write quorum Q instead of two partitioned loggers, each over its
+// own durable disk and serving half the ranks as a group of one. Set
+// from vbench's -elreplicas/-elquorum flags; zero keeps the partitioned
+// layout. The event-logger kill is transient in both: a partitioned
+// logger's clients retransmit until the respawn has replayed its disk;
+// a respawned replica anti-entropies its events back from the peers.
 var (
 	ELOverrideReplicas int
 	ELOverrideQuorum   int

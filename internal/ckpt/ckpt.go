@@ -263,9 +263,8 @@ type Store struct {
 	latest   map[int]uint64            // rank → highest stored seq
 	partials map[int]map[uint64]*partialImage
 
-	// wal, when set (deployed workers), receives every materialized
-	// full image so a SIGKILLed checkpoint server rejoins with its
-	// durable prefix. Deltas are materialized *before* the append, so
+	// wal, when attached, receives every materialized full image so a
+	// killed checkpoint server rejoins with its durable prefix. Deltas are materialized *before* the append, so
 	// recovery never depends on a base image surviving.
 	wal *walog.Writer
 
@@ -288,15 +287,15 @@ func (st *Store) Stats() Stats {
 	return st.stats
 }
 
-// OpenWAL replays the image log at path into the store and then arms
-// it: every subsequently stored image is appended. Records that fail
-// the image's own CRC frame are skipped — the daemon's replication and
+// AttachWAL replays the image log into the store and then arms it:
+// every subsequently stored image is appended. Records that fail the
+// image's own CRC frame are skipped — the daemon's replication and
 // anti-entropy supply what the disk lost. torn configures the
 // deterministic disk-fault injector (zero value: faults off).
-func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, error) {
+func (st *Store) AttachWAL(log walog.Log, torn walog.TornConfig) (walog.LoadResult, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	w, res, err := walog.ReplayInto(path, torn, func(body []byte) {
+	w, res, err := log.Replay(torn, func(body []byte) {
 		if len(body) < recordHeaderLen {
 			return
 		}
@@ -317,6 +316,11 @@ func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, 
 	}
 	st.wal = w
 	return res, nil
+}
+
+// OpenWAL attaches the image log file at path; see AttachWAL.
+func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, error) {
+	return st.AttachWAL(walog.Path(path), torn)
 }
 
 // CloseWAL detaches and closes the write-ahead log, if armed.
@@ -661,26 +665,23 @@ type Server struct {
 	rt vtime.Runtime
 	ep transport.Endpoint
 
-	// Store is the stable storage behind this frontend; shared when
-	// the server was built with NewServerWithStore.
+	// Store is the stable storage behind this frontend.
 	Store *Store
 
 	// Peers are the other replicas of this checkpoint group; they
 	// serve anti-entropy sync requests. Empty for a standalone server.
 	Peers []int
 	// Resync makes the server pull its peers' latest images on
-	// startup — set on a replica respawned with an empty store.
+	// startup — set on a respawned replica.
 	Resync bool
-	// ResyncAttempts bounds the resync request rounds (default 10);
-	// deployed out-of-process replicas set it higher.
-	ResyncAttempts int
 
 	synced atomic.Bool
 }
 
-// Synced reports whether a rejoining replica has completed at least one
-// anti-entropy merge since Start — the point where its outage window
-// closes.
+// Synced reports whether the server is serving its group's committed
+// state: at Start when it has nothing to resync, otherwise once a
+// rejoining replica has completed an anti-entropy merge and its outage
+// window closes.
 func (s *Server) Synced() bool { return s.synced.Load() }
 
 // NewServer creates a checkpoint server with its own private store.
@@ -688,9 +689,8 @@ func NewServer(rt vtime.Runtime, ep transport.Endpoint) *Server {
 	return NewServerWithStore(rt, ep, NewStore())
 }
 
-// NewServerWithStore creates a frontend over an existing store, for
-// failover setups where a respawned or backup server must serve the
-// images its predecessor stored.
+// NewServerWithStore creates a frontend over a store the caller built,
+// typically one with its image log attached.
 func NewServerWithStore(rt vtime.Runtime, ep transport.Endpoint, st *Store) *Server {
 	return &Server{rt: rt, ep: ep, Store: st}
 }
@@ -701,23 +701,25 @@ func (s *Server) Start() {
 	s.rt.Go("ckpt-server", s.run)
 	if s.Resync && len(s.Peers) > 0 {
 		s.rt.Go(fmt.Sprintf("cs-resync-%d", s.ep.ID()), s.resyncLoop)
+	} else {
+		s.synced.Store(true)
 	}
 }
 
 // HasImage reports whether a rank has a stored checkpoint.
 func (s *Server) HasImage(rank int) bool { return s.Store.Has(rank) }
 
+// resyncAttempts bounds the resync request rounds, as the event
+// logger's does.
+const resyncAttempts = 60
+
 // resyncLoop mirrors the event logger's: marks are snapshotted once at
 // join time and the request retries with backoff until any peer's
 // response lands (merging is idempotent).
 func (s *Server) resyncLoop() {
-	attempts := s.ResyncAttempts
-	if attempts <= 0 {
-		attempts = 10
-	}
 	req := wire.EncodeSyncMarks(s.Store.Marks())
 	bo := transport.Backoff{Base: 5 * time.Millisecond, Seed: uint64(s.ep.ID())}
-	for attempt := 0; attempt < attempts && !s.synced.Load(); attempt++ {
+	for attempt := 0; attempt < resyncAttempts && !s.synced.Load(); attempt++ {
 		for _, p := range s.Peers {
 			s.ep.Send(p, wire.KCSSyncReq, req)
 		}

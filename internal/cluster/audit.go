@@ -61,8 +61,8 @@ func (a AuditReport) Summary() string {
 
 // Audit checks the piecewise-determinism invariants over a finished
 // run's event logs. It consumes the merged per-rank delivery view
-// (Result.Deliveries) and, in quorum mode, the raw per-replica logs for
-// supersession accounting. Events with Seq == 0 predate channel
+// (Result.Deliveries) and the raw per-logger logs for supersession
+// accounting. Events with Seq == 0 predate channel
 // sequencing and are exempt from the contiguity check.
 func Audit(res Result) AuditReport {
 	rep := AuditReport{Ranks: len(res.Deliveries)}

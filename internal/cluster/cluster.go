@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mpichv/internal/ckpt"
@@ -21,6 +22,7 @@ import (
 	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
+	"mpichv/internal/walog"
 )
 
 // Impl selects the MPI implementation.
@@ -92,9 +94,9 @@ type Config struct {
 	// (§4.5).
 	EventLoggers int
 
-	// ELReplicas switches the event-log service from partitioned
-	// frontends over one store to a replica group of that many servers
-	// (at ELBase+i), each with its OWN independent store. Every daemon
+	// ELReplicas switches the event-log service from durable
+	// partitioned loggers to a replica group of that many servers (at
+	// ELBase+i), each with its own volatile store. Every daemon
 	// submits each event batch to all replicas and WAITLOGGED is
 	// released only once ELQuorum of them acked; a respawned replica
 	// comes back empty and anti-entropy resyncs from its peers.
@@ -173,13 +175,6 @@ type Config struct {
 	// fabric in a transport.ChaosFabric. The zero value leaves the
 	// fabric reliable.
 	Chaos transport.ChaosPolicy
-
-	// PullTimeout overrides the V2 daemons' starvation-pull timer, the
-	// repair for lost frames — lost RESTART1/RESTART2 announcements
-	// included. Zero means automatic: 50 ms when Chaos can lose frames,
-	// disabled on a reliable fabric (the paper's configuration);
-	// negative disables explicitly.
-	PullTimeout time.Duration
 
 	// CkptChunk is the chunked checkpoint transfer's chunk size in
 	// bytes (0 = daemon default, negative = monolithic saves); see
@@ -286,13 +281,13 @@ type Result struct {
 	// follows it exactly. Across runs, each sender→receiver channel
 	// delivers the same gap-free message sequence, but the interleaving
 	// of different senders is the reception nondeterminism the log
-	// exists to capture and may legitimately differ. In quorum mode it
-	// is the deduplicated union of all replica logs.
+	// exists to capture and may legitimately differ. It is the merge of
+	// every event logger's store that a restart read quorum applies.
 	Deliveries [][]core.Event
 
-	// ELReplicaDeliveries[i][r] is replica i's copy of rank r's
-	// delivery log (quorum mode only) — the raw per-store view the
-	// recovery auditor cross-checks for quorum-survivable divergence.
+	// ELReplicaDeliveries[i][r] is event-logger node i's copy of rank
+	// r's delivery log — the raw per-store view the recovery auditor
+	// cross-checks for quorum-survivable divergence.
 	ELReplicaDeliveries [][][]core.Event
 
 	// Trace is the merged causal trace of the run (Config.Trace only):
@@ -393,92 +388,28 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		}
 	}
 
-	// Services. In the partitioned configurations (EventLoggers /
-	// CkptServers) every frontend of a kind shares one stable store, and
-	// each daemon talks to its one frontend as a replica group of one:
-	// a respawned frontend serves exactly what its predecessor stored —
-	// the paper's reliable-service assumption, with only the frontend
-	// process being volatile, and the only place in the tree that
-	// assumption lives. With ELReplicas/CSReplicas each replica owns an
-	// INDEPENDENT store: a killed replica loses it, and the respawn
-	// comes back empty and anti-entropy resyncs from its peers.
+	// Services. Every service node owns a store over its own simulated
+	// disk. A node in no replica group (the lone logger or server, or a
+	// partitioned frontend) is the paper's reliable node: its respawn
+	// replays its disk. Replica-group members (ELReplicas/CSReplicas,
+	// shards) are volatile by model: a respawn comes back on an empty
+	// disk and anti-entropy resyncs from its group.
+	h.elStores = make(map[int][]*eventlog.Store)
+	h.csStores = make(map[int][]*ckpt.Store)
+	h.disks = make(map[int]*walog.MemFile)
 	switch cfg.Impl {
 	case V2:
-		if cfg.ELShards > 1 {
-			// Sharded fleet: shard k's replica group lives at
-			// ELBase + k*stride + i, each group an independent quorum.
-			stride := cfg.ELReplicas
-			if cfg.ELShards*stride > CSBase-ELBase {
-				panic(fmt.Sprintf("cluster: %d EL shards × %d replicas exceed the %d-node service range",
-					cfg.ELShards, stride, CSBase-ELBase))
-			}
-			h.elQ = cfg.ELQuorum
-			h.elStores = make(map[int]*eventlog.Store)
-			h.elShardGroups = make([][]int, cfg.ELShards)
-			h.elShardOf = make(map[int]int)
-			for k := 0; k < cfg.ELShards; k++ {
-				for i := 0; i < stride; i++ {
-					n := ELBase + k*stride + i
-					h.elShardGroups[k] = append(h.elShardGroups[k], n)
-					h.elShardOf[n] = k
-					h.elNodes = append(h.elNodes, n)
-				}
-			}
-		} else if cfg.ELReplicas > 0 {
-			h.elQ = cfg.ELQuorum
-			h.elStores = make(map[int]*eventlog.Store)
-			for i := 0; i < cfg.ELReplicas; i++ {
-				h.elNodes = append(h.elNodes, ELBase+i)
-			}
-		} else if cfg.EventLoggers <= 1 {
-			h.elNodes = []int{ELNode}
-		} else {
-			for i := 0; i < cfg.EventLoggers; i++ {
-				h.elNodes = append(h.elNodes, ELBase+i)
-			}
-		}
-		if h.elStores == nil {
-			h.elStore = eventlog.NewStore()
-		}
+		h.elNodes, h.elGroups = layout("EL", ELNode, ELBase, CSBase, cfg.EventLoggers, cfg.ELReplicas, cfg.ELShards)
 		for _, n := range h.elNodes {
-			h.startEL(n, false)
+			h.startEL(n)
 		}
 		if cfg.Checkpointing {
+			h.csNodes, h.csGroups = layout("CS", CSNode, CSBase, CMBase, cfg.CkptServers, cfg.CSReplicas, cfg.CSShards)
 			if cfg.CSShards > 1 {
-				stride := cfg.CSReplicas
-				if cfg.CSShards*stride > CMBase-CSBase {
-					panic(fmt.Sprintf("cluster: %d CS shards × %d replicas exceed the %d-node service range",
-						cfg.CSShards, stride, CMBase-CSBase))
-				}
-				h.csQ = cfg.CSQuorum
-				h.csStores = make(map[int]*ckpt.Store)
-				h.csShardGroups = make([][]int, cfg.CSShards)
 				h.csRing = shard.New(cfg.CSShards, shard.Seed+1)
-				for k := 0; k < cfg.CSShards; k++ {
-					for i := 0; i < stride; i++ {
-						n := CSBase + k*stride + i
-						h.csShardGroups[k] = append(h.csShardGroups[k], n)
-						h.csNodes = append(h.csNodes, n)
-					}
-				}
-			} else if cfg.CSReplicas > 0 {
-				h.csQ = cfg.CSQuorum
-				h.csStores = make(map[int]*ckpt.Store)
-				for i := 0; i < cfg.CSReplicas; i++ {
-					h.csNodes = append(h.csNodes, CSBase+i)
-				}
-			} else if cfg.CkptServers <= 1 {
-				h.csNodes = []int{CSNode}
-			} else {
-				for i := 0; i < cfg.CkptServers; i++ {
-					h.csNodes = append(h.csNodes, CSBase+i)
-				}
-			}
-			if h.csStores == nil {
-				h.csStore = ckpt.NewStore()
 			}
 			for _, n := range h.csNodes {
-				h.startCS(n, false)
+				h.startCS(n)
 			}
 			sched.Start(sim, fab, sched.Config{
 				Node:   SchedNode,
@@ -495,7 +426,7 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 	}
 
 	// Dispatcher with the fault plan; it also monitors the service
-	// frontends and respawns crashed ones over their stores.
+	// nodes and respawns crashed ones.
 	dpcfg := dispatcher.Config{
 		Node:           DispNode,
 		Ranks:          cfg.N,
@@ -508,8 +439,13 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 
 		ServiceRespawnDelay: cfg.ShardRespawnDelay,
 	}
-	if len(h.elShardGroups) > 1 {
-		dpcfg.ELShardOf = h.elShardOf
+	if len(h.elGroups) > 1 {
+		dpcfg.ELShardOf = make(map[int]int)
+		for k, g := range h.elGroups {
+			for _, n := range g {
+				dpcfg.ELShardOf[n] = k
+			}
+		}
 		dpcfg.ELShardQuorum = cfg.ELQuorum
 	}
 	h.disp = dispatcher.Start(sim, fab, dpcfg)
@@ -564,43 +500,37 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		res.ShardRejoins += st.ShardRejoins
 		res.ShardBackfilled += st.ShardBackfilled
 	}
-	res.ELShardN = len(h.elShardGroups)
+	if len(h.elGroups) > 1 {
+		res.ELShardN = len(h.elGroups)
+	}
 	res.ShardDowns = h.disp.ShardDowns
 	res.ShardUps = h.disp.ShardUps
 	res.ELReplicaN = cfg.ELReplicas
 	res.ELWriteQuorum = cfg.ELQuorum
-	switch {
-	case h.elStores != nil:
-		res.ELReplicaDeliveries = make([][][]core.Event, 0, len(h.elNodes))
-		for _, n := range h.elNodes {
-			st := h.elStores[n]
+	// Counters sum every incarnation of every node; the delivery logs
+	// are each node's latest store, merged as a restart read would.
+	for _, n := range h.elNodes {
+		for _, st := range h.elStores[n] {
 			s := st.Stats()
 			res.ELLogged += s.Logged
 			res.ELDuplicates += s.Duplicates
 			res.Malformed += s.Malformed
 			res.Resyncs += s.Resyncs
 			res.SyncedEvents += s.SyncedIn
-			per := make([][]core.Event, cfg.N)
-			for r := 0; r < cfg.N; r++ {
-				per[r] = st.Events(r, 0)
-			}
-			res.ELReplicaDeliveries = append(res.ELReplicaDeliveries, per)
 		}
-		res.Deliveries = mergeReplicaDeliveries(cfg.N, res.ELReplicaDeliveries)
-	case h.elStore != nil:
-		s := h.elStore.Stats()
-		res.ELLogged = s.Logged
-		res.ELDuplicates = s.Duplicates
-		res.Malformed += s.Malformed
-		res.Deliveries = make([][]core.Event, cfg.N)
-		for r := 0; r < cfg.N; r++ {
-			res.Deliveries[r] = h.elStore.Events(r, 0)
+		st := h.elStores[n][len(h.elStores[n])-1]
+		per := make([][]core.Event, cfg.N)
+		for r := range per {
+			per[r] = st.Events(r, 0)
 		}
+		res.ELReplicaDeliveries = append(res.ELReplicaDeliveries, per)
 	}
-	switch {
-	case h.csStores != nil:
-		for _, n := range h.csNodes {
-			s := h.csStores[n].Stats()
+	if len(h.elNodes) > 0 {
+		res.Deliveries = mergeReplicaDeliveries(cfg.N, res.ELReplicaDeliveries)
+	}
+	for _, n := range h.csNodes {
+		for _, st := range h.csStores[n] {
+			s := st.Stats()
 			res.CkptSaves += s.Saves
 			res.CkptBytes += s.SavedBytes
 			res.Malformed += s.Malformed
@@ -610,14 +540,6 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 			res.ChainCompactions += s.ChainCompactions
 			res.ChainBreaks += s.ChainBreaks
 		}
-	case h.csStore != nil:
-		s := h.csStore.Stats()
-		res.CkptSaves = s.Saves
-		res.CkptBytes = s.SavedBytes
-		res.Malformed += s.Malformed
-		res.StaleRejects = s.StaleRejects
-		res.ChainCompactions = s.ChainCompactions
-		res.ChainBreaks = s.ChainBreaks
 	}
 	if chaos != nil {
 		res.ChaosDropped = chaos.Dropped
@@ -638,21 +560,15 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 	for _, st := range res.Daemons {
 		st.AddTo(reg)
 	}
-	switch {
-	case h.elStores != nil:
-		for _, n := range h.elNodes {
-			h.elStores[n].Stats().AddTo(reg)
+	for _, n := range h.elNodes {
+		for _, st := range h.elStores[n] {
+			st.Stats().AddTo(reg)
 		}
-	case h.elStore != nil:
-		h.elStore.Stats().AddTo(reg)
 	}
-	switch {
-	case h.csStores != nil:
-		for _, n := range h.csNodes {
-			h.csStores[n].Stats().AddTo(reg)
+	for _, n := range h.csNodes {
+		for _, st := range h.csStores[n] {
+			st.Stats().AddTo(reg)
 		}
-	case h.csStore != nil:
-		h.csStore.Stats().AddTo(reg)
 	}
 	if chaos != nil {
 		chaos.AddTo(reg)
@@ -712,20 +628,15 @@ type harness struct {
 	fab  transport.Fabric
 	prog Program
 
-	elNodes  []int
-	csNodes  []int
-	elStore  *eventlog.Store // shared stable store (partitioned frontends)
-	csStore  *ckpt.Store
-	elStores map[int]*eventlog.Store // per-replica stores, node → latest incarnation (replica groups)
-	csStores map[int]*ckpt.Store
-	elQ, csQ int // write quorums; > 0 selects independent per-replica stores
-	disp     *dispatcher.Dispatcher
-
-	// Sharded-fleet layout (Config.ELShards / CSShards > 1).
-	elShardGroups [][]int // shard → its replica node ids
-	csShardGroups [][]int
-	elShardOf     map[int]int // EL node → shard index (dispatcher liveness tracking)
-	csRing        *shard.Ring // rank → CS shard placement
+	// Service nodes, their replica groups (a node in none is durable),
+	// every incarnation's store per node, and each node's disk.
+	elNodes, csNodes   []int
+	elGroups, csGroups [][]int
+	elStores           map[int][]*eventlog.Store
+	csStores           map[int][]*ckpt.Store
+	disks              map[int]*walog.MemFile
+	csRing             *shard.Ring // rank → CS shard placement (CSShards > 1)
+	disp               *dispatcher.Dispatcher
 
 	perRank   []*trace.Stats
 	daemons   []daemon.Stats
@@ -734,73 +645,92 @@ type harness struct {
 	recorders []*trace.Recorder // per-rank trace rings (Config.Trace only)
 }
 
-// startEL / startCS attach one service frontend: over the shared stable
-// store when partitioned, over a fresh independent store (resyncing from
-// peers when asked) in a replica group.
-func (h *harness) startEL(node int, resync bool) {
+// layout places one service kind's nodes and replica groups: shards of
+// replicas at base + k*replicas + i, one replica group at base + i,
+// partitioned frontends at base + i (no groups), or the lone node.
+func layout(kind string, lone, base, limit, partitions, replicas, shards int) ([]int, [][]int) {
+	if replicas <= 0 {
+		if partitions <= 1 {
+			return []int{lone}, nil
+		}
+		nodes := make([]int, partitions)
+		for i := range nodes {
+			nodes[i] = base + i
+		}
+		return nodes, nil
+	}
+	shards = max(shards, 1)
+	if shards*replicas > limit-base {
+		panic(fmt.Sprintf("cluster: %d %s shards × %d replicas exceed the %d-node service range",
+			shards, kind, replicas, limit-base))
+	}
+	var nodes []int
+	groups := make([][]int, shards)
+	for k := range groups {
+		for i := 0; i < replicas; i++ {
+			n := base + k*replicas + i
+			groups[k] = append(groups[k], n)
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes, groups
+}
+
+// startEL / startCS start one incarnation of a service node: a fresh
+// store that replays the node's disk, and a server over it. The first
+// start and a durable node's respawn keep the disk; a replica's respawn
+// gets an empty one and resyncs from its group (anti-entropy stays
+// within the group: shards never talk to each other).
+func (h *harness) startEL(node int) {
 	ep := h.fab.Attach(node, fmt.Sprintf("event-logger@%d", node))
-	if h.elQ > 0 {
-		st := eventlog.NewStore()
-		h.elStores[node] = st
-		srv := eventlog.NewServerWithStore(h.sim, ep, h.cfg.Params.ELService, st)
-		// Anti-entropy stays within the replica group: in a sharded
-		// fleet a replica's peers are its shard siblings, not the whole
-		// fleet — shards never talk to each other.
-		srv.Peers = othersOf(node, groupOf(node, h.elShardGroups, h.elNodes))
-		srv.Resync = resync
-		srv.Start()
-		return
-	}
-	eventlog.NewServerWithStore(h.sim, ep, h.cfg.Params.ELService, h.elStore).Start()
+	disk, peers, resync := h.disk(node, h.elGroups, len(h.elStores[node]) > 0)
+	st := eventlog.NewStore()
+	st.AttachWAL(disk, walog.TornConfig{}) // a MemFile replays without error
+	h.elStores[node] = append(h.elStores[node], st)
+	srv := eventlog.NewServerWithStore(h.sim, ep, h.cfg.Params.ELService, st)
+	srv.Peers, srv.Resync = peers, resync
+	srv.Start()
 }
 
-func (h *harness) startCS(node int, resync bool) {
+func (h *harness) startCS(node int) {
 	ep := h.fab.Attach(node, fmt.Sprintf("ckpt-server@%d", node))
-	if h.csQ > 0 {
-		st := ckpt.NewStore()
-		h.csStores[node] = st
-		srv := ckpt.NewServerWithStore(h.sim, ep, st)
-		srv.Peers = othersOf(node, groupOf(node, h.csShardGroups, h.csNodes))
-		srv.Resync = resync
-		srv.Start()
-		return
-	}
-	ckpt.NewServerWithStore(h.sim, ep, h.csStore).Start()
+	disk, peers, resync := h.disk(node, h.csGroups, len(h.csStores[node]) > 0)
+	st := ckpt.NewStore()
+	st.AttachWAL(disk, walog.TornConfig{}) // a MemFile replays without error
+	h.csStores[node] = append(h.csStores[node], st)
+	srv := ckpt.NewServerWithStore(h.sim, ep, st)
+	srv.Peers, srv.Resync = peers, resync
+	srv.Start()
 }
 
-// groupOf returns the shard replica group containing node, or all (the
-// unsharded fleet) when no groups are configured.
-func groupOf(node int, groups [][]int, all []int) []int {
+// disk returns the disk a service node's next incarnation replays, the
+// node's replica peers, and whether it must resync from them.
+func (h *harness) disk(node int, groups [][]int, respawn bool) (*walog.MemFile, []int, bool) {
+	var group []int
 	for _, g := range groups {
-		for _, n := range g {
-			if n == node {
-				return g
-			}
+		if slices.Contains(g, node) {
+			group = g
 		}
 	}
-	return all
+	resync := group != nil && respawn
+	if h.disks[node] == nil || resync {
+		h.disks[node] = new(walog.MemFile)
+	}
+	return h.disks[node], othersOf(node, group), resync
 }
 
-// respawnService restarts a crashed service frontend on its node id. A
-// replica-group member starts over an empty store and resyncs.
+// respawnService restarts a crashed service node.
 func (h *harness) respawnService(node int) {
-	for _, n := range h.elNodes {
-		if n == node {
-			h.startEL(node, h.elQ > 0)
-			return
-		}
-	}
-	for _, n := range h.csNodes {
-		if n == node {
-			h.startCS(node, h.csQ > 0)
-			return
-		}
+	if _, ok := h.elStores[node]; ok {
+		h.startEL(node)
+	} else {
+		h.startCS(node)
 	}
 }
 
 // othersOf returns every node in nodes except self.
 func othersOf(self int, nodes []int) []int {
-	out := make([]int, 0, len(nodes)-1)
+	var out []int
 	for _, n := range nodes {
 		if n != self {
 			out = append(out, n)
@@ -843,8 +773,8 @@ func (h *harness) spawn(rank int, restarted bool) {
 	var dev daemon.Device
 	switch cfg.Impl {
 	case V2:
-		if len(h.elShardGroups) > 0 {
-			dcfg.ELShardGroups = h.elShardGroups
+		if cfg.ELShards > 1 {
+			dcfg.ELShardGroups = h.elGroups
 			dcfg.ELQuorum = cfg.ELQuorum
 		} else if cfg.ELReplicas > 0 {
 			dcfg.ELReplicas = append([]int(nil), h.elNodes...)
@@ -863,7 +793,7 @@ func (h *harness) spawn(rank int, restarted bool) {
 				// hashes to — checkpoint load spreads across shards
 				// without any cross-shard protocol, since an image
 				// belongs to exactly one rank.
-				dcfg.CSReplicas = h.csShardGroups[h.csRing.Owner(rank, rank)]
+				dcfg.CSReplicas = h.csGroups[h.csRing.Owner(rank, rank)]
 				dcfg.CSQuorum = cfg.CSQuorum
 			} else if cfg.CSReplicas > 0 {
 				dcfg.CSReplicas = append([]int(nil), h.csNodes...)
@@ -879,8 +809,7 @@ func (h *harness) spawn(rank int, restarted bool) {
 		// On a fabric that can lose frames, the paper's fire-and-forget
 		// RESTART1 and the push-only receive path are not live; enable
 		// the starvation pull with a conservative base.
-		dcfg.PullTimeout = cfg.PullTimeout
-		if cfg.Chaos.Lossy() && dcfg.PullTimeout == 0 {
+		if cfg.Chaos.Lossy() {
 			dcfg.PullTimeout = 50 * time.Millisecond
 		}
 		dcfg.ELWindow = cfg.ELWindow

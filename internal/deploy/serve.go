@@ -134,8 +134,19 @@ func (o *ServeOpts) startHeartbeat(fab *transport.TCPFabric) {
 	}()
 }
 
-func (o *ServeOpts) torn() walog.TornConfig {
-	return walog.TornConfig{Seed: o.DiskFaultSeed, Every: o.DiskFaultEvery}
+// attachWAL replays a service node's own log, WALDir/<role>-<id>.wal,
+// into its store and arms it; without a WALDir the store is volatile.
+// Every replica keeps its own durable prefix (independent stores, as
+// in §8's quorum model).
+func (o *ServeOpts) attachWAL(node *Node, attach func(walog.Log, walog.TornConfig) (walog.LoadResult, error)) error {
+	if o.WALDir == "" {
+		return nil
+	}
+	path := filepath.Join(o.WALDir, fmt.Sprintf("%s-%d.wal", node.Role, node.ID))
+	if _, err := attach(walog.Path(path), walog.TornConfig{Seed: o.DiskFaultSeed, Every: o.DiskFaultEvery}); err != nil {
+		return fmt.Errorf("deploy: %s wal: %w", node.Role, err)
+	}
+	return nil
 }
 
 // announceRejoin prints the rejoin marker once ready reports true —
@@ -199,51 +210,26 @@ func ServeWith(o ServeOpts) error {
 
 	switch node.Role {
 	case RoleEL:
+		// A respawned service replays its WAL into a fresh store, then
+		// anti-entropy pulls what its group committed while it was dead.
 		st := eventlog.NewStore()
-		if o.WALDir != "" {
-			// Per-replica WAL: every member of the group keeps its own
-			// durable prefix (independent stores, as in §8's quorum model).
-			if _, err := st.OpenWAL(filepath.Join(o.WALDir, fmt.Sprintf("el-%d.wal", node.ID)), o.torn()); err != nil {
-				return fmt.Errorf("deploy: el wal: %w", err)
-			}
+		if err := o.attachWAL(node, st.AttachWAL); err != nil {
+			return err
 		}
 		srv := eventlog.NewServerWithStore(rt, fab.Attach(node.ID, "event-logger"), 0, st)
-		srv.Peers = peersOf(pg, node)
-		if o.Restarted && len(srv.Peers) > 0 {
-			// A respawned replica rejoins its group: the WAL replay gave
-			// it its own durable prefix, anti-entropy pulls everything
-			// the group committed while it was dead. Out-of-process runs
-			// get a longer retry budget than the simulation default —
-			// real dials and peer respawns take wall-clock time.
-			srv.Resync = true
-			srv.ResyncAttempts = 60
-		}
+		srv.Peers, srv.Resync = peersOf(pg, node), o.Restarted
 		srv.Start()
-		if srv.Resync {
-			o.announceRejoin(RoleEL, srv.Synced)
-		} else {
-			o.announceRejoin(RoleEL, nil)
-		}
+		o.announceRejoin(RoleEL, srv.Synced)
 		select {}
 	case RoleCS:
 		st := ckpt.NewStore()
-		if o.WALDir != "" {
-			if _, err := st.OpenWAL(filepath.Join(o.WALDir, fmt.Sprintf("cs-%d.wal", node.ID)), o.torn()); err != nil {
-				return fmt.Errorf("deploy: cs wal: %w", err)
-			}
+		if err := o.attachWAL(node, st.AttachWAL); err != nil {
+			return err
 		}
 		srv := ckpt.NewServerWithStore(rt, fab.Attach(node.ID, "ckpt-server"), st)
-		srv.Peers = peersOf(pg, node)
-		if o.Restarted && len(srv.Peers) > 0 {
-			srv.Resync = true
-			srv.ResyncAttempts = 60
-		}
+		srv.Peers, srv.Resync = peersOf(pg, node), o.Restarted
 		srv.Start()
-		if srv.Resync {
-			o.announceRejoin(RoleCS, srv.Synced)
-		} else {
-			o.announceRejoin(RoleCS, nil)
-		}
+		o.announceRejoin(RoleCS, srv.Synced)
 		select {}
 	case RoleSched:
 		var ranks []int

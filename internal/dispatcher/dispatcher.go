@@ -8,7 +8,7 @@
 //
 // Beyond computing nodes, the dispatcher also monitors the service
 // nodes (event loggers, checkpoint servers): a crashed service is
-// respawned over its stable store after the same detection delay,
+// respawned after the same detection delay,
 // while the daemons bridge the outage with their retransmit machinery.
 package dispatcher
 
@@ -49,8 +49,8 @@ type Config struct {
 	// servers) the dispatcher also monitors; a fault against one is
 	// answered by RespawnService rather than Respawn.
 	Services []int
-	// RespawnService restarts a crashed service frontend over its
-	// surviving stable store.
+	// RespawnService restarts a crashed service node, which recovers
+	// its state from its disk or its replica peers.
 	RespawnService func(node int)
 
 	// ELShardOf maps an event-logger node id to its fleet shard index.
@@ -252,31 +252,11 @@ func (d *Dispatcher) bcastShard(kind uint8, k int) {
 // always yields the same plan, which is what lets a chaos experiment be
 // re-run bit-identically.
 func RandomFaults(seed uint64, rate float64, horizon time.Duration, targets []int) []Fault {
-	if rate <= 0 || horizon <= 0 || len(targets) == 0 {
-		return nil
-	}
-	rng := seed
-	next := func() float64 {
-		rng = rng*2862933555777941757 + 3037000493
-		return float64(rng>>11) / float64(1<<53)
-	}
 	var plan []Fault
-	t := time.Duration(0)
-	for {
-		u := next()
-		if u <= 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		gap := time.Duration(-math.Log(u) / rate * float64(time.Second))
-		if gap < time.Millisecond {
-			gap = time.Millisecond
-		}
-		t += gap
-		if t >= horizon {
-			return plan
-		}
-		plan = append(plan, Fault{Time: t, Rank: targets[int(next()*float64(len(targets)))%len(targets)]})
-	}
+	arrivals(seed, rate, horizon, targets, func(t time.Duration, next func() float64) {
+		plan = append(plan, Fault{Time: t, Rank: pick(targets, next())})
+	})
+	return plan
 }
 
 // DoubleFaults draws a reproducible plan of correlated fault pairs: each
@@ -287,44 +267,53 @@ func RandomFaults(seed uint64, rate float64, horizon time.Duration, targets []in
 // almost never produce, and exactly the case quorum replication must
 // survive. Same seed, same plan.
 func DoubleFaults(seed uint64, rate float64, horizon, window time.Duration, targets []int) []Fault {
-	if rate <= 0 || horizon <= 0 || len(targets) == 0 {
-		return nil
-	}
-	rng := seed ^ 0x5bf0_3635
-	next := func() float64 {
-		rng = rng*2862933555777941757 + 3037000493
-		return float64(rng>>11) / float64(1<<53)
-	}
 	if window <= 0 {
 		window = 50 * time.Millisecond
 	}
 	var plan []Fault
-	t := time.Duration(0)
-	for {
+	arrivals(seed^0x5bf0_3635, rate, horizon, targets, func(t time.Duration, next func() float64) {
+		first := pick(targets, next())
+		plan = append(plan, Fault{Time: t, Rank: first})
+		if len(targets) < 2 {
+			return
+		}
+		second := first
+		for second == first {
+			second = pick(targets, next())
+		}
+		if offset := time.Duration(next() * float64(window)); t+offset < horizon {
+			plan = append(plan, Fault{Time: t + offset, Rank: second})
+		}
+	})
+	return plan
+}
+
+// arrivals runs a seeded Poisson process of rate arrivals per second
+// over [0, horizon), with gaps floored at 1 ms, and calls at with each
+// arrival time and the generator, from which at draws its targets.
+func arrivals(seed uint64, rate float64, horizon time.Duration, targets []int, at func(t time.Duration, next func() float64)) {
+	if rate <= 0 || horizon <= 0 || len(targets) == 0 {
+		return
+	}
+	rng := seed
+	next := func() float64 {
+		rng = rng*2862933555777941757 + 3037000493
+		return float64(rng>>11) / float64(1<<53)
+	}
+	for t := time.Duration(0); ; {
 		u := next()
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		gap := time.Duration(-math.Log(u) / rate * float64(time.Second))
-		if gap < time.Millisecond {
-			gap = time.Millisecond
-		}
-		t += gap
+		t += max(time.Duration(-math.Log(u)/rate*float64(time.Second)), time.Millisecond)
 		if t >= horizon {
-			return plan
+			return
 		}
-		first := targets[int(next()*float64(len(targets)))%len(targets)]
-		plan = append(plan, Fault{Time: t, Rank: first})
-		if len(targets) < 2 {
-			continue
-		}
-		second := first
-		for second == first {
-			second = targets[int(next()*float64(len(targets)))%len(targets)]
-		}
-		offset := time.Duration(next() * float64(window))
-		if t+offset < horizon {
-			plan = append(plan, Fault{Time: t + offset, Rank: second})
-		}
+		at(t, next)
 	}
+}
+
+// pick chooses a target with the uniform draw u.
+func pick(targets []int, u float64) int {
+	return targets[int(u*float64(len(targets)))%len(targets)]
 }

@@ -12,12 +12,12 @@
 // merge a read quorum so no quorum-committed event is ever lost even
 // while up to Q−1 replicas hold stale state.
 //
-// The split between Server (the protocol frontend bound to one network
-// endpoint) and Store (the storage behind it) is kept: legacy
-// single-logger setups still share one Store across failover
-// frontends. The Store is idempotent (duplicate submissions,
-// retransmitted after a lost ack, change nothing) so the daemon may
-// retry freely.
+// Server is the protocol frontend bound to one network endpoint; Store
+// is the storage behind it, over the node's write-ahead log when it
+// has one (walog.Log: a file when deployed, a walog.MemFile in the
+// simulator). A respawned node builds a fresh Store and replays its log
+// into it. The Store is idempotent (duplicate submissions, retransmitted
+// after a lost ack, change nothing) so the daemon may retry freely.
 package eventlog
 
 import (
@@ -71,10 +71,9 @@ type Store struct {
 	// retransmissions and across incarnations of the node.
 	events map[int]map[uint64]core.Event
 
-	// wal, when set (deployed workers), receives every fresh event as
-	// an append-only record so a SIGKILLed logger rejoins with its
-	// durable prefix instead of an empty store. Volatile in-memory
-	// stores (the simulation) never set it.
+	// wal, when attached, receives every fresh event as an append-only
+	// record so a killed logger rejoins with its durable prefix instead
+	// of an empty store.
 	wal *walog.Writer
 	// fresh and rec are addLocked's scratch for the events a submission
 	// adds and the WAL record holding them; wal.Append copies rec.
@@ -139,14 +138,14 @@ func (st *Store) addLocked(node int, evs []core.Event, countDups bool) int {
 	return added
 }
 
-// OpenWAL replays the write-ahead log at path into the store and then
-// arms it: every subsequently stored event is appended. torn configures
-// the deterministic disk-fault injector (zero value: faults off). Call
+// AttachWAL replays the write-ahead log into the store and then arms
+// it: every subsequently stored event is appended. torn configures the
+// deterministic disk-fault injector (zero value: faults off). Call
 // before the store takes traffic.
-func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, error) {
+func (st *Store) AttachWAL(log walog.Log, torn walog.TornConfig) (walog.LoadResult, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	w, res, err := walog.ReplayInto(path, torn, func(body []byte) {
+	w, res, err := log.Replay(torn, func(body []byte) {
 		m, err := wire.DecodeNodeEvents(body)
 		if err != nil {
 			return // an undecodable record is damage the CRC missed: skip it
@@ -160,6 +159,11 @@ func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, 
 	}
 	st.wal = w
 	return res, nil
+}
+
+// OpenWAL attaches the write-ahead log file at path; see AttachWAL.
+func (st *Store) OpenWAL(path string, torn walog.TornConfig) (walog.LoadResult, error) {
+	return st.AttachWAL(walog.Path(path), torn)
 }
 
 // CloseWAL detaches and closes the write-ahead log, if armed.
@@ -261,20 +265,15 @@ type Server struct {
 	ep      transport.Endpoint
 	service time.Duration // per-event processing time
 
-	// Store is the stable storage behind this frontend; shared when
-	// the server was built with NewServerWithStore.
+	// Store is the stable storage behind this frontend.
 	Store *Store
 
 	// Peers are the other replicas of this logger group; they serve
 	// anti-entropy sync requests. Empty for a standalone logger.
 	Peers []int
 	// Resync makes the server pull missing events from Peers on
-	// startup — set on a replica respawned with an empty store.
+	// startup — set on a respawned replica.
 	Resync bool
-	// ResyncAttempts bounds the resync request rounds (default 10).
-	// Deployed out-of-process replicas set it higher: real dials and
-	// peer respawns take wall-clock time the simulation never pays.
-	ResyncAttempts int
 
 	synced atomic.Bool
 
@@ -300,9 +299,8 @@ func NewServer(rt vtime.Runtime, ep transport.Endpoint, service time.Duration) *
 	return NewServerWithStore(rt, ep, service, NewStore())
 }
 
-// NewServerWithStore creates an event logger frontend over an existing
-// store, for failover setups where several frontends (primary and
-// respawned or backup instances) must serve the same logged events.
+// NewServerWithStore creates an event logger frontend over a store the
+// caller built, typically one with its write-ahead log attached.
 func NewServerWithStore(rt vtime.Runtime, ep transport.Endpoint, service time.Duration, st *Store) *Server {
 	return &Server{rt: rt, ep: ep, service: service, Store: st, cums: make(map[int]*cumTracker)}
 }
@@ -337,16 +335,24 @@ func (s *Server) Start() {
 	s.rt.Go("event-logger", s.run)
 	if s.Resync && len(s.Peers) > 0 {
 		s.rt.Go(fmt.Sprintf("el-resync-%d", s.ep.ID()), s.resyncLoop)
+	} else {
+		s.synced.Store(true)
 	}
 }
 
 // EventCount reports the number of events stored for a node.
 func (s *Server) EventCount(rank int) int { return s.Store.Count(rank) }
 
-// Synced reports whether a rejoining replica has completed at least one
-// anti-entropy merge since Start — the point where it is serving the
-// group's committed state again and its outage window closes.
+// Synced reports whether the server is serving its group's committed
+// state: at Start when it has nothing to resync, otherwise once a
+// rejoining replica has completed an anti-entropy merge and its outage
+// window closes.
 func (s *Server) Synced() bool { return s.synced.Load() }
+
+// resyncAttempts bounds the resync request rounds. A simulated rejoin
+// syncs in its first round; out-of-process replicas need the rest, as
+// real dials and peer respawns take wall-clock time.
+const resyncAttempts = 60
 
 // resyncLoop re-requests the missing event ranges from every peer until
 // at least one sync response lands (merges are idempotent, so asking
@@ -354,13 +360,9 @@ func (s *Server) Synced() bool { return s.synced.Load() }
 // join time: recomputing them after a partial merge could advance past
 // holes a stale peer left behind.
 func (s *Server) resyncLoop() {
-	attempts := s.ResyncAttempts
-	if attempts <= 0 {
-		attempts = 10
-	}
 	req := wire.EncodeSyncMarks(s.Store.Marks())
 	bo := transport.Backoff{Base: 5 * time.Millisecond, Seed: uint64(s.ep.ID())}
-	for attempt := 0; attempt < attempts && !s.synced.Load(); attempt++ {
+	for attempt := 0; attempt < resyncAttempts && !s.synced.Load(); attempt++ {
 		for _, p := range s.Peers {
 			s.ep.Send(p, wire.KELSyncReq, req)
 		}

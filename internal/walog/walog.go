@@ -13,6 +13,12 @@
 // al. demand of checkpoint-restart storage: the fault-tolerance layer's
 // own disk state must survive faults of its own.
 //
+// A Log is where a store's records live: Path, a file, for deployed
+// workers, and MemFile, an in-memory byte log that is the simulator's
+// disk. Both replay through the same loader and append through the same
+// Writer, so a simulated service node recovers exactly as a deployed
+// one does.
+//
 // The log never fsyncs: the deployment's fault model is process death
 // (SIGKILL), not power loss, and the page cache survives the process.
 package walog
@@ -20,6 +26,7 @@ package walog
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -49,10 +56,10 @@ func (tc TornConfig) Active() bool { return tc.Every > 0 }
 // buffer of its own, so the writer does not hold image-sized memory.
 const scratchLen = 4 << 10
 
-// Writer appends records to a log file. It is not safe for concurrent
-// use; the stores behind it append under their own lock.
+// Writer appends records to a log. It is not safe for concurrent use;
+// the stores behind it append under their own lock.
 type Writer struct {
-	f       *os.File
+	f       io.WriteCloser
 	torn    TornConfig
 	rng     uint64
 	scratch []byte
@@ -67,12 +74,16 @@ func Open(path string, torn TornConfig) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newWriter(f, torn), nil
+}
+
+func newWriter(f io.WriteCloser, torn TornConfig) *Writer {
 	return &Writer{
 		f:       f,
 		torn:    torn,
 		rng:     (torn.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
 		scratch: make([]byte, 0, scratchLen),
-	}, nil
+	}
 }
 
 // Append writes one record. Under an active TornConfig the write may be
@@ -102,7 +113,7 @@ func (w *Writer) Append(body []byte) error {
 	return err
 }
 
-// Close closes the underlying file.
+// Close closes the underlying log.
 func (w *Writer) Close() error { return w.f.Close() }
 
 // LoadResult summarizes a Load pass.
@@ -115,14 +126,19 @@ type LoadResult struct {
 // body. Damaged regions are skipped by scanning forward to the next
 // magic boundary. A missing file loads as empty — a fresh worker.
 func Load(path string, fn func(body []byte)) (LoadResult, error) {
-	var res LoadResult
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return res, nil
+			return LoadResult{}, nil
 		}
-		return res, err
+		return LoadResult{}, err
 	}
+	return scan(data, fn), nil
+}
+
+// scan is Load over a log's bytes.
+func scan(data []byte, fn func(body []byte)) LoadResult {
+	var res LoadResult
 	i := 0
 	damaged := false
 	for i+headerLen <= len(data) {
@@ -161,17 +177,48 @@ func Load(path string, fn func(body []byte)) (LoadResult, error) {
 	if i < len(data) && !damaged {
 		res.Torn++ // trailing partial header
 	}
-	return res, nil
+	return res
 }
 
-// ReplayInto is a convenience for stores that load before attaching a
-// writer: it loads path into fn and then opens the same path for
-// appending.
-func ReplayInto(path string, torn TornConfig, fn func(body []byte)) (*Writer, LoadResult, error) {
-	res, err := Load(path, fn)
+// Log is the stable storage behind one store.
+type Log interface {
+	// Replay calls fn with each verified record body, then returns a
+	// Writer that appends to the same log under torn's fault injector.
+	Replay(torn TornConfig, fn func(body []byte)) (*Writer, LoadResult, error)
+}
+
+// Path is a log file; a missing file replays as empty and is created.
+type Path string
+
+// Replay loads the file and opens it for appending.
+func (p Path) Replay(torn TornConfig, fn func(body []byte)) (*Writer, LoadResult, error) {
+	res, err := Load(string(p), fn)
 	if err != nil {
 		return nil, res, err
 	}
-	w, err := Open(path, torn)
+	w, err := Open(string(p), torn)
 	return w, res, err
 }
+
+// MemFile is an in-memory log, the simulator's disk. It outlives the
+// store and the node that wrote it: a node respawned over the same
+// MemFile replays what its predecessor appended. Bodies handed to a
+// Replay callback alias the log and must be copied to be kept.
+type MemFile struct{ data []byte }
+
+// Replay scans the log and returns a Writer appending to it.
+func (m *MemFile) Replay(torn TornConfig, fn func(body []byte)) (*Writer, LoadResult, error) {
+	return newWriter(m, torn), scan(m.data, fn), nil
+}
+
+// Bytes returns the log's contents, as a file holding it would.
+func (m *MemFile) Bytes() []byte { return m.data }
+
+// Write appends p to the log.
+func (m *MemFile) Write(p []byte) (int, error) {
+	m.data = append(m.data, p...)
+	return len(p), nil
+}
+
+// Close does nothing: the log outlives its writers.
+func (m *MemFile) Close() error { return nil }

@@ -156,23 +156,36 @@ func TestInjectedTornWrites(t *testing.T) {
 	}
 }
 
-func TestReplayInto(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	writeAll(t, path, TornConfig{}, [][]byte{[]byte("one"), []byte("two")})
-	var seen []string
-	w, res, err := ReplayInto(path, TornConfig{}, func(b []byte) { seen = append(seen, string(b)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != 2 || len(seen) != 2 {
-		t.Fatalf("replay = %+v (%q)", res, seen)
-	}
-	if err := w.Append([]byte("three")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	got, _ := loadAll(t, path)
-	if len(got) != 3 || string(got[2]) != "three" {
-		t.Fatalf("after replay+append, log holds %q", got)
+// TestLogReplay: both logs replay what was appended, then append after
+// it, and a second replay sees all of it.
+func TestLogReplay(t *testing.T) {
+	for name, log := range map[string]Log{
+		"Path":    Path(filepath.Join(t.TempDir(), "log")),
+		"MemFile": new(MemFile),
+	} {
+		t.Run(name, func(t *testing.T) {
+			replay := func() []string {
+				var seen []string
+				w, res, err := log.Replay(TornConfig{}, func(b []byte) { seen = append(seen, string(b)) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Torn != 0 || res.Records != len(seen) {
+					t.Fatalf("replay = %+v (%q)", res, seen)
+				}
+				if err := w.Append([]byte(fmt.Sprint(len(seen)))); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return seen
+			}
+			for want := 0; want < 3; want++ {
+				if seen := replay(); len(seen) != want || (want > 0 && seen[want-1] != fmt.Sprint(want-1)) {
+					t.Fatalf("replay %d saw %q", want, seen)
+				}
+			}
+		})
 	}
 }
