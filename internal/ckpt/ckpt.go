@@ -264,8 +264,9 @@ type Store struct {
 	partials map[int]map[uint64]*partialImage
 
 	// wal, when attached, receives every materialized full image so a
-	// killed checkpoint server rejoins with its durable prefix. Deltas are materialized *before* the append, so
-	// recovery never depends on a base image surviving.
+	// killed checkpoint server rejoins with its durable prefix. Deltas
+	// are materialized *before* the append, so recovery never depends
+	// on a base image surviving.
 	wal *walog.Writer
 
 	stats Stats
