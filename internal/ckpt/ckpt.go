@@ -138,21 +138,23 @@ func (im *Image) Encode() ([]byte, error) {
 }
 
 // DecodeImage parses an image produced by Encode, verifying the length
-// framing and the CRC-32 checksum before touching the payload.
+// framing and the CRC-32 checksum before touching the payload. Nothing
+// is copied: AppState and Proto alias b, each capped at its own length,
+// so the caller hands b over and must not write it again — a restarting
+// daemon decodes the image buffer only it holds, and the restored SAVED
+// payloads alias it too (see core.SavedMsg.Data).
 func DecodeImage(b []byte) (*Image, error) {
 	im, err := viewImage(b, true)
 	if err != nil {
 		return nil, err
 	}
-	im.AppState = append([]byte(nil), im.AppState...)
-	im.Proto = append([]byte(nil), im.Proto...)
 	return &im, nil
 }
 
-// viewImage is DecodeImage without the copies: AppState and Proto alias
-// b. The store passes verify=false for images it holds — they were
-// checksummed on admission — so materializing over a large base does not
-// pay a pass over it just to re-read what memory already vouches for.
+// viewImage is DecodeImage by value. The store passes verify=false for
+// images it holds — they were checksummed on admission — so
+// materializing over a large base does not pay a pass over it just to
+// re-read what memory already vouches for.
 func viewImage(b []byte, verify bool) (Image, error) {
 	var im Image
 	if len(b) < imageHeaderLen {
@@ -180,7 +182,7 @@ func viewImage(b []byte, verify bool) (Image, error) {
 	if appLen < 0 || appLen > len(body)-off-4 {
 		return im, fmt.Errorf("ckpt: image app state of %d bytes truncated", appLen)
 	}
-	im.AppState = body[off : off+appLen]
+	im.AppState = body[off : off+appLen : off+appLen]
 	off += appLen
 	protoLen := int(binary.BigEndian.Uint32(body[off : off+4]))
 	off += 4
@@ -450,7 +452,10 @@ func materialize(rank int, baseImg []byte, delta *Image) ([]byte, error) {
 }
 
 // storeLocked takes ownership of rec, a WAL record as newRecord lays it
-// out, and holds the image inside it.
+// out, and holds the image inside it. Nothing writes a stored image's
+// bytes after this — compaction only drops the reference — so readers
+// may keep slices of it past the lock: chunk fetches are answered with
+// frames whose bodies are the stored bytes themselves (ChunkRun).
 func (st *Store) storeLocked(rank int, seq uint64, rec []byte) {
 	m := st.images[rank]
 	if m == nil {
@@ -557,9 +562,10 @@ func (st *Store) Has(rank int) bool {
 
 // Manifest describes the latest stored image for a rank, cut at
 // chunkSize bytes per chunk, for the restart-time fetch: per-chunk
-// CRC-32s let the fetcher validate each pulled chunk independently, and
-// the whole-image CRC lets it group replicas serving byte-identical
-// copies.
+// CRC-32s let the fetcher validate each pulled chunk independently, the
+// whole-image CRC lets it group replicas serving byte-identical copies,
+// and the snapshot's receive clock, read from the stored bytes, lets it
+// ask the event loggers for its determinants before the chunks arrive.
 func (st *Store) Manifest(rank int, chunkSize uint32) wire.CkptManifest {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -576,6 +582,10 @@ func (st *Store) Manifest(rank int, chunkSize uint32) wire.CkptManifest {
 		ImageCRC:  crc32.ChecksumIEEE(img),
 		ChunkCRCs: make([]uint32, n),
 	}
+	// Every stored image was verified and decoded on admission.
+	if im, err := viewImage(img, false); err == nil {
+		m.Clock, _ = core.SnapshotClock(im.Proto)
+	}
 	for i := range m.ChunkCRCs {
 		lo := i * int(chunkSize)
 		hi := min(lo+int(chunkSize), len(img))
@@ -584,25 +594,34 @@ func (st *Store) Manifest(rank int, chunkSize uint32) wire.CkptManifest {
 	return m
 }
 
-// ChunkAt returns the encoded chunk frame for chunk idx of the image
-// stored at exactly seq, cut at chunkSize — the fetch must hit the same
+// ChunkRun returns the KCkptChunkData frames of the count chunks from
+// first of the image stored at exactly seq, cut at chunkSize: each a
+// chunk header with the stored bytes themselves as its body (stored
+// images are never written; see storeLocked). The fetch must hit the
 // bytes the manifest described, so a store that has since moved to a
-// newer image serves nothing and lets the fetcher re-gather manifests.
-func (st *Store) ChunkAt(rank int, seq uint64, idx, chunkSize uint32) ([]byte, bool) {
+// newer image, or a run not wholly inside the image, yields nothing and
+// lets the fetcher re-gather manifests.
+func (st *Store) ChunkRun(rank int, seq uint64, first, count, chunkSize uint32) []transport.Parts {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	img, ok := st.images[rank][seq]
+	st.mu.Unlock()
 	if !ok || len(img) == 0 || chunkSize == 0 {
-		return nil, false
+		return nil
 	}
 	n := (len(img) + int(chunkSize) - 1) / int(chunkSize)
-	if int(idx) >= n {
-		return nil, false
+	if uint64(first)+uint64(count) > uint64(n) {
+		return nil
 	}
-	lo := int(idx) * int(chunkSize)
-	hi := min(lo+int(chunkSize), len(img))
-	body := img[lo:hi]
-	return wire.AppendCkptChunk(wire.GetBuf(wire.CkptChunkSize(len(body))), seq, idx, uint32(n), body), true
+	heads := make([]byte, 0, int(count)*wire.CkptChunkHeaderLen)
+	frames := make([]transport.Parts, count)
+	for i := range frames {
+		idx := first + uint32(i)
+		lo := int(idx) * int(chunkSize)
+		body := img[lo:min(lo+int(chunkSize), len(img))]
+		heads = wire.AppendCkptChunkHeader(heads, seq, idx, uint32(n), body)
+		frames[i] = transport.Parts{Head: heads[len(heads)-wire.CkptChunkHeaderLen:], Body: body}
+	}
+	return frames
 }
 
 // Marks returns the per-rank checkpoint-seq high-water marks for an
@@ -786,15 +805,16 @@ func (s *Server) run() {
 			s.Store.mu.Unlock()
 			s.ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(s.Store.Manifest(f.From, chunkSize)))
 		case wire.KCkptChunkFetch:
-			seq, idx, chunkSize, err := wire.DecodeCkptChunkFetch(f.Data)
+			seq, first, count, chunkSize, err := wire.DecodeCkptChunkFetch(f.Data)
 			if err != nil {
 				s.countMalformed()
 				continue
 			}
-			// Silent when the exact image is gone (superseded since the
-			// manifest was served): the fetcher times out and re-gathers.
-			if frame, ok := s.Store.ChunkAt(f.From, seq, idx, chunkSize); ok {
-				s.ep.Send(f.From, wire.KCkptChunkData, frame)
+			// The run goes out as one batch. Silent when the exact image
+			// is gone (superseded since the manifest was served): the
+			// fetcher times out and re-gathers.
+			if frames := s.Store.ChunkRun(f.From, seq, first, count, chunkSize); frames != nil {
+				transport.SendFrames(s.ep, f.From, wire.KCkptChunkData, frames)
 			}
 		case wire.KCSSyncReq:
 			marks, err := wire.DecodeSyncMarks(f.Data)

@@ -97,8 +97,8 @@ func fetchImage(t *testing.T, client transport.Endpoint, server int) (img []byte
 	if m.ChunkSize != chunkSize {
 		t.Fatalf("manifest cut at %d bytes, asked for %d", m.ChunkSize, chunkSize)
 	}
+	client.Send(server, wire.KCkptChunkFetch, wire.AppendCkptRangeFetch(nil, m.Seq, 0, uint32(m.Chunks()), chunkSize))
 	for i := 0; i < m.Chunks(); i++ {
-		client.Send(server, wire.KCkptChunkFetch, wire.AppendCkptChunkFetch(nil, m.Seq, uint32(i), chunkSize))
 		seq, idx, count, body, err := wire.DecodeCkptChunk(recvKind(t, client, wire.KCkptChunkData).Data)
 		if err != nil || seq != m.Seq || int(idx) != i || int(count) != m.Chunks() || crc32.ChecksumIEEE(body) != m.ChunkCRCs[i] {
 			t.Fatalf("chunk %d of seq %d: got chunk %d/%d of seq %d, err %v", i, m.Seq, idx, count, seq, err)
@@ -575,11 +575,11 @@ func TestChunkedChainBreakKeepsPartialForRetry(t *testing.T) {
 	}
 }
 
-func TestManifestAndChunkAtServeVerifiableChunks(t *testing.T) {
+func TestManifestAndChunkRunServeVerifiableChunks(t *testing.T) {
 	img := makeImage(t, 4, 3)
 	st := NewStore()
 	st.Accept(4, 3, img)
-	const cs = 100
+	const cs = 32
 	m := st.Manifest(4, cs)
 	if !m.Present || m.Seq != 3 || m.Size != uint64(len(img)) {
 		t.Fatalf("manifest = %+v", m)
@@ -587,28 +587,97 @@ func TestManifestAndChunkAtServeVerifiableChunks(t *testing.T) {
 	if m.ImageCRC != crc32.ChecksumIEEE(img) {
 		t.Error("manifest whole-image CRC mismatch")
 	}
-	var rebuilt []byte
-	for i := 0; i < m.Chunks(); i++ {
-		frame, ok := st.ChunkAt(4, 3, uint32(i), cs)
-		if !ok {
-			t.Fatalf("chunk %d not served", i)
-		}
-		seq, idx, count, body, err := wire.DecodeCkptChunk(frame)
-		if err != nil || seq != 3 || idx != uint32(i) || count != uint32(m.Chunks()) {
-			t.Fatalf("chunk %d frame: seq=%d idx=%d count=%d err=%v", i, seq, idx, count, err)
-		}
-		if crc32.ChecksumIEEE(body) != m.ChunkCRCs[i] {
-			t.Fatalf("chunk %d CRC differs from manifest", i)
-		}
-		rebuilt = append(rebuilt, body...)
+	im, err := DecodeImage(img)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(rebuilt, img) {
-		t.Error("chunks do not reassemble to the stored image")
+	if sn, err := im.ProtoSnapshot(); err != nil || m.Clock != sn.H {
+		t.Errorf("manifest clock %d, the image's snapshot has H %d (%v)", m.Clock, sn.H, err)
+	}
+	// One run covers the whole image; two runs split it.
+	for _, runs := range [][2]uint32{{0, uint32(m.Chunks())}, {0, 2}, {2, uint32(m.Chunks()) - 2}} {
+		frames := st.ChunkRun(4, 3, runs[0], runs[1], cs)
+		if len(frames) != int(runs[1]) {
+			t.Fatalf("run %v: %d frames", runs, len(frames))
+		}
+		var rebuilt []byte
+		for i, f := range frames {
+			want := int(runs[0]) + i
+			seq, idx, count, body, err := wire.DecodeCkptChunk(append(append([]byte(nil), f.Head...), f.Body...))
+			if err != nil || seq != 3 || idx != uint32(want) || count != uint32(m.Chunks()) {
+				t.Fatalf("chunk %d frame: seq=%d idx=%d count=%d err=%v", want, seq, idx, count, err)
+			}
+			if crc32.ChecksumIEEE(body) != m.ChunkCRCs[want] {
+				t.Fatalf("chunk %d CRC differs from manifest", want)
+			}
+			rebuilt = append(rebuilt, body...)
+		}
+		lo := int(runs[0]) * cs
+		if !bytes.Equal(rebuilt, img[lo:min(lo+int(runs[1])*cs, len(img))]) {
+			t.Errorf("run %v does not reassemble to its part of the stored image", runs)
+		}
 	}
 	// A fetch for a seq the store has moved past serves nothing — the
-	// fetcher must re-gather manifests instead of mixing images.
-	if _, ok := st.ChunkAt(4, 2, 0, cs); ok {
-		t.Error("ChunkAt served a chunk for an absent seq")
+	// fetcher must re-gather manifests instead of mixing images — and so
+	// does a run reaching past the image's last chunk.
+	if frames := st.ChunkRun(4, 2, 0, 1, cs); frames != nil {
+		t.Error("ChunkRun served a chunk for an absent seq")
+	}
+	if frames := st.ChunkRun(4, 3, uint32(m.Chunks())-1, 2, cs); frames != nil {
+		t.Error("ChunkRun served a run past the image end")
+	}
+	if frames := st.ChunkRun(4, 3, 1<<32-1, 2, cs); frames != nil {
+		t.Error("ChunkRun served a run whose end overflows")
+	}
+}
+
+// TestServerIgnoresRangeOutsideStoredImage: a range request for a seq
+// the server has moved past, or one reaching past the image's last
+// chunk, is answered with nothing; the fetcher's retry re-gathers.
+func TestServerIgnoresRangeOutsideStoredImage(t *testing.T) {
+	serverHarness(t, func(s *vtime.Sim, srv *Server, client transport.Endpoint) {
+		srv.Store.Accept(4, 1, makeImage(t, 4, 1))
+		srv.Store.Accept(4, 2, makeImage(t, 4, 2))
+		m := srv.Store.Manifest(4, 32)
+		client.Send(200, wire.KCkptChunkFetch, wire.AppendCkptRangeFetch(nil, 1, 0, 1, 32))
+		client.Send(200, wire.KCkptChunkFetch, wire.AppendCkptRangeFetch(nil, 2, uint32(m.Chunks())-1, 2, 32))
+		client.Send(200, wire.KCkptChunkFetch, wire.AppendCkptRangeFetch(nil, 2, 1, 1, 32))
+		seq, idx, _, _, err := wire.DecodeCkptChunk(recvKind(t, client, wire.KCkptChunkData).Data)
+		if err != nil || seq != 2 || idx != 1 {
+			t.Errorf("first chunk served: seq %d idx %d (%v), want seq 2 chunk 1 of the only valid request", seq, idx, err)
+		}
+	})
+}
+
+// TestStoredImageBytesAreNeverWritten: chunk fetches answer with slices
+// of the stored image, sent after the store lock is released, so nothing
+// the store does later — a delta materialized over the image as its
+// base, compaction, an anti-entropy merge, a newer full image, a chunked
+// save — may write those bytes.
+func TestStoredImageBytesAreNeverWritten(t *testing.T) {
+	st := NewStore()
+	base, delta, _ := chainImages(4, 1, 2)
+	st.Accept(4, 1, base)
+	held := st.ChunkRun(4, 1, 0, 1, uint32(len(base)))
+	if len(held) != 1 {
+		t.Fatal("the stored image was not served")
+	}
+	view := held[0].Body
+	want := bytes.Clone(view)
+
+	if got := st.Accept(4, 2, delta); got != Accepted {
+		t.Fatalf("delta over the held image: %v", got)
+	}
+	st.MergeEntries(st.EntriesSince(nil))
+	st.Accept(4, 3, makeImage(t, 4, 3))
+	img4 := makeImage(t, 4, 4)
+	n := (len(img4) + 31) / 32
+	for i := 0; i < n; i++ {
+		st.PutChunk(4, 4, uint32(i), uint32(n), img4[i*32:min((i+1)*32, len(img4))])
+	}
+	st.Manifest(4, 64)
+	if !bytes.Equal(view, want) {
+		t.Error("a stored image's bytes changed after the store took them")
 	}
 }
 

@@ -41,34 +41,34 @@ func TestScheduleHashPinned(t *testing.T) {
 		want uint64
 	}{
 		{"ring", Config{N: 4}, ring(20), 0x1047b15031c5e6be},
-		{"ckpt-kill", ckptKill, ckpt, 0x564cb38c25ad416c},
+		{"ckpt-kill", ckptKill, ckpt, 0x078655f50125c076},
 		// Lossy: the restart announces once and the pull repairs what the
 		// fabric drops.
 		{"quorum-chaos-kill", Config{
 			N: 4, ELReplicas: 3, DetectionDelay: 2 * time.Millisecond,
 			Chaos:  transport.ChaosPolicy{Seed: 5, Drop: 0.02, Duplicate: 0.01, Delay: 0.05},
 			Faults: []dispatcher.Fault{{Time: 5 * time.Millisecond, Rank: 2}},
-		}, ring(15), 0x281e9b56b72f0404},
+		}, ring(15), 0xf407e216637a4df1},
 		{"detadaptive", Config{N: 4, DetMode: daemon.DetAdaptive}, ring(20), 0x26c0a48eda714b48},
 		{"fleet-4shards", Config{N: 8, ELShards: 4}, ring(12), 0xc744301d12d3a5d6},
 		{"incast-window1", Config{
 			N: 4, ELWindow: 1,
 			Faults: []dispatcher.Fault{{Time: 3 * time.Millisecond, Rank: 0}},
-		}, func(n int) Program { return incastProgram(make([]int64, n)) }, 0x70a6e3fb8fde5ece},
+		}, func(n int) Program { return incastProgram(make([]int64, n)) }, 0x10c6a7401f1b6ee7},
 		// The Channel Memory path and the Unix-socket copy costs of V1,
 		// and P4, which runs in the MPI process.
 		{"v1-ring", Config{N: 4, Impl: V1}, ring(20), 0xc22b2569eecd8e84},
 		{"p4-ring", Config{N: 4, Impl: P4}, ring(20), 0x5f96275f53f6d7a2},
 		// Suppression with checkpoints and a kill: the determinant drain
 		// before each capture, and the replay receive after the restart.
-		{"ckpt-kill-detadaptive", ckptKillAdaptive, ckpt, 0xdf16afb606ccce8d},
+		{"ckpt-kill-detadaptive", ckptKillAdaptive, ckpt, 0xd7bf5e9ae9543041},
 		// A probing ring with a kill: the restarted rank replays the
 		// logged probe outcomes and waits for the probed messages.
 		{"probe-kill", Config{
 			N:      4,
 			Faults: []dispatcher.Fault{{Time: 2 * time.Millisecond, Rank: 2}},
-		}, func(n int) Program { return probeRingProgram(15, make([]uint64, n)) }, 0x606f8bfa10b2bc76},
-		{"partitioned-el-kill-detadaptive", partitionedELKill, ckpt, 0x65ce63f17c6b0e50},
+		}, func(n int) Program { return probeRingProgram(15, make([]uint64, n)) }, 0x785852096c0ab344},
+		{"partitioned-el-kill-detadaptive", partitionedELKill, ckpt, 0xe7da6d4094b2e6e5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

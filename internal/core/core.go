@@ -64,7 +64,10 @@ type SavedMsg struct {
 	// buffer pool — garbage collection only drops the log's reference.
 	// Snapshots and restored states therefore share it instead of
 	// copying it, and a snapshot stays a point-in-time view because the
-	// live log only ever appends and removes entries.
+	// live log only ever appends and removes entries. A decoded snapshot
+	// owns no payload bytes either: Data is a slice of the image buffer
+	// it was decoded from, which the decoder's caller gave up, and which
+	// stays alive as long as any entry (or the restored app state) does.
 	Data []byte
 }
 

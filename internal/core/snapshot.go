@@ -66,7 +66,7 @@ func (s *State) Snapshot() *Snapshot {
 
 // Restore rebuilds a State from a snapshot, as the ROLLBACK() routine
 // does from a checkpoint image. The restored log shares the snapshot's
-// payloads (DecodeSnapshot already copied them out of the image).
+// payloads, which DecodeSnapshot leaves inside the image buffer.
 func Restore(sn *Snapshot) *State {
 	s := NewState(sn.Rank)
 	s.h = sn.H
@@ -310,9 +310,20 @@ func walkSaved(b []byte, off, n int, fn func(off, end int)) error {
 	return nil
 }
 
+// SnapshotClock reads H, the receive clock, from an encoded snapshot
+// without decoding the rest of it.
+func SnapshotClock(b []byte) (uint64, error) {
+	if len(b) < 16 || [4]byte(b[:4]) != snapMagic {
+		return 0, fmt.Errorf("core: bad snapshot magic")
+	}
+	return binary.BigEndian.Uint64(b[8:]), nil
+}
+
 // DecodeSnapshot parses a snapshot produced by Encode or the Append
 // functions. It accepts exactly the bytes the encoder can produce:
-// re-encoding the result yields b again.
+// re-encoding the result yields b again. The SAVED payloads alias b,
+// each capped at its own length: the caller hands b over and must not
+// write it again (see SavedMsg.Data).
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	sn, off, n, err := decodeHeader(b)
 	if err != nil {
@@ -325,7 +336,7 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 			Clock: binary.BigEndian.Uint64(b[off+4:]),
 			Seq:   binary.BigEndian.Uint64(b[off+12:]),
 			Kind:  b[off+20],
-			Data:  append([]byte(nil), b[off+savedHeaderLen:end]...),
+			Data:  b[off+savedHeaderLen : end : end],
 		})
 	})
 	if err != nil {

@@ -90,14 +90,16 @@ func TestRestartRefetchesChunkOfWrongLength(t *testing.T) {
 				case wire.KCkptManifestReq:
 					ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(m))
 				case wire.KCkptChunkFetch:
-					_, idx, _, _ := wire.DecodeCkptChunkFetch(f.Data)
-					i := int(idx)
-					fetches[i]++
-					body := chunk(i)
-					if b, ok := forged[i]; ok && fetches[i] == 1 {
-						body = b
+					_, first, count, _, _ := wire.DecodeCkptChunkFetch(f.Data)
+					for idx := first; idx < first+count; idx++ {
+						i := int(idx)
+						fetches[i]++
+						body := chunk(i)
+						if b, ok := forged[i]; ok && fetches[i] == 1 {
+							body = b
+						}
+						ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, 1, idx, uint32(n), body))
 					}
-					ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, 1, idx, uint32(n), body))
 				}
 			}
 		})
@@ -133,6 +135,7 @@ func TestRestartRegathersManifest(t *testing.T) {
 		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 		ep := fab.Attach(csNode, "fake-cs")
 		manifests := 0
+		var runs [][3]uint64 // seq, first, count of each chunk request
 		sim.Go("fake-cs", func() {
 			for {
 				f, ok := ep.Inbox().Recv()
@@ -148,17 +151,20 @@ func TestRestartRegathersManifest(t *testing.T) {
 					}
 					ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(m))
 				case wire.KCkptChunkFetch:
-					seq, idx, _, _ := wire.DecodeCkptChunkFetch(f.Data)
-					// Seq 1 serves its first chunk and then nothing more.
+					// The restart asks for the whole image as one run.
+					seq, first, count, _, _ := wire.DecodeCkptChunkFetch(f.Data)
 					img, m := img2, m2
 					if seq == 1 {
-						if idx != 0 {
-							continue
-						}
 						img, m = img1, m1
 					}
-					body := img[int(idx)*cs : min(int(idx+1)*cs, len(img))]
-					ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, seq, idx, uint32(m.Chunks()), body))
+					runs = append(runs, [3]uint64{seq, uint64(first), uint64(count)})
+					for idx := first; idx < first+count; idx++ {
+						if seq == 1 && idx > 0 {
+							break // seq 1 serves its first chunk and then nothing more
+						}
+						body := img[int(idx)*cs : min(int(idx+1)*cs, len(img))]
+						ep.Send(f.From, wire.KCkptChunkData, wire.AppendCkptChunk(nil, seq, idx, uint32(m.Chunks()), body))
+					}
 				}
 			}
 		})
@@ -171,6 +177,13 @@ func TestRestartRegathersManifest(t *testing.T) {
 		}
 		if st := d.Stats(); st.ManifestFetches != 2 || st.CorruptImages != 0 {
 			t.Errorf("ManifestFetches=%d CorruptImages=%d, want 2 and 0", st.ManifestFetches, st.CorruptImages)
+		}
+		// Seq 1: the whole image, then every retry only what is still
+		// missing — chunks 1.. of it; seq 2: the whole image at once.
+		n1, n2 := uint64(m1.Chunks()), uint64(m2.Chunks())
+		if len(runs) < 3 || runs[0] != [3]uint64{1, 0, n1} || runs[1] != [3]uint64{1, 1, n1 - 1} ||
+			runs[len(runs)-1] != [3]uint64{2, 0, n2} {
+			t.Errorf("chunk requests (seq, first, count) %v, want seq 1 whole, its retries from chunk 1, then seq 2 whole", runs)
 		}
 		fab.Kill(0)
 		ep.Close()

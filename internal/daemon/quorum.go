@@ -211,47 +211,55 @@ func (w *window[T]) reset() []slot[T] {
 	return slots
 }
 
-// gather is the restart-time exchange loop, the read side of a group:
-// each round it calls send for every id still missing, then feeds
-// incoming frames to accept until the round's jittered-backoff deadline.
-// accept returns the id a frame satisfies (anything outside ids is
-// ignored, so -1 reports a frame that made no progress) and whether the
-// frame belonged to the exchange at all; foreign frames are stashed for
-// the normal handler to see once recovery ends. The loop stops at need
-// satisfied ids, or after rounds rounds provided at least floor are — a
-// floor above zero therefore retries without bound, which is how a lone
-// service is waited out until the dispatcher respawns it. The ids still
-// missing are returned.
-func (d *V2) gather(ids []int, need, floor, rounds int, base time.Duration,
-	send func(id, attempt int), accept func(transport.Frame) (id int, mine bool)) map[int]bool {
+// gather is the restart-time exchange loop, the read side of a group.
+// Each round it hands send the ids still missing, in the order of ids,
+// and counts the requests send reports as retransmissions after the
+// first round; then it feeds incoming frames to accept until the round's
+// deadline, a jittered backoff that every frame making progress restarts
+// — a long stream of replies that keeps arriving is waited for, not asked
+// for again. accept returns the id a frame satisfies (anything outside
+// ids is ignored, so -1 reports a frame that made no progress) and
+// whether the frame belonged to the exchange at all; foreign frames are
+// stashed for the normal handler to see once recovery ends. The loop
+// stops once done holds, or after rounds rounds provided enough does —
+// an enough that needs a reply therefore retries without bound, which is
+// how a lone service is waited out until the dispatcher respawns it. The
+// ids still missing are returned.
+func (d *V2) gather(ids []int, rounds int, send func(missing []int, attempt int) (sent int),
+	accept func(transport.Frame) (id int, mine bool), done, enough func() bool) []int {
 	missing := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		missing[id] = true
 	}
-	got := func() int { return len(ids) - len(missing) }
-	bo := d.backoff(base)
-	for attempt := 0; got() < need && (attempt < rounds || got() < floor); attempt++ {
+	left := make([]int, 0, len(ids))
+	still := func() []int {
+		left = left[:0]
 		for _, id := range ids {
-			if !missing[id] {
-				continue
+			if missing[id] {
+				left = append(left, id)
 			}
-			if attempt > 0 {
-				d.stats.Retransmits++
-			}
-			send(id, attempt)
+		}
+		return left
+	}
+	bo := d.backoff(defFetchTimeout)
+	for attempt := 0; !done() && (attempt < rounds || !enough()); attempt++ {
+		if sent := send(still(), attempt); attempt > 0 {
+			d.stats.Retransmits += int64(sent)
 		}
 		deadline := d.rt.Now() + bo.Delay(attempt)
-		for d.rt.Now() < deadline && got() < need {
+		for d.rt.Now() < deadline && !done() {
 			f, ok := d.awaitAnyFrame(deadline - d.rt.Now())
 			if !ok {
 				break
 			}
-			if id, mine := accept(f); !mine {
+			id, mine := accept(f)
+			if !mine {
 				d.recoverPending = append(d.recoverPending, f)
-			} else {
+			} else if missing[id] {
 				delete(missing, id)
+				deadline = d.rt.Now() + bo.Delay(attempt)
 			}
 		}
 	}
-	return missing
+	return still()
 }

@@ -464,57 +464,52 @@ func (d *V2) next() dEvent {
 
 // --- Recovery (figure 2) -------------------------------------------------
 
+// recover is the restart of figure 2, run as a pipeline: the image
+// manifest from a read quorum; then at once the chunks from the
+// replicas holding that image and the determinants above its clock from
+// every event-logger replica; the image restored; RESTART1 to every
+// peer, so the re-sent payloads travel while the determinants are
+// merged; and the replay list handed to the protocol state. Frames and
+// rank requests that arrive meanwhile wait in recoverPending and
+// recoverReqs. Each phase boundary is an EvRestartPhase trace event.
 func (d *V2) recover() {
 	d.recovering = true
 	d.restored = false
 	recoverFrom := d.rt.Now()
 	d.tr.Record(recoverFrom, trace.EvRestartBegin, 0, 0, d.cfg.Incarnation, 0)
+	phase := func(p uint64) {
+		d.tr.Record(d.rt.Now(), trace.EvRestartPhase, 0, 0, p, uint64(d.rt.Now()-recoverFrom))
+	}
 
-	// Phase A1: fetch the latest checkpoint image, if any: the image
-	// manifest from a read quorum, then the chunks in parallel across the
-	// replicas serving byte-identical copies, re-fetching only damaged
-	// chunks. A manifest whose image cannot be assembled (the replicas
-	// moved on to a newer image meanwhile, or died) is gathered again.
+	// Phase A1: fetch the latest checkpoint image, if any. A manifest
+	// whose image cannot be assembled (the replicas moved on to a newer
+	// image meanwhile, or died) is gathered again. The first manifest
+	// quorum starts phase A2's event fetch at the image's clock.
+	var evf eventFetch
 	if d.hasCS() {
-		im, ok := d.fetchImage()
+		im, ok := d.fetchImage(&evf)
 		for !ok {
-			im, ok = d.fetchImage()
+			im, ok = d.fetchImage(&evf)
 		}
 		if im != nil {
 			d.restoreImage(im)
 		}
 	}
+	phase(trace.PhaseImage)
 
-	// Phase A2: download the reception events to replay. The read-quorum
-	// replies are merged so that no event acked at the write quorum is
-	// lost even when Q−1 of the replicas answering are stale. The union
-	// is shard-aware: every shard contributes a read quorum and the merge
-	// spans all of them — a determinant is fetchable wherever its channel
-	// was logged, including a successor shard that absorbed a rebalanced
-	// range. With one shard the fetch never settles for nothing (floor
-	// 1): a restarting daemon cannot make progress without its event
-	// list, so it retries until a replica answers. In a fleet a shard
-	// that is entirely dead may answer with nothing: its surviving data,
-	// if any, lives on its successor or comes back through the daemons'
-	// history backfill, and one dead group must not wedge every restart
-	// in the system.
-	evsValid := func(resp []byte) bool {
-		_, err := wire.DecodeEvents(resp)
-		return err == nil
-	}
-	floor := 1
-	if len(d.elShards) > 1 {
-		floor = 0
-	}
-	var replies [][]core.Event
-	for _, sh := range d.elShards {
-		for _, data := range d.gatherQuorum(&sh.w.replicaGroup, floor, wire.KEventFetch,
-			wire.EncodeU64(d.st.Clock()), wire.KEventFetched, evsValid) {
-			evs, _ := wire.DecodeEvents(data)
-			replies = append(replies, evs)
-		}
-	}
-	evs := core.MergeReplicaEvents(replies)
+	// Phase B: ask every peer to re-send from what we have delivered —
+	// one RESTART1 each, never waited on, as in the paper. It carries HR,
+	// which the image restored and nothing below touches, so it goes out
+	// before the determinants are merged: the peers' re-sends travel
+	// meanwhile and wait in recoverPending. The RESTART2 replies are
+	// handled on the normal path. On a lossy link the pull timer
+	// (Config.PullTimeout) repairs a lost announcement or reply:
+	// whichever side then starves for a message re-announces its horizon.
+	d.announce()
+	phase(trace.PhaseAnnounce)
+
+	// Phase A2: the reception events to replay.
+	evs := d.fetchEvents(&evf)
 	// Phase A2b (suppression only): merge the determinants our peers
 	// cached off our piggybacks. A suppressed determinant can be relayed
 	// but not yet EL-durable when we fetch — the peer's cache is the
@@ -533,13 +528,7 @@ func (d *V2) recover() {
 		d.noteHistory(ev)
 	}
 	d.stats.ReplayDropped += int64(d.st.StartRecoveryWith(evs, holeTolerant))
-
-	// Phase B: ask every peer to re-send from what we have delivered —
-	// one RESTART1 each, never waited on, as in the paper. The RESTART2
-	// replies are handled on the normal path. On a lossy link the pull
-	// timer (Config.PullTimeout) repairs a lost announcement or reply:
-	// whichever side then starves for a message re-announces its horizon.
-	d.announce()
+	phase(trace.PhaseEvents)
 
 	d.tr.Record(d.rt.Now(), trace.EvRestartEnd, 0, 0,
 		d.cfg.Incarnation, uint64(d.rt.Now()-recoverFrom))
@@ -584,56 +573,77 @@ func (d *V2) restoreImage(im *ckpt.Image) {
 // from a read quorum — R−Q+1 replies intersect every write quorum, so at
 // least one describes the newest durable image — group the replicas by
 // (seq, image CRC) so chunks are only mixed across byte-identical
-// copies, then pull the chunks of the newest group in parallel. Every
-// stored image is served this way, monolithic and escalated saves
-// included: the store cuts it at the requested size, and a daemon that
-// saves monolithically asks for the default cut. It returns nil, true
-// when no replica of the read quorum holds an image, and ok=false when
-// the manifest's image could not be assembled — the caller gathers
-// manifests again. A damaged image is never a dead end: servers only
-// ack verified copies, so a write quorum of intact ones exists.
-func (d *V2) fetchImage() (im *ckpt.Image, ok bool) {
+// copies, start the event fetch at the newest image's clock, then pull
+// that image's chunks in parallel. Every stored image is served this
+// way, monolithic and escalated saves included: the store cuts it at the
+// requested size, and a daemon that saves monolithically asks for the
+// default cut. It returns nil, true when no replica of the read quorum
+// holds an image, and ok=false when the manifest's image could not be
+// assembled — the caller gathers manifests again. A damaged image is
+// never a dead end: servers only ack verified copies, so a write quorum
+// of intact ones exists.
+func (d *V2) fetchImage(evf *eventFetch) (im *ckpt.Image, ok bool) {
 	cs := d.ckptChunkSize()
 	if cs < 0 {
 		cs = defCkptChunk
 	}
 	d.stats.ManifestFetches++
 	req := wire.EncodeU32(uint32(cs))
-	valid := func(resp []byte) bool {
-		m, err := wire.DecodeCkptManifest(resp)
-		return err == nil && (!m.Present || m.ChunkSize == uint32(cs))
+	g := &d.cs.replicaGroup
+	manifests := make(map[int]wire.CkptManifest, len(g.targets))
+	d.gather(g.targets, defRestartRetries+1,
+		func(missing []int, _ int) int {
+			for _, t := range missing {
+				d.ep.Send(t, wire.KCkptManifestReq, req)
+			}
+			return len(missing)
+		},
+		func(f transport.Frame) (int, bool) {
+			if f.Kind != wire.KCkptManifest {
+				return 0, false
+			}
+			if _, inGroup := g.bits[f.From]; !inGroup {
+				return -1, true
+			}
+			m, err := wire.DecodeCkptManifest(f.Data)
+			if err != nil || (m.Present && m.ChunkSize != uint32(cs)) {
+				d.stats.Malformed++
+				return -1, true
+			}
+			manifests[f.From] = m
+			return f.From, true
+		},
+		func() bool { return len(manifests) >= g.readQuorum() },
+		func() bool { return len(manifests) > 0 })
+	if len(manifests) < g.readQuorum() {
+		d.stats.DegradedReads++
 	}
-	replies := d.gatherQuorum(&d.cs.replicaGroup, 1, wire.KCkptManifestReq, req, wire.KCkptManifest, valid)
 
 	type group struct {
 		seq uint64
 		crc uint32
 	}
 	servers := make(map[group][]int)
-	manifests := make(map[group]wire.CkptManifest)
-	for from, resp := range replies {
-		m, _ := wire.DecodeCkptManifest(resp)
-		if !m.Present {
-			continue
-		}
-		g := group{m.Seq, m.ImageCRC}
-		servers[g] = append(servers[g], from)
-		manifests[g] = m
-	}
 	var best group
 	found := false
-	for g := range servers {
-		if !found || g.seq > best.seq ||
-			(g.seq == best.seq && len(servers[g]) > len(servers[best])) {
-			best, found = g, true
+	for _, t := range g.targets { // in group order: a deterministic chunk→replica assignment
+		m, ok := manifests[t]
+		if !ok || !m.Present {
+			continue
+		}
+		k := group{m.Seq, m.ImageCRC}
+		servers[k] = append(servers[k], t)
+		if !found || k.seq > best.seq || (k.seq == best.seq && len(servers[k]) > len(servers[best])) {
+			best, found = k, true
 		}
 	}
 	if !found {
+		d.askEvents(evf, 0)
 		return nil, true
 	}
-	m := manifests[best]
 	from := servers[best]
-	sort.Ints(from) // deterministic chunk→replica assignment
+	m := manifests[from[0]]
+	d.askEvents(evf, m.Clock)
 	img := d.fetchChunks(m, from)
 	if img == nil {
 		return nil, false
@@ -646,25 +656,38 @@ func (d *V2) fetchImage() (im *ckpt.Image, ok bool) {
 	return im, true
 }
 
-// fetchChunks pulls every chunk the manifest describes, spreading the
-// requests round-robin across the group's replicas — all holding
-// byte-identical images, so any replica can serve any chunk — and
-// validating each against its manifest CRC. Each retry round rotates
-// the assignment and re-requests only the chunks still missing or
-// received damaged. Each validated body is copied straight to its offset
-// in the one image buffer.
+// fetchChunks pulls every chunk the manifest describes from the group's
+// replicas — all holding byte-identical images, so any replica can serve
+// any chunk. Each round cuts the chunks into one contiguous segment per
+// replica, rotating the assignment by the round, and asks each replica
+// for its share of the chunks still missing as one range request per
+// contiguous run: the first round is one request per replica, and a
+// retry re-requests only chunks missing or received damaged. Each chunk
+// is validated against its manifest CRC and length and copied straight
+// to its offset in the one image buffer, which only this daemon holds.
 func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 	n := m.Chunks()
 	img := make([]byte, m.Size)
 	got := make([]bool, n)
+	left := n
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	missing := d.gather(ids, n, 0, defRestartRetries+1, defFetchTimeout,
-		func(i, attempt int) {
-			d.ep.Send(from[(i+attempt)%len(from)], wire.KCkptChunkFetch,
-				wire.AppendCkptChunkFetch(wire.GetBuf(wire.CkptChunkFetchLen), m.Seq, uint32(i), m.ChunkSize))
+	replica := func(i, attempt int) int { return (i*len(from)/n + attempt) % len(from) }
+	missing := d.gather(ids, defRestartRetries+1,
+		func(missing []int, attempt int) (sent int) {
+			for j := 0; j < len(missing); sent++ {
+				r := replica(missing[j], attempt)
+				k := j + 1
+				for k < len(missing) && missing[k] == missing[k-1]+1 && replica(missing[k], attempt) == r {
+					k++
+				}
+				d.ep.Send(from[r], wire.KCkptChunkFetch, wire.AppendCkptRangeFetch(wire.GetBuf(wire.CkptChunkFetchLen),
+					m.Seq, uint32(missing[j]), uint32(k-j), m.ChunkSize))
+				j = k
+			}
+			return sent
 		},
 		func(f transport.Frame) (int, bool) {
 			if f.Kind != wire.KCkptChunkData {
@@ -688,8 +711,11 @@ func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 			}
 			copy(img[off:], body)
 			got[idx] = true
+			left--
 			return int(idx), true
-		})
+		},
+		func() bool { return left == 0 },
+		func() bool { return true })
 	if len(missing) > 0 {
 		return nil
 	}
@@ -700,38 +726,167 @@ func (d *V2) fetchChunks(m wire.CkptManifest, from []int) []byte {
 	return img
 }
 
-// gatherQuorum performs a restart-time read-quorum exchange with one
-// replica group: the request goes to every replica still missing a
-// valid reply, and the call returns once a read quorum of distinct
-// replicas has answered. After bounded retries the fetch degrades to
-// whatever reply set of at least floor arrived — a restarting daemon
-// that waited forever on crashed replicas would stall the whole run —
-// and the degradation is counted so experiments can report when the
-// intersection guarantee was forfeited. Only a multi-shard fetch may
-// pass floor 0 and tolerate a whole group being down.
-func (d *V2) gatherQuorum(g *replicaGroup, floor int, reqKind uint8, reqData []byte, respKind uint8, valid func([]byte) bool) map[int][]byte {
-	need := g.readQuorum()
-	replies := make(map[int][]byte, len(g.targets))
-	d.gather(g.targets, need, floor, defRestartRetries+1, defFetchTimeout,
-		func(t, _ int) { d.ep.Send(t, reqKind, reqData) },
-		func(f transport.Frame) (int, bool) {
-			if f.Kind != respKind {
-				return 0, false
-			}
-			if _, inGroup := g.bits[f.From]; !inGroup {
-				return -1, true
-			}
-			if !valid(f.Data) {
-				d.stats.Malformed++
-				return -1, true
-			}
-			replies[f.From] = f.Data
-			return f.From, true
-		})
-	if len(replies) < need {
-		d.stats.DegradedReads++
+// eventFetch is a restart's determinant fetch. Its first round goes to
+// every event-logger replica as soon as the image manifest names the
+// clock the image was taken at, so the replies travel beside the chunks;
+// every request of one fetch asks above that one clock, so any reply
+// answers any of them.
+type eventFetch struct {
+	asked bool          // the first round is out
+	clock uint64        // what every request asks above
+	sent  time.Duration // when the first round went out
+}
+
+// askEvents sends the first round of the event fetch, asking above
+// clock, unless it is already out.
+func (d *V2) askEvents(f *eventFetch, clock uint64) {
+	if f.asked || !d.hasEL() {
+		return
 	}
-	return replies
+	*f = eventFetch{asked: true, clock: clock, sent: d.rt.Now()}
+	req := wire.EncodeU64(clock)
+	for _, sh := range d.elShards {
+		for _, t := range sh.w.targets {
+			d.ep.Send(t, wire.KEventFetch, req)
+		}
+	}
+}
+
+// fetchEvents downloads the reception events to replay: one gather over
+// every replica of every event-logger shard at once, settling when each
+// shard has a read quorum. The replies are merged so that no event acked
+// at a write quorum is lost even when Q−1 of the replicas answering are
+// stale. The union is shard-aware: a determinant is fetchable wherever
+// its channel was logged, including a successor shard that absorbed a
+// rebalanced range. With one shard the fetch never settles for nothing
+// (floor 1): a restarting daemon cannot make progress without its event
+// list, so it retries until a replica answers. In a fleet a shard that
+// is entirely dead may answer with nothing: its surviving data, if any,
+// lives on its successor or comes back through the daemons' history
+// backfill, and one dead group must not wedge every restart in the
+// system. After bounded retries a shard settles for whatever reached its
+// floor — a daemon waiting forever on crashed replicas would stall the
+// whole run — and each shard below its read quorum counts as a
+// DegradedRead, so experiments report when the intersection guarantee
+// was forfeited.
+//
+// Replies to the first round that landed while the image was fetched
+// are taken out of recoverPending; each reply is decoded once. A first
+// round asked above the restored clock — its image could not be
+// assembled and an older one was restored — lacks determinants the
+// replay needs: its replies are discarded, up to one retransmit base
+// after it went out, and the fetch asks again at the restored clock.
+func (d *V2) fetchEvents(f *eventFetch) []core.Event {
+	if !d.hasEL() {
+		return nil
+	}
+	if h := d.st.Clock(); !f.asked || f.clock > h {
+		if f.asked {
+			d.dropEventReplies(f.sent + defFetchTimeout)
+		}
+		*f = eventFetch{clock: h}
+	}
+	replies := make(map[int][]core.Event)
+	accept := func(fr transport.Frame) (int, bool) {
+		if fr.Kind != wire.KEventFetched {
+			return 0, false
+		}
+		if _, inFleet := d.elNodeShard[fr.From]; !inFleet {
+			return -1, true
+		}
+		evs, err := wire.DecodeEvents(fr.Data)
+		if err != nil {
+			d.stats.Malformed++
+			return -1, true
+		}
+		replies[fr.From] = evs
+		return fr.From, true
+	}
+	if f.asked {
+		kept := d.recoverPending[:0]
+		for _, fr := range d.recoverPending {
+			if _, mine := accept(fr); !mine {
+				kept = append(kept, fr)
+			}
+		}
+		d.recoverPending = kept
+	}
+	answered := func(sh *elShard) int {
+		n := 0
+		for _, t := range sh.w.targets {
+			if _, ok := replies[t]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	floor := 1
+	if len(d.elShards) > 1 {
+		floor = 0
+	}
+	every := func(enough func(*elShard) bool) bool {
+		for _, sh := range d.elShards {
+			if !enough(sh) {
+				return false
+			}
+		}
+		return true
+	}
+	var ids []int
+	for _, sh := range d.elShards {
+		ids = append(ids, sh.w.targets...)
+	}
+	req := wire.EncodeU64(f.clock)
+	d.gather(ids, defRestartRetries+1,
+		func(missing []int, attempt int) (sent int) {
+			if attempt == 0 && f.asked {
+				return 0 // the first round went out beside the chunk requests
+			}
+			for _, t := range missing {
+				if sh := d.elNodeShard[t]; answered(sh) < sh.w.readQuorum() {
+					d.ep.Send(t, wire.KEventFetch, req)
+					sent++
+				}
+			}
+			return sent
+		},
+		accept,
+		func() bool { return every(func(sh *elShard) bool { return answered(sh) >= sh.w.readQuorum() }) },
+		func() bool { return every(func(sh *elShard) bool { return answered(sh) >= floor }) })
+	var lists [][]core.Event
+	for _, sh := range d.elShards {
+		if answered(sh) < sh.w.readQuorum() {
+			d.stats.DegradedReads++
+		}
+		for _, t := range sh.w.targets {
+			if evs, ok := replies[t]; ok {
+				lists = append(lists, evs)
+			}
+		}
+	}
+	return core.MergeReplicaEvents(lists)
+}
+
+// dropEventReplies discards the event-fetch replies received so far and
+// those arriving until the given instant, keeping every other frame for
+// the normal handler.
+func (d *V2) dropEventReplies(until time.Duration) {
+	kept := d.recoverPending[:0]
+	for _, f := range d.recoverPending {
+		if f.Kind != wire.KEventFetched {
+			kept = append(kept, f)
+		}
+	}
+	d.recoverPending = kept
+	for d.rt.Now() < until {
+		f, ok := d.awaitAnyFrame(until - d.rt.Now())
+		if !ok {
+			return
+		}
+		if f.Kind != wire.KEventFetched {
+			d.recoverPending = append(d.recoverPending, f)
+		}
+	}
 }
 
 // mergeDetFlush broadcasts KDetFlushReq to every peer and merges the
@@ -751,11 +906,19 @@ func (d *V2) mergeDetFlush(evs []core.Event) []core.Event {
 		seen[ev.RecvClock] = true
 	}
 	flushed := make(map[int][]core.Event, len(peers))
-	d.gather(peers, len(peers), 0, 3, defFetchTimeout,
-		func(q, _ int) { d.ep.Send(q, wire.KDetFlushReq, nil) },
+	d.gather(peers, 3,
+		func(missing []int, _ int) int {
+			for _, q := range missing {
+				d.ep.Send(q, wire.KDetFlushReq, nil)
+			}
+			return len(missing)
+		},
 		func(f transport.Frame) (int, bool) {
 			if f.Kind != wire.KDetFlushResp {
 				return 0, false
+			}
+			if f.From < 0 || f.From >= d.cfg.Size || f.From == d.cfg.Rank {
+				return -1, true
 			}
 			dets, err := wire.DecodeEvents(f.Data)
 			if err != nil {
@@ -764,7 +927,9 @@ func (d *V2) mergeDetFlush(evs []core.Event) []core.Event {
 			}
 			flushed[f.From] = dets
 			return f.From, true
-		})
+		},
+		func() bool { return len(flushed) == len(peers) },
+		func() bool { return true })
 	for _, q := range peers {
 		for _, ev := range flushed[q] {
 			// Each RecvClock names exactly one delivery of our history;
@@ -949,26 +1114,37 @@ func (d *V2) handleFrame(f transport.Frame) {
 	}
 }
 
-// transmitSaved re-sends saved payload copies after a peer restart.
-// Retransmissions reuse the original message's span id: they re-emit a
-// message whose first transmission already passed the WAITLOGGED gate.
+// transmitSaved re-sends saved payload copies after a peer restart, as
+// one SendFrames batch: each frame a payload header with the SAVED
+// entry's own bytes as its body. Retransmissions reuse the original
+// message's span id: they re-emit a message whose first transmission
+// already passed the WAITLOGGED gate.
 func (d *V2) transmitSaved(to int, msgs []core.SavedMsg) {
-	for _, m := range msgs {
-		hdr := wire.PayloadHeader{SenderClock: m.Clock, PairSeq: m.Seq, DevKind: m.Kind}
+	if len(msgs) == 0 {
+		return
+	}
+	// Retransmissions carry the pending suppressed determinants too: a
+	// restarting peer is exactly who benefits from the receiver-side
+	// cache being current.
+	hdr := wire.PayloadHeader{Dets: d.detPending}
+	if d.tr != nil {
+		hdr.Span = trace.PackSpan(d.cfg.Rank, msgs[0].Clock)
+	}
+	heads := make([]byte, 0, len(msgs)*wire.PayloadSizeH(hdr, 0))
+	frames := make([]transport.Parts, len(msgs))
+	for i, m := range msgs {
+		hdr.SenderClock, hdr.PairSeq, hdr.DevKind = m.Clock, m.Seq, m.Kind
 		if d.tr != nil {
 			hdr.Span = trace.PackSpan(d.cfg.Rank, m.Clock)
 		}
-		// Retransmissions carry the pending suppressed determinants
-		// too: a restarting peer is exactly who benefits from the
-		// receiver-side cache being current.
-		if len(d.detPending) > 0 {
-			hdr.Dets = d.detPending
-			d.stats.DetPiggybacked += int64(len(d.detPending))
-		}
-		d.ep.Send(to, wire.KPayload, wire.AppendPayload(wire.GetBuf(wire.PayloadSizeH(hdr, len(m.Data))), hdr, m.Data))
+		start := len(heads)
+		heads = wire.AppendPayloadHeader(heads, hdr, m.Data)
+		frames[i] = transport.Parts{Head: heads[start:len(heads):len(heads)], Body: m.Data}
+		d.stats.DetPiggybacked += int64(len(hdr.Dets))
 		d.tr.Record(d.rt.Now(), trace.EvResend, hdr.Span, uint64(len(hdr.Dets)), uint64(to), uint64(len(m.Data)))
 		d.stats.Resent++
 	}
+	transport.SendFrames(d.ep, to, wire.KPayload, frames)
 }
 
 // --- Event-logger exchange ------------------------------------------------

@@ -21,8 +21,9 @@
 package eventlog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,10 +67,12 @@ func (s Stats) AddTo(r *trace.Registry) {
 type Store struct {
 	mu sync.Mutex
 	// events holds, per computing node id, that node's reception
-	// events keyed by RecvClock. RecvClock totally orders a node's
-	// deliveries (it only grows), so it identifies an event across
-	// retransmissions and across incarnations of the node.
-	events map[int]map[uint64]core.Event
+	// events sorted by RecvClock, one per clock. RecvClock totally
+	// orders a node's deliveries (it only grows), so it identifies an
+	// event across retransmissions and across incarnations of the node,
+	// and submissions arrive nearly in its order: an insert is almost
+	// always an append, and a fetch is a search and a copy.
+	events map[int][]core.Event
 
 	// wal, when attached, receives every fresh event as an append-only
 	// record so a killed logger rejoins with its durable prefix instead
@@ -85,7 +88,7 @@ type Store struct {
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{events: make(map[int]map[uint64]core.Event)}
+	return &Store{events: make(map[int][]core.Event)}
 }
 
 // Stats returns a locked snapshot of the store's counters.
@@ -108,21 +111,20 @@ func (st *Store) Add(node int, evs []core.Event) int {
 // addLocked inserts events, optionally counting duplicates. Callers
 // hold st.mu.
 func (st *Store) addLocked(node int, evs []core.Event, countDups bool) int {
-	m := st.events[node]
-	if m == nil {
-		m = make(map[uint64]core.Event)
-		st.events[node] = m
-	}
+	held := st.events[node]
 	added := 0
 	fresh := st.fresh[:0]
 	for _, ev := range evs {
-		if _, dup := m[ev.RecvClock]; dup {
+		if n := len(held); n == 0 || ev.RecvClock > held[n-1].RecvClock {
+			held = append(held, ev)
+		} else if i, dup := slices.BinarySearchFunc(held, ev.RecvClock, atClock); dup {
 			if countDups {
 				st.stats.Duplicates++
 			}
 			continue
+		} else {
+			held = slices.Insert(held, i, ev)
 		}
-		m[ev.RecvClock] = ev
 		added++
 		if st.wal != nil {
 			fresh = append(fresh, ev)
@@ -134,8 +136,21 @@ func (st *Store) addLocked(node int, evs []core.Event, countDups bool) int {
 		st.rec = wire.AppendNodeEvents(st.rec[:0], node, fresh)
 		st.wal.Append(st.rec)
 	}
+	st.events[node] = held
 	st.fresh = fresh
 	return added
+}
+
+// atClock orders a stored event against a receive clock.
+func atClock(ev core.Event, clock uint64) int { return cmp.Compare(ev.RecvClock, clock) }
+
+// after returns the suffix of held, sorted by RecvClock, above clock.
+func after(held []core.Event, clock uint64) []core.Event {
+	i, found := slices.BinarySearchFunc(held, clock, atClock)
+	if found {
+		i++
+	}
+	return held[i:]
 }
 
 // AttachWAL replays the write-ahead log into the store and then arms
@@ -178,20 +193,14 @@ func (st *Store) CloseWAL() error {
 	return w.Close()
 }
 
-// Events returns a node's stored events with RecvClock > after, sorted
-// by RecvClock. The sort matters: on a chaotic network submissions can
-// arrive out of order, and a re-executing node replays in clock order.
-func (st *Store) Events(node int, after uint64) []core.Event {
+// Events returns a copy of a node's stored events with RecvClock >
+// clock, sorted by RecvClock. The order matters: on a chaotic network
+// submissions can arrive out of order, and a re-executing node replays
+// in clock order.
+func (st *Store) Events(node int, clock uint64) []core.Event {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out []core.Event
-	for _, ev := range st.events[node] {
-		if ev.RecvClock > after {
-			out = append(out, ev)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RecvClock < out[j].RecvClock })
-	return out
+	return slices.Clone(after(st.events[node], clock))
 }
 
 // Count reports the number of events stored for a node.
@@ -208,12 +217,10 @@ func (st *Store) Marks() map[int]uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	marks := make(map[int]uint64, len(st.events))
-	for node, m := range st.events {
+	for node, held := range st.events {
 		var hi uint64
-		for rc := range m {
-			if rc > hi {
-				hi = rc
-			}
+		if n := len(held); n > 0 {
+			hi = held[n-1].RecvClock
 		}
 		marks[node] = hi
 	}
@@ -227,17 +234,9 @@ func (st *Store) EventsSince(marks map[int]uint64) map[int][]core.Event {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make(map[int][]core.Event)
-	for node, m := range st.events {
-		after := marks[node]
-		var evs []core.Event
-		for _, ev := range m {
-			if ev.RecvClock > after {
-				evs = append(evs, ev)
-			}
-		}
-		if len(evs) > 0 {
-			sort.Slice(evs, func(i, j int) bool { return evs[i].RecvClock < evs[j].RecvClock })
-			out[node] = evs
+	for node, held := range st.events {
+		if evs := after(held, marks[node]); len(evs) > 0 {
+			out[node] = slices.Clone(evs)
 		}
 	}
 	return out

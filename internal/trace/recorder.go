@@ -78,6 +78,20 @@ const (
 	// verdict, so the auditor can convict a broken classifier: a
 	// suppressed delivery with A>0 or B>0 was nondeterministic.
 	EvDetSuppressed
+	// EvRestartPhase: recovery passed a phase boundary between
+	// EvRestartBegin and EvRestartEnd. A = the phase that ended
+	// (PhaseImage, PhaseAnnounce, PhaseEvents), B = virtual nanoseconds
+	// since EvRestartBegin.
+	EvRestartPhase
+)
+
+// The phases of a restart, in the order they end: the checkpoint image
+// restored (or none found), RESTART1 sent to every peer, and the
+// determinants to replay fetched and merged.
+const (
+	PhaseImage uint64 = 1 + iota
+	PhaseAnnounce
+	PhaseEvents
 )
 
 func (k Kind) String() string {
@@ -112,6 +126,8 @@ func (k Kind) String() string {
 		return "restart-end"
 	case EvDetSuppressed:
 		return "det-suppressed"
+	case EvRestartPhase:
+		return "restart-phase"
 	}
 	return "?"
 }

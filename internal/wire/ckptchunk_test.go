@@ -71,12 +71,19 @@ func TestCkptChunkAckAndFetchRoundTrip(t *testing.T) {
 	if _, _, err := DecodeCkptChunkAck(make([]byte, CkptChunkAckLen-1)); err == nil {
 		t.Error("short chunk ack decoded")
 	}
-	seq, idx, cs, err := DecodeCkptChunkFetch(AppendCkptChunkFetch(nil, 42, 7, 4096))
-	if err != nil || seq != 42 || idx != 7 || cs != 4096 {
-		t.Fatalf("fetch round trip = (%d, %d, %d, %v)", seq, idx, cs, err)
+	seq, first, count, cs, err := DecodeCkptChunkFetch(AppendCkptRangeFetch(nil, 42, 7, 9, 4096))
+	if err != nil || seq != 42 || first != 7 || count != 9 || cs != 4096 {
+		t.Fatalf("range fetch round trip = (%d, %d, %d, %d, %v)", seq, first, count, cs, err)
 	}
-	if _, _, _, err := DecodeCkptChunkFetch(make([]byte, CkptChunkFetchLen+1)); err == nil {
+	seq, first, count, cs, err = DecodeCkptChunkFetch(AppendCkptChunkFetch(nil, 42, 7, 4096))
+	if err != nil || seq != 42 || first != 7 || count != 1 || cs != 4096 {
+		t.Fatalf("one-chunk fetch round trip = (%d, %d, %d, %d, %v)", seq, first, count, cs, err)
+	}
+	if _, _, _, _, err := DecodeCkptChunkFetch(make([]byte, CkptChunkFetchLen+1)); err == nil {
 		t.Error("long chunk fetch decoded")
+	}
+	if _, _, _, _, err := DecodeCkptChunkFetch(AppendCkptRangeFetch(nil, 42, 7, 0, 4096)); err == nil {
+		t.Error("chunk fetch of an empty run decoded")
 	}
 }
 
@@ -84,6 +91,7 @@ func TestCkptManifestRoundTrip(t *testing.T) {
 	m := CkptManifest{
 		Present: true, Seq: 9, Size: 1000, ChunkSize: 256,
 		ImageCRC:  0xDEADBEEF,
+		Clock:     1<<40 + 3,
 		ChunkCRCs: []uint32{1, 2, 3, 4},
 	}
 	got, err := DecodeCkptManifest(EncodeCkptManifest(m))
@@ -91,7 +99,7 @@ func TestCkptManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Present || got.Seq != 9 || got.Size != 1000 || got.ChunkSize != 256 ||
-		got.ImageCRC != 0xDEADBEEF || len(got.ChunkCRCs) != 4 || got.ChunkCRCs[3] != 4 {
+		got.ImageCRC != 0xDEADBEEF || got.Clock != 1<<40+3 || len(got.ChunkCRCs) != 4 || got.ChunkCRCs[3] != 4 {
 		t.Errorf("round trip = %+v", got)
 	}
 	if got.Chunks() != 4 {

@@ -135,7 +135,7 @@ func FuzzDecodeCkptChunk(f *testing.F) {
 }
 
 func FuzzDecodeCkptManifest(f *testing.F) {
-	f.Add(EncodeCkptManifest(CkptManifest{Present: true, Seq: 2, Size: 100, ChunkSize: 64, ImageCRC: 7, ChunkCRCs: []uint32{1, 2}}))
+	f.Add(EncodeCkptManifest(CkptManifest{Present: true, Seq: 2, Size: 100, ChunkSize: 64, ImageCRC: 7, Clock: 41, ChunkCRCs: []uint32{1, 2}}))
 	f.Add(EncodeCkptManifest(CkptManifest{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeCkptManifest(data)

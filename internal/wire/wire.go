@@ -71,8 +71,8 @@ const (
 	KCkptChunk       // data: chunk frame (magic + seq/idx/count + len + CRC + body)
 	KCkptChunkAck    // data: u64 seq + u32 chunk index
 	KCkptManifestReq // data: u32 desired chunk size
-	KCkptManifest    // data: CkptManifest (present, seq, size, per-chunk CRCs)
-	KCkptChunkFetch  // data: u64 seq + u32 index + u32 chunk size
+	KCkptManifest    // data: CkptManifest (present, seq, size, clock, per-chunk CRCs)
+	KCkptChunkFetch  // data: u64 seq + u32 first chunk + u32 chunk count + u32 chunk size
 	KCkptChunkData   // data: chunk frame, same encoding as KCkptChunk
 
 	// Determinant suppression (appended after KCkptChunkData, same
@@ -196,6 +196,13 @@ func PayloadSizeH(h PayloadHeader, n int) int {
 // extended slice. With dst capacity of at least PayloadSizeH(h, len(body))
 // — e.g. a GetBuf buffer — it performs no allocation.
 func AppendPayload(dst []byte, h PayloadHeader, body []byte) []byte {
+	return append(AppendPayloadHeader(dst, h, body), body...)
+}
+
+// AppendPayloadHeader appends the PayloadSizeH(h, 0) bytes of the frame
+// that carries body ahead of the body itself, so a sender can write the
+// frame as two parts and leave the body where it lies.
+func AppendPayloadHeader(dst []byte, h PayloadHeader, body []byte) []byte {
 	if h.DevKind&payloadFlags != 0 {
 		panic(fmt.Sprintf("wire: DevKind %#x uses reserved framing bits 6-7", h.DevKind))
 	}
@@ -218,7 +225,7 @@ func AppendPayload(dst []byte, h PayloadHeader, body []byte) []byte {
 	if len(h.Dets) > 0 {
 		dst = AppendEvents(dst, h.Dets)
 	}
-	return append(dst, body...)
+	return dst
 }
 
 // EncodePayload prepends the header and the body's length/CRC framing.
@@ -768,48 +775,70 @@ func DecodeCkptChunkAck(data []byte) (seq uint64, idx uint32, err error) {
 }
 
 // CkptChunkFetchLen is the encoded size of a KCkptChunkFetch.
-const CkptChunkFetchLen = 16
+const CkptChunkFetchLen = 20
 
-// AppendCkptChunkFetch appends a restart-time chunk request: chunk idx
-// of the stored image at seq, cut at chunkSize bytes per chunk.
-func AppendCkptChunkFetch(dst []byte, seq uint64, idx, chunkSize uint32) []byte {
+// AppendCkptRangeFetch appends a restart-time chunk request: the run of
+// count chunks starting at chunk first of the stored image at seq, cut at
+// chunkSize bytes per chunk. The server answers with one KCkptChunkData
+// per chunk of the run, in order, or with nothing when the run is not
+// wholly inside that image.
+func AppendCkptRangeFetch(dst []byte, seq uint64, first, count, chunkSize uint32) []byte {
 	var b [CkptChunkFetchLen]byte
 	binary.BigEndian.PutUint64(b[0:8], seq)
-	binary.BigEndian.PutUint32(b[8:12], idx)
-	binary.BigEndian.PutUint32(b[12:16], chunkSize)
+	binary.BigEndian.PutUint32(b[8:12], first)
+	binary.BigEndian.PutUint32(b[12:16], count)
+	binary.BigEndian.PutUint32(b[16:20], chunkSize)
 	return append(dst, b[:]...)
 }
 
-// DecodeCkptChunkFetch parses a KCkptChunkFetch.
-func DecodeCkptChunkFetch(data []byte) (seq uint64, idx, chunkSize uint32, err error) {
+// AppendCkptChunkFetch appends the request for the single chunk idx: a
+// run of one.
+func AppendCkptChunkFetch(dst []byte, seq uint64, idx, chunkSize uint32) []byte {
+	return AppendCkptRangeFetch(dst, seq, idx, 1, chunkSize)
+}
+
+// DecodeCkptChunkFetch parses a KCkptChunkFetch. An empty run is
+// malformed.
+func DecodeCkptChunkFetch(data []byte) (seq uint64, first, count, chunkSize uint32, err error) {
 	if len(data) != CkptChunkFetchLen {
-		return 0, 0, 0, fmt.Errorf("wire: chunk fetch of %d bytes, want %d", len(data), CkptChunkFetchLen)
+		return 0, 0, 0, 0, fmt.Errorf("wire: chunk fetch of %d bytes, want %d", len(data), CkptChunkFetchLen)
 	}
-	return binary.BigEndian.Uint64(data), binary.BigEndian.Uint32(data[8:]),
-		binary.BigEndian.Uint32(data[12:]), nil
+	count = binary.BigEndian.Uint32(data[12:])
+	if count == 0 {
+		return 0, 0, 0, 0, fmt.Errorf("wire: chunk fetch of an empty run")
+	}
+	return binary.BigEndian.Uint64(data), binary.BigEndian.Uint32(data[8:]), count,
+		binary.BigEndian.Uint32(data[16:]), nil
 }
 
 // CkptManifest describes a stored checkpoint image so a restarting
 // daemon can pull it chunk by chunk: the image seq and total size, the
 // chunk size the per-chunk CRCs were computed at, a CRC over the whole
 // encoded image (used to group replicas serving byte-identical copies),
-// and one CRC-32 per chunk so each pulled chunk validates independently
-// and only damaged chunks are re-fetched.
+// the image's receive clock, and one CRC-32 per chunk so each pulled
+// chunk validates independently and only damaged chunks are re-fetched.
 type CkptManifest struct {
 	Present   bool
 	Seq       uint64
 	Size      uint64
 	ChunkSize uint32
 	ImageCRC  uint32
+	// Clock is the protocol snapshot's H: the daemon asks the event
+	// loggers for the determinants above it while the chunks travel.
+	Clock     uint64
 	ChunkCRCs []uint32
 }
 
 // Chunks returns the number of chunks the manifest describes.
 func (m CkptManifest) Chunks() int { return len(m.ChunkCRCs) }
 
+// manifestHeaderLen is the fixed part of an encoded manifest: present,
+// seq, size, chunk size, image CRC, clock and the chunk count.
+const manifestHeaderLen = 1 + 8 + 8 + 4 + 4 + 8 + 4
+
 // EncodeCkptManifest serializes a manifest reply.
 func EncodeCkptManifest(m CkptManifest) []byte {
-	out := make([]byte, 1+8+8+4+4+4+4*len(m.ChunkCRCs))
+	out := make([]byte, manifestHeaderLen+4*len(m.ChunkCRCs))
 	if m.Present {
 		out[0] = 1
 	}
@@ -817,8 +846,9 @@ func EncodeCkptManifest(m CkptManifest) []byte {
 	binary.BigEndian.PutUint64(out[9:17], m.Size)
 	binary.BigEndian.PutUint32(out[17:21], m.ChunkSize)
 	binary.BigEndian.PutUint32(out[21:25], m.ImageCRC)
-	binary.BigEndian.PutUint32(out[25:29], uint32(len(m.ChunkCRCs)))
-	off := 29
+	binary.BigEndian.PutUint64(out[25:33], m.Clock)
+	binary.BigEndian.PutUint32(out[33:37], uint32(len(m.ChunkCRCs)))
+	off := manifestHeaderLen
 	for _, c := range m.ChunkCRCs {
 		binary.BigEndian.PutUint32(out[off:], c)
 		off += 4
@@ -828,7 +858,7 @@ func EncodeCkptManifest(m CkptManifest) []byte {
 
 // DecodeCkptManifest parses a manifest reply.
 func DecodeCkptManifest(data []byte) (CkptManifest, error) {
-	if len(data) < 29 {
+	if len(data) < manifestHeaderLen {
 		return CkptManifest{}, fmt.Errorf("wire: manifest of %d bytes too short", len(data))
 	}
 	m := CkptManifest{
@@ -837,9 +867,10 @@ func DecodeCkptManifest(data []byte) (CkptManifest, error) {
 		Size:      binary.BigEndian.Uint64(data[9:17]),
 		ChunkSize: binary.BigEndian.Uint32(data[17:21]),
 		ImageCRC:  binary.BigEndian.Uint32(data[21:25]),
+		Clock:     binary.BigEndian.Uint64(data[25:33]),
 	}
-	n := int(binary.BigEndian.Uint32(data[25:29]))
-	if len(data) != 29+4*n {
+	n := int(binary.BigEndian.Uint32(data[33:37]))
+	if len(data) != manifestHeaderLen+4*n {
 		return CkptManifest{}, fmt.Errorf("wire: manifest of %d bytes does not hold %d chunk CRCs", len(data), n)
 	}
 	if m.Present {
@@ -848,7 +879,7 @@ func DecodeCkptManifest(data []byte) (CkptManifest, error) {
 		}
 	}
 	m.ChunkCRCs = make([]uint32, n)
-	off := 29
+	off := manifestHeaderLen
 	for i := range m.ChunkCRCs {
 		m.ChunkCRCs[i] = binary.BigEndian.Uint32(data[off:])
 		off += 4

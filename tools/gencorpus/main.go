@@ -82,7 +82,7 @@ func main() {
 		wire.AppendCkptChunk(nil, 1, 0, 1, []byte("whole image"))[:10],
 	)
 	add("internal/wire/testdata/fuzz/FuzzDecodeCkptManifest",
-		wire.EncodeCkptManifest(wire.CkptManifest{Present: true, Seq: 6, Size: 130, ChunkSize: 64, ImageCRC: 0xdead, ChunkCRCs: []uint32{1, 2, 3}}),
+		wire.EncodeCkptManifest(wire.CkptManifest{Present: true, Seq: 6, Size: 130, ChunkSize: 64, ImageCRC: 0xdead, Clock: 29, ChunkCRCs: []uint32{1, 2, 3}}),
 		wire.EncodeCkptManifest(wire.CkptManifest{}),
 	)
 
