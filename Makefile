@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet bench-stack soak-smoke soak-regress ci
+.PHONY: verify build vet fmt test stack-check staticcheck cover race bench bench-paper bench-oracle bench-detsupp bench-fleet bench-stack soak-smoke soak-regress loc ci
 
 verify: ## build + vet + full test suite (tier-1 gate)
 	$(GO) build ./...
@@ -108,6 +108,14 @@ soak-regress: ## soak-smoke gated on committed goodput (>20% drop fails)
 		-minafter 2s -over 5s -stallfor 1s \
 		-drop 0.02 -dup 0.01 -delay 0.1 -maxdelay 2ms -disk 9 \
 		-timeout 2m -out "" -regress BENCH_soak.json -regress-tol 0.2
+
+# loc is the size figure simplicity gates quote: non-test Go lines under
+# internal/ and cmd/, then the ten largest non-test files.
+loc: ## non-test Go lines under internal/ + cmd/, and the ten largest non-test files
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | \
+		awk '{ print $$1 " non-test Go lines under internal/ + cmd/" }'
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		grep -v ' total$$' | sort -rn | head -10
 
 ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core + shuffled order
 	$(GO) build ./...

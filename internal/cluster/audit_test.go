@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -78,13 +80,14 @@ func TestAuditCountsSupersededReplicaDivergence(t *testing.T) {
 	winner := core.Event{Sender: 1, SenderClock: 4, RecvClock: 6, Seq: 2}
 	stale := core.Event{Sender: 1, SenderClock: 4, RecvClock: 5, Seq: 2}
 	first := core.Event{Sender: 1, SenderClock: 1, RecvClock: 2, Seq: 1}
-	res := Result{
-		Deliveries: [][]core.Event{{first, winner}},
-		ELReplicaDeliveries: [][][]core.Event{
-			{{first, winner}},
-			{{first, winner}},
-			{{first, stale}},
-		},
+	copies := [][][]core.Event{
+		{{first, winner}},
+		{{first, winner}},
+		{{first, stale}},
+	}
+	res := Result{Deliveries: MergeReplicaDeliveries(1, copies), ELReplicaDeliveries: copies}
+	if got := res.Deliveries[0]; !reflect.DeepEqual(got, []core.Event{first, winner}) {
+		t.Fatalf("merged view = %v, want the majority version", got)
 	}
 	rep := Audit(res)
 	if !rep.OK() {
@@ -93,6 +96,86 @@ func TestAuditCountsSupersededReplicaDivergence(t *testing.T) {
 	if rep.Superseded != 1 {
 		t.Errorf("Superseded = %d, want 1", rep.Superseded)
 	}
+}
+
+// TestMergeReplicaDeliveriesOrderIndependent feeds every order of three
+// replica groups' copies, some with divergent suffixes, through the
+// helper that builds the audit input for the simulator and the soak:
+// the merged view and the verdict must not depend on the order in which
+// the replicas are listed (or, out of process, answered).
+func TestMergeReplicaDeliveriesOrderIndependent(t *testing.T) {
+	const ranks = 2
+	perms := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	superseded := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		replicas := divergentReplicas(rand.New(rand.NewSource(seed)), ranks)
+		var want [][]core.Event
+		var wantRep AuditReport
+		for i, p := range perms {
+			copies := [][][]core.Event{replicas[p[0]], replicas[p[1]], replicas[p[2]]}
+			res := Result{Deliveries: MergeReplicaDeliveries(ranks, copies), ELReplicaDeliveries: copies}
+			rep := Audit(res)
+			if i == 0 {
+				want, wantRep = res.Deliveries, rep
+				superseded += rep.Superseded
+				continue
+			}
+			if !reflect.DeepEqual(res.Deliveries, want) {
+				t.Fatalf("seed %d order %v: merged view differs from order %v", seed, p, perms[0])
+			}
+			if !reflect.DeepEqual(rep, wantRep) {
+				t.Fatalf("seed %d order %v: %s, order %v: %s", seed, p, rep.Summary(), perms[0], wantRep.Summary())
+			}
+		}
+	}
+	if superseded == 0 {
+		t.Fatal("no seed produced a divergent slot; the test checks nothing")
+	}
+}
+
+// divergentReplicas draws three event-logger replicas' copies of every
+// rank's log, replicas[i][r], as a group holds them after an
+// incarnation died mid-quorum: each copy is a prefix of one fault-free
+// history, and some copies then continue with a re-delivered suffix
+// that other senders, clocks and probe counts make divergent.
+func divergentReplicas(rng *rand.Rand, ranks int) [][][]core.Event {
+	const senders = 3
+	history := func(clock uint64, seqs map[int]uint64, n int) []core.Event {
+		var evs []core.Event
+		for i := 0; i < n; i++ {
+			clock++
+			s := rng.Intn(senders)
+			seqs[s]++
+			evs = append(evs, core.Event{Sender: s, SenderClock: 10 * seqs[s], RecvClock: clock,
+				Probes: uint32(rng.Intn(2)), Seq: seqs[s]})
+		}
+		return evs
+	}
+	replicas := make([][][]core.Event, 3)
+	for i := range replicas {
+		replicas[i] = make([][]core.Event, ranks)
+	}
+	for r := 0; r < ranks; r++ {
+		base := history(0, map[int]uint64{}, 5+rng.Intn(20))
+		for i := range replicas {
+			cut := rng.Intn(len(base) + 1)
+			evs := append([]core.Event(nil), base[:cut]...)
+			if cut > 0 && rng.Intn(2) == 0 {
+				at := rng.Intn(cut)
+				seqs := map[int]uint64{}
+				for _, ev := range evs[:at] {
+					seqs[ev.Sender] = ev.Seq
+				}
+				var clock uint64
+				if at > 0 {
+					clock = evs[at-1].RecvClock
+				}
+				evs = append(evs[:at], history(clock+uint64(rng.Intn(2)), seqs, rng.Intn(8))...)
+			}
+			replicas[i][r] = evs
+		}
+	}
+	return replicas
 }
 
 // TestAuditSeededQuorumChaosRuns is the no-orphans property test: 20

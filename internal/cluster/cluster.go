@@ -526,7 +526,7 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		res.ELReplicaDeliveries = append(res.ELReplicaDeliveries, per)
 	}
 	if len(h.elNodes) > 0 {
-		res.Deliveries = mergeReplicaDeliveries(cfg.N, res.ELReplicaDeliveries)
+		res.Deliveries = MergeReplicaDeliveries(cfg.N, res.ELReplicaDeliveries)
 	}
 	for _, n := range h.csNodes {
 		for _, st := range h.csStores[n] {
@@ -739,11 +739,15 @@ func othersOf(self int, nodes []int) []int {
 	return out
 }
 
-// mergeReplicaDeliveries folds the replica logs into one per-rank view
-// with the vote a restarting daemon applies to its read quorum
-// (core.MergeReplicaEvents), so the merged view is what recovery would
-// actually replay.
-func mergeReplicaDeliveries(n int, replicas [][][]core.Event) [][]core.Event {
+// MergeReplicaDeliveries folds an event-logger group's per-replica
+// copies, replicas[i][r] being replica i's log of rank r, into one
+// per-rank view with the vote a restarting daemon applies to its read
+// quorum (core.MergeReplicaEvents), so the merged view is what recovery
+// would actually replay. Result{Deliveries: merged, ELReplicaDeliveries:
+// replicas} is Audit's input; the simulator and the out-of-process soak
+// both build it here, and the vote makes it independent of the order
+// the copies are listed in.
+func MergeReplicaDeliveries(n int, replicas [][][]core.Event) [][]core.Event {
 	out := make([][]core.Event, n)
 	copies := make([][]core.Event, len(replicas))
 	for r := range out {

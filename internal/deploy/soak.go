@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -209,16 +208,17 @@ type elEndpoint struct {
 	addr string
 }
 
-// fetchELEvents pulls the determinant stores of the whole event-logger
-// replica group over a throwaway TCP endpoint and unions the replies.
-// The read is quorum-aware: it succeeds once at least `need` distinct
-// replicas (= R−Q+1, the smallest set intersecting every write quorum)
-// have answered, so a killed or still-resyncing replica cannot block
-// the audit — the commit set is re-fetched from the survivors. Replies
-// beyond the minimum only grow the union (merges are idempotent), so
-// the fetch keeps collecting until the group is complete or a short
-// grace expires.
-func fetchELEvents(els []elEndpoint, cns int, need int, timeout time.Duration) ([][]core.Event, int, error) {
+// fetchELEvents pulls the determinant store of every event-logger
+// replica over a throwaway TCP endpoint and returns one copy per
+// answering replica, copies[i][r] being the i-th answer's log of rank r:
+// the input of cluster.MergeReplicaDeliveries, which votes on slots the
+// replicas hold in divergent versions as a restart does. A replica's
+// later replies are dropped, so no replica votes twice. The read is
+// quorum-aware: silent replicas are re-asked on every tick, and the
+// first tick that finds at least `need` replicas answered (= R−Q+1, the
+// smallest set intersecting every write quorum) ends the collection, so
+// a killed or still-resyncing replica cannot block the audit.
+func fetchELEvents(els []elEndpoint, cns int, need int, timeout time.Duration) ([][][]core.Event, error) {
 	const auditorID = 1900
 	addrMap := map[int]string{auditorID: "127.0.0.1:0"}
 	for _, el := range els {
@@ -242,79 +242,57 @@ func fetchELEvents(els []elEndpoint, cns int, need int, timeout time.Duration) (
 	}()
 
 	req := wire.EncodeSyncMarks(map[int]uint64{})
-	deadline := time.After(timeout)
 	responded := make(map[int]bool)
-	union := make(map[int]map[uint64]core.Event)
+	var copies [][][]core.Event
 	ask := func() {
 		for _, el := range els {
 			if !responded[el.id] {
-				ep.Send(el.id, wire.KELSyncReq, req)
+				// A send to a dead replica blocks in redial backoff, so
+				// each request leaves the collection loop.
+				go ep.Send(el.id, wire.KELSyncReq, req)
 			}
 		}
 	}
 	ask()
-	grace := time.Duration(0)
-collect:
+	tick := time.NewTicker(500 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for len(responded) < len(els) {
-		var graceC <-chan time.Time
-		if grace > 0 {
-			graceC = time.After(grace)
-		}
 		select {
 		case f, ok := <-frames:
 			if !ok {
-				return nil, 0, fmt.Errorf("soak: audit endpoint closed")
+				return nil, fmt.Errorf("soak: audit endpoint closed")
 			}
 			if f.Kind != wire.KELSyncResp || responded[f.From] {
 				continue
 			}
 			dec, err := wire.DecodeNodeEvents(f.Data)
 			if err != nil {
-				return nil, 0, fmt.Errorf("soak: bad sync response: %w", err)
+				return nil, fmt.Errorf("soak: bad sync response: %w", err)
 			}
 			responded[f.From] = true
+			per := make([][]core.Event, cns)
 			for node, evs := range dec {
-				m := union[node]
-				if m == nil {
-					m = make(map[uint64]core.Event)
-					union[node] = m
-				}
-				for _, ev := range evs {
-					m[ev.RecvClock] = ev
+				if node >= 0 && node < cns {
+					per[node] = evs
 				}
 			}
+			copies = append(copies, per)
+		case <-tick.C:
 			if len(responded) >= need {
-				// Quorum met: give stragglers one short grace, then go.
-				grace = 500 * time.Millisecond
+				return copies, nil
 			}
-		case <-graceC:
-			break collect
-		case <-time.After(500 * time.Millisecond):
-			ask() // re-send to the still-silent replicas
-		case <-deadline:
+			ask()
+		case <-deadline.C:
 			if len(responded) >= need {
-				break collect
+				return copies, nil
 			}
-			return nil, 0, fmt.Errorf("soak: only %d of %d event-logger replicas answered (read quorum %d) after %v",
+			return nil, fmt.Errorf("soak: only %d of %d event-logger replicas answered (read quorum %d) after %v",
 				len(responded), len(els), need, timeout)
 		}
 	}
-
-	dels := make([][]core.Event, cns)
-	total := 0
-	for node, m := range union {
-		if node < 0 || node >= cns {
-			continue
-		}
-		evs := make([]core.Event, 0, len(m))
-		for _, ev := range m {
-			evs = append(evs, ev)
-		}
-		sort.Slice(evs, func(i, j int) bool { return evs[i].RecvClock < evs[j].RecvClock })
-		dels[node] = evs
-		total += len(evs)
-	}
-	return dels, total, nil
+	return copies, nil
 }
 
 // knownCommits maps the fetched determinants to trace span ids: a
@@ -330,25 +308,28 @@ func knownCommits(dels [][]core.Event) map[uint64]bool {
 	return known
 }
 
-// auditOnce runs both post-run checks — the no-orphans audit over the
-// event-logger group's unioned determinant store (read-quorum-gated)
-// and the happens-before audit over the merged crash-surviving trace
-// snapshots — and reports the verdicts.
-func auditOnce(els []elEndpoint, need int, traceDir string, cns int) (cluster.AuditReport, trace.HBReport, int, error) {
-	dels, total, err := fetchELEvents(els, cns, need, 5*time.Second)
+// auditOnce runs both post-run checks over one read of the event-logger
+// group (read-quorum-gated): the no-orphans audit of the replicas'
+// majority-merged view — what a restart would replay, with the
+// divergent slots it resolved counted as superseded — and the
+// happens-before audit over the merged crash-surviving trace snapshots,
+// whose known commits come from that same view.
+func auditOnce(els []elEndpoint, need int, traceDir string, cns int) (cluster.AuditReport, trace.HBReport, error) {
+	copies, err := fetchELEvents(els, cns, need, 5*time.Second)
 	if err != nil {
-		return cluster.AuditReport{}, trace.HBReport{}, 0, err
+		return cluster.AuditReport{}, trace.HBReport{}, err
 	}
-	rep := cluster.Audit(cluster.Result{Deliveries: dels})
+	res := cluster.Result{Deliveries: cluster.MergeReplicaDeliveries(cns, copies), ELReplicaDeliveries: copies}
+	rep := cluster.Audit(res)
 	tr, err := trace.BuildTrace(filepath.Join(traceDir, "trace-*.mvtr"))
 	if err != nil {
-		return rep, trace.HBReport{}, total, err
+		return rep, trace.HBReport{}, err
 	}
 	hb := trace.AuditHBWith(tr, trace.AuditHBOpts{
-		KnownCommits: knownCommits(dels),
+		KnownCommits: knownCommits(res.Deliveries),
 		CrashTail:    true,
 	})
-	return rep, hb, total, nil
+	return rep, hb, nil
 }
 
 // RunSoak deploys the program as real OS processes over loopback TCP —
@@ -566,7 +547,7 @@ waitLoop:
 				green := false
 				var last string
 				for attempt := 0; attempt < 10; attempt++ {
-					a, hb, _, err := auditOnce(els, readNeed, traceDir, cfg.CNs)
+					a, hb, err := auditOnce(els, readNeed, traceDir, cfg.CNs)
 					if err == nil && a.OK() && hb.OK() {
 						green = true
 						break
@@ -590,8 +571,8 @@ waitLoop:
 	time.Sleep(2*cfg.Heartbeat + 500*time.Millisecond)
 
 	// Authoritative final audits.
-	audit, hb, total, err := auditOnce(els, readNeed, traceDir, cfg.CNs)
-	rep.AuditEvents = total
+	audit, hb, err := auditOnce(els, readNeed, traceDir, cfg.CNs)
+	rep.AuditEvents = audit.Events
 	if err != nil {
 		fail("final audit: %v", err)
 	} else {

@@ -382,20 +382,7 @@ func (s *Server) run() {
 				s.countMalformed()
 				continue
 			}
-			if s.service > 0 {
-				s.rt.Sleep(time.Duration(len(evs)) * s.service)
-			}
-			s.Store.Add(f.From, evs)
-			// Add copied the events out, so the frame's buffer is dead
-			// and goes back to the framing pool.
-			wire.PutBuf(f.Data)
-			// Always ack, even a pure duplicate: the retransmission
-			// means the submitter never saw the first ack.
-			s.Store.mu.Lock()
-			s.Store.stats.Acks++
-			s.Store.mu.Unlock()
-			cum := s.ackCum(f.From, seq)
-			s.ep.Send(f.From, wire.KEventAck, wire.AppendEventAck(wire.GetBuf(16), seq, cum))
+			s.storeAndAck(f, seq, f.From, evs)
 		case wire.KDetRelay:
 			// Piggybacked determinants relayed by a receiver on behalf
 			// of their origin node: stored under the origin (so the
@@ -407,16 +394,7 @@ func (s *Server) run() {
 				s.countMalformed()
 				continue
 			}
-			if s.service > 0 {
-				s.rt.Sleep(time.Duration(len(evs)) * s.service)
-			}
-			s.Store.Add(origin, evs)
-			wire.PutBuf(f.Data)
-			s.Store.mu.Lock()
-			s.Store.stats.Acks++
-			s.Store.mu.Unlock()
-			cum := s.ackCum(f.From, seq)
-			s.ep.Send(f.From, wire.KEventAck, wire.AppendEventAck(wire.GetBuf(16), seq, cum))
+			s.storeAndAck(f, seq, origin, evs)
 		case wire.KEventFetch:
 			h, err := wire.DecodeU64(f.Data)
 			if err != nil {
@@ -445,6 +423,26 @@ func (s *Server) run() {
 			s.synced.Store(true)
 		}
 	}
+}
+
+// storeAndAck stores a submitted batch's events under node and acks the
+// batch's seq, with the submitter's cumulative mark, to the frame's
+// sender.
+func (s *Server) storeAndAck(f transport.Frame, seq uint64, node int, evs []core.Event) {
+	if s.service > 0 {
+		s.rt.Sleep(time.Duration(len(evs)) * s.service)
+	}
+	s.Store.Add(node, evs)
+	// Add copied the events out, so the frame's buffer is dead and goes
+	// back to the framing pool.
+	wire.PutBuf(f.Data)
+	// Always ack, even a pure duplicate: the retransmission means the
+	// submitter never saw the first ack.
+	s.Store.mu.Lock()
+	s.Store.stats.Acks++
+	s.Store.mu.Unlock()
+	cum := s.ackCum(f.From, seq)
+	s.ep.Send(f.From, wire.KEventAck, wire.AppendEventAck(wire.GetBuf(16), seq, cum))
 }
 
 func (s *Server) countMalformed() {
