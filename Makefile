@@ -117,7 +117,7 @@ loc: ## non-test Go lines under internal/ + cmd/, and the ten largest non-test f
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		grep -v ' total$$' | sort -rn | head -10
 
-ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core + shuffled order
+ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core + per-peer race x20 + shuffled order
 	$(GO) build ./...
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -127,5 +127,8 @@ ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor
 	$(MAKE) bench-oracle
 	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
 		./internal/cluster/ ./internal/transport/ ./internal/vtime/ ./internal/daemon/
+	# The TCP fabric's per-peer writers: order across the inline and the
+	# queued path, and a dead or half-open peer delaying only its frames.
+	$(GO) test -race -count=20 -run 'TestTCPPeer' ./internal/transport/
 	# Checkpoint bytes and the schedule hashes must not depend on test order.
 	$(GO) test -shuffle=on -count=5 ./internal/cluster/ ./internal/nas/

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,7 +417,10 @@ func TestCkptRetransmitIsOneBatchOfUnackedChunks(t *testing.T) {
 // the push of every chunk over TCP to servers that read and discard — at
 // the default chunk size and at a quarter of it, to one server and to
 // two (halo_ckpt's checkpoint-server layout). Allocations per op must not
-// grow with the chunk count or the server count.
+// grow with the chunk count or the server count. An op ends when every
+// server has read its whole batch, so batches cannot pile up in the
+// queues across ops; rank-ns/op is the part of it until capture returns
+// — the rank's share of the stall, while the chunks still stream.
 func BenchmarkCapture(b *testing.B) {
 	for _, servers := range []int{1, 2} {
 		for _, chunk := range []int{defCkptChunk, defCkptChunk / 4} {
@@ -429,17 +433,23 @@ func BenchmarkCapture(b *testing.B) {
 	}
 }
 
+// frameOverhead is what TCP framing adds to each frame: the length, the
+// sender id and the kind.
+const frameOverhead = 4 + 4 + 1
+
 func benchCapture(b *testing.B, chunk, nServers int) {
 	rt := vtime.NewReal()
 	addrs := map[int]string{0: "127.0.0.1:0"}
 	var servers []int
+	read := make([]*byteCounter, nServers)
 	for i := 0; i < nServers; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ln.Close()
-		go discard(ln)
+		read[i] = newByteCounter()
+		go discard(ln, read[i])
 		servers = append(servers, 901+i)
 		addrs[901+i] = ln.Addr().String()
 	}
@@ -451,29 +461,81 @@ func benchCapture(b *testing.B, chunk, nServers int) {
 		d.st.PrepareSend(1, 0, make([]byte, 64<<10))
 	}
 	app := make([]byte, 1<<20)
+	sent := int64(frameOverhead) // the hello
+	var rank time.Duration
 	capture := func() {
+		start := time.Now()
 		checkpointNow(d, app)
+		rank += time.Since(start)
+		for _, c := range d.cs.slots[0].item.chunks {
+			sent += int64(frameOverhead + len(c.hdr) + len(c.body))
+		}
+		for _, r := range read {
+			if !r.waitFor(sent) {
+				b.Fatal("a server stopped reading")
+			}
+		}
 		d.cs.reset() // nothing acks: drop the transfer instead of retaining it
 	}
 	capture() // dial
 	b.SetBytes(int64(len(app)) + d.st.LogBytes())
 	b.ReportAllocs()
+	rank = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		capture()
 	}
+	b.ReportMetric(float64(rank.Nanoseconds())/float64(b.N), "rank-ns/op")
 }
 
-// discard accepts one connection and reads and discards everything.
-func discard(ln net.Listener) {
+// byteCounter counts the bytes a discarding server has read, and lets
+// the benchmark wait for a total.
+type byteCounter struct {
+	mu     sync.Mutex
+	grew   *sync.Cond
+	total  int64
+	closed bool // the connection ended: no more bytes come
+}
+
+func newByteCounter() *byteCounter {
+	c := &byteCounter{}
+	c.grew = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *byteCounter) add(n int, closed bool) {
+	c.mu.Lock()
+	c.total += int64(n)
+	c.closed = c.closed || closed
+	c.mu.Unlock()
+	c.grew.Broadcast()
+}
+
+// waitFor waits until total bytes have been read, and reports false if
+// the connection ended first.
+func (c *byteCounter) waitFor(total int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.total < total && !c.closed {
+		c.grew.Wait()
+	}
+	return c.total >= total
+}
+
+// discard accepts one connection and reads and discards everything,
+// counting what it read.
+func discard(ln net.Listener, read *byteCounter) {
 	c, err := ln.Accept()
 	if err != nil {
+		read.add(0, true)
 		return
 	}
 	defer c.Close()
 	buf := make([]byte, 64<<10)
 	for {
-		if _, err := c.Read(buf); err != nil {
+		n, err := c.Read(buf)
+		read.add(n, err != nil)
+		if err != nil {
 			return
 		}
 	}

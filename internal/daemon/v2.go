@@ -1962,9 +1962,11 @@ func (d *V2) capture() {
 	}
 
 	// The rank waits until push has handed every replica its batch of
-	// chunks (one SendFrames each; on TCP, written into the socket), not
-	// for the acks: those arrive while execution goes on, and
-	// unacknowledged chunks are retransmitted like event batches.
+	// chunks (one SendFrames each; on TCP, queued for the server's
+	// writer), not for the bytes to be written nor for the acks: the
+	// chunks stream while execution goes on, as the paper's forked
+	// checkpoint does, and unacknowledged chunks are retransmitted like
+	// event batches.
 	d.cs.push(seq, x)
 	d.reply(rankResp{})
 }

@@ -247,9 +247,7 @@ func fetchELEvents(els []elEndpoint, cns int, need int, timeout time.Duration) (
 	ask := func() {
 		for _, el := range els {
 			if !responded[el.id] {
-				// A send to a dead replica blocks in redial backoff, so
-				// each request leaves the collection loop.
-				go ep.Send(el.id, wire.KELSyncReq, req)
+				ep.Send(el.id, wire.KELSyncReq, req)
 			}
 		}
 	}

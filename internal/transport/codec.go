@@ -34,6 +34,12 @@ const maxUpfront = 1 << 20
 // its header. Either piece may be empty.
 type Parts struct{ Head, Body []byte }
 
+// outFrame is one frame on its way out: its kind and its data in parts.
+type outFrame struct {
+	kind uint8
+	Parts
+}
+
 // A writev call carries at most maxWritev bytes in at most maxIovecs
 // buffers (IOV_MAX on Linux), so a batch of frames goes out as a few
 // bounded calls and a per-call write deadline bounds a stall, not the
@@ -47,7 +53,7 @@ const (
 // and Body — as one byte stream, in writev calls of at most maxWritev
 // bytes and maxIovecs buffers each. The headers, the buffer list and the
 // frame end offsets live in the writer, so a long-lived one — one per
-// endpoint or proxy leg, guarded by its owner's write lock — allocates
+// TCP peer or proxy leg, used by one writer at a time — allocates
 // nothing once it has seen a batch of the size it is handed.
 type frameWriter struct {
 	hdrs [][frameLen]byte
@@ -60,7 +66,7 @@ type frameWriter struct {
 type deadliner interface{ SetWriteDeadline(time.Time) error }
 
 func (fw *frameWriter) write(w io.Writer, f Frame) error {
-	_, err := fw.writeFrames(w, f.From, f.Kind, []Parts{{Body: f.Data}}, 0)
+	_, err := fw.writeFrames(w, f.From, []outFrame{{f.Kind, Parts{Body: f.Data}}}, 0)
 	return err
 }
 
@@ -70,7 +76,7 @@ func (fw *frameWriter) write(w io.Writer, f Frame) error {
 // write deadlines, every writev call gets its own deadline of now +
 // timeout. A frame over MaxFrameSize fails the batch before any byte is
 // written.
-func (fw *frameWriter) writeFrames(w io.Writer, from int, kind uint8, frames []Parts, timeout time.Duration) (int, error) {
+func (fw *frameWriter) writeFrames(w io.Writer, from int, frames []outFrame, timeout time.Duration) (int, error) {
 	fw.hdrs = slices.Grow(fw.hdrs[:0], len(frames))[:len(frames)]
 	fw.ends = fw.ends[:0]
 	bufs := fw.bufs[:0]
@@ -84,7 +90,7 @@ func (fw *frameWriter) writeFrames(w io.Writer, from int, kind uint8, frames []P
 		h := &fw.hdrs[i]
 		binary.BigEndian.PutUint32(h[0:4], uint32(frameHeaderLen+n))
 		binary.BigEndian.PutUint32(h[4:8], uint32(int32(from)))
-		h[8] = kind
+		h[8] = f.kind
 		bufs = append(bufs, h[:])
 		for _, p := range [2][]byte{f.Head, f.Body} {
 			if len(p) > 0 {

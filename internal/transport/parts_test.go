@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +57,15 @@ func numberedBatch(n int) []Parts {
 }
 
 func joined(p Parts) []byte { return append(append([]byte{}, p.Head...), p.Body...) }
+
+// withKind gives every frame of a batch the same kind.
+func withKind(kind uint8, frames []Parts) []outFrame {
+	out := make([]outFrame, len(frames))
+	for i, p := range frames {
+		out[i] = outFrame{kind, p}
+	}
+	return out
+}
 
 // TestSendPartsTCP: over connected TCP endpoints a batch of 1, 129 or 600
 // frames arrives intact and in order, each frame as exactly Head‖Body.
@@ -154,10 +165,12 @@ func TestSimSendPartsTimesLikeSend(t *testing.T) {
 	}
 }
 
-// TestTCPSendPartsAllocs: the sending side allocates nothing for a 16 KiB
-// frame sent alone, nor for a warm batch of 129 of them — a checkpoint
-// image's chunks to one server. The peer is a raw socket that discards
-// what it reads into a fixed buffer, so every allocation counted is the
+// TestTCPSendPartsAllocs: the sending side — the call and the peer's
+// writer — allocates nothing for a 16 KiB frame sent alone, nor for a
+// warm batch of 129 of them — a checkpoint image's chunks to one server.
+// Each send waits until the peer has read the whole batch, so batches do
+// not pile up in the queue. The peer is a raw socket that discards what
+// it reads into a fixed buffer, so every allocation counted is the
 // sender's.
 func TestTCPSendPartsAllocs(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -165,6 +178,7 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	var read atomic.Int64
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
@@ -173,7 +187,9 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 		defer c.Close()
 		buf := make([]byte, 64<<10)
 		for {
-			if _, err := c.Read(buf); err != nil {
+			n, err := c.Read(buf)
+			read.Add(int64(n))
+			if err != nil {
 				return
 			}
 		}
@@ -186,13 +202,24 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = parts(28, 16<<10)
 	}
+	sent := int64(frameLen) // the hello
 	for _, frames := range [][]Parts{batch[:1], batch} {
+		size := int64(0)
+		for _, p := range frames {
+			size += int64(frameLen + len(p.Head) + len(p.Body))
+		}
 		send := func() {
 			if !SendFrames(a, 1, 7, frames) {
 				t.Fatal("send failed")
 			}
+			sent += size
+			for deadline := time.Now().Add(10 * time.Second); read.Load() < sent; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("peer read %d of %d bytes", read.Load(), sent)
+				}
+			}
 		}
-		send() // dial and hello, and size the writer's scratch
+		send() // dial and hello, and size the queue and the writer's scratch
 		if got := testing.AllocsPerRun(20, send); got != 0 {
 			t.Errorf("batch of %d: %.1f allocs per send, want 0", len(frames), got)
 		}
@@ -203,6 +230,8 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 // in the middle of a batch gets, over the sender's redial, every frame
 // from the one the write broke in to the last — each whole, none it
 // already read whole — and the fabric counts a retransmit and no drop.
+// SendFrames returns once the batch is queued; the test waits on the
+// peer's second connection reading the last frame.
 func TestSendFramesResumesAfterPeerCloses(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -216,7 +245,8 @@ func TestSendFramesResumesAfterPeerCloses(t *testing.T) {
 		frames[i] = Parts{Head: binary.BigEndian.AppendUint32(nil, uint32(i)), Body: body}
 	}
 	// readFrames returns the indices of the whole frames a connection
-	// carries after its hello, up to maxBytes (then it closes) or EOF.
+	// carries after its hello, up to maxBytes (then it closes), the last
+	// frame of the batch, or EOF.
 	readFrames := func(c net.Conn, maxBytes int64) ([]int, error) {
 		defer c.Close()
 		r := io.Reader(c)
@@ -239,6 +269,9 @@ func TestSendFramesResumesAfterPeerCloses(t *testing.T) {
 				return idx, errors.New("a frame arrived damaged")
 			}
 			idx = append(idx, int(binary.BigEndian.Uint32(f.Data)))
+			if idx[len(idx)-1] == n-1 {
+				return idx, nil
+			}
 		}
 	}
 	type result struct {
@@ -264,13 +297,18 @@ func TestSendFramesResumesAfterPeerCloses(t *testing.T) {
 	if !SendFrames(a, 1, 7, frames) {
 		t.Fatal("send failed")
 	}
-	a.Close() // the second connection's reader stops at its EOF
-	first, second := <-got, <-got
-	for _, r := range []result{first, second} {
-		if r.err != nil {
-			t.Fatal(r.err)
+	var rs [2]result
+	for i := range rs {
+		select {
+		case rs[i] = <-got:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("connection %d: the peer never read the batch's last frame", i+1)
+		}
+		if rs[i].err != nil {
+			t.Fatal(rs[i].err)
 		}
 	}
+	first, second := rs[0], rs[1]
 	if len(first.idx) == 0 || len(second.idx) == 0 {
 		t.Fatalf("first connection carried %d whole frames, second %d; want some on both", len(first.idx), len(second.idx))
 	}
@@ -340,7 +378,7 @@ func TestFrameWriterBoundsEachCall(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var fw frameWriter
 			rec := &callRecorder{}
-			done, err := fw.writeFrames(rec, 0, 1, tc.frames, time.Second)
+			done, err := fw.writeFrames(rec, 0, withKind(1, tc.frames), time.Second)
 			if err != nil || done != len(tc.frames) {
 				t.Fatalf("wrote %d of %d frames: %v", done, len(tc.frames), err)
 			}
@@ -371,7 +409,7 @@ func TestFrameWriterBoundsEachCall(t *testing.T) {
 		}
 		for _, failAt := range []int{1, ends[0], ends[0] + 1, ends[17] - 1, ends[17], ends[38]} {
 			var fw frameWriter
-			done, err := fw.writeFrames(&callRecorder{failAt: failAt}, 0, 1, frames, time.Second)
+			done, err := fw.writeFrames(&callRecorder{failAt: failAt}, 0, withKind(1, frames), time.Second)
 			want := 0
 			for want < len(ends) && ends[want] <= failAt {
 				want++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,12 @@ import (
 // registered for sending — and, crucially, an inbound connection from a
 // *restarted* peer replaces the stale cached connection to its dead
 // predecessor, whose writes would otherwise vanish into a closed
-// socket. A failed write is retried over fresh dials with bounded
-// exponential backoff (see Backoff) before the frame is dropped.
+// socket. Each peer has its own record: its connection, its queue of
+// pending frames and one writer goroutine, which dials, retries a failed
+// write over fresh dials with bounded exponential backoff (see Backoff)
+// and drops the frames of a peer that stays unreachable. No sender waits
+// for a dial or a back-off, and one peer's trouble delays no other
+// peer's frames.
 //
 // As in the paper's mpirun (§4.7), a socket disconnection is a trusty
 // fault detector: readers that observe EOF stop delivering, and the
@@ -92,9 +97,9 @@ var HelloTimeout = 3 * time.Second
 // WriteTimeout bounds a single write call — one frame, or up to 1 MiB of
 // a batch (see SendFrames). A half-open peer — crashed
 // without a FIN, or SIGSTOPped with a full receive window — otherwise
-// blocks the sending daemon indefinitely inside write(2). On expiry the
-// connection is dropped and the send retried over a fresh dial, exactly
-// like a hard write error.
+// blocks the writer (an inline Send, or the peer's writer goroutine)
+// indefinitely inside write(2). On expiry the connection is dropped and
+// the frame retried over a fresh dial, exactly like a hard write error.
 var WriteTimeout = 5 * time.Second
 
 // NewTCPFabric creates a fabric over the given node id → "host:port"
@@ -141,16 +146,34 @@ func (f *TCPFabric) addr(id int) string {
 }
 
 type tcpEndpoint struct {
-	fab           *TCPFabric
-	id            int
-	inbox         *vtime.Mailbox[Frame]
-	ln            net.Listener
-	mu            sync.Mutex
-	conns         map[int]net.Conn
-	everConnected map[int]bool // peers we dialed at least once (redial counting)
-	wmu           sync.Mutex   // serializes frame writes and guards fw
-	fw            frameWriter
-	closed        bool
+	fab    *TCPFabric
+	id     int
+	inbox  *vtime.Mailbox[Frame]
+	ln     net.Listener
+	done   chan struct{} // closed by Close: the peers' writers exit
+	mu     sync.Mutex    // guards peers and closed
+	peers  map[int]*tcpPeer
+	closed bool
+}
+
+// tcpPeer is everything an endpoint keeps for one peer: the connection,
+// the frames waiting for it, and the writer goroutine that dials, writes
+// and redials for them. Whoever holds busy owns the connection's write
+// side and fw: an inline Send, or the writer with a batch. Frames to one
+// peer therefore leave in the order they were handed over, and a peer
+// that is slow, half-open or dead holds up only its own frames.
+type tcpPeer struct {
+	id   int
+	kick chan struct{} // 1-buffered: wakes the writer after a queue or a release
+	fw   frameWriter   // used only by the holder of busy
+
+	mu     sync.Mutex // guards the fields below
+	conn   net.Conn
+	q      []outFrame // frames waiting for the writer, oldest first
+	spare  []outFrame // the writer's last batch, kept for its storage
+	busy   bool       // someone is writing to conn, or dialing it
+	dialed bool       // dialed at least once (redial counting)
+	closed bool       // set by Close, which also swept conn and the queue
 }
 
 // Attach implements Fabric. It returns an endpoint whose listener is
@@ -162,7 +185,8 @@ func (f *TCPFabric) Attach(id int, name string) Endpoint {
 		fab:   f,
 		id:    id,
 		inbox: vtime.NewMailbox[Frame](f.rt, fmt.Sprintf("inbox(%s#%d)", name, id)),
-		conns: make(map[int]net.Conn),
+		done:  make(chan struct{}),
+		peers: make(map[int]*tcpPeer),
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -199,66 +223,86 @@ func (e *tcpEndpoint) acceptLoop() {
 		if err != nil {
 			return
 		}
-		e.fab.rt.Go(fmt.Sprintf("tcp-read-%d", e.id), func() { e.readLoop(c, -1) })
+		e.fab.rt.Go(fmt.Sprintf("tcp-read-%d", e.id), func() { e.readLoop(c, nil) })
 	}
+}
+
+// peer returns the record for node id, creating it and starting its
+// writer on first use; nil once the endpoint is closed.
+func (e *tcpEndpoint) peer(id int) *tcpPeer {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil
+	}
+	p := e.peers[id]
+	if p == nil {
+		p = &tcpPeer{id: id, kick: make(chan struct{}, 1)}
+		e.peers[id] = p
+		e.fab.rt.Go(fmt.Sprintf("tcp-write-%d-%d", e.id, id), func() { e.writeLoop(p) })
+	}
+	return p
 }
 
 // register makes c the connection for peer, closing any previous one (a
 // stale connection to a dead incarnation, or the loser of a
-// simultaneous-dial race).
-func (e *tcpEndpoint) register(peer int, c net.Conn) {
-	e.mu.Lock()
-	if e.closed {
-		// Close already swept the map (it is nil now) and will not see
-		// this connection: a hello that lands afterwards is refused.
-		e.mu.Unlock()
+// simultaneous-dial race). It returns nil, having closed c, if the
+// endpoint is closed.
+func (e *tcpEndpoint) register(peer int, c net.Conn) *tcpPeer {
+	p := e.peer(peer)
+	if p == nil {
 		c.Close()
-		return
+		return nil
 	}
-	old := e.conns[peer]
-	e.conns[peer] = c
-	e.mu.Unlock()
+	p.mu.Lock()
+	if p.closed {
+		// Close already swept this peer and will not see c: a hello
+		// that lands afterwards is refused.
+		p.mu.Unlock()
+		c.Close()
+		return nil
+	}
+	old := p.conn
+	p.conn = c
+	p.mu.Unlock()
 	if old != nil && old != c {
 		atomic.AddInt64(&e.fab.stats.StaleReplaced, 1)
 		old.Close()
 	}
+	return p
 }
 
-// readLoop drains one connection into the inbox. peer is the known
-// remote node id for dialed connections; -1 for accepted ones, whose
-// dialer is identified by its first frame — which must arrive within
-// HelloTimeout, so a stalled dialer cannot pin an anonymous connection
-// (and its goroutine) on the accept path forever. The deadline is set on
-// the connection, so it bounds the reads the buffered frame reader makes.
-func (e *tcpEndpoint) readLoop(c net.Conn, peer int) {
+// readLoop drains one connection into the inbox. p is the peer of a
+// dialed connection; nil for an accepted one, whose dialer is identified
+// by its first frame — which must arrive within HelloTimeout, so a
+// stalled dialer cannot pin an anonymous connection (and its goroutine)
+// on the accept path forever. The deadline is set on the connection, so
+// it bounds the reads the buffered frame reader makes.
+func (e *tcpEndpoint) readLoop(c net.Conn, p *tcpPeer) {
 	defer c.Close()
 	fr := newFrameReader(c)
 	for {
-		if peer < 0 && HelloTimeout > 0 {
+		if p == nil && HelloTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(HelloTimeout))
 		}
 		f, err := fr.read()
 		if err != nil {
-			if peer < 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			if p != nil {
+				p.forget(c)
+			} else if errors.Is(err, os.ErrDeadlineExceeded) {
 				atomic.AddInt64(&e.fab.stats.HelloTimeouts, 1)
-			}
-			if peer >= 0 {
-				e.mu.Lock()
-				if e.conns[peer] == c {
-					delete(e.conns, peer)
-				}
-				e.mu.Unlock()
 			}
 			return
 		}
-		if peer < 0 {
+		if p == nil {
 			// The first frame identifies the dialer; adopt the
 			// connection for the reverse direction too, and lift the
 			// handshake deadline — an identified connection may stay
 			// quiet for as long as the protocol likes.
-			peer = f.From
 			c.SetReadDeadline(time.Time{})
-			e.register(peer, c)
+			if p = e.register(f.From, c); p == nil {
+				return
+			}
 		}
 		if f.Kind == helloKind {
 			continue
@@ -269,9 +313,28 @@ func (e *tcpEndpoint) readLoop(c net.Conn, peer int) {
 	}
 }
 
+// forget unregisters c if it is still the peer's connection.
+func (p *tcpPeer) forget(c net.Conn) {
+	p.mu.Lock()
+	if p.conn == c {
+		p.conn = nil
+	}
+	p.mu.Unlock()
+}
+
+// wake makes the writer look at the queue; callers hold p.mu.
+func (p *tcpPeer) wake() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
+}
+
 func (e *tcpEndpoint) ID() int                      { return e.id }
 func (e *tcpEndpoint) Inbox() *vtime.Mailbox[Frame] { return e.inbox }
 
+// Close stops the endpoint: the listener, every peer's connection and
+// writer (queued frames are discarded, as a crash would), and the inbox.
 func (e *tcpEndpoint) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -279,149 +342,238 @@ func (e *tcpEndpoint) Close() {
 		return
 	}
 	e.closed = true
-	conns := e.conns
-	e.conns = nil
+	peers := e.peers
 	e.mu.Unlock()
+	close(e.done)
 	e.ln.Close()
-	for _, c := range conns {
-		c.Close()
+	for _, p := range peers {
+		p.mu.Lock()
+		p.closed = true
+		c := p.conn
+		p.conn, p.q, p.spare = nil, nil, nil
+		p.mu.Unlock()
+		if c != nil {
+			c.Close()
+		}
 	}
 	e.inbox.Close()
 }
 
-// conn returns the connection for a peer, dialing (with a hello) if
-// none is registered. Callers hold wmu: the hello goes through fw.
-func (e *tcpEndpoint) conn(to int) (net.Conn, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("transport: endpoint %d closed", e.id)
-	}
-	if c := e.conns[to]; c != nil {
-		e.mu.Unlock()
-		return c, nil
-	}
-	e.mu.Unlock()
-
-	addr := e.fab.addr(to)
-	if addr == "" {
-		return nil, fmt.Errorf("transport: no address for node %d", to)
-	}
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.fw.write(c, Frame{From: e.id, Kind: helloKind}); err != nil {
-		c.Close()
-		return nil, err
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		c.Close()
-		return nil, fmt.Errorf("transport: endpoint %d closed", e.id)
-	}
-	if cur := e.conns[to]; cur != nil {
-		// Lost a simultaneous-dial race; use the established one.
-		e.mu.Unlock()
-		c.Close()
-		return cur, nil
-	}
-	e.conns[to] = c
-	redial := e.everConnected[to]
-	if e.everConnected == nil {
-		e.everConnected = make(map[int]bool)
-	}
-	e.everConnected[to] = true
-	e.mu.Unlock()
-	atomic.AddInt64(&e.fab.stats.Dials, 1)
-	if redial {
-		atomic.AddInt64(&e.fab.stats.Redials, 1)
-	}
-	// Read replies arriving on the dialed connection too.
-	e.fab.rt.Go(fmt.Sprintf("tcp-read-%d", e.id), func() { e.readLoop(c, to) })
-	return c, nil
-}
-
-func (e *tcpEndpoint) dropConn(to int, c net.Conn) {
-	e.mu.Lock()
-	if e.conns != nil && e.conns[to] == c {
-		delete(e.conns, to)
-	}
-	e.mu.Unlock()
-	c.Close()
-}
-
 // sendRetries dial attempts with sendBackoff delays bound how long a
-// send waits for an unreachable peer before dropping the frame (the
-// delays sum to ~2.6 s). The early retries are fast so the common
-// startup race (a peer's listener not yet bound) costs milliseconds;
-// the capped tail covers the typical restart window (the launcher
-// re-launches a killed worker in a few hundred milliseconds). A peer
-// dead for longer loses the frame, like a crash — which the recovery
-// protocol already tolerates.
+// peer's writer keeps a batch for an unreachable peer before dropping
+// it (the delays sum to ~2.6 s). The early retries are fast so the
+// common startup race (a peer's listener not yet bound) costs
+// milliseconds; the capped tail covers the typical restart window (the
+// launcher re-launches a killed worker in a few hundred milliseconds). A
+// peer dead for longer loses the frames, like a crash — which the
+// recovery protocol already tolerates.
 const sendRetries = 12
 
 var sendBackoff = Backoff{Base: 5 * time.Millisecond, Max: 500 * time.Millisecond}
 
+// Send writes the frame inline when the peer is connected and nothing
+// is queued for it or being written to it; otherwise it queues the frame
+// for the peer's writer. It never waits for a dial or a back-off.
 func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	return e.sendFrames(to, kind, []Parts{{Body: data}})
+	p := e.peer(to)
+	if p == nil {
+		return false
+	}
+	f := [1]outFrame{{kind, Parts{Body: data}}}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return false
+	}
+	c := p.conn
+	if c == nil || p.busy || len(p.q) > 0 {
+		p.q = append(p.q, f[0])
+		p.wake()
+		p.mu.Unlock()
+		return true
+	}
+	p.busy = true
+	p.mu.Unlock()
+	_, err := p.fw.writeFrames(c, e.id, f[:], WriteTimeout)
+	if err != nil {
+		e.broken(p, c, err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.busy = false
+	if p.closed {
+		return err == nil
+	}
+	if err != nil {
+		// The writer retries the frame, ahead of anything queued while
+		// it was being written.
+		atomic.AddInt64(&e.fab.stats.Retransmits, 1)
+		p.q = slices.Insert(p.q, 0, f[0])
+	}
+	if len(p.q) > 0 {
+		p.wake()
+	}
+	return true
 }
 
-// SendFrames writes a batch of frames under one hold of the write lock;
-// see the package-level SendFrames.
+// SendFrames queues the batch for the peer's writer and returns; see
+// the package-level SendFrames.
 func (e *tcpEndpoint) SendFrames(to int, kind uint8, frames []Parts) bool {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	return e.sendFrames(to, kind, frames)
+	p := e.peer(to)
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	for _, f := range frames {
+		p.q = append(p.q, outFrame{kind, f})
+	}
+	p.wake()
+	return true
 }
 
-// sendFrames writes frames to peer to; callers hold wmu. A failed write
+// writeLoop is p's writer: each wake-up it writes the queue out, batch
+// by batch, until it is empty or someone else holds the connection.
+func (e *tcpEndpoint) writeLoop(p *tcpPeer) {
+	for {
+		select {
+		case <-p.kick:
+		case <-e.done:
+			return
+		}
+		p.mu.Lock()
+		for len(p.q) > 0 && !p.busy && !p.closed {
+			// Take the queue whole and leave the spare in its place, so
+			// the two slices' storage serves every later batch.
+			batch := p.q
+			p.q, p.spare = p.spare[:0], nil
+			p.busy = true
+			p.mu.Unlock()
+			e.writeBatch(p, batch)
+			clear(batch) // do not pin the frames' bytes
+			p.mu.Lock()
+			p.busy = false
+			if !p.closed {
+				p.spare = batch[:0]
+			}
+		}
+		p.mu.Unlock()
+	}
+}
+
+// writeBatch writes frames to p; the caller holds busy. A failed write
 // drops the connection and retries over a fresh dial from the frame it
-// broke in: frames the kernel accepted whole are not sent twice.
-func (e *tcpEndpoint) sendFrames(to int, kind uint8, frames []Parts) bool {
+// broke in: frames the kernel accepted whole are not sent twice. Frames
+// still unwritten after sendRetries attempts are dropped.
+func (e *tcpEndpoint) writeBatch(p *tcpPeer, frames []outFrame) {
 	for attempt := 0; attempt < sendRetries && len(frames) > 0; attempt++ {
 		if attempt > 0 {
 			atomic.AddInt64(&e.fab.stats.Retransmits, 1)
 		}
-		c, err := e.conn(to)
+		c, err := e.conn(p)
 		if err != nil {
-			if e.isClosed() {
-				return false
+			if p.isClosed() || !e.sleep(sendBackoff.Delay(attempt)) {
+				return
 			}
-			time.Sleep(sendBackoff.Delay(attempt))
 			continue
 		}
 		// writeFrames sets a deadline before every writev call, so none
 		// is cleared afterwards: a later write replaces it, and the hello
 		// goes out on a freshly dialled connection that never had one.
-		done, err := e.fw.writeFrames(c, e.id, kind, frames, WriteTimeout)
+		done, err := p.fw.writeFrames(c, e.id, frames, WriteTimeout)
 		frames = frames[done:]
 		if err == nil {
-			return true
+			return
 		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			// Half-open peer: the write stalled against a full window
-			// instead of failing. Without the deadline this daemon
-			// would be wedged inside write(2) for good.
-			atomic.AddInt64(&e.fab.stats.WriteTimeouts, 1)
-		}
-		// Stale connection (the peer may have restarted): drop and
-		// retry over a fresh dial.
-		e.dropConn(to, c)
+		e.broken(p, c, err)
 	}
-	if e.isClosed() {
-		return false
+	if len(frames) > 0 && !p.isClosed() {
+		// Peer unreachable: the frames left are dropped, like a crash.
+		atomic.AddInt64(&e.fab.stats.DroppedFrames, int64(len(frames)))
 	}
-	// Peer unreachable: the frames left are dropped, like a crash.
-	atomic.AddInt64(&e.fab.stats.DroppedFrames, int64(len(frames)))
-	return true
 }
 
-func (e *tcpEndpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
+// broken drops c after a failed write: the peer may have restarted, so
+// the next attempt dials afresh.
+func (e *tcpEndpoint) broken(p *tcpPeer, c net.Conn, err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		// Half-open peer: the write stalled against a full window
+		// instead of failing. Without the deadline the writer would be
+		// wedged inside write(2) for good.
+		atomic.AddInt64(&e.fab.stats.WriteTimeouts, 1)
+	}
+	p.forget(c)
+	c.Close()
+}
+
+// sleep waits d, or until the endpoint closes; it reports whether the
+// endpoint is still open.
+func (e *tcpEndpoint) sleep(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-e.done:
+		return false
+	}
+}
+
+// conn returns p's connection, dialing (with a hello) if none is
+// registered. The caller holds busy: the hello goes through p.fw.
+func (e *tcpEndpoint) conn(p *tcpPeer) (net.Conn, error) {
+	p.mu.Lock()
+	c, closed := p.conn, p.closed
+	p.mu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("transport: endpoint %d closed", e.id)
+	}
+	if c != nil {
+		return c, nil
+	}
+
+	addr := e.fab.addr(p.id)
+	if addr == "" {
+		return nil, fmt.Errorf("transport: no address for node %d", p.id)
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.fw.write(c, Frame{From: e.id, Kind: helloKind}); err != nil {
+		c.Close()
+		return nil, err
+	}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		c.Close()
+		return nil, fmt.Errorf("transport: endpoint %d closed", e.id)
+	}
+	if cur := p.conn; cur != nil {
+		// Lost a simultaneous-dial race; use the established one.
+		p.mu.Unlock()
+		c.Close()
+		return cur, nil
+	}
+	p.conn = c
+	redial := p.dialed
+	p.dialed = true
+	p.mu.Unlock()
+	atomic.AddInt64(&e.fab.stats.Dials, 1)
+	if redial {
+		atomic.AddInt64(&e.fab.stats.Redials, 1)
+	}
+	// Read replies arriving on the dialed connection too.
+	e.fab.rt.Go(fmt.Sprintf("tcp-read-%d", e.id), func() { e.readLoop(c, p) })
+	return c, nil
+}
+
+func (p *tcpPeer) isClosed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
 }

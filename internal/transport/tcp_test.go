@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,9 +127,9 @@ func TestTCPStaleConnReplacedOnRestart(t *testing.T) {
 }
 
 // TestTCPWriteTimeoutUnwedgesSender: a half-open peer (accepts, never
-// reads, window fills) must not wedge Send forever — the write deadline
-// fires, the connection is dropped, and Send gives up after its retry
-// budget instead of blocking.
+// reads, window fills) must not wedge the sender — Send returns, the
+// peer's writer hits the write deadline, drops the connection and gives
+// up after its retry budget instead of blocking.
 func TestTCPWriteTimeoutUnwedgesSender(t *testing.T) {
 	oldW := WriteTimeout
 	WriteTimeout = 300 * time.Millisecond
@@ -136,24 +137,9 @@ func TestTCPWriteTimeoutUnwedgesSender(t *testing.T) {
 	sendBackoff = Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
 	defer func() { WriteTimeout = oldW; sendBackoff = oldB }()
 
-	// A raw listener that accepts and never reads: kernel buffers fill
-	// and the sender's write(2) blocks.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close()
-		}
-	}()
-
+	ln := halfOpenListener(t)
 	rt := vtime.NewReal()
+	defer rt.Wait() // the writer reads the timeouts: join it before they are restored
 	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
 	a := fab.Attach(0, "sender")
 	defer a.Close()
@@ -172,18 +158,67 @@ func TestTCPWriteTimeoutUnwedgesSender(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("sender wedged against a half-open peer")
 	}
-	if fab.Stats().WriteTimeouts == 0 {
-		t.Fatal("write deadline never fired")
+	waitFor(t, 60*time.Second, "write deadline never fired", func() bool { return fab.Stats().WriteTimeouts > 0 })
+}
+
+// halfOpenListener accepts connections and never reads them: kernel
+// buffers fill and the sender's write(2) blocks.
+func halfOpenListener(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	return ln
+}
+
+// refusedAddr is a loopback address nobody listens on.
+func refusedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// waitFor polls cond until it holds, failing the test with msg after d.
+func waitFor(t *testing.T, d time.Duration, msg string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
 	}
 }
 
 // TestTCPFabricShutdownReleasesGoroutines: closing every endpoint joins
-// the fabric's accept and read goroutines.
+// the fabric's accept, read and writer goroutines — writers with nothing
+// queued, and a writer sleeping in back-off against a peer that refuses
+// connections.
 func TestTCPFabricShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	rt := vtime.NewReal()
 	func() {
-		rt := vtime.NewReal()
-		fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0"})
+		fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0", 3: refusedAddr(t)})
 		eps := []Endpoint{fab.Attach(0, "n0"), fab.Attach(1, "n1"), fab.Attach(2, "n2")}
 		chs := []<-chan Frame{collect(eps[0]), collect(eps[1]), collect(eps[2])}
 		for i, ep := range eps {
@@ -192,14 +227,29 @@ func TestTCPFabricShutdownReleasesGoroutines(t *testing.T) {
 					ep.Send(j, 7, []byte{byte(i), byte(j)})
 				}
 			}
+			ep.Send(3, 7, []byte{byte(i)})
 		}
 		for _, ch := range chs {
 			recvN(ch, 2, 3*time.Second)
+		}
+		// A writer per endpoint for each other endpoint and for the
+		// dead node.
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if n := strings.Count(stacks, "(*tcpEndpoint).writeLoop("); n < 9 {
+			t.Errorf("%d writer goroutines running, want at least 9", n)
 		}
 		for _, ep := range eps {
 			ep.Close()
 		}
 	}()
+	joined := make(chan struct{})
+	go func() { rt.Wait(); close(joined) }()
+	select {
+	case <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fabric's goroutines did not exit after Close")
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {

@@ -28,7 +28,13 @@ type Endpoint interface {
 	// Send transmits a frame to node "to". Delivery is asynchronous;
 	// frames to dead or missing nodes are silently dropped, like
 	// writes to a broken TCP connection that nobody reads. Send
-	// reports false if the local endpoint itself is closed.
+	// reports false if the local endpoint itself is closed. The
+	// receiver owns data once it is sent, so the caller does not
+	// touch it again. On TCP, Send writes the frame inline when the
+	// peer is connected and nothing is queued for it, and queues it
+	// for the peer's writer otherwise: it never sleeps in a dial's
+	// back-off, though an inline write to a half-open peer can block
+	// up to WriteTimeout.
 	Send(to int, kind uint8, data []byte) bool
 	// Inbox is the mailbox into which the fabric delivers frames.
 	Inbox() *vtime.Mailbox[Frame]
@@ -42,13 +48,17 @@ type batchSender interface {
 }
 
 // SendFrames sends frames to node "to", in order, each with data
-// Head‖Body. A TCP endpoint writes the whole batch under one hold of its
-// write lock, in a few bounded writev calls, and borrows the parts only
-// for the call. Every other endpoint — simulated, in-memory, chaos, or a
-// wrapper around any of them — is sent one joined copy per frame through
-// Send, since its receiver owns the slice it gets; the bytes and the
-// delivery times are those of Send with the joined data, frame by frame.
-// It reports false if the local endpoint is closed.
+// Head‖Body. A TCP endpoint copies the frames slice onto the peer's
+// queue and returns; the peer's writer sends the batch in a few bounded
+// writev calls, in order with every other frame to that peer. It borrows
+// the parts until they are written, so their bytes must not change
+// after the call: callers pass immutable bytes only — image chunks and
+// their headers, SAVED payloads, stored image slices — or fresh heads.
+// Every other endpoint — simulated, in-memory, chaos, or a wrapper
+// around any of them — is sent one joined copy per frame through Send,
+// since its receiver owns the slice it gets; the bytes and the delivery
+// times are those of Send with the joined data, frame by frame. It
+// reports false if the local endpoint is closed.
 func SendFrames(ep Endpoint, to int, kind uint8, frames []Parts) bool {
 	if b, ok := ep.(batchSender); ok {
 		return b.SendFrames(to, kind, frames)
