@@ -8,7 +8,6 @@ import (
 	"maps"
 	"net"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -441,14 +440,14 @@ func benchCapture(b *testing.B, chunk, nServers int) {
 	rt := vtime.NewReal()
 	addrs := map[int]string{0: "127.0.0.1:0"}
 	var servers []int
-	read := make([]*byteCounter, nServers)
+	read := make([]chan int64, nServers)
 	for i := 0; i < nServers; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ln.Close()
-		read[i] = newByteCounter()
+		read[i] = make(chan int64, 64)
 		go discard(ln, read[i])
 		servers = append(servers, 901+i)
 		addrs[901+i] = ln.Addr().String()
@@ -470,9 +469,13 @@ func benchCapture(b *testing.B, chunk, nServers int) {
 		for _, c := range d.cs.slots[0].item.chunks {
 			sent += int64(frameOverhead + len(c.hdr) + len(c.body))
 		}
+		// Block rather than poll: a spinning waiter takes one of the
+		// cores the writer and the readers need.
 		for _, r := range read {
-			if !r.waitFor(sent) {
-				b.Fatal("a server stopped reading")
+			for got, ok := int64(0), true; got < sent; {
+				if got, ok = <-r; !ok {
+					b.Fatal("a server stopped reading")
+				}
 			}
 		}
 		d.cs.reset() // nothing acks: drop the transfer instead of retaining it
@@ -488,53 +491,21 @@ func benchCapture(b *testing.B, chunk, nServers int) {
 	b.ReportMetric(float64(rank.Nanoseconds())/float64(b.N), "rank-ns/op")
 }
 
-// byteCounter counts the bytes a discarding server has read, and lets
-// the benchmark wait for a total.
-type byteCounter struct {
-	mu     sync.Mutex
-	grew   *sync.Cond
-	total  int64
-	closed bool // the connection ended: no more bytes come
-}
-
-func newByteCounter() *byteCounter {
-	c := &byteCounter{}
-	c.grew = sync.NewCond(&c.mu)
-	return c
-}
-
-func (c *byteCounter) add(n int, closed bool) {
-	c.mu.Lock()
-	c.total += int64(n)
-	c.closed = c.closed || closed
-	c.mu.Unlock()
-	c.grew.Broadcast()
-}
-
-// waitFor waits until total bytes have been read, and reports false if
-// the connection ended first.
-func (c *byteCounter) waitFor(total int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.total < total && !c.closed {
-		c.grew.Wait()
-	}
-	return c.total >= total
-}
-
 // discard accepts one connection and reads and discards everything,
-// counting what it read.
-func discard(ln net.Listener, read *byteCounter) {
+// sending the running byte count after each read; it closes read when
+// the connection ends.
+func discard(ln net.Listener, read chan<- int64) {
+	defer close(read)
 	c, err := ln.Accept()
 	if err != nil {
-		read.add(0, true)
 		return
 	}
 	defer c.Close()
 	buf := make([]byte, 64<<10)
-	for {
+	for total := int64(0); ; {
 		n, err := c.Read(buf)
-		read.add(n, err != nil)
+		total += int64(n)
+		read <- total
 		if err != nil {
 			return
 		}

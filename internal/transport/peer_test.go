@@ -100,13 +100,99 @@ func TestTCPPeerHalfOpenDelaysOnlyItsOwnFrames(t *testing.T) {
 	}
 }
 
+// TestTCPPeerHalfOpenDropsItsQueue: the first write deadline against a
+// half-open peer gives it up at once. The unwritten rest of the batch and
+// the batch queued behind it are dropped together and released, with no
+// redial into the same stall, so a stuck peer pins no more than what is
+// sent to it within one WriteTimeout.
+func TestTCPPeerHalfOpenDropsItsQueue(t *testing.T) {
+	oldW := WriteTimeout
+	WriteTimeout = 100 * time.Millisecond
+	defer func() { WriteTimeout = oldW }()
+
+	ln := halfOpenListener(t)
+	rt := vtime.NewReal()
+	defer rt.Wait()
+	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+	a := fab.Attach(0, "sender")
+	defer a.Close()
+
+	body := make([]byte, 64<<10)
+	first := make([]Parts, 256) // 16 MiB: more than the sockets can hold
+	for i := range first {
+		first[i] = Parts{Body: body}
+	}
+	SendFrames(a, 1, 7, first)
+	waitFor(t, 10*time.Second, "the writer never took the first batch", func() bool {
+		q, _ := peerState(a, 1)
+		return q == 0
+	})
+	second := first[:64]
+	SendFrames(a, 1, 7, second) // queued behind the stalled write
+	waitFor(t, 10*time.Second, "the queued batch was never dropped", func() bool {
+		return fab.Stats().DroppedFrames >= int64(len(second))
+	})
+	time.Sleep(2 * WriteTimeout) // room for a redial that must not come
+	q, _ := peerState(a, 1)
+	if st := fab.Stats(); st.Dials != 1 || st.WriteTimeouts != 1 || st.Retransmits != 0 || q != 0 {
+		t.Fatalf("%+v, %d frames still queued; want one dial, one write deadline, no retry, an empty queue", st, q)
+	}
+}
+
+// TestTCPPeerHalfOpenInlineSendGivesUp: an inline Send into a half-open
+// peer's full socket buffers holds the caller for one WriteTimeout at
+// most, then gives the peer up like the writer does: the frame is
+// dropped, not handed to the writer to redial into the same stall.
+func TestTCPPeerHalfOpenInlineSendGivesUp(t *testing.T) {
+	oldW := WriteTimeout
+	WriteTimeout = 100 * time.Millisecond
+	defer func() { WriteTimeout = oldW }()
+
+	ln := halfOpenListener(t)
+	rt := vtime.NewReal()
+	defer rt.Wait()
+	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+	a := fab.Attach(0, "sender")
+	defer a.Close()
+
+	a.Send(1, 7, nil) // the writer dials
+	waitFor(t, 10*time.Second, "the writer never went idle on a fresh connection", func() bool {
+		q, busy := peerState(a, 1)
+		return q == 0 && !busy && fab.Stats().Dials == 1
+	})
+	start := time.Now()
+	a.Send(1, 7, make([]byte, 16<<20)) // inline: more than the sockets can hold
+	if took := time.Since(start); took > WriteTimeout+time.Second {
+		t.Fatalf("an inline Send to a half-open peer held the caller %v", took)
+	}
+	time.Sleep(2 * WriteTimeout) // room for a redial that must not come
+	if st := fab.Stats(); st.Dials != 1 || st.WriteTimeouts != 1 || st.DroppedFrames != 1 || st.Retransmits != 0 {
+		t.Fatalf("%+v; want one dial, one write deadline, the frame dropped, no retry", st)
+	}
+}
+
+// peerState reports how many frames ep holds for peer to, and whether a
+// write to it is under way.
+func peerState(ep Endpoint, to int) (queued int, busy bool) {
+	e := ep.(*tcpEndpoint)
+	e.mu.Lock()
+	p := e.peers[to]
+	e.mu.Unlock()
+	if p == nil {
+		return 0, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.q), p.busy
+}
+
 // TestTCPPeerOrderAcrossPaths: batches of 129 16 KiB frames — a
-// checkpoint image to one server — interleaved with small Sends, which
-// take the inline path whenever the peer's queue is empty and queue
-// behind the batch otherwise, arrive at each peer in the order each
-// goroutine sent them, every frame whole and none twice. Every other
-// round ends with a pause, so the next round's leading Sends find the
-// queue drained and go inline.
+// checkpoint image to one server — interleaved with small Sends arrive
+// at each peer in the order each goroutine sent them, every frame whole
+// and none twice. The small Sends take the inline path whenever the
+// peer's queue is empty and queue behind the batch otherwise; every
+// other round ends with a pause, so the next round's leading Sends find
+// the queue drained and go inline.
 func TestTCPPeerOrderAcrossPaths(t *testing.T) {
 	for _, tc := range []struct{ senders, peers int }{{1, 1}, {3, 3}} {
 		t.Run(fmt.Sprintf("senders=%d,peers=%d", tc.senders, tc.peers), func(t *testing.T) {

@@ -99,7 +99,10 @@ var HelloTimeout = 3 * time.Second
 // without a FIN, or SIGSTOPped with a full receive window — otherwise
 // blocks the writer (an inline Send, or the peer's writer goroutine)
 // indefinitely inside write(2). On expiry the connection is dropped and
-// the frame retried over a fresh dial, exactly like a hard write error.
+// the peer is given up on like a dead one: the frames not yet written,
+// and every frame queued behind them, are dropped (DroppedFrames), so a
+// stuck peer pins no more than what is sent to it within one
+// WriteTimeout, and holds up a caller at most that long.
 var WriteTimeout = 5 * time.Second
 
 // NewTCPFabric creates a fabric over the given node id → "host:port"
@@ -373,7 +376,10 @@ var sendBackoff = Backoff{Base: 5 * time.Millisecond, Max: 500 * time.Millisecon
 
 // Send writes the frame inline when the peer is connected and nothing
 // is queued for it or being written to it; otherwise it queues the frame
-// for the peer's writer. It never waits for a dial or a back-off.
+// for the peer's writer. It never waits for a dial or a back-off. The
+// inline write saves the hop to the writer goroutine, which is most of a
+// small frame's cost; it blocks only while the peer's socket buffers are
+// full, for at most WriteTimeout.
 func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
 	p := e.peer(to)
 	if p == nil {
@@ -395,16 +401,14 @@ func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
 	p.busy = true
 	p.mu.Unlock()
 	_, err := p.fw.writeFrames(c, e.id, f[:], WriteTimeout)
-	if err != nil {
-		e.broken(p, c, err)
-	}
+	retry := err != nil && e.broken(p, c, err, 1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.busy = false
 	if p.closed {
 		return err == nil
 	}
-	if err != nil {
+	if retry {
 		// The writer retries the frame, ahead of anything queued while
 		// it was being written.
 		atomic.AddInt64(&e.fab.stats.Retransmits, 1)
@@ -485,28 +489,49 @@ func (e *tcpEndpoint) writeBatch(p *tcpPeer, frames []outFrame) {
 		// goes out on a freshly dialled connection that never had one.
 		done, err := p.fw.writeFrames(c, e.id, frames, WriteTimeout)
 		frames = frames[done:]
-		if err == nil {
+		if err == nil || !e.broken(p, c, err, len(frames)) {
 			return
 		}
-		e.broken(p, c, err)
 	}
-	if len(frames) > 0 && !p.isClosed() {
-		// Peer unreachable: the frames left are dropped, like a crash.
-		atomic.AddInt64(&e.fab.stats.DroppedFrames, int64(len(frames)))
+	// Peer unreachable: the frames left are dropped, like a crash.
+	e.drop(p, len(frames))
+}
+
+// broken drops c after a failed write that left unsent frames
+// unwritten, and reports whether to retry them: the peer may have
+// restarted, so the next attempt dials afresh. A write that hit the
+// deadline is not retried. The peer is half-open: the write stalled
+// against a full window instead of failing, and a fresh dial would stall
+// the same way while everything sent to the peer piled up behind it. So
+// the peer is given up on at once: the unsent frames and its whole queue
+// are dropped.
+func (e *tcpEndpoint) broken(p *tcpPeer, c net.Conn, err error, unsent int) (retry bool) {
+	p.forget(c)
+	c.Close()
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return true
+	}
+	atomic.AddInt64(&e.fab.stats.WriteTimeouts, 1)
+	e.drop(p, unsent+p.dropQueue())
+	return false
+}
+
+// drop counts n frames to p as dropped, unless the endpoint closed.
+func (e *tcpEndpoint) drop(p *tcpPeer, n int) {
+	if n > 0 && !p.isClosed() {
+		atomic.AddInt64(&e.fab.stats.DroppedFrames, int64(n))
 	}
 }
 
-// broken drops c after a failed write: the peer may have restarted, so
-// the next attempt dials afresh.
-func (e *tcpEndpoint) broken(p *tcpPeer, c net.Conn, err error) {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		// Half-open peer: the write stalled against a full window
-		// instead of failing. Without the deadline the writer would be
-		// wedged inside write(2) for good.
-		atomic.AddInt64(&e.fab.stats.WriteTimeouts, 1)
-	}
-	p.forget(c)
-	c.Close()
+// dropQueue empties p's queue, releasing the frames' bytes, and returns
+// how many frames it held.
+func (p *tcpPeer) dropQueue() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.q)
+	clear(p.q)
+	p.q = p.q[:0]
+	return n
 }
 
 // sleep waits d, or until the endpoint closes; it reports whether the

@@ -127,9 +127,10 @@ func TestTCPStaleConnReplacedOnRestart(t *testing.T) {
 }
 
 // TestTCPWriteTimeoutUnwedgesSender: a half-open peer (accepts, never
-// reads, window fills) must not wedge the sender — Send returns, the
+// reads, window fills) must not wedge the sender — Send returns, and the
 // peer's writer hits the write deadline, drops the connection and gives
-// up after its retry budget instead of blocking.
+// up on the frames instead of blocking, all before Close could unwedge
+// it.
 func TestTCPWriteTimeoutUnwedgesSender(t *testing.T) {
 	oldW := WriteTimeout
 	WriteTimeout = 300 * time.Millisecond
@@ -159,6 +160,7 @@ func TestTCPWriteTimeoutUnwedgesSender(t *testing.T) {
 		t.Fatal("sender wedged against a half-open peer")
 	}
 	waitFor(t, 60*time.Second, "write deadline never fired", func() bool { return fab.Stats().WriteTimeouts > 0 })
+	waitFor(t, 60*time.Second, "the writer never gave up on the half-open peer", func() bool { return fab.Stats().DroppedFrames > 0 })
 }
 
 // halfOpenListener accepts connections and never reads them: kernel

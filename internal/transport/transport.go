@@ -34,7 +34,7 @@ type Endpoint interface {
 	// peer is connected and nothing is queued for it, and queues it
 	// for the peer's writer otherwise: it never sleeps in a dial's
 	// back-off, though an inline write to a half-open peer can block
-	// up to WriteTimeout.
+	// up to WriteTimeout, after which the peer is given up on.
 	Send(to int, kind uint8, data []byte) bool
 	// Inbox is the mailbox into which the fabric delivers frames.
 	Inbox() *vtime.Mailbox[Frame]
