@@ -34,14 +34,12 @@ func main() {
 		return deploy.App(a), ok
 	})
 	var (
-		exp        = flag.String("exp", "", "experiment id, or \"all\"")
-		quick      = flag.Bool("quick", false, "trim sweeps for a fast run")
-		list       = flag.Bool("list", false, "list experiments")
-		jsonOut    = flag.Bool("json", false, "write BENCH_<id>.json instead of printing the table")
-		elReplicas = flag.Int("elreplicas", 0, "force R replicated event loggers on the chaos experiment (0 = two partitioned loggers, each a group of one)")
-		elQuorum   = flag.Int("elquorum", 0, "write quorum Q for -elreplicas (0 = majority)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		exp     = flag.String("exp", "", "experiment id, or \"all\"")
+		quick   = flag.Bool("quick", false, "trim sweeps for a fast run")
+		list    = flag.Bool("list", false, "list experiments")
+		jsonOut = flag.Bool("json", false, "write BENCH_<id>.json instead of printing the table")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
@@ -74,9 +72,6 @@ func main() {
 			}
 		}()
 	}
-	bench.ELOverrideReplicas = *elReplicas
-	bench.ELOverrideQuorum = *elQuorum
-
 	if *list || *exp == "" {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)

@@ -41,7 +41,7 @@ func main() {
 	fmt.Println("== fault-free ping-pong on MPICH-V2 ==")
 	var rtt time.Duration
 	res := cluster.Run(cluster.Config{Impl: cluster.V2, N: 2}, pingPong(&rtt))
-	fmt.Printf("50 verified rounds, mean RTT %v, %d reception events logged\n\n", rtt, res.ELLogged)
+	fmt.Printf("50 verified rounds, mean RTT %v, %d reception events logged\n\n", rtt, res.EL.Logged)
 
 	fmt.Println("== same run, rank 1 killed after 3ms ==")
 	res = cluster.Run(cluster.Config{

@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 )
 
@@ -71,16 +70,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids.
-func IDs() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // table is a tiny tabwriter helper.

@@ -43,19 +43,6 @@ type ChaosPoint struct {
 	Verified     bool
 }
 
-// ELOverrideReplicas/ELOverrideQuorum optionally force the replicated
-// event-logger group on the chaos experiment: R independent replicas
-// with write quorum Q instead of two partitioned loggers, each over its
-// own durable disk and serving half the ranks as a group of one. Set
-// from vbench's -elreplicas/-elquorum flags; zero keeps the partitioned
-// layout. The event-logger kill is transient in both: a partitioned
-// logger's clients retransmit until the respawn has replayed its disk;
-// a respawned replica anti-entropies its events back from the peers.
-var (
-	ELOverrideReplicas int
-	ELOverrideQuorum   int
-)
-
 // ChaosData runs the degradation sweep. Every point uses the same fault
 // plan and seed lineage so the columns differ only by link quality.
 func ChaosData(quick bool) []ChaosPoint {
@@ -105,11 +92,6 @@ func runChaosBT(b nas.Benchmark, drop float64, seed uint64) ChaosPoint {
 		DetectionDelay: 3 * time.Millisecond,
 		Chaos:          pol,
 	}
-	if ELOverrideReplicas > 0 {
-		cfg.EventLoggers = 0
-		cfg.ELReplicas = ELOverrideReplicas
-		cfg.ELQuorum = ELOverrideQuorum
-	}
 	res := cluster.Run(cfg, func(p *mpi.Proc) {
 		results[p.Rank()] = b.Run(p, b)
 	})
@@ -120,16 +102,16 @@ func runChaosBT(b nas.Benchmark, drop float64, seed uint64) ChaosPoint {
 		Restarts:     res.Restarts,
 		SvcKills:     res.ServiceKills,
 		SvcRestarts:  res.ServiceRestarts,
-		Retransmits:  res.Retransmits,
-		Pulls:        res.Pulls,
-		Dropped:      res.ChaosDropped,
-		StaleRejects: res.StaleRejects,
-		DeltaCkpts:   res.DeltaCkpts,
-		ChunkRetrans: res.ChunkRetransmits,
-		Compactions:  res.ChainCompactions,
-		Manifests:    res.ManifestFetches,
+		Retransmits:  res.Daemon.Retransmits,
+		Pulls:        res.Daemon.Pulls,
+		Dropped:      res.Chaos.Dropped,
+		StaleRejects: res.CS.StaleRejects,
+		DeltaCkpts:   res.Daemon.DeltaCkpts,
+		ChunkRetrans: res.Daemon.ChunkRetransmits,
+		Compactions:  res.CS.ChainCompactions,
+		Manifests:    res.Daemon.ManifestFetches,
 		Audit:        audit.Summary(),
-		AuditOK:      audit.OK() && res.BelowQuorumAcks == 0,
+		AuditOK:      audit.OK() && res.Daemon.BelowQuorumAcks == 0,
 		Verified:     true,
 	}
 	for _, r := range results {

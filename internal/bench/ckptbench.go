@@ -93,12 +93,11 @@ func ckptBenchRun(logBytes, chunk int, delta bool, drop float64, rounds int) Ckp
 		Delta:   delta,
 		Drop:    drop,
 		Elapsed: res.Elapsed,
-	}
-	for _, d := range res.Daemons {
-		pt.Ckpts += d.Checkpoints
-		pt.Shipped += d.CkptBytes
-		pt.DeltaCkpts += d.DeltaCkpts
-		pt.Retrans += d.ChunkRetransmits
+
+		Ckpts:      res.Daemon.Checkpoints,
+		Shipped:    res.Daemon.CkptBytes,
+		DeltaCkpts: res.Daemon.DeltaCkpts,
+		Retrans:    res.Daemon.ChunkRetransmits,
 	}
 	if pt.Ckpts > 0 {
 		pt.BytesPerCkpt = pt.Shipped / pt.Ckpts

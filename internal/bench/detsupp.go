@@ -85,14 +85,15 @@ func detSuppRun(name string, mode, size, rounds int) DetSuppPoint {
 		Size:    size,
 		Elapsed: res.Elapsed,
 		PerMsg:  res.Elapsed / time.Duration(msgs),
+
+		ELWaits:     res.Daemon.ELWaits,
+		Forced:      res.Daemon.DetForced,
+		Suppressed:  res.Daemon.DetSuppressed,
+		Piggybacked: res.Daemon.DetPiggybacked,
+		Events:      res.Daemon.EventsLogged,
 	}
 	for _, d := range res.Daemons {
-		pt.ELWaits += d.ELWaits
 		pt.ELWaitUS += d.ELWaitNS / 1e3
-		pt.Forced += d.DetForced
-		pt.Suppressed += d.DetSuppressed
-		pt.Piggybacked += d.DetPiggybacked
-		pt.Events += d.EventsLogged
 	}
 	pt.ForcedPerMsg = float64(pt.Forced) / float64(msgs)
 	return pt

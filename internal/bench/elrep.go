@@ -107,13 +107,13 @@ func runELRepBT(b nas.Benchmark, r, q int) ELRepPoint {
 		Elapsed:       res.Elapsed,
 		Restarts:      res.Restarts,
 		SvcKills:      res.ServiceKills,
-		QuorumAcks:    res.QuorumAcks,
-		DegradedReads: res.DegradedReads,
-		StaleRejects:  res.StaleRejects,
-		Resyncs:       res.Resyncs,
-		Synced:        res.SyncedEvents,
+		QuorumAcks:    res.Daemon.QuorumAcks,
+		DegradedReads: res.Daemon.DegradedReads,
+		StaleRejects:  res.CS.StaleRejects,
+		Resyncs:       res.EL.Resyncs + res.CS.Resyncs,
+		Synced:        res.EL.SyncedIn + res.CS.SyncedIn,
 		Audit:         audit.Summary(),
-		AuditOK:       audit.OK() && res.BelowQuorumAcks == 0,
+		AuditOK:       audit.OK() && res.Daemon.BelowQuorumAcks == 0,
 		Verified:      true,
 	}
 	for _, rr := range results {

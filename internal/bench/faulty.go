@@ -83,7 +83,7 @@ func runFaultyBT(b nas.Benchmark, faults []dispatcher.Fault, seed uint64) Faulty
 		Faults:   len(faults),
 		Elapsed:  res.Elapsed,
 		Restarts: res.Restarts,
-		Ckpts:    res.CkptSaves,
+		Ckpts:    res.CS.Saves,
 		Verified: true,
 	}
 	for _, r := range results {

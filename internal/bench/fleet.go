@@ -76,11 +76,11 @@ func fleetRun(shards, ranks, fan, rounds int) FleetPoint {
 		Shards:  shards,
 		Ranks:   ranks,
 		Elapsed: res.Elapsed,
-		Events:  res.ELLogged,
+		Events:  res.EL.Logged,
 		AuditOK: cluster.Audit(res).OK() && cluster.AuditTrace(res).OK(),
 	}
 	if res.Elapsed > 0 {
-		pt.DetPerSec = float64(res.ELLogged) / res.Elapsed.Seconds()
+		pt.DetPerSec = float64(res.EL.Logged) / res.Elapsed.Seconds()
 	}
 	for _, d := range res.Daemons {
 		pt.ELWaitUS += d.ELWaitNS / 1e3

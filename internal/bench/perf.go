@@ -63,11 +63,11 @@ func perfRun(size, window, rounds int) PerfPoint {
 		Window:  window,
 		Elapsed: res.Elapsed,
 		PerMsg:  res.Elapsed / time.Duration(rounds*perfBurst),
+		ELWaits: res.Daemon.ELWaits,
+		Events:  res.Daemon.EventsLogged,
 	}
 	for _, d := range res.Daemons {
-		pt.ELWaits += d.ELWaits
 		pt.ELWaitUS += d.ELWaitNS / 1e3
-		pt.Events += d.EventsLogged
 	}
 	pt.OtherUS = int64(res.Elapsed/time.Microsecond) - pt.ELWaitUS
 	return pt

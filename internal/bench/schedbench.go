@@ -86,11 +86,7 @@ func Ablations(w io.Writer, quick bool) error {
 			cfg.SchedPeriod = 2 * time.Millisecond
 		}
 		res := cluster.Run(cfg, gcRingProgram(quick))
-		var total int64
-		for _, d := range res.Daemons {
-			total += d.SentBytes - d.GCFreedBytes
-		}
-		return total
+		return res.Daemon.SentBytes - res.Daemon.GCFreedBytes
 	}
 	t.row("garbage-collection", "off (no checkpoints)", "residual log bytes", logBytes(false))
 	t.row("garbage-collection", "on (checkpoint-driven)", "residual log bytes", logBytes(true))

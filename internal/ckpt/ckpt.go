@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"mpichv/internal/core"
-	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
 	"mpichv/internal/walog"
@@ -212,22 +211,6 @@ type Stats struct {
 	DeltaSaves       int64 // accepted images that arrived as deltas
 	ChainCompactions int64 // superseded chain images compacted away
 	ChainBreaks      int64 // deltas dropped because their base was missing
-}
-
-// AddTo exports the snapshot into a metrics registry under the "ckpt."
-// namespace — the uniform surface the vbench -json artifacts read.
-func (s Stats) AddTo(r *trace.Registry) {
-	r.Counter("ckpt.saves").Add(s.Saves)
-	r.Counter("ckpt.saved_bytes").Add(s.SavedBytes)
-	r.Counter("ckpt.fetches").Add(s.Fetches)
-	r.Counter("ckpt.duplicates").Add(s.Duplicates)
-	r.Counter("ckpt.stale_rejects").Add(s.StaleRejects)
-	r.Counter("ckpt.malformed").Add(s.Malformed)
-	r.Counter("ckpt.resyncs").Add(s.Resyncs)
-	r.Counter("ckpt.synced_in").Add(s.SyncedIn)
-	r.Counter("ckpt.delta_saves").Add(s.DeltaSaves)
-	r.Counter("ckpt.chain_compactions").Add(s.ChainCompactions)
-	r.Counter("ckpt.chain_breaks").Add(s.ChainBreaks)
 }
 
 // AcceptStatus is the store's verdict on an arriving image; the server

@@ -229,8 +229,8 @@ func TestAuditSeededQuorumChaosRuns(t *testing.T) {
 					seed, r, finals[r], wantFinals[r], res.Kills, res.ServiceKills)
 			}
 		}
-		if res.BelowQuorumAcks != 0 {
-			t.Errorf("seed %d: %d sends escaped below the write quorum", seed, res.BelowQuorumAcks)
+		if res.Daemon.BelowQuorumAcks != 0 {
+			t.Errorf("seed %d: %d sends escaped below the write quorum", seed, res.Daemon.BelowQuorumAcks)
 		}
 		rep := Audit(res)
 		if !rep.OK() {
@@ -243,8 +243,8 @@ func TestAuditSeededQuorumChaosRuns(t *testing.T) {
 			t.Errorf("seed %d: %s", seed, hb.Summary())
 		}
 		t.Logf("seed %d: kills=%d svc=%d resyncs=%d synced=%d superseded=%d dropped=%d trunc=%d",
-			seed, res.Kills, res.ServiceKills, res.Resyncs, res.SyncedEvents,
-			rep.Superseded, res.ChaosDropped, res.ChaosTruncated)
+			seed, res.Kills, res.ServiceKills, res.EL.Resyncs+res.CS.Resyncs, res.EL.SyncedIn+res.CS.SyncedIn,
+			rep.Superseded, res.Chaos.Dropped, res.Chaos.Truncated)
 	}
 }
 
@@ -274,8 +274,8 @@ func TestDoubleFaultMidRestart(t *testing.T) {
 	if finals[0] != ringExpect(n, rounds) {
 		t.Errorf("token = %d, want %d", finals[0], ringExpect(n, rounds))
 	}
-	if res.BelowQuorumAcks != 0 {
-		t.Errorf("%d sends escaped below the write quorum", res.BelowQuorumAcks)
+	if res.Daemon.BelowQuorumAcks != 0 {
+		t.Errorf("%d sends escaped below the write quorum", res.Daemon.BelowQuorumAcks)
 	}
 	if rep := Audit(res); !rep.OK() {
 		t.Errorf("%s", rep.Summary())
@@ -372,16 +372,16 @@ func TestQuorumBTAcceptance(t *testing.T) {
 	if res.ServiceKills != 1 || res.ServiceRestarts != 1 {
 		t.Errorf("service kills/restarts = %d/%d, want 1/1", res.ServiceKills, res.ServiceRestarts)
 	}
-	if res.ChaosTruncated == 0 {
+	if res.Chaos.Truncated == 0 {
 		t.Error("chaos truncated no frames; the integrity path went unexercised")
 	}
-	if res.BelowQuorumAcks != 0 {
-		t.Errorf("%d sends escaped below the write quorum", res.BelowQuorumAcks)
+	if res.Daemon.BelowQuorumAcks != 0 {
+		t.Errorf("%d sends escaped below the write quorum", res.Daemon.BelowQuorumAcks)
 	}
-	if res.Resyncs == 0 {
+	if res.EL.Resyncs+res.CS.Resyncs == 0 {
 		t.Error("the respawned replica never resynced")
 	}
-	if res.SyncedEvents == 0 {
+	if res.EL.SyncedIn+res.CS.SyncedIn == 0 {
 		t.Error("the respawned replica pulled nothing back from its peers")
 	}
 	rep := Audit(res)
@@ -397,6 +397,6 @@ func TestQuorumBTAcceptance(t *testing.T) {
 		t.Error("trace wrapped; raise TraceCap so the audit is total")
 	}
 	t.Logf("%s; trunc=%d resyncs=%d synced=%d stale=%d corrupt=%d replaydrop=%d",
-		rep.Summary(), res.ChaosTruncated, res.Resyncs, res.SyncedEvents,
-		res.StaleRejects, res.CorruptImages, res.ReplayDropped)
+		rep.Summary(), res.Chaos.Truncated, res.EL.Resyncs+res.CS.Resyncs, res.EL.SyncedIn+res.CS.SyncedIn,
+		res.CS.StaleRejects, res.Daemon.CorruptImages, res.Daemon.ReplayDropped)
 }

@@ -99,9 +99,9 @@ func TestChaosTokenRingProperty(t *testing.T) {
 			Trace:          true,
 		}, rounds)
 
-		if res.ChaosDropped+res.ChaosPartitioned == 0 {
+		if res.Chaos.Dropped+res.Chaos.Partitioned == 0 {
 			t.Errorf("seed %d: chaos injected nothing (dropped=%d partitioned=%d)",
-				seed, res.ChaosDropped, res.ChaosPartitioned)
+				seed, res.Chaos.Dropped, res.Chaos.Partitioned)
 		}
 		for r := 0; r < n; r++ {
 			if finals[r] != wantFinals[r] {
@@ -123,8 +123,8 @@ func TestChaosTokenRingProperty(t *testing.T) {
 			t.Errorf("seed %d: %s", seed, hb.Summary())
 		}
 		t.Logf("seed %d: kills=%d dropped=%d dup=%d delayed=%d part=%d retrans=%d pulls=%d",
-			seed, res.Kills, res.ChaosDropped, res.ChaosDuplicated, res.ChaosDelayed,
-			res.ChaosPartitioned, res.Retransmits, res.Pulls)
+			seed, res.Kills, res.Chaos.Dropped, res.Chaos.Duplicated, res.Chaos.Delayed,
+			res.Chaos.Partitioned, res.Daemon.Retransmits, res.Daemon.Pulls)
 	}
 }
 
@@ -156,10 +156,10 @@ func TestLostRestartAnnouncementIsPulled(t *testing.T) {
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1", res.Restarts)
 	}
-	if res.ChaosPartitioned != n-1 {
-		t.Errorf("%d frames cut, want the %d announcements", res.ChaosPartitioned, n-1)
+	if res.Chaos.Partitioned != n-1 {
+		t.Errorf("%d frames cut, want the %d announcements", res.Chaos.Partitioned, n-1)
 	}
-	if res.Pulls == 0 {
+	if res.Daemon.Pulls == 0 {
 		t.Error("no pull re-announced the lost horizon")
 	}
 	for r := 0; r < n; r++ {
@@ -173,7 +173,7 @@ func TestLostRestartAnnouncementIsPulled(t *testing.T) {
 	if hb := AuditTrace(res); !hb.OK() {
 		t.Errorf("%s", hb.Summary())
 	}
-	t.Logf("elapsed=%v cut=%d pulls=%d", res.Elapsed, res.ChaosPartitioned, res.Pulls)
+	t.Logf("elapsed=%v cut=%d pulls=%d", res.Elapsed, res.Chaos.Partitioned, res.Daemon.Pulls)
 }
 
 func TestChaosRunsAreDeterministic(t *testing.T) {
@@ -185,9 +185,9 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 	}
 	r1, f1, _ := chaosRing(cfg, 15)
 	r2, f2, _ := chaosRing(cfg, 15)
-	if r1.Elapsed != r2.Elapsed || f1[0] != f2[0] || r1.ChaosDropped != r2.ChaosDropped {
+	if r1.Elapsed != r2.Elapsed || f1[0] != f2[0] || r1.Chaos.Dropped != r2.Chaos.Dropped {
 		t.Errorf("same seed diverged: (%v,%d,%d) vs (%v,%d,%d)",
-			r1.Elapsed, f1[0], r1.ChaosDropped, r2.Elapsed, f2[0], r2.ChaosDropped)
+			r1.Elapsed, f1[0], r1.Chaos.Dropped, r2.Elapsed, f2[0], r2.Chaos.Dropped)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestChaosCrashDuringCheckpoint(t *testing.T) {
 	if res.Restarts != len(faults) {
 		t.Fatalf("restarts = %d, want %d", res.Restarts, len(faults))
 	}
-	if res.CkptSaves == 0 {
+	if res.CS.Saves == 0 {
 		t.Error("no checkpoints survived the chaos")
 	}
 	want := ckptExpect(n, iters)
@@ -284,7 +284,7 @@ func TestEventLoggerRespawn(t *testing.T) {
 	if res.Restarts != 1 {
 		t.Fatalf("compute restarts = %d, want 1", res.Restarts)
 	}
-	if res.Retransmits == 0 {
+	if res.Daemon.Retransmits == 0 {
 		t.Error("no retransmissions were needed to bridge the outage")
 	}
 	if finals[0] != ringExpect(n, rounds) {
@@ -414,9 +414,9 @@ func TestChaosBTAcceptance(t *testing.T) {
 	if res.Kills < 2 {
 		t.Errorf("compute kills = %d, want ≥ 2", res.Kills)
 	}
-	attempted := res.NetMessages + res.ChaosDropped
-	if res.ChaosDropped*100 < attempted {
-		t.Errorf("dropped %d of %d frames, want ≥ 1%%", res.ChaosDropped, attempted)
+	attempted := res.NetMessages + res.Chaos.Dropped
+	if res.Chaos.Dropped*100 < attempted {
+		t.Errorf("dropped %d of %d frames, want ≥ 1%%", res.Chaos.Dropped, attempted)
 	}
 	if hb := AuditTrace(res); !hb.OK() {
 		t.Errorf("%s", hb.Summary())
@@ -498,17 +498,17 @@ func TestChaosCSReplicaKilledMidChunkedTransfer(t *testing.T) {
 			t.Errorf("rank %d acc = %v, want %v", r, v, want)
 		}
 	}
-	if res.CkptSaves == 0 {
+	if res.CS.Saves == 0 {
 		t.Error("no checkpoints stored")
 	}
-	if res.DeltaCkpts == 0 {
+	if res.Daemon.DeltaCkpts == 0 {
 		t.Error("steady-state checkpointing never shipped a delta")
 	}
-	if res.ManifestFetches == 0 {
+	if res.Daemon.ManifestFetches == 0 {
 		t.Error("restart gathered no image manifest")
 	}
-	if res.BelowQuorumAcks != 0 {
-		t.Errorf("%d sends escaped below the write quorum", res.BelowQuorumAcks)
+	if res.Daemon.BelowQuorumAcks != 0 {
+		t.Errorf("%d sends escaped below the write quorum", res.Daemon.BelowQuorumAcks)
 	}
 	if rep := Audit(res); !rep.OK() {
 		t.Errorf("%s", rep.Summary())
@@ -517,8 +517,8 @@ func TestChaosCSReplicaKilledMidChunkedTransfer(t *testing.T) {
 		t.Errorf("%s", hb.Summary())
 	}
 	t.Logf("saves=%d deltas=%d shipped=%dB retrans=%d manifests=%d compactions=%d breaks=%d resyncs=%d",
-		res.CkptSaves, res.DeltaCkpts, res.CkptShippedBytes, res.ChunkRetransmits,
-		res.ManifestFetches, res.ChainCompactions, res.ChainBreaks, res.Resyncs)
+		res.CS.Saves, res.Daemon.DeltaCkpts, res.Daemon.CkptBytes, res.Daemon.ChunkRetransmits,
+		res.Daemon.ManifestFetches, res.CS.ChainCompactions, res.CS.ChainBreaks, res.EL.Resyncs+res.CS.Resyncs)
 }
 
 // TestChaosBrokenDeltaChainFallsBackToFullImage engineers a broken
@@ -559,14 +559,14 @@ func TestChaosBrokenDeltaChainFallsBackToFullImage(t *testing.T) {
 			t.Errorf("rank %d acc = %v, want %v", r, v, want)
 		}
 	}
-	if res.DeltaCkpts == 0 {
+	if res.Daemon.DeltaCkpts == 0 {
 		t.Error("no deltas were in flight; the chain-break path went unexercised")
 	}
-	if res.ChainBreaks == 0 {
+	if res.CS.ChainBreaks == 0 {
 		t.Error("no replica ever saw a delta without its base; the fallback went unexercised")
 	}
-	if res.BelowQuorumAcks != 0 {
-		t.Errorf("%d sends escaped below the write quorum", res.BelowQuorumAcks)
+	if res.Daemon.BelowQuorumAcks != 0 {
+		t.Errorf("%d sends escaped below the write quorum", res.Daemon.BelowQuorumAcks)
 	}
 	if rep := Audit(res); !rep.OK() {
 		t.Errorf("%s", rep.Summary())
@@ -575,8 +575,8 @@ func TestChaosBrokenDeltaChainFallsBackToFullImage(t *testing.T) {
 		t.Errorf("%s", hb.Summary())
 	}
 	t.Logf("deltas=%d breaks=%d compactions=%d resyncs=%d synced=%d saves=%d",
-		res.DeltaCkpts, res.ChainBreaks, res.ChainCompactions,
-		res.Resyncs, res.SyncedEvents, res.CkptSaves)
+		res.Daemon.DeltaCkpts, res.CS.ChainBreaks, res.CS.ChainCompactions,
+		res.EL.Resyncs+res.CS.Resyncs, res.EL.SyncedIn+res.CS.SyncedIn, res.CS.Saves)
 }
 
 func TestLoneLoggerRestartFetchOutlastsOutage(t *testing.T) {
@@ -613,8 +613,8 @@ func TestLoneLoggerRestartFetchOutlastsOutage(t *testing.T) {
 	if got := res.Daemons[2].Replayed; got == 0 {
 		t.Error("restarted rank replayed nothing")
 	}
-	if res.DegradedReads != 0 || res.ReplayDropped != 0 {
-		t.Errorf("degraded reads = %d, replay dropped = %d, want 0/0", res.DegradedReads, res.ReplayDropped)
+	if res.Daemon.DegradedReads != 0 || res.Daemon.ReplayDropped != 0 {
+		t.Errorf("degraded reads = %d, replay dropped = %d, want 0/0", res.Daemon.DegradedReads, res.Daemon.ReplayDropped)
 	}
 	for r := range finals {
 		if finals[r] != clean[r] {

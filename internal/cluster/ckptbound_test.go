@@ -100,15 +100,15 @@ func TestLongRunImagesStayFlatAndRestoreLate(t *testing.T) {
 	q1, _ := run(cfg, rounds/4)
 	q3, _ := run(cfg, 3*rounds/4)
 	clean, want := run(cfg, rounds)
-	first := q1.CkptBytes / q1.CkptSaves
-	last := (clean.CkptBytes - q3.CkptBytes) / (clean.CkptSaves - q3.CkptSaves)
-	if clean.CkptSaves-q3.CkptSaves < 20 {
-		t.Fatalf("only %d checkpoints in the last quarter; the rotation is too slow to show anything", clean.CkptSaves-q3.CkptSaves)
+	first := q1.CS.SavedBytes / q1.CS.Saves
+	last := (clean.CS.SavedBytes - q3.CS.SavedBytes) / (clean.CS.Saves - q3.CS.Saves)
+	if clean.CS.Saves-q3.CS.Saves < 20 {
+		t.Fatalf("only %d checkpoints in the last quarter; the rotation is too slow to show anything", clean.CS.Saves-q3.CS.Saves)
 	}
 	if last*100 > first*115 {
 		t.Errorf("mean stored image grew from %d bytes in the first quarter to %d in the last", first, last)
 	}
-	if clean.ChainCompactions == 0 {
+	if clean.CS.ChainCompactions == 0 {
 		t.Error("no chain was ever compacted; the run never exercised delta materialization")
 	}
 
@@ -157,5 +157,5 @@ func TestLongRunImagesStayFlatAndRestoreLate(t *testing.T) {
 		t.Error("trace wrapped; raise TraceCap so the audit is total")
 	}
 	t.Logf("mean stored image: first quarter %d B, last quarter %d B; %d saves, %d compactions; rank 2 re-sent %d from its restored log",
-		first, last, clean.CkptSaves, clean.ChainCompactions, res.Daemons[2].Resent)
+		first, last, clean.CS.Saves, clean.CS.ChainCompactions, res.Daemons[2].Resent)
 }

@@ -215,65 +215,23 @@ type Result struct {
 	ServiceKills    int
 	ServiceRestarts int
 
-	ELLogged    int64 // reception events stored by the event loggers
-	CkptSaves   int64
-	CkptBytes   int64
 	NetMessages int64
 	NetBytes    int64
 
-	// Robustness machinery accounting, summed over the last
-	// incarnation of every daemon plus the service stores.
-	Retransmits  int64 // timed-out requests re-sent
-	Pulls        int64 // starvation-triggered pull announcements
-	Malformed    int64 // undecodable frames seen by daemons and services
-	ELDuplicates int64 // re-submitted events deduplicated by the loggers
+	// Dispatcher broadcasts of a shard's outage and recovery (zero
+	// outside ELShards > 1).
+	ShardDowns int
+	ShardUps   int
 
-	// Sharded-fleet accounting (zero outside ELShards > 1).
-	ELShardN        int   // configured EL shard count
-	ShardDowns      int   // dispatcher shard-outage broadcasts
-	ShardUps        int   // dispatcher shard-recovery broadcasts
-	ShardRebalances int64 // daemon reroutes of a dead shard's key range
-	ShardRejoins    int64 // daemon route-home transitions on shard recovery
-	ShardBackfilled int64 // history determinants re-logged to successors/rejoiners
-
-	// Quorum replication accounting (zero outside quorum mode).
-	ELReplicaN      int   // configured replica count R
-	ELWriteQuorum   int   // configured write quorum Q
-	QuorumAcks      int64 // batches/saves completed at their write quorum
-	BelowQuorumAcks int64 // payloads sent below quorum — must stay 0 with gating on
-	DegradedReads   int64 // restart fetches settled below the read quorum
-	CorruptImages   int64 // fetched checkpoint images rejected by integrity checks
-	ReplayDropped   int64 // replay events truncated at a channel-sequence gap
-	StaleRejects    int64 // checkpoint saves refused for regressing the stored seq
-	Resyncs         int64 // replica anti-entropy rounds completed
-	SyncedEvents    int64 // events + images replicas pulled from peers while resyncing
-
-	// Incremental chunked checkpointing accounting. CkptShippedBytes is
-	// what the daemons pushed onto the wire (delta-reduced); CkptBytes
-	// above is what the stores hold after materialization.
-	CkptShippedBytes int64
-	DeltaCkpts       int64 // checkpoints shipped as deltas
-	ChunkRetransmits int64 // checkpoint chunks re-sent after a timeout
-	ManifestFetches  int64 // restart-time manifest gathers (one per image fetch attempt)
-	ChainCompactions int64 // superseded chain images compacted by the stores
-	ChainBreaks      int64 // deltas that arrived at a store missing their base
-
-	// Determinant-suppression accounting (zero with DetMode off),
-	// summed over the last incarnation of every daemon.
-	DetSuppressed  int64 // determinants kept off the WAITLOGGED gate
-	DetForced      int64 // determinants logged on the full pessimistic path
-	DetPiggybacked int64 // suppressed determinants carried on payload frames
-	DetRelayed     int64 // foreign determinants relayed to the EL by receivers
-	DetRegenerated int64 // replay holes filled by regenerating a delivery
-	DetPoisoned    int64 // channels latched back to pessimistic logging
-
-	// Frames touched by the chaos fabric (zero without Chaos).
-	ChaosDropped     int64
-	ChaosDuplicated  int64
-	ChaosDelayed     int64
-	ChaosCorrupted   int64
-	ChaosTruncated   int64
-	ChaosPartitioned int64
+	// Each subsystem's counters, summed. Daemon is the field-wise sum
+	// of Daemons (the last incarnation of every rank); EL and CS sum
+	// every incarnation of every event-logger and checkpoint-server
+	// store; Chaos is what the chaos fabric injected (zero without
+	// Config.Chaos).
+	Daemon daemon.Stats
+	EL     eventlog.Stats
+	CS     ckpt.Stats
+	Chaos  transport.ChaosCounters
 
 	// Deliveries[r] is rank r's delivery sequence as recorded by the
 	// event loggers, ordered by reception clock — the protocol's source
@@ -471,6 +429,8 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		ServiceRestarts: h.disp.ServiceRestarts,
 		NetMessages:     net.Messages,
 		NetBytes:        net.Bytes,
+		ShardDowns:      h.disp.ShardDowns,
+		ShardUps:        h.disp.ShardUps,
 	}
 	for r := 0; r < cfg.N; r++ {
 		if h.v2ds[r] != nil {
@@ -478,45 +438,13 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 		}
 	}
 	for _, st := range res.Daemons {
-		res.Retransmits += st.Retransmits
-		res.Pulls += st.Pulls
-		res.Malformed += st.Malformed
-		res.QuorumAcks += st.QuorumAcks
-		res.BelowQuorumAcks += st.BelowQuorumAcks
-		res.DegradedReads += st.DegradedReads
-		res.CorruptImages += st.CorruptImages
-		res.ReplayDropped += st.ReplayDropped
-		res.CkptShippedBytes += st.CkptBytes
-		res.DeltaCkpts += st.DeltaCkpts
-		res.ChunkRetransmits += st.ChunkRetransmits
-		res.ManifestFetches += st.ManifestFetches
-		res.DetSuppressed += st.DetSuppressed
-		res.DetForced += st.DetForced
-		res.DetPiggybacked += st.DetPiggybacked
-		res.DetRelayed += st.DetRelayed
-		res.DetRegenerated += st.DetRegenerated
-		res.DetPoisoned += st.DetPoisoned
-		res.ShardRebalances += st.ShardRebalances
-		res.ShardRejoins += st.ShardRejoins
-		res.ShardBackfilled += st.ShardBackfilled
+		trace.SumStats(&res.Daemon, st)
 	}
-	if len(h.elGroups) > 1 {
-		res.ELShardN = len(h.elGroups)
-	}
-	res.ShardDowns = h.disp.ShardDowns
-	res.ShardUps = h.disp.ShardUps
-	res.ELReplicaN = cfg.ELReplicas
-	res.ELWriteQuorum = cfg.ELQuorum
 	// Counters sum every incarnation of every node; the delivery logs
 	// are each node's latest store, merged as a restart read would.
 	for _, n := range h.elNodes {
 		for _, st := range h.elStores[n] {
-			s := st.Stats()
-			res.ELLogged += s.Logged
-			res.ELDuplicates += s.Duplicates
-			res.Malformed += s.Malformed
-			res.Resyncs += s.Resyncs
-			res.SyncedEvents += s.SyncedIn
+			trace.SumStats(&res.EL, st.Stats())
 		}
 		st := h.elStores[n][len(h.elStores[n])-1]
 		per := make([][]core.Event, cfg.N)
@@ -530,24 +458,11 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 	}
 	for _, n := range h.csNodes {
 		for _, st := range h.csStores[n] {
-			s := st.Stats()
-			res.CkptSaves += s.Saves
-			res.CkptBytes += s.SavedBytes
-			res.Malformed += s.Malformed
-			res.StaleRejects += s.StaleRejects
-			res.Resyncs += s.Resyncs
-			res.SyncedEvents += s.SyncedIn
-			res.ChainCompactions += s.ChainCompactions
-			res.ChainBreaks += s.ChainBreaks
+			trace.SumStats(&res.CS, st.Stats())
 		}
 	}
 	if chaos != nil {
-		res.ChaosDropped = chaos.Dropped
-		res.ChaosDuplicated = chaos.Duplicated
-		res.ChaosDelayed = chaos.Delayed
-		res.ChaosCorrupted = chaos.Corrupted
-		res.ChaosTruncated = chaos.Truncated
-		res.ChaosPartitioned = chaos.Partitioned
+		res.Chaos = chaos.ChaosCounters
 	}
 	if h.recorders != nil {
 		res.Trace = trace.Merge(h.recorders...)
@@ -557,30 +472,17 @@ func runInSim(sim *vtime.Sim, cfg Config, prog Program) Result {
 	// one registry under its namespace, plus run-level gauges and the
 	// trace-derived histograms.
 	reg := trace.NewRegistry()
-	for _, st := range res.Daemons {
-		st.AddTo(reg)
+	if len(res.Daemons) > 0 {
+		reg.AddStats("daemon", res.Daemon)
 	}
-	for _, n := range h.elNodes {
-		for _, st := range h.elStores[n] {
-			st.Stats().AddTo(reg)
-		}
+	if len(h.elNodes) > 0 {
+		reg.AddStats("el", res.EL)
 	}
-	for _, n := range h.csNodes {
-		for _, st := range h.csStores[n] {
-			st.Stats().AddTo(reg)
-		}
+	if len(h.csNodes) > 0 {
+		reg.AddStats("ckpt", res.CS)
 	}
 	if chaos != nil {
-		chaos.AddTo(reg)
-	}
-	// Fold the fabric's own counters when it exports any (the TCP
-	// fabric's redials, retransmits, dropped frames — "tcp.*"). The
-	// chaos wrapper was folded above, so skip it to avoid a double
-	// count when the fabric and the wrapper are the same object.
-	if am, ok := h.fab.(interface{ AddTo(*trace.Registry) }); ok {
-		if chaos == nil || h.fab != transport.Fabric(chaos) {
-			am.AddTo(reg)
-		}
+		reg.AddStats("chaos", res.Chaos)
 	}
 	reg.Gauge("run.elapsed_us").Set(float64(res.Elapsed) / float64(time.Microsecond))
 	reg.Gauge("run.ranks").Set(float64(cfg.N))

@@ -302,7 +302,7 @@ func TestCheckpointRestart(t *testing.T) {
 	if res.Restarts != 2 {
 		t.Fatalf("restarts = %d, want 2", res.Restarts)
 	}
-	if res.CkptSaves == 0 {
+	if res.CS.Saves == 0 {
 		t.Error("no checkpoints were saved")
 	}
 	want := ckptExpect(n, iters)
@@ -311,7 +311,7 @@ func TestCheckpointRestart(t *testing.T) {
 			t.Errorf("rank %d acc = %v, want %v", r, v, want)
 		}
 	}
-	t.Logf("ckpt saves=%d bytes=%d restarts=%d elapsed=%v", res.CkptSaves, res.CkptBytes, res.Restarts, res.Elapsed)
+	t.Logf("ckpt saves=%d bytes=%d restarts=%d elapsed=%v", res.CS.Saves, res.CS.SavedBytes, res.Restarts, res.Elapsed)
 }
 
 func TestGarbageCollectionFreesLogs(t *testing.T) {
@@ -322,14 +322,10 @@ func TestGarbageCollectionFreesLogs(t *testing.T) {
 		Checkpointing: true,
 		SchedPeriod:   time.Millisecond,
 	}, ckptProgram(iters, finals))
-	var freed int64
-	for _, d := range res.Daemons {
-		freed += d.GCFreedBytes
-	}
-	if res.CkptSaves == 0 {
+	if res.CS.Saves == 0 {
 		t.Skip("no checkpoints completed in this configuration")
 	}
-	if freed == 0 {
+	if res.Daemon.GCFreedBytes == 0 {
 		t.Error("garbage collection never freed logged payloads")
 	}
 }
@@ -415,7 +411,7 @@ func TestMultipleEventLoggers(t *testing.T) {
 	if finals[0] != ringExpect(n, rounds) {
 		t.Errorf("token = %d, want %d", finals[0], ringExpect(n, rounds))
 	}
-	if res.ELLogged == 0 {
+	if res.EL.Logged == 0 {
 		t.Error("no events logged across the loggers")
 	}
 }
@@ -527,7 +523,7 @@ func TestMultipleCheckpointServers(t *testing.T) {
 	if res.Restarts != 2 {
 		t.Fatalf("restarts = %d", res.Restarts)
 	}
-	if res.CkptSaves == 0 {
+	if res.CS.Saves == 0 {
 		t.Fatal("no checkpoints saved across the servers")
 	}
 	want := ckptExpect(n, iters)
@@ -585,8 +581,8 @@ func TestEventBatchingCorrectAndCheaper(t *testing.T) {
 			t.Fatalf("rank %d result differs: %d vs %d", r, sumsPlain[r], sumsBatched[r])
 		}
 	}
-	if plain.ELLogged != batched.ELLogged {
-		t.Errorf("event counts differ: %d vs %d", plain.ELLogged, batched.ELLogged)
+	if plain.EL.Logged != batched.EL.Logged {
+		t.Errorf("event counts differ: %d vs %d", plain.EL.Logged, batched.EL.Logged)
 	}
 	if batched.NetMessages >= plain.NetMessages {
 		t.Errorf("batching did not reduce messages: %d vs %d", batched.NetMessages, plain.NetMessages)

@@ -47,7 +47,7 @@ func TestELWindowDeterminismUnderChaos(t *testing.T) {
 		name string
 		run  run
 	}{{"stop-and-wait", sw}, {"window=8", pipe}} {
-		if r.run.res.ChaosDropped+r.run.res.ChaosDuplicated+r.run.res.ChaosDelayed == 0 {
+		if r.run.res.Chaos.Dropped+r.run.res.Chaos.Duplicated+r.run.res.Chaos.Delayed == 0 {
 			t.Errorf("%s: chaos injected nothing", r.name)
 		}
 		if rep := Audit(r.run.res); !rep.OK() {
@@ -110,17 +110,17 @@ func TestCkptChunkingDeterminism(t *testing.T) {
 				t.Errorf("%s: rank %d acc = %v, want %v", c.name, r, v, want)
 			}
 		}
-		if res.CkptSaves == 0 {
+		if res.CS.Saves == 0 {
 			t.Errorf("%s: no checkpoints stored", c.name)
 		}
-		if c.noDelta && res.DeltaCkpts != 0 {
-			t.Errorf("%s: shipped %d deltas with delta shipping disabled", c.name, res.DeltaCkpts)
+		if c.noDelta && res.Daemon.DeltaCkpts != 0 {
+			t.Errorf("%s: shipped %d deltas with delta shipping disabled", c.name, res.Daemon.DeltaCkpts)
 		}
-		if !c.noDelta && res.DeltaCkpts == 0 {
+		if !c.noDelta && res.Daemon.DeltaCkpts == 0 {
 			t.Errorf("%s: never shipped a delta", c.name)
 		}
-		if c.chunk < 0 && res.ChunkRetransmits != 0 {
-			t.Errorf("%s: %d chunk retransmits in monolithic mode", c.name, res.ChunkRetransmits)
+		if c.chunk < 0 && res.Daemon.ChunkRetransmits != 0 {
+			t.Errorf("%s: %d chunk retransmits in monolithic mode", c.name, res.Daemon.ChunkRetransmits)
 		}
 		if rep := Audit(res); !rep.OK() {
 			t.Errorf("%s: %s", c.name, rep.Summary())
@@ -129,7 +129,7 @@ func TestCkptChunkingDeterminism(t *testing.T) {
 			t.Errorf("%s: %s", c.name, hb.Summary())
 		}
 		t.Logf("%s: saves=%d deltas=%d shipped=%dB retrans=%d manifests=%d",
-			c.name, res.CkptSaves, res.DeltaCkpts, res.CkptShippedBytes,
-			res.ChunkRetransmits, res.ManifestFetches)
+			c.name, res.CS.Saves, res.Daemon.DeltaCkpts, res.Daemon.CkptBytes,
+			res.Daemon.ChunkRetransmits, res.Daemon.ManifestFetches)
 	}
 }

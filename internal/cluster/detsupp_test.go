@@ -28,14 +28,14 @@ func TestDetSuppressionRingFaultFree(t *testing.T) {
 	if finals[0] != ringExpect(n, rounds) {
 		t.Fatalf("token = %d, want %d", finals[0], ringExpect(n, rounds))
 	}
-	if res.DetSuppressed == 0 {
+	if res.Daemon.DetSuppressed == 0 {
 		t.Fatal("adaptive mode suppressed nothing on a deterministic ring")
 	}
-	if res.DetForced > res.DetSuppressed/4 {
+	if res.Daemon.DetForced > res.Daemon.DetSuppressed/4 {
 		t.Errorf("forced %d determinants vs %d suppressed; the ring should be almost entirely suppressible",
-			res.DetForced, res.DetSuppressed)
+			res.Daemon.DetForced, res.Daemon.DetSuppressed)
 	}
-	if res.DetPiggybacked == 0 {
+	if res.Daemon.DetPiggybacked == 0 {
 		t.Error("no determinants rode outgoing payload frames")
 	}
 	if rep := Audit(res); !rep.OK() {
@@ -49,7 +49,7 @@ func TestDetSuppressionRingFaultFree(t *testing.T) {
 		t.Error("trace recorded no suppressed deliveries")
 	}
 	t.Logf("suppressed=%d forced=%d piggybacked=%d relayed=%d epochs logged=%d",
-		res.DetSuppressed, res.DetForced, res.DetPiggybacked, res.DetRelayed, res.ELLogged)
+		res.Daemon.DetSuppressed, res.Daemon.DetForced, res.Daemon.DetPiggybacked, res.Daemon.DetRelayed, res.EL.Logged)
 }
 
 // competingThenPingPong builds the canonical nondeterministic prologue:
@@ -114,13 +114,13 @@ func TestDetPoisonIsPermanent(t *testing.T) {
 		Trace:   true,
 	}, competingThenPingPong(reps, rounds))
 
-	if res.DetPoisoned == 0 {
+	if res.Daemon.DetPoisoned == 0 {
 		t.Fatal("the competing prologue never poisoned a channel")
 	}
 	// Every post-prologue delivery from rank 1 at rank 0 rides the
 	// poisoned channel and must be forced.
-	if res.DetForced < rounds {
-		t.Errorf("forced %d determinants, want ≥ %d: poisoned channel resumed suppressing", res.DetForced, rounds)
+	if res.Daemon.DetForced < rounds {
+		t.Errorf("forced %d determinants, want ≥ %d: poisoned channel resumed suppressing", res.Daemon.DetForced, rounds)
 	}
 	if rep := Audit(res); !rep.OK() {
 		t.Errorf("%s", rep.Summary())
@@ -136,14 +136,14 @@ func TestDetPoisonIsPermanent(t *testing.T) {
 		DetMode: daemon.DetAdaptive,
 		Trace:   true,
 	}, competingThenPingPong(0, rounds))
-	if ctl.DetPoisoned != 0 {
-		t.Errorf("control run poisoned %d channels on purely directed traffic", ctl.DetPoisoned)
+	if ctl.Daemon.DetPoisoned != 0 {
+		t.Errorf("control run poisoned %d channels on purely directed traffic", ctl.Daemon.DetPoisoned)
 	}
-	if ctl.DetSuppressed == 0 {
+	if ctl.Daemon.DetSuppressed == 0 {
 		t.Error("control run suppressed nothing")
 	}
 	t.Logf("poisoned=%d forced=%d suppressed=%d (control: forced=%d suppressed=%d)",
-		res.DetPoisoned, res.DetForced, res.DetSuppressed, ctl.DetForced, ctl.DetSuppressed)
+		res.Daemon.DetPoisoned, res.Daemon.DetForced, res.Daemon.DetSuppressed, ctl.Daemon.DetForced, ctl.Daemon.DetSuppressed)
 }
 
 // TestDetMisclassificationConvictedByAuditor is the negative safety
@@ -240,8 +240,8 @@ func TestDetSuppressionSeededChaosReplaysIdentically(t *testing.T) {
 				}
 			}
 		}
-		if res.BelowQuorumAcks != 0 {
-			t.Errorf("seed %d: %d sends escaped below the write quorum", seed, res.BelowQuorumAcks)
+		if res.Daemon.BelowQuorumAcks != 0 {
+			t.Errorf("seed %d: %d sends escaped below the write quorum", seed, res.Daemon.BelowQuorumAcks)
 		}
 		rep := Audit(res)
 		if !rep.OK() {
@@ -253,12 +253,12 @@ func TestDetSuppressionSeededChaosReplaysIdentically(t *testing.T) {
 		if hb := AuditTrace(res); !hb.OK() {
 			t.Errorf("seed %d: %s", seed, hb.Summary())
 		}
-		totalSuppressed += res.DetSuppressed
-		totalRegenerated += res.DetRegenerated
+		totalSuppressed += res.Daemon.DetSuppressed
+		totalRegenerated += res.Daemon.DetRegenerated
 		totalRestarts += int64(res.Restarts)
 		t.Logf("seed %d: kills=%d svc=%d suppressed=%d forced=%d regen=%d merged=%d",
-			seed, res.Kills, res.ServiceKills, res.DetSuppressed, res.DetForced,
-			res.DetRegenerated, res.ReplayDropped)
+			seed, res.Kills, res.ServiceKills, res.Daemon.DetSuppressed, res.Daemon.DetForced,
+			res.Daemon.DetRegenerated, res.Daemon.ReplayDropped)
 	}
 	if totalSuppressed == 0 {
 		t.Error("no seed ever suppressed a determinant; the property went unexercised")

@@ -39,7 +39,7 @@ func TestFleetShardedTopologies(t *testing.T) {
 			if want := ringExpect(n, rounds); finals[0] != want {
 				t.Errorf("token = %d, want %d", finals[0], want)
 			}
-			if res.ELLogged == 0 {
+			if res.EL.Logged == 0 {
 				t.Fatal("no events logged")
 			}
 			used := 0
@@ -107,13 +107,13 @@ func TestFleetShardKillMidRun(t *testing.T) {
 	if res.ShardDowns < 1 || res.ShardUps < 1 {
 		t.Errorf("shard downs/ups = %d/%d, want ≥ 1 each", res.ShardDowns, res.ShardUps)
 	}
-	if res.ShardRebalances == 0 {
+	if res.Daemon.ShardRebalances == 0 {
 		t.Error("no daemon rerouted the dead shard's key range")
 	}
-	if res.ShardRejoins == 0 {
+	if res.Daemon.ShardRejoins == 0 {
 		t.Error("no daemon routed the key range home on shard recovery")
 	}
-	if res.ShardBackfilled == 0 {
+	if res.Daemon.ShardBackfilled == 0 {
 		t.Error("no history determinants were backfilled")
 	}
 	if want := ringExpect(n, rounds); finals[0] != want {
@@ -126,8 +126,8 @@ func TestFleetShardKillMidRun(t *testing.T) {
 		t.Errorf("%s", hb.Summary())
 	}
 	t.Logf("downs=%d ups=%d rebalances=%d rejoins=%d backfilled=%d restarts=%d logged=%d",
-		res.ShardDowns, res.ShardUps, res.ShardRebalances, res.ShardRejoins,
-		res.ShardBackfilled, res.Restarts, res.ELLogged)
+		res.ShardDowns, res.ShardUps, res.Daemon.ShardRebalances, res.Daemon.ShardRejoins,
+		res.Daemon.ShardBackfilled, res.Restarts, res.EL.Logged)
 }
 
 // TestFleetShardedDeterminism: two identical sharded runs produce the

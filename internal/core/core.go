@@ -302,16 +302,6 @@ func (s *State) TakeHeld(from int) []StashedMsg {
 	}
 }
 
-// HeldCount reports how many out-of-order messages are parked waiting
-// for a gap fill.
-func (s *State) HeldCount() int {
-	n := 0
-	for _, hm := range s.held {
-		n += len(hm)
-	}
-	return n
-}
-
 // Commit records the delivery of a queued message to the MPI process
 // during normal execution: the clock ticks and the reception event to be
 // logged is returned; the state counts it as unacked until EventsAcked.

@@ -387,47 +387,3 @@ type Stats struct {
 	DetFlushMerged  int64 // peer-cached determinants merged during restart (KDetFlushResp)
 	DetPoisoned     int64 // channels permanently returned to the pessimistic path
 }
-
-// AddTo exports the counters into a metrics registry under the
-// "daemon." namespace — the uniform surface the vbench -json artifacts
-// read. Hot paths keep bumping the plain struct fields (free under the
-// sim's actor serialization); the registry is the observation layer
-// they fold into at run teardown.
-func (s Stats) AddTo(r *trace.Registry) {
-	r.Counter("daemon.sent_msgs").Add(s.SentMsgs)
-	r.Counter("daemon.sent_bytes").Add(s.SentBytes)
-	r.Counter("daemon.recv_msgs").Add(s.RecvMsgs)
-	r.Counter("daemon.recv_bytes").Add(s.RecvBytes)
-	r.Counter("daemon.events_logged").Add(s.EventsLogged)
-	r.Counter("daemon.el_waits").Add(s.ELWaits)
-	r.Counter("daemon.el_wait_ns").Add(s.ELWaitNS)
-	r.Counter("daemon.checkpoints").Add(s.Checkpoints)
-	r.Counter("daemon.ckpt_bytes").Add(s.CkptBytes)
-	r.Counter("daemon.replayed").Add(s.Replayed)
-	r.Counter("daemon.resent").Add(s.Resent)
-	r.Counter("daemon.gc_freed_bytes").Add(s.GCFreedBytes)
-	r.Counter("daemon.retransmits").Add(s.Retransmits)
-	r.Counter("daemon.pulls").Add(s.Pulls)
-	r.Counter("daemon.malformed").Add(s.Malformed)
-	r.Counter("daemon.quorum_acks").Add(s.QuorumAcks)
-	r.Counter("daemon.below_quorum_acks").Add(s.BelowQuorumAcks)
-	r.Counter("daemon.degraded_reads").Add(s.DegradedReads)
-	r.Counter("daemon.corrupt_images").Add(s.CorruptImages)
-	r.Counter("daemon.replay_dropped").Add(s.ReplayDropped)
-	r.Counter("daemon.delta_ckpts").Add(s.DeltaCkpts)
-	r.Counter("daemon.chunk_retransmits").Add(s.ChunkRetransmits)
-	r.Counter("daemon.manifest_fetches").Add(s.ManifestFetches)
-	r.Counter("daemon.degraded_stalls").Add(s.DegradedStalls)
-	r.Counter("daemon.degraded_resumes").Add(s.DegradedResumes)
-	r.Counter("daemon.shard_rebalances").Add(s.ShardRebalances)
-	r.Counter("daemon.shard_rejoins").Add(s.ShardRejoins)
-	r.Counter("daemon.shard_backfilled").Add(s.ShardBackfilled)
-	r.Counter("daemon.det_suppressed").Add(s.DetSuppressed)
-	r.Counter("daemon.det_forced").Add(s.DetForced)
-	r.Counter("daemon.det_piggybacked").Add(s.DetPiggybacked)
-	r.Counter("daemon.det_relayed").Add(s.DetRelayed)
-	r.Counter("daemon.det_epoch_flushes").Add(s.DetEpochFlushes)
-	r.Counter("daemon.det_regenerated").Add(s.DetRegenerated)
-	r.Counter("daemon.det_flush_merged").Add(s.DetFlushMerged)
-	r.Counter("daemon.det_poisoned").Add(s.DetPoisoned)
-}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"mpichv/internal/ckpt"
@@ -26,9 +27,9 @@ const (
 	// treats a stale heartbeat like a socket disconnection (§4.7) and
 	// kills the worker.
 	HBMarker = "VRUN-HB"
-	// TCPMarker precedes the seven TCPStats counters in declaration
-	// order; the soak driver folds the last sample of each incarnation
-	// into the run's metrics registry.
+	// TCPMarker precedes every TCPStats counter in declaration order
+	// (tcpLine, parseTCPLine); the soak driver sums the last sample of
+	// each incarnation into its report.
 	TCPMarker = "VRUN-TCP"
 	// LapMarker precedes a completed-iteration count printed by
 	// long-running apps (see the soakring app); the soak driver turns
@@ -114,6 +115,35 @@ func (o *ServeOpts) runtime() *vtime.Real {
 	return vtime.NewRealAt(o.Epoch)
 }
 
+// tcpLine renders a TCPMarker line: the marker, then every TCPStats
+// counter in declaration order.
+func tcpLine(st transport.TCPStats) string {
+	b := []byte(TCPMarker)
+	for _, v := range trace.StatsFields(&st) {
+		b = strconv.AppendInt(append(b, ' '), *v, 10)
+	}
+	return string(b)
+}
+
+// parseTCPLine reads a tcpLine back. It reports false for any other
+// line, and for a line whose counter count or syntax does not match.
+func parseTCPLine(line string) (transport.TCPStats, bool) {
+	var st transport.TCPStats
+	f := strings.Fields(line)
+	dst := trace.StatsFields(&st)
+	if len(f) != len(dst)+1 || f[0] != TCPMarker {
+		return st, false
+	}
+	for i, x := range f[1:] {
+		n, err := strconv.ParseInt(x, 10, 64)
+		if err != nil {
+			return transport.TCPStats{}, false
+		}
+		*dst[i] = n
+	}
+	return st, true
+}
+
 // startHeartbeat emits liveness and transport-counter samples until the
 // process dies. Lines are short enough to be atomic on a pipe, so they
 // interleave safely with application output.
@@ -125,11 +155,8 @@ func (o *ServeOpts) startHeartbeat(fab *transport.TCPFabric) {
 		tick := time.NewTicker(o.Heartbeat)
 		defer tick.Stop()
 		for range tick.C {
-			s := fab.Stats()
 			fmt.Fprintf(o.Out, "%s %d\n", HBMarker, time.Now().UnixMilli())
-			fmt.Fprintf(o.Out, "%s %d %d %d %d %d %d %d\n", TCPMarker,
-				s.Dials, s.Redials, s.Retransmits, s.DroppedFrames,
-				s.HelloTimeouts, s.WriteTimeouts, s.StaleReplaced)
+			fmt.Fprintln(o.Out, tcpLine(fab.Stats()))
 		}
 	}()
 }

@@ -148,8 +148,8 @@ type SoakReport struct {
 	HBSummary      string `json:"hb_audit"`        // final happens-before verdict
 	LeakGoroutines int    `json:"leak_goroutines"` // residual goroutines after teardown
 
-	TCP     TCPSample        `json:"tcp"`               // Σ last sample per (node, incarnation)
-	Metrics map[string]int64 `json:"metrics,omitempty"` // proxy counters, per-role latency totals
+	TCP     transport.TCPStats `json:"tcp"`               // Σ last sample per (node, incarnation)
+	Metrics map[string]int64   `json:"metrics,omitempty"` // proxy counters, per-role latency totals
 }
 
 func (c *SoakConfig) defaults() {
@@ -661,7 +661,7 @@ waitLoop:
 	rep.TCP = sup.TCPTotals()
 	reg := trace.NewRegistry()
 	for _, px := range proxies {
-		px.AddTo(reg)
+		reg.AddStats("proxy", px.Counters())
 	}
 	// Per-role recovery latency and outage-window totals, alongside the
 	// proxy counters: mean respawn latency for role r is

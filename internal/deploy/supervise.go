@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 )
 
@@ -34,13 +35,6 @@ type LapSample struct {
 	ID  int
 	Inc uint64
 	N   int
-}
-
-// TCPSample is one "VRUN-TCP ..." line: a snapshot of the worker
-// fabric's TCPStats counters, in declaration order.
-type TCPSample struct {
-	Dials, Redials, Retransmits, DroppedFrames  int64
-	HelloTimeouts, WriteTimeouts, StaleReplaced int64
 }
 
 // SupervisorConfig describes one supervised deployment.
@@ -92,7 +86,7 @@ type Supervisor struct {
 	spawns   map[int]int
 	events   []Event
 	laps     []LapSample
-	tcp      map[int]map[uint64]TCPSample
+	tcp      map[int]map[uint64]transport.TCPStats
 	finished map[int]bool
 	stopped  bool
 	err      error
@@ -127,7 +121,7 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		pg:        pg,
 		workers:   make(map[int]*supWorker),
 		spawns:    make(map[int]int),
-		tcp:       make(map[int]map[uint64]TCPSample),
+		tcp:       make(map[int]map[uint64]transport.TCPStats),
 		finished:  make(map[int]bool),
 		exits:     make(chan supExit, 256),
 		doneCh:    make(chan struct{}),
@@ -245,28 +239,15 @@ func (s *Supervisor) scan(w *supWorker, stdout io.Reader) {
 			s.mu.Unlock()
 			s.logf("%s %d (incarnation %d) rejoined", role, id, inc)
 		case strings.HasPrefix(line, TCPMarker+" "):
-			f := strings.Fields(line[len(TCPMarker)+1:])
-			if len(f) == 7 {
-				var v [7]int64
-				ok := true
-				for i, s := range f {
-					n, err := strconv.ParseInt(s, 10, 64)
-					if err != nil {
-						ok = false
-						break
-					}
-					v[i] = n
+			if v, ok := parseTCPLine(line); ok {
+				s.mu.Lock()
+				m := s.tcp[id]
+				if m == nil {
+					m = make(map[uint64]transport.TCPStats)
+					s.tcp[id] = m
 				}
-				if ok {
-					s.mu.Lock()
-					m := s.tcp[id]
-					if m == nil {
-						m = make(map[uint64]TCPSample)
-						s.tcp[id] = m
-					}
-					m[inc] = TCPSample{v[0], v[1], v[2], v[3], v[4], v[5], v[6]}
-					s.mu.Unlock()
-				}
+				m[inc] = v
+				s.mu.Unlock()
 			}
 		case strings.HasPrefix(line, LapMarker+" "):
 			if n, err := strconv.Atoi(strings.TrimSpace(line[len(LapMarker)+1:])); err == nil {
@@ -429,23 +410,18 @@ func (s *Supervisor) Laps() []LapSample {
 	return append([]LapSample(nil), s.laps...)
 }
 
-// TCPTotals sums, over every (node, incarnation), the last TCPSample
-// that incarnation reported: the whole deployment's transport counters.
-// (An incarnation's counters start at zero, so last-per-incarnation
-// sums are exact up to the final heartbeat before each death.)
-func (s *Supervisor) TCPTotals() TCPSample {
+// TCPTotals sums, over every (node, incarnation), the last TCPMarker
+// sample that incarnation reported: the whole deployment's transport
+// counters. (An incarnation's counters start at zero, so
+// last-per-incarnation sums are exact up to the final heartbeat before
+// each death.)
+func (s *Supervisor) TCPTotals() transport.TCPStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t TCPSample
+	var t transport.TCPStats
 	for _, m := range s.tcp {
 		for _, v := range m {
-			t.Dials += v.Dials
-			t.Redials += v.Redials
-			t.Retransmits += v.Retransmits
-			t.DroppedFrames += v.DroppedFrames
-			t.HelloTimeouts += v.HelloTimeouts
-			t.WriteTimeouts += v.WriteTimeouts
-			t.StaleReplaced += v.StaleReplaced
+			trace.SumStats(&t, v)
 		}
 	}
 	return t

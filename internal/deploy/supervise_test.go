@@ -12,8 +12,51 @@ import (
 	"time"
 
 	"mpichv/internal/daemon"
+	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 )
+
+// workerTCP is the TCP sample every fake worker reports. Its counters
+// are 1, 2, 4, …: each distinct, so a field lost, moved or mixed with
+// another on its way through the heartbeat line shows in the totals.
+var workerTCP = func() transport.TCPStats {
+	var st transport.TCPStats
+	for i, f := range trace.StatsFields(&st) {
+		*f = 1 << i
+	}
+	return st
+}()
+
+// tcpTimes returns st with every counter multiplied by k.
+func tcpTimes(st transport.TCPStats, k int64) transport.TCPStats {
+	for _, f := range trace.StatsFields(&st) {
+		*f *= k
+	}
+	return st
+}
+
+// TestTCPLineRoundTrip: the heartbeat's TCP line carries every TCPStats
+// counter, each back in its own field, and the supervisor's parser
+// rejects a line with too few or too many counters, or a bad one.
+func TestTCPLineRoundTrip(t *testing.T) {
+	line := tcpLine(workerTCP)
+	if n := len(strings.Fields(line)); n != 1+len(trace.StatsFields(&transport.TCPStats{})) {
+		t.Fatalf("%q: %d fields, want the marker and one per counter", line, n)
+	}
+	if got, ok := parseTCPLine(line); !ok || got != workerTCP {
+		t.Fatalf("parseTCPLine(%q) = %+v, %v; want %+v", line, got, ok, workerTCP)
+	}
+	for _, bad := range []string{
+		TCPMarker + " 1 2 3 4 5 6",
+		TCPMarker + " 1 2 3 4 5 6 7 8",
+		TCPMarker + " 1 2 3 x 5 6 7",
+		LapMarker + " 1 2 3 4 5 6 7",
+	} {
+		if got, ok := parseTCPLine(bad); ok {
+			t.Errorf("parseTCPLine(%q) = %+v, accepted", bad, got)
+		}
+	}
+}
 
 // TestMain doubles the test binary as a fake worker: the supervisor
 // re-execs it with DEPLOY_TEST_WORKER set and gets a process with a
@@ -27,7 +70,7 @@ func TestMain(m *testing.M) {
 	case "crash":
 		os.Exit(3)
 	case "serve":
-		fmt.Println("VRUN-TCP 1 2 3 4 5 6 7")
+		fmt.Println(tcpLine(workerTCP))
 		fmt.Println("VRUN-LAP 1")
 		fmt.Println(DoneMarker)
 		for {
@@ -45,7 +88,7 @@ func TestMain(m *testing.M) {
 		// its rejoin the way a real one does after WAL replay + resync.
 		id, _ := strconv.Atoi(os.Getenv("MPICHV_SERVE"))
 		if id < ELID {
-			fmt.Println("VRUN-TCP 1 2 3 4 5 6 7")
+			fmt.Println(tcpLine(workerTCP))
 			fmt.Println("VRUN-LAP 1")
 			fmt.Println(DoneMarker)
 		} else if os.Getenv("MPICHV_RESTARTED") == "1" {
@@ -210,9 +253,13 @@ func TestSupervisorDoneAndCounters(t *testing.T) {
 	if laps := sup.Laps(); len(laps) < 2 { // one per initial worker at least
 		t.Fatalf("laps = %v, want one per worker", laps)
 	}
+	// Every incarnation reported workerTCP once, and at least the two
+	// initial workers did so before Done: the totals are k×workerTCP,
+	// field by field, for some k ≥ 2.
 	tot := sup.TCPTotals()
-	if tot.Dials < 2 || tot.StaleReplaced < 2 {
-		t.Fatalf("TCP totals not folded per incarnation: %+v", tot)
+	want := tcpTimes(workerTCP, tot.Dials)
+	if tot.Dials < 2 || tot != want {
+		t.Fatalf("TCP totals not folded per incarnation: %+v, want %+v", tot, want)
 	}
 
 	sup.Stop()

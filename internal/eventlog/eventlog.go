@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"mpichv/internal/core"
-	"mpichv/internal/trace"
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
 	"mpichv/internal/walog"
@@ -47,19 +46,6 @@ type Stats struct {
 	Fetches    int64 // fetch requests served
 	Resyncs    int64 // anti-entropy rounds completed into this store
 	SyncedIn   int64 // events merged from peers during resync
-}
-
-// AddTo exports the snapshot into a metrics registry under the "el."
-// namespace — the uniform surface the vbench -json artifacts read,
-// replacing per-experiment ad-hoc plumbing of these counters.
-func (s Stats) AddTo(r *trace.Registry) {
-	r.Counter("el.logged").Add(s.Logged)
-	r.Counter("el.duplicates").Add(s.Duplicates)
-	r.Counter("el.malformed").Add(s.Malformed)
-	r.Counter("el.acks").Add(s.Acks)
-	r.Counter("el.fetches").Add(s.Fetches)
-	r.Counter("el.resyncs").Add(s.Resyncs)
-	r.Counter("el.synced_in").Add(s.SyncedIn)
 }
 
 // Store is the stable storage of one event logger replica. It is safe

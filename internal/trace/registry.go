@@ -3,18 +3,20 @@ package trace
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry is a typed metrics registry: named counters, gauges and
 // histograms with one uniform export path (Snapshot) feeding the
 // vbench -json artifacts. The per-actor Stats structs remain the
-// zero-cost collection layer on hot paths; subsystems and the cluster
-// harness fold them into a Registry at observation points (batch
-// boundaries, run teardown), so every run exports the same namespaced
-// metric set regardless of which subsystem produced it.
+// zero-cost collection layer on hot paths; the cluster harness and the
+// soak fold them into a Registry at teardown with AddStats, so every
+// run exports the same namespaced metric set regardless of which
+// subsystem produced it.
 //
 // All methods are safe for concurrent use; instruments are created on
 // first touch and live for the registry's lifetime.
@@ -188,12 +190,92 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// AddCounters bulk-adds a map of counter deltas under a common prefix,
-// the bridge from a subsystem's ad-hoc Stats struct into the registry.
-func (r *Registry) AddCounters(prefix string, m map[string]int64) {
-	for k, v := range m {
-		r.Counter(prefix + "." + k).Add(v)
+// AddStats folds a subsystem's counter struct (or a pointer to one)
+// into the registry: every int64 field, embedded structs included,
+// becomes the counter ns + "." + the field name in snake case (ELWaitNS
+// → el_wait_ns, GCFreedBytes → gc_freed_bytes). The struct is the only
+// list of a subsystem's counters; this is their one path into the
+// registry. Counters accumulate, so folding several structs under one
+// namespace sums them.
+func (r *Registry) AddStats(ns string, v any) {
+	rv := reflect.Indirect(reflect.ValueOf(v))
+	for _, f := range int64Fields(rv.Type(), nil) {
+		r.Counter(ns + "." + f.name).Add(rv.FieldByIndex(f.index).Int())
 	}
+}
+
+// SumStats adds every int64 field of src into the same field of *dst.
+func SumStats[T any](dst *T, src T) {
+	d := StatsFields(dst)
+	for i, f := range StatsFields(&src) {
+		*d[i] += *f
+	}
+}
+
+// LoadStats copies a counter struct that live goroutines bump with
+// sync/atomic, reading every int64 field with an atomic load.
+func LoadStats[T any](src *T) T {
+	var out T
+	d := StatsFields(&out)
+	for i, f := range StatsFields(src) {
+		*d[i] = atomic.LoadInt64(f)
+	}
+	return out
+}
+
+// StatsFields returns a pointer to every int64 field of the counter
+// struct p points to, in declaration order, embedded structs included:
+// the order AddStats folds them in and a text form can print them in.
+func StatsFields(p any) []*int64 {
+	rv := reflect.ValueOf(p).Elem()
+	fs := int64Fields(rv.Type(), nil)
+	out := make([]*int64, len(fs))
+	for i, f := range fs {
+		out[i] = rv.FieldByIndex(f.index).Addr().Interface().(*int64)
+	}
+	return out
+}
+
+type statsField struct {
+	name  string
+	index []int
+}
+
+// int64Fields lists the exported int64 fields of struct type t in
+// declaration order, descending into embedded structs.
+func int64Fields(t reflect.Type, prefix []int) []statsField {
+	var out []statsField
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		index := append(append([]int(nil), prefix...), i)
+		switch {
+		case sf.Anonymous && sf.Type.Kind() == reflect.Struct:
+			out = append(out, int64Fields(sf.Type, index)...)
+		case sf.IsExported() && sf.Type.Kind() == reflect.Int64:
+			out = append(out, statsField{snakeCase(sf.Name), index})
+		}
+	}
+	return out
+}
+
+// snakeCase lower-cases a Go field name, starting a new word at every
+// upper-case letter that follows a lower-case one or ends an acronym
+// (ELWaitNS → el_wait_ns).
+func snakeCase(s string) string {
+	isUpper := func(c byte) bool { return 'A' <= c && c <= 'Z' }
+	isLower := func(c byte) bool { return 'a' <= c && c <= 'z' || '0' <= c && c <= '9' }
+	b := make([]byte, 0, len(s)+4)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if isUpper(c) {
+			if i > 0 && (isLower(s[i-1]) || isUpper(s[i-1]) && i+1 < len(s) && isLower(s[i+1])) {
+				b = append(b, '_')
+			}
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return string(b)
 }
 
 // Snapshot is a consistent, JSON-friendly export of every instrument.

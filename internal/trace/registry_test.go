@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -73,15 +74,66 @@ func TestBucketOf(t *testing.T) {
 	}
 }
 
-func TestAddCounters(t *testing.T) {
+// statsFixture has the field shapes the subsystem Stats structs use:
+// acronyms at either end of a name, an embedded struct, and fields
+// that are not counters.
+type statsFixture struct {
+	ELWaitNS     int64
+	GCFreedBytes int64
+	embeddedStats
+	Label  string // not an int64: never folded
+	Rounds int    // not an int64 either
+	hidden int64  // unexported: never folded
+}
+
+type embeddedStats struct {
+	FramesIn int64
+	SyncedIn int64
+}
+
+func TestAddStats(t *testing.T) {
+	v := statsFixture{ELWaitNS: 1, GCFreedBytes: 2, Label: "x", Rounds: 9, hidden: 7}
+	v.FramesIn, v.SyncedIn = 3, 4
 	r := NewRegistry()
-	r.AddCounters("el", map[string]int64{"logged": 10, "acks": 5})
-	r.AddCounters("el", map[string]int64{"logged": 2})
-	if v := r.Counter("el.logged").Value(); v != 12 {
-		t.Errorf("el.logged = %d", v)
+	r.AddStats("d", v)
+	r.AddStats("d", &v) // a pointer folds the same fields; counters accumulate
+	want := map[string]int64{"d.el_wait_ns": 2, "d.gc_freed_bytes": 4, "d.frames_in": 6, "d.synced_in": 8}
+	if got := r.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Errorf("counters = %v, want %v", got, want)
 	}
-	if v := r.Counter("el.acks").Value(); v != 5 {
-		t.Errorf("el.acks = %d", v)
+}
+
+func TestSumAndLoadStats(t *testing.T) {
+	a := statsFixture{ELWaitNS: 1, GCFreedBytes: 2, Label: "a", Rounds: 1, hidden: 1}
+	a.FramesIn, a.SyncedIn = 3, 4
+	b := statsFixture{ELWaitNS: 10, GCFreedBytes: 20, Label: "b", Rounds: 2, hidden: 2}
+	b.FramesIn, b.SyncedIn = 30, 40
+	SumStats(&a, b)
+	want := statsFixture{ELWaitNS: 11, GCFreedBytes: 22, Label: "a", Rounds: 1, hidden: 1}
+	want.FramesIn, want.SyncedIn = 33, 44
+	if a != want {
+		t.Errorf("sum = %+v, want %+v", a, want)
+	}
+	got := LoadStats(&a)
+	want.Label, want.Rounds, want.hidden = "", 0, 0 // only the counters are copied
+	if got != want {
+		t.Errorf("load = %+v, want %+v", got, want)
+	}
+	fs := StatsFields(&a)
+	if len(fs) != 4 || fs[0] != &a.ELWaitNS || fs[2] != &a.FramesIn || fs[3] != &a.SyncedIn {
+		t.Errorf("fields = %v: want the four int64 fields in declaration order", fs)
+	}
+}
+
+func TestSnakeCase(t *testing.T) {
+	for in, want := range map[string]string{
+		"ELWaitNS": "el_wait_ns", "GCFreedBytes": "gc_freed_bytes", "SyncedIn": "synced_in",
+		"FramesIn": "frames_in", "DetEpochFlushes": "det_epoch_flushes", "Dials": "dials",
+		"BelowQuorumAcks": "below_quorum_acks", "CkptBytes": "ckpt_bytes",
+	} {
+		if got := snakeCase(in); got != want {
+			t.Errorf("snakeCase(%q) = %q, want %q", in, got, want)
+		}
 	}
 }
 

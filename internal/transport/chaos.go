@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"mpichv/internal/trace"
 	"mpichv/internal/vtime"
 )
 
@@ -86,24 +85,18 @@ type ChaosFabric struct {
 	rng uint64
 	n   uint64 // delayed-delivery actor naming
 
+	ChaosCounters
+}
+
+// ChaosCounters count the frames a ChaosPolicy touched, one counter per
+// fault of the shared vocabulary; ChaosProxy's counters embed them.
+type ChaosCounters struct {
 	Dropped     int64 // frames silently lost
 	Duplicated  int64 // frames delivered twice
 	Delayed     int64 // frames held back by extra jitter
 	Corrupted   int64 // frames truncated to an undecodable stub
 	Truncated   int64 // frames cut in half mid-flight
 	Partitioned int64 // frames cut by an active partition
-}
-
-// AddTo exports the fabric's fault counters into a metrics registry
-// under the "chaos." namespace. Read it only after the run (or from
-// the owning actor): the counters themselves are sim-serialized.
-func (f *ChaosFabric) AddTo(r *trace.Registry) {
-	r.Counter("chaos.dropped").Add(f.Dropped)
-	r.Counter("chaos.duplicated").Add(f.Duplicated)
-	r.Counter("chaos.delayed").Add(f.Delayed)
-	r.Counter("chaos.corrupted").Add(f.Corrupted)
-	r.Counter("chaos.truncated").Add(f.Truncated)
-	r.Counter("chaos.partitioned").Add(f.Partitioned)
 }
 
 // NewChaosFabric wraps inner with the given policy.

@@ -80,37 +80,17 @@ type ChaosProxy struct {
 // ProxyCounters is a snapshot of a proxy's injection and forwarding
 // counters, safe to read while the proxy is live.
 type ProxyCounters struct {
-	Dropped     int64
-	Duplicated  int64
-	Delayed     int64
-	Corrupted   int64
-	Truncated   int64
-	Partitioned int64
-	Resets      int64
-	Stalls      int64
-	FramesIn    int64 // frames forwarded toward the backend
-	FramesOut   int64 // frames forwarded toward peers
-	BytesIn     int64
-	BytesOut    int64
+	ChaosCounters
+	Resets    int64
+	Stalls    int64
+	FramesIn  int64 // frames forwarded toward the backend
+	FramesOut int64 // frames forwarded toward peers
+	BytesIn   int64
+	BytesOut  int64
 }
 
 // Counters returns an atomic snapshot of the proxy's counters.
-func (p *ChaosProxy) Counters() ProxyCounters {
-	return ProxyCounters{
-		Dropped:     atomic.LoadInt64(&p.ctr.Dropped),
-		Duplicated:  atomic.LoadInt64(&p.ctr.Duplicated),
-		Delayed:     atomic.LoadInt64(&p.ctr.Delayed),
-		Corrupted:   atomic.LoadInt64(&p.ctr.Corrupted),
-		Truncated:   atomic.LoadInt64(&p.ctr.Truncated),
-		Partitioned: atomic.LoadInt64(&p.ctr.Partitioned),
-		Resets:      atomic.LoadInt64(&p.ctr.Resets),
-		Stalls:      atomic.LoadInt64(&p.ctr.Stalls),
-		FramesIn:    atomic.LoadInt64(&p.ctr.FramesIn),
-		FramesOut:   atomic.LoadInt64(&p.ctr.FramesOut),
-		BytesIn:     atomic.LoadInt64(&p.ctr.BytesIn),
-		BytesOut:    atomic.LoadInt64(&p.ctr.BytesOut),
-	}
-}
+func (p *ChaosProxy) Counters() ProxyCounters { return trace.LoadStats(&p.ctr) }
 
 // NewChaosProxy listens on front and forwards to backend, injecting pol.
 // front may use port 0; Addr reports the bound address.
@@ -144,25 +124,6 @@ func (p *ChaosProxy) Addr() string { return p.ln.Addr().String() }
 
 // Policy returns the injection policy.
 func (p *ChaosProxy) Policy() ProxyPolicy { return p.pol }
-
-// AddTo exports the proxy's counters into a metrics registry under the
-// "proxy." namespace. Counters accumulate across calls on the shared
-// registry, so several proxies fold into one system-wide view.
-func (p *ChaosProxy) AddTo(r *trace.Registry) {
-	c := p.Counters()
-	r.Counter("proxy.dropped").Add(c.Dropped)
-	r.Counter("proxy.duplicated").Add(c.Duplicated)
-	r.Counter("proxy.delayed").Add(c.Delayed)
-	r.Counter("proxy.corrupted").Add(c.Corrupted)
-	r.Counter("proxy.truncated").Add(c.Truncated)
-	r.Counter("proxy.partitioned").Add(c.Partitioned)
-	r.Counter("proxy.resets").Add(c.Resets)
-	r.Counter("proxy.stalls").Add(c.Stalls)
-	r.Counter("proxy.frames_in").Add(c.FramesIn)
-	r.Counter("proxy.frames_out").Add(c.FramesOut)
-	r.Counter("proxy.bytes_in").Add(c.BytesIn)
-	r.Counter("proxy.bytes_out").Add(c.BytesOut)
-}
 
 // Close stops accepting, severs every proxied connection and joins the
 // proxy's goroutines (delayed frames included).

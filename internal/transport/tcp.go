@@ -42,9 +42,8 @@ type TCPFabric struct {
 
 // TCPStats are the fabric's liveness counters: what the retry machinery
 // actually did on the wire. They are the real-socket analogue of the
-// chaos fabric's injection counters and surface through the same typed
-// metrics registry (AddTo), so a deployed run's BENCH artifacts carry
-// them next to the daemon and store counters.
+// chaos fabric's injection counters. A deployed worker reports them on
+// its heartbeat, and the soak sums them into BENCH_soak.json.
 type TCPStats struct {
 	Dials         int64 // successful outbound connections
 	Redials       int64 // dials replacing a previously dropped connection
@@ -55,34 +54,9 @@ type TCPStats struct {
 	StaleReplaced int64 // cached connections replaced by a newer inbound one
 }
 
-// AddTo exports the counters into a metrics registry under the "tcp."
-// namespace.
-func (s TCPStats) AddTo(r *trace.Registry) {
-	r.Counter("tcp.dials").Add(s.Dials)
-	r.Counter("tcp.redials").Add(s.Redials)
-	r.Counter("tcp.retransmits").Add(s.Retransmits)
-	r.Counter("tcp.dropped_frames").Add(s.DroppedFrames)
-	r.Counter("tcp.hello_timeouts").Add(s.HelloTimeouts)
-	r.Counter("tcp.write_timeouts").Add(s.WriteTimeouts)
-	r.Counter("tcp.stale_replaced").Add(s.StaleReplaced)
-}
-
 // Stats returns a snapshot of the fabric's counters. Safe to call
 // concurrently with live traffic.
-func (f *TCPFabric) Stats() TCPStats {
-	return TCPStats{
-		Dials:         atomic.LoadInt64(&f.stats.Dials),
-		Redials:       atomic.LoadInt64(&f.stats.Redials),
-		Retransmits:   atomic.LoadInt64(&f.stats.Retransmits),
-		DroppedFrames: atomic.LoadInt64(&f.stats.DroppedFrames),
-		HelloTimeouts: atomic.LoadInt64(&f.stats.HelloTimeouts),
-		WriteTimeouts: atomic.LoadInt64(&f.stats.WriteTimeouts),
-		StaleReplaced: atomic.LoadInt64(&f.stats.StaleReplaced),
-	}
-}
-
-// AddTo folds a live snapshot of the fabric's counters into a registry.
-func (f *TCPFabric) AddTo(r *trace.Registry) { f.Stats().AddTo(r) }
+func (f *TCPFabric) Stats() TCPStats { return trace.LoadStats(&f.stats) }
 
 // helloKind is the transport-internal connection handshake frame; it is
 // never delivered to the application.

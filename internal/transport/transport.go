@@ -104,9 +104,6 @@ func NewSimFabric(sim *vtime.Sim, net *netsim.Network, classify Classifier) *Sim
 	return &SimFabric{sim: sim, net: net, classify: classify, eps: make(map[int]*simEndpoint)}
 }
 
-// Net exposes the underlying network model (for stats and params).
-func (f *SimFabric) Net() *netsim.Network { return f.net }
-
 type simEndpoint struct {
 	fab    *SimFabric
 	id     int

@@ -344,11 +344,4 @@ func (s *Sim) stopLocked() {
 	s.events.reset()
 }
 
-// Stopped reports whether Stop has been called.
-func (s *Sim) Stopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
-}
-
 var _ Runtime = (*Sim)(nil)
