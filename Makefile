@@ -128,7 +128,8 @@ ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor
 	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
 		./internal/cluster/ ./internal/transport/ ./internal/vtime/ ./internal/daemon/
 	# The TCP fabric's per-peer writers: order across the inline and the
-	# queued path, and a dead or half-open peer delaying only its frames.
-	$(GO) test -race -count=20 -run 'TestTCPPeer' ./internal/transport/
+	# queued path, a dead or half-open peer delaying only its frames, and
+	# crossed dials losing no frame.
+	$(GO) test -race -count=20 -run 'TestTCPPeer|TestTCPCrossedDials' ./internal/transport/
 	# Checkpoint bytes and the schedule hashes must not depend on test order.
 	$(GO) test -shuffle=on -count=5 ./internal/cluster/ ./internal/nas/

@@ -11,6 +11,7 @@ import (
 	"mpichv/internal/mpi"
 	"mpichv/internal/nas"
 	"mpichv/internal/transport"
+	"mpichv/internal/vtime"
 )
 
 // deliveriesOf builds a synthetic Result for auditing.
@@ -190,11 +191,8 @@ func TestAuditSeededQuorumChaosRuns(t *testing.T) {
 
 	targets := append(ranks(n), ELBase, ELBase+1, ELBase+2)
 	for seed := uint64(1); seed <= 20; seed++ {
-		x := (seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-		u := func() float64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return float64(x>>11) / float64(1<<53)
-		}
+		rng := vtime.NewStream(seed)
+		u := rng.Float
 		pol := transport.ChaosPolicy{
 			Seed:      seed,
 			Drop:      0.002 + 0.01*u(),

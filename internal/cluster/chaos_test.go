@@ -13,6 +13,7 @@ import (
 	"mpichv/internal/nas"
 	"mpichv/internal/trace"
 	"mpichv/internal/transport"
+	"mpichv/internal/vtime"
 )
 
 // recordingRing is ringProgram plus a per-rank record of every token
@@ -68,11 +69,8 @@ func TestChaosTokenRingProperty(t *testing.T) {
 		// Derive per-seed rates deterministically (splitmix-ish): every
 		// seed exercises a different mix of loss, duplication and
 		// reordering.
-		x := (seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-		u := func() float64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return float64(x>>11) / float64(1<<53)
-		}
+		rng := vtime.NewStream(seed)
+		u := rng.Float
 		// Partition a ring edge — only neighbours exchange frames, so
 		// a random pair would rarely cut anything.
 		pa := int(u() * n)

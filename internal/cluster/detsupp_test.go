@@ -9,6 +9,7 @@ import (
 	"mpichv/internal/dispatcher"
 	"mpichv/internal/mpi"
 	"mpichv/internal/transport"
+	"mpichv/internal/vtime"
 )
 
 // TestDetSuppressionRingFaultFree is the smoke property: a directed
@@ -194,11 +195,8 @@ func TestDetSuppressionSeededChaosReplaysIdentically(t *testing.T) {
 	targets := append(ranks(n), ELBase, ELBase+1, ELBase+2)
 	var totalSuppressed, totalRegenerated, totalRestarts int64
 	for seed := uint64(1); seed <= 20; seed++ {
-		x := (seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-		u := func() float64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return float64(x>>11) / float64(1<<53)
-		}
+		rng := vtime.NewStream(seed)
+		u := rng.Float
 		pol := transport.ChaosPolicy{
 			Seed:      seed,
 			Drop:      0.002 + 0.01*u(),

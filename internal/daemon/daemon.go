@@ -134,7 +134,8 @@ type Config struct {
 	// lost announcement or reply is repaired by whichever side then
 	// starves. Disabled by default — on a reliable fabric starvation
 	// just means the application is blocked on a message that was never
-	// sent.
+	// sent. Deployed nodes arm it (deploy.ServeWith): the TCP fabric
+	// drops the frames a failed write leaves.
 	PullTimeout time.Duration
 
 	// ELWindow bounds the event batches in flight to each event-logger

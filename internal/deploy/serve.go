@@ -86,10 +86,6 @@ type ServeOpts struct {
 	// role. The supervisor kills workers whose heartbeat goes stale.
 	Heartbeat time.Duration
 
-	// PullTimeout arms the daemon's starvation pull timer for running
-	// against a faulty network (CN roles); see daemon.Config.PullTimeout.
-	PullTimeout time.Duration
-
 	// DetMode names the daemon's determinant-suppression policy (see
 	// ParseDetMode). CN roles only.
 	DetMode string
@@ -203,6 +199,12 @@ func peersOf(pg *Program, node *Node) []int {
 	return peers
 }
 
+// pullTimeout arms every deployed computing node's starvation pull (see
+// daemon.Config.PullTimeout). The TCP fabric delivers each frame at most
+// once, so the pull is what recovers a payload or a RESTART1 lost to a
+// failed write.
+const pullTimeout = 250 * time.Millisecond
+
 // ServeWith runs one node of the program in this process, with the full
 // fault-injection surface: bind/advertise address split, shared epoch,
 // durable service stores with torn-write injection, crash-surviving
@@ -284,7 +286,7 @@ func ServeWith(o ServeOpts) error {
 			Dispatcher:  -1,
 			Restarted:   o.Restarted,
 			Incarnation: o.Incarnation,
-			PullTimeout: o.PullTimeout,
+			PullTimeout: pullTimeout,
 			DetMode:     detMode,
 		}
 		// Each service role is one replica group, however many nodes hold
@@ -341,7 +343,6 @@ const (
 	envDiskEvery = "MPICHV_DISK_EVERY"
 	envDiskSeed  = "MPICHV_DISK_SEED"
 	envHB        = "MPICHV_HB_MS"
-	envPull      = "MPICHV_PULL_MS"
 	envDetMode   = "MPICHV_DETMODE"
 )
 
@@ -373,9 +374,6 @@ func (o *ServeOpts) Env(pgPath string) []string {
 	}
 	if o.Heartbeat > 0 {
 		env = append(env, envHB+"="+strconv.FormatInt(o.Heartbeat.Milliseconds(), 10))
-	}
-	if o.PullTimeout > 0 {
-		env = append(env, envPull+"="+strconv.FormatInt(o.PullTimeout.Milliseconds(), 10))
 	}
 	if o.DetMode != "" {
 		env = append(env, envDetMode+"="+o.DetMode)
@@ -421,7 +419,6 @@ func MaybeServe(lookup func(name string) (App, bool)) {
 		WALDir:         os.Getenv(envWALDir),
 		DiskFaultEvery: envInt(envDiskEvery),
 		Heartbeat:      time.Duration(envInt(envHB)) * time.Millisecond,
-		PullTimeout:    time.Duration(envInt(envPull)) * time.Millisecond,
 		DetMode:        os.Getenv(envDetMode),
 	}
 	if ns, err := strconv.ParseInt(os.Getenv(envEpoch), 10, 64); err == nil && ns > 0 {

@@ -468,7 +468,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			DiskFaultEvery: cfg.DiskFaultEvery,
 			DiskFaultSeed:  cfg.Seed,
 			Heartbeat:      cfg.Heartbeat,
-			PullTimeout:    250 * time.Millisecond,
 			DetMode:        cfg.DetMode,
 		},
 		MaxSpawn: cfg.MaxSpawn,

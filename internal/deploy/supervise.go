@@ -15,6 +15,7 @@ import (
 
 	"mpichv/internal/trace"
 	"mpichv/internal/transport"
+	"mpichv/internal/vtime"
 )
 
 // Event is one supervision decision, timestamped for the recovery-
@@ -531,15 +532,11 @@ func PlanFaults(cfg FaultPlanConfig) []Fault {
 	if cfg.StallFor <= 0 {
 		cfg.StallFor = time.Second
 	}
-	rng := (cfg.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	roll := func() float64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return float64(rng>>11) / float64(1<<53)
-	}
+	rng := vtime.NewStream(cfg.Seed)
 	var out []Fault
 	for i := 0; i < cfg.Kills+cfg.Stalls; i++ {
 		f := Fault{
-			After: cfg.MinAfter + time.Duration(roll()*float64(cfg.Over)),
+			After: cfg.MinAfter + time.Duration(rng.Float()*float64(cfg.Over)),
 			Kind:  "kill",
 		}
 		pool := all
@@ -549,7 +546,7 @@ func PlanFaults(cfg FaultPlanConfig) []Fault {
 			f.Kind = "stall"
 			f.StallFor = cfg.StallFor
 		}
-		f.Target = pool[int(roll()*float64(len(pool)))%len(pool)]
+		f.Target = pool[int(rng.Float()*float64(len(pool)))%len(pool)]
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].After < out[j].After })

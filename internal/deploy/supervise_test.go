@@ -351,7 +351,6 @@ func TestServeOptsEnvRoundTrip(t *testing.T) {
 		DiskFaultEvery: 5,
 		DiskFaultSeed:  99,
 		Heartbeat:      150 * time.Millisecond,
-		PullTimeout:    250 * time.Millisecond,
 		DetMode:        "adaptive",
 	}
 	env := o.Env("/tmp/p.pg")
@@ -360,8 +359,7 @@ func TestServeOptsEnvRoundTrip(t *testing.T) {
 		"MPICHV_RESTARTED=1", "MPICHV_EPOCH=1234567890", "MPICHV_INC=3",
 		"MPICHV_TRACEDIR=/tmp/tr", "MPICHV_WALDIR=/tmp/wal",
 		"MPICHV_DISK_EVERY=5", "MPICHV_DISK_SEED=99",
-		"MPICHV_HB_MS=150",
-		"MPICHV_PULL_MS=250", "MPICHV_DETMODE=adaptive",
+		"MPICHV_HB_MS=150", "MPICHV_DETMODE=adaptive",
 	}
 	got := strings.Join(env, "\n")
 	for _, kv := range want {

@@ -5,8 +5,9 @@ import "time"
 // Backoff computes bounded exponential retry delays: retry 0 waits
 // Base, every further retry doubles the wait, capped at Max (Max <= 0
 // defaults to 32×Base). It is the one backoff rule shared by every
-// retry loop in the system — the TCP fabric's dial loop and the V2
-// daemon's retransmit timers — so all of them age the same way.
+// retry loop in the system — the V2 daemon's retransmit timers, the
+// service resyncs and the supervisor's respawns — so all of them age
+// the same way.
 //
 // With Jitter > 0 each delay is shortened by up to that fraction,
 // drawn from a stateless hash of (Seed, attempt): the schedule is a

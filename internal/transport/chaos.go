@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpichv/internal/vtime"
@@ -71,18 +72,56 @@ func (pt Partition) cuts(a, b int, now time.Duration) bool {
 	return match(a, b) || match(b, a)
 }
 
+// verdict is one frame's drawn fate.
+type verdict struct {
+	cut, drop, corrupt, dup, trunc bool
+	jitter                         time.Duration
+	reset, stall                   bool // ChaosProxy's socket-level faults
+}
+
+// judge draws the fate of an n-byte frame from node from to node to:
+// the partition check (a negative id, a peer not yet known, is cut by
+// none), then drop, corrupt, duplicate, delay and truncate. Every
+// variate is consumed for every frame that is not cut, in this fixed
+// order, so the stream — and with it the whole fault schedule — does not
+// depend on which faults happen to trigger. The truncation roll is
+// drawn only when the policy enables it, so older policies keep their
+// exact variate streams.
+func (p *ChaosPolicy) judge(rng *vtime.Stream, from, to, n int, now time.Duration) (v verdict) {
+	for _, pt := range p.Partitions {
+		if from >= 0 && to >= 0 && pt.cuts(from, to, now) {
+			v.cut = true
+			return v
+		}
+	}
+	v.drop = rng.Float() < p.Drop
+	v.corrupt = rng.Float() < p.Corrupt && n > 0
+	v.dup = rng.Float() < p.Duplicate
+	if rng.Float() < p.Delay {
+		bound := p.MaxDelay
+		if bound <= 0 {
+			bound = time.Millisecond
+		}
+		v.jitter = max(time.Duration(rng.Float()*float64(bound)), time.Microsecond)
+	}
+	if p.Truncate > 0 {
+		v.trunc = rng.Float() < p.Truncate && n > 1
+	}
+	return v
+}
+
 // ChaosFabric wraps any Fabric and injects the faults of a ChaosPolicy
 // on every Send. Endpoints, inboxes and Kill pass straight through to
 // the inner fabric, so daemons cannot tell they are running on a
 // hostile network. The counters record what was injected; read them
-// after the run (they are guarded by the fabric's lock during it).
+// after the run (they are written atomically during it).
 type ChaosFabric struct {
 	rt    vtime.Runtime
 	inner Fabric
 	pol   ChaosPolicy
 
 	mu  sync.Mutex
-	rng uint64
+	rng vtime.Stream
 	n   uint64 // delayed-delivery actor naming
 
 	ChaosCounters
@@ -99,15 +138,32 @@ type ChaosCounters struct {
 	Partitioned int64 // frames cut by an active partition
 }
 
+// count records v: a frame counts once, under the first of cut, drop,
+// corrupt and truncate it suffered, and otherwise as duplicated and/or
+// delayed. The counters are written atomically.
+func (c *ChaosCounters) count(v verdict) {
+	switch {
+	case v.cut:
+		atomic.AddInt64(&c.Partitioned, 1)
+	case v.drop:
+		atomic.AddInt64(&c.Dropped, 1)
+	case v.corrupt:
+		atomic.AddInt64(&c.Corrupted, 1)
+	case v.trunc:
+		atomic.AddInt64(&c.Truncated, 1)
+	default:
+		if v.dup {
+			atomic.AddInt64(&c.Duplicated, 1)
+		}
+		if v.jitter > 0 {
+			atomic.AddInt64(&c.Delayed, 1)
+		}
+	}
+}
+
 // NewChaosFabric wraps inner with the given policy.
 func NewChaosFabric(rt vtime.Runtime, inner Fabric, pol ChaosPolicy) *ChaosFabric {
-	return &ChaosFabric{
-		rt:    rt,
-		inner: inner,
-		pol:   pol,
-		// splitmix-style seed scrambling so nearby seeds diverge.
-		rng: (pol.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
-	}
+	return &ChaosFabric{rt: rt, inner: inner, pol: pol, rng: vtime.NewStream(pol.Seed)}
 }
 
 // Policy returns the injection policy.
@@ -120,21 +176,6 @@ func (f *ChaosFabric) Attach(id int, name string) Endpoint {
 
 // Kill implements Fabric.
 func (f *ChaosFabric) Kill(id int) { f.inner.Kill(id) }
-
-// roll draws the next uniform [0,1) variate. Callers hold f.mu.
-func (f *ChaosFabric) roll() float64 {
-	f.rng = f.rng*6364136223846793005 + 1442695040888963407
-	return float64(f.rng>>11) / float64(1<<53)
-}
-
-func (f *ChaosFabric) cut(a, b int, now time.Duration) bool {
-	for _, pt := range f.pol.Partitions {
-		if pt.cuts(a, b, now) {
-			return true
-		}
-	}
-	return false
-}
 
 type chaosEndpoint struct {
 	fab   *ChaosFabric
@@ -149,62 +190,23 @@ func (e *chaosEndpoint) Send(to int, kind uint8, data []byte) bool {
 	f := e.fab
 	now := f.rt.Now()
 	f.mu.Lock()
-	if f.cut(e.inner.ID(), to, now) {
-		f.Partitioned++
-		f.mu.Unlock()
-		return true
+	v := f.pol.judge(&f.rng, e.inner.ID(), to, len(data), now)
+	if !v.cut {
+		f.n++
 	}
-	// All four rolls are consumed for every frame, in a fixed order, so
-	// the variate stream — and with it the whole fault schedule — does
-	// not depend on which faults happen to trigger.
-	drop := f.roll() < f.pol.Drop
-	corrupt := f.roll() < f.pol.Corrupt && len(data) > 0
-	dup := f.roll() < f.pol.Duplicate
-	var jitter time.Duration
-	if f.roll() < f.pol.Delay {
-		max := f.pol.MaxDelay
-		if max <= 0 {
-			max = time.Millisecond
-		}
-		jitter = time.Duration(f.roll() * float64(max))
-		if jitter < time.Microsecond {
-			jitter = time.Microsecond
-		}
-	}
-	// The truncation roll is drawn only when the policy enables it, so
-	// pre-existing policies keep their exact variate streams.
-	trunc := false
-	if f.pol.Truncate > 0 {
-		trunc = f.roll() < f.pol.Truncate && len(data) > 1
-	}
-	switch {
-	case drop:
-		f.Dropped++
-	case corrupt:
-		f.Corrupted++
-	case trunc:
-		f.Truncated++
-	default:
-		if dup {
-			f.Duplicated++
-		}
-		if jitter > 0 {
-			f.Delayed++
-		}
-	}
-	f.n++
 	seq := f.n
 	f.mu.Unlock()
+	f.count(v)
 
-	if drop {
+	if v.cut || v.drop {
 		return true // the frame vanished; the sender cannot tell
 	}
-	if corrupt {
+	if v.corrupt {
 		data = data[:0:0]
-	} else if trunc {
+	} else if v.trunc {
 		data = data[: len(data)/2 : len(data)/2]
 	}
-	if dup {
+	if v.dup {
 		// The duplicate travels undelayed; the original may jitter past
 		// it, exercising reordering too. It owns its bytes: the
 		// original's receiver may recycle the frame's buffer
@@ -212,9 +214,9 @@ func (e *chaosEndpoint) Send(to int, kind uint8, data []byte) bool {
 		// would let that recycle scribble over this copy in flight.
 		e.inner.Send(to, kind, append([]byte(nil), data...))
 	}
-	if jitter > 0 {
+	if v.jitter > 0 {
 		f.rt.Go(fmt.Sprintf("chaos-delay-%d", seq), func() {
-			f.rt.Sleep(jitter)
+			f.rt.Sleep(v.jitter)
 			e.inner.Send(to, kind, data)
 		})
 		return true

@@ -22,8 +22,9 @@ import (
 // On top of the shared vocabulary sit faults that only exist on real
 // sockets:
 //
-//   - Reset tears down the connection pair mid-stream (RST-style); the
-//     dialer must redial through the proxy.
+//   - Reset tears down the connection pair mid-stream (RST-style). The
+//     frames in flight are lost, and the TCP fabric retransmits none:
+//     the next frame to the node dials afresh through the proxy.
 //   - Stall freezes a direction for StallFor without closing anything —
 //     the half-open case that read/write deadlines exist for.
 //   - Bandwidth caps each direction's forwarding rate in bytes/second.
@@ -66,7 +67,7 @@ type ChaosProxy struct {
 	pol     ProxyPolicy
 
 	mu     sync.Mutex
-	rng    uint64
+	rng    vtime.Stream
 	closed bool
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
@@ -102,16 +103,13 @@ func NewChaosProxy(rt vtime.Runtime, home int, front, backend string, pol ProxyP
 	if pol.StallFor <= 0 {
 		pol.StallFor = time.Second
 	}
-	if pol.MaxDelay <= 0 {
-		pol.MaxDelay = time.Millisecond
-	}
 	p := &ChaosProxy{
 		rt:      rt,
 		home:    home,
 		backend: backend,
 		ln:      ln,
 		pol:     pol,
-		rng:     (pol.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
+		rng:     vtime.NewStream(pol.Seed),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	p.wg.Add(1)
@@ -218,72 +216,26 @@ func (l *proxyLink) forward(toBackend bool, f Frame) {
 	}
 }
 
-// verdict is one frame's drawn fate, all variates consumed in fixed
-// order exactly like the simulated chaos fabric so the fault schedule
-// does not depend on which faults trigger.
-type verdict struct {
-	drop    bool
-	corrupt bool
-	dup     bool
-	jitter  time.Duration
-	trunc   bool
-	reset   bool
-	stall   bool
-	cut     bool
-}
-
+// judge draws a frame's verdict: the shared per-frame draw, then the
+// reset and stall rolls when the policy enables them. A reset frame
+// counts only as a reset.
 func (p *ChaosProxy) judge(from, to int, payloadLen int) verdict {
 	now := p.rt.Now()
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	var v verdict
-	for _, pt := range p.pol.Partitions {
-		if from >= 0 && to >= 0 && pt.cuts(from, to, now) {
-			v.cut = true
-			atomic.AddInt64(&p.ctr.Partitioned, 1)
-			return v
-		}
+	v := p.pol.judge(&p.rng, from, to, payloadLen, now)
+	if !v.cut && p.pol.Reset > 0 {
+		v.reset = p.rng.Float() < p.pol.Reset
 	}
-	roll := func() float64 {
-		p.rng = p.rng*6364136223846793005 + 1442695040888963407
-		return float64(p.rng>>11) / float64(1<<53)
+	if !v.cut && p.pol.Stall > 0 {
+		v.stall = p.rng.Float() < p.pol.Stall
 	}
-	v.drop = roll() < p.pol.Drop
-	v.corrupt = roll() < p.pol.Corrupt && payloadLen > 0
-	v.dup = roll() < p.pol.Duplicate
-	if roll() < p.pol.Delay {
-		v.jitter = time.Duration(roll() * float64(p.pol.MaxDelay))
-		if v.jitter < time.Microsecond {
-			v.jitter = time.Microsecond
-		}
-	}
-	if p.pol.Truncate > 0 {
-		v.trunc = roll() < p.pol.Truncate && payloadLen > 1
-	}
-	if p.pol.Reset > 0 {
-		v.reset = roll() < p.pol.Reset
-	}
-	if p.pol.Stall > 0 {
-		v.stall = roll() < p.pol.Stall
-	}
-	switch {
-	case v.reset:
+	p.mu.Unlock()
+	if v.reset {
 		atomic.AddInt64(&p.ctr.Resets, 1)
-	case v.drop:
-		atomic.AddInt64(&p.ctr.Dropped, 1)
-	case v.corrupt:
-		atomic.AddInt64(&p.ctr.Corrupted, 1)
-	case v.trunc:
-		atomic.AddInt64(&p.ctr.Truncated, 1)
-	default:
-		if v.dup {
-			atomic.AddInt64(&p.ctr.Duplicated, 1)
-		}
-		if v.jitter > 0 {
-			atomic.AddInt64(&p.ctr.Delayed, 1)
-		}
+		return v
 	}
-	if v.stall && !v.reset {
+	p.ctr.count(v)
+	if v.stall {
 		atomic.AddInt64(&p.ctr.Stalls, 1)
 	}
 	return v

@@ -10,8 +10,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"mpichv/internal/vtime"
 )
 
 // frameSizes straddle the connection reader's 4 KiB buffer: empty, one
@@ -91,15 +89,12 @@ func TestFrameReaderSplitAndCoalesced(t *testing.T) {
 // share one write gets the frame delivered — the bytes the reader
 // buffered past the hello survive the hello deadline being lifted.
 func TestTCPHelloAndFrameInOneWrite(t *testing.T) {
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{1: "127.0.0.1:0"})
-	b := fab.Attach(1, "listener")
-	defer b.Close()
-	ch := collect(b)
+	fab, eps := tcpFabric(t, nil, 1)
+	ch := collect(eps[0])
 	for i, size := range frameSizes {
 		from := 10 + i
 		want := sizedFrame(from, size)
-		c, err := net.Dial("tcp", fab.addr(1))
+		c, err := net.Dial("tcp", fab.addr(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +112,8 @@ func TestTCPHelloAndFrameInOneWrite(t *testing.T) {
 // TestTCPFrameAllocs: a frame crossing connected endpoints — Send plus
 // the receiver's Recv — allocates its received body and nothing else.
 func TestTCPFrameAllocs(t *testing.T) {
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
-	a, b := fab.Attach(0, "a"), fab.Attach(1, "b")
-	defer a.Close()
-	defer b.Close()
+	_, eps := tcpFabric(t, nil, 2)
+	a, b := eps[0], eps[1]
 	for _, tc := range []struct {
 		size int
 		max  float64
@@ -144,12 +136,10 @@ func TestTCPFrameAllocs(t *testing.T) {
 // frame of nearly MaxFrameSize and then hangs up must not make the
 // endpoint allocate the announced size before the body shows up.
 func TestTCPOversizedLengthBoundsAllocation(t *testing.T) {
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{1: "127.0.0.1:0"})
-	b := fab.Attach(1, "victim")
-	defer b.Close()
+	fab, eps := tcpFabric(t, nil, 1)
+	b := eps[0]
 
-	c, err := net.Dial("tcp", fab.addr(1))
+	c, err := net.Dial("tcp", fab.addr(0))
 	if err != nil {
 		t.Fatal(err)
 	}

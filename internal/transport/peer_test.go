@@ -7,27 +7,15 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mpichv/internal/vtime"
 )
 
 // TestTCPPeerDeadDelaysOnlyItsOwnFrames: a Send to a node whose address
-// refuses connections returns at once, and a frame to a live peer sent
-// right after it arrives while the dead peer's writer is still retrying.
-// Once the retry window is over, the dead peer's frame is counted
-// dropped.
+// refuses connections returns at once, a frame to a live peer sent right
+// after it arrives within 100 ms, and the dead peer's frame is counted
+// dropped after one failed dial, never retransmitted.
 func TestTCPPeerDeadDelaysOnlyItsOwnFrames(t *testing.T) {
-	oldB := sendBackoff
-	sendBackoff = Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond} // a ~0.4 s window
-	defer func() { sendBackoff = oldB }()
-
-	rt := vtime.NewReal()
-	defer rt.Wait() // the dead peer's writer reads sendBackoff
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: refusedAddr(t)})
-	a, live := fab.Attach(0, "sender"), fab.Attach(1, "live")
-	defer a.Close()
-	defer live.Close()
-	ch := collect(live)
+	fab, eps := tcpFabric(t, map[int]string{2: refusedAddr(t)}, 2)
+	a, ch := eps[0], collect(eps[1])
 
 	start := time.Now()
 	if !a.Send(2, 7, []byte("to the dead")) {
@@ -36,18 +24,17 @@ func TestTCPPeerDeadDelaysOnlyItsOwnFrames(t *testing.T) {
 	if took := time.Since(start); took >= 50*time.Millisecond {
 		t.Fatalf("Send to a dead peer took %v, want < 50ms", took)
 	}
-	start = time.Now()
 	a.Send(1, 7, []byte("to the living"))
 	got := recvN(ch, 1, 100*time.Millisecond)
 	if len(got) != 1 || string(got[0].Data) != "to the living" {
 		t.Fatalf("the live peer's frame did not arrive within 100ms (%d frames)", len(got))
 	}
-	if st := fab.Stats(); st.DroppedFrames != 0 {
-		t.Fatalf("stats %+v after %v: the dead peer's retry window already ended", st, time.Since(start))
-	}
 	waitFor(t, 10*time.Second, "the dead peer's frame was never counted dropped", func() bool {
 		return fab.Stats().DroppedFrames == 1
 	})
+	if st := fab.Stats(); st.Dials != 1 || st.Retransmits != 0 {
+		t.Fatalf("%+v; want the live peer's one dial and no retransmit", st)
+	}
 }
 
 // TestTCPPeerHalfOpenDelaysOnlyItsOwnFrames: a peer that accepts and
@@ -55,19 +42,9 @@ func TestTCPPeerDeadDelaysOnlyItsOwnFrames(t *testing.T) {
 // frames to a live peer keep flowing while its writer is stuck, and the
 // write deadline fires.
 func TestTCPPeerHalfOpenDelaysOnlyItsOwnFrames(t *testing.T) {
-	oldW, oldB := WriteTimeout, sendBackoff
-	WriteTimeout = 200 * time.Millisecond
-	sendBackoff = Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
-	defer func() { WriteTimeout, sendBackoff = oldW, oldB }()
-
-	ln := halfOpenListener(t)
-	rt := vtime.NewReal()
-	defer rt.Wait()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: ln.Addr().String()})
-	a, live := fab.Attach(0, "sender"), fab.Attach(1, "live")
-	defer a.Close()
-	defer live.Close()
-	ch := collect(live)
+	setDuration(t, &WriteTimeout, 200*time.Millisecond)
+	fab, eps := tcpFabric(t, map[int]string{2: halfOpenListener(t).Addr().String()}, 2)
+	a, ch := eps[0], collect(eps[1])
 
 	body := make([]byte, 64<<10)
 	frames := make([]Parts, 64) // 4 MiB
@@ -103,19 +80,12 @@ func TestTCPPeerHalfOpenDelaysOnlyItsOwnFrames(t *testing.T) {
 // TestTCPPeerHalfOpenDropsItsQueue: the first write deadline against a
 // half-open peer gives it up at once. The unwritten rest of the batch and
 // the batch queued behind it are dropped together and released, with no
-// redial into the same stall, so a stuck peer pins no more than what is
+// dial into the same stall, so a stuck peer pins no more than what is
 // sent to it within one WriteTimeout.
 func TestTCPPeerHalfOpenDropsItsQueue(t *testing.T) {
-	oldW := WriteTimeout
-	WriteTimeout = 100 * time.Millisecond
-	defer func() { WriteTimeout = oldW }()
-
-	ln := halfOpenListener(t)
-	rt := vtime.NewReal()
-	defer rt.Wait()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
-	a := fab.Attach(0, "sender")
-	defer a.Close()
+	setDuration(t, &WriteTimeout, 100*time.Millisecond)
+	fab, eps := tcpFabric(t, map[int]string{1: halfOpenListener(t).Addr().String()}, 1)
+	a := eps[0]
 
 	body := make([]byte, 64<<10)
 	first := make([]Parts, 256) // 16 MiB: more than the sockets can hold
@@ -132,7 +102,7 @@ func TestTCPPeerHalfOpenDropsItsQueue(t *testing.T) {
 	waitFor(t, 10*time.Second, "the queued batch was never dropped", func() bool {
 		return fab.Stats().DroppedFrames >= int64(len(second))
 	})
-	time.Sleep(2 * WriteTimeout) // room for a redial that must not come
+	time.Sleep(2 * WriteTimeout) // room for a dial that must not come
 	q, _ := peerState(a, 1)
 	if st := fab.Stats(); st.Dials != 1 || st.WriteTimeouts != 1 || st.Retransmits != 0 || q != 0 {
 		t.Fatalf("%+v, %d frames still queued; want one dial, one write deadline, no retry, an empty queue", st, q)
@@ -142,18 +112,11 @@ func TestTCPPeerHalfOpenDropsItsQueue(t *testing.T) {
 // TestTCPPeerHalfOpenInlineSendGivesUp: an inline Send into a half-open
 // peer's full socket buffers holds the caller for one WriteTimeout at
 // most, then gives the peer up like the writer does: the frame is
-// dropped, not handed to the writer to redial into the same stall.
+// dropped, not handed to the writer to dial into the same stall.
 func TestTCPPeerHalfOpenInlineSendGivesUp(t *testing.T) {
-	oldW := WriteTimeout
-	WriteTimeout = 100 * time.Millisecond
-	defer func() { WriteTimeout = oldW }()
-
-	ln := halfOpenListener(t)
-	rt := vtime.NewReal()
-	defer rt.Wait()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
-	a := fab.Attach(0, "sender")
-	defer a.Close()
+	setDuration(t, &WriteTimeout, 100*time.Millisecond)
+	fab, eps := tcpFabric(t, map[int]string{1: halfOpenListener(t).Addr().String()}, 1)
+	a := eps[0]
 
 	a.Send(1, 7, nil) // the writer dials
 	waitFor(t, 10*time.Second, "the writer never went idle on a fresh connection", func() bool {
@@ -165,7 +128,7 @@ func TestTCPPeerHalfOpenInlineSendGivesUp(t *testing.T) {
 	if took := time.Since(start); took > WriteTimeout+time.Second {
 		t.Fatalf("an inline Send to a half-open peer held the caller %v", took)
 	}
-	time.Sleep(2 * WriteTimeout) // room for a redial that must not come
+	time.Sleep(2 * WriteTimeout) // room for a dial that must not come
 	if st := fab.Stats(); st.Dials != 1 || st.WriteTimeouts != 1 || st.DroppedFrames != 1 || st.Retransmits != 0 {
 		t.Fatalf("%+v; want one dial, one write deadline, the frame dropped, no retry", st)
 	}
@@ -203,18 +166,10 @@ func TestTCPPeerOrderAcrossPaths(t *testing.T) {
 
 func checkPeerOrder(t *testing.T, senders, peers int) {
 	const rounds, batch, small = 4, 129, 3
-	rt := vtime.NewReal()
-	addrs := map[int]string{0: "127.0.0.1:0"}
-	for p := 1; p <= peers; p++ {
-		addrs[p] = "127.0.0.1:0"
-	}
-	fab := NewTCPFabric(rt, addrs)
-	a := fab.Attach(0, "sender")
-	defer a.Close()
+	_, eps := tcpFabric(t, nil, peers+1)
+	a := eps[0]
 	var chs []<-chan Frame
-	for p := 1; p <= peers; p++ {
-		ep := fab.Attach(p, "receiver")
-		defer ep.Close()
+	for _, ep := range eps[1:] {
 		chs = append(chs, collect(ep))
 	}
 	body := bytes.Repeat([]byte("0123456789abcdef"), 1<<10) // 16 KiB, shared and never written

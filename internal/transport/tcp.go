@@ -15,18 +15,32 @@ import (
 )
 
 // TCPFabric connects nodes over real TCP sockets. Each attached node
-// listens on its address from the address map; a single connection is
-// kept per peer and used in both directions. Connections open with a
+// listens on its address from the address map. Connections open with a
 // hello frame identifying the dialer, so an accepted connection can be
-// registered for sending — and, crucially, an inbound connection from a
-// *restarted* peer replaces the stale cached connection to its dead
-// predecessor, whose writes would otherwise vanish into a closed
-// socket. Each peer has its own record: its connection, its queue of
-// pending frames and one writer goroutine, which dials, retries a failed
-// write over fresh dials with bounded exponential backoff (see Backoff)
-// and drops the frames of a peer that stays unreachable. No sender waits
-// for a dial or a back-off, and one peer's trouble delays no other
-// peer's frames.
+// registered for sending — and an inbound connection from a *restarted*
+// peer replaces the cached connection to its dead predecessor, whose
+// writes would otherwise vanish into a closed socket. Each peer has its
+// own record: the connection frames are written on, every connection
+// still being read, the queue of pending frames and one writer
+// goroutine. No sender waits for a dial, and one peer's trouble delays
+// no other peer's frames.
+//
+// The fabric delivers each frame at most once and retransmits nothing.
+// A failed dial or write drops the frames not yet written and the
+// peer's whole queue (DroppedFrames), and the next frame to the peer
+// dials once. Bytes the kernel accepted before a reset are lost whatever
+// the transport does, so lost frames are recovered end to end by the
+// protocol: a restarted node's peers re-send from their SAVED logs, the
+// event-logger and checkpoint exchanges retransmit until acked, and a
+// starved daemon pulls.
+//
+// Frames to one peer arrive in the order they were handed over while
+// they travel one connection. When two endpoints dial each other at
+// once, each ends up writing on the connection the other dialed, and
+// the connection it replaced is drained, not closed: its reader runs
+// until the far end closes it. Frames written before and after such a
+// switch can arrive out of order, which the protocol tolerates as it
+// does the chaos fabric's reordering.
 //
 // As in the paper's mpirun (§4.7), a socket disconnection is a trusty
 // fault detector: readers that observe EOF stop delivering, and the
@@ -40,18 +54,18 @@ type TCPFabric struct {
 	stats TCPStats
 }
 
-// TCPStats are the fabric's liveness counters: what the retry machinery
-// actually did on the wire. They are the real-socket analogue of the
-// chaos fabric's injection counters. A deployed worker reports them on
-// its heartbeat, and the soak sums them into BENCH_soak.json.
+// TCPStats are the fabric's liveness counters: what happened on the
+// wire. They are the real-socket analogue of the chaos fabric's
+// injection counters. A deployed worker reports them on its heartbeat,
+// and the soak sums them into BENCH_soak.json.
 type TCPStats struct {
 	Dials         int64 // successful outbound connections
 	Redials       int64 // dials replacing a previously dropped connection
-	Retransmits   int64 // Send attempts retried after a failed write/dial
-	DroppedFrames int64 // frames dropped after exhausting every retry
+	Retransmits   int64 // always 0: the fabric retransmits nothing (benchmarks/stack reads the field)
+	DroppedFrames int64 // frames dropped by a failed dial or write
 	HelloTimeouts int64 // accepted connections that never sent their hello
 	WriteTimeouts int64 // writes aborted by the per-call write deadline
-	StaleReplaced int64 // cached connections replaced by a newer inbound one
+	StaleReplaced int64 // write connections replaced by a newer inbound one
 }
 
 // Stats returns a snapshot of the fabric's counters. Safe to call
@@ -73,10 +87,10 @@ var HelloTimeout = 3 * time.Second
 // without a FIN, or SIGSTOPped with a full receive window — otherwise
 // blocks the writer (an inline Send, or the peer's writer goroutine)
 // indefinitely inside write(2). On expiry the connection is dropped and
-// the peer is given up on like a dead one: the frames not yet written,
-// and every frame queued behind them, are dropped (DroppedFrames), so a
-// stuck peer pins no more than what is sent to it within one
-// WriteTimeout, and holds up a caller at most that long.
+// the peer is given up on like any failed write: the frames not yet
+// written, and every frame queued behind them, are dropped
+// (DroppedFrames), so a stuck peer pins no more than what is sent to it
+// within one WriteTimeout, and holds up a caller at most that long.
 var WriteTimeout = 5 * time.Second
 
 // NewTCPFabric creates a fabric over the given node id → "host:port"
@@ -133,24 +147,26 @@ type tcpEndpoint struct {
 	closed bool
 }
 
-// tcpPeer is everything an endpoint keeps for one peer: the connection,
-// the frames waiting for it, and the writer goroutine that dials, writes
-// and redials for them. Whoever holds busy owns the connection's write
-// side and fw: an inline Send, or the writer with a batch. Frames to one
-// peer therefore leave in the order they were handed over, and a peer
-// that is slow, half-open or dead holds up only its own frames.
+// tcpPeer is everything an endpoint keeps for one peer: the connection
+// frames are written on, the connections still read, the frames waiting,
+// and the writer goroutine that dials and writes for them. Whoever holds
+// busy owns the write side of conn and fw: an inline Send, or the writer
+// with a batch. Frames to one peer therefore leave in the order they
+// were handed over, and a peer that is slow, half-open or dead holds up
+// only its own frames.
 type tcpPeer struct {
 	id   int
 	kick chan struct{} // 1-buffered: wakes the writer after a queue or a release
 	fw   frameWriter   // used only by the holder of busy
 
 	mu     sync.Mutex // guards the fields below
-	conn   net.Conn
+	conn   net.Conn   // the connection frames are written on; nil: dial
+	conns  []net.Conn // every connection with a reader, conn among them
 	q      []outFrame // frames waiting for the writer, oldest first
 	spare  []outFrame // the writer's last batch, kept for its storage
 	busy   bool       // someone is writing to conn, or dialing it
 	dialed bool       // dialed at least once (redial counting)
-	closed bool       // set by Close, which also swept conn and the queue
+	closed bool       // set by Close, which also swept conns and the queue
 }
 
 // Attach implements Fabric. It returns an endpoint whose listener is
@@ -221,10 +237,12 @@ func (e *tcpEndpoint) peer(id int) *tcpPeer {
 	return p
 }
 
-// register makes c the connection for peer, closing any previous one (a
-// stale connection to a dead incarnation, or the loser of a
-// simultaneous-dial race). It returns nil, having closed c, if the
-// endpoint is closed.
+// register makes the accepted c the connection frames to peer are
+// written on. A previous one (a stale connection to a dead incarnation,
+// or this endpoint's own dial in a simultaneous-dial race) is no longer
+// written but still read: the far end may have frames in flight on it,
+// and its reader ends when the far end closes it. It returns nil, having
+// closed c, if the endpoint is closed.
 func (e *tcpEndpoint) register(peer int, c net.Conn) *tcpPeer {
 	p := e.peer(peer)
 	if p == nil {
@@ -232,20 +250,18 @@ func (e *tcpEndpoint) register(peer int, c net.Conn) *tcpPeer {
 		return nil
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
 		// Close already swept this peer and will not see c: a hello
 		// that lands afterwards is refused.
-		p.mu.Unlock()
 		c.Close()
 		return nil
 	}
-	old := p.conn
-	p.conn = c
-	p.mu.Unlock()
-	if old != nil && old != c {
+	if p.conn != nil {
 		atomic.AddInt64(&e.fab.stats.StaleReplaced, 1)
-		old.Close()
 	}
+	p.conn = c
+	p.conns = append(p.conns, c)
 	return p
 }
 
@@ -290,13 +306,15 @@ func (e *tcpEndpoint) readLoop(c net.Conn, p *tcpPeer) {
 	}
 }
 
-// forget unregisters c if it is still the peer's connection.
+// forget unregisters c, whose reader ended or whose write failed; the
+// next frame to p dials if c was the connection written on.
 func (p *tcpPeer) forget(c net.Conn) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.conn == c {
 		p.conn = nil
 	}
-	p.mu.Unlock()
+	p.conns = slices.DeleteFunc(p.conns, func(x net.Conn) bool { return x == c })
 }
 
 // wake makes the writer look at the queue; callers hold p.mu.
@@ -310,7 +328,7 @@ func (p *tcpPeer) wake() {
 func (e *tcpEndpoint) ID() int                      { return e.id }
 func (e *tcpEndpoint) Inbox() *vtime.Mailbox[Frame] { return e.inbox }
 
-// Close stops the endpoint: the listener, every peer's connection and
+// Close stops the endpoint: the listener, every peer's connections and
 // writer (queued frames are discarded, as a crash would), and the inbox.
 func (e *tcpEndpoint) Close() {
 	e.mu.Lock()
@@ -326,34 +344,23 @@ func (e *tcpEndpoint) Close() {
 	for _, p := range peers {
 		p.mu.Lock()
 		p.closed = true
-		c := p.conn
-		p.conn, p.q, p.spare = nil, nil, nil
+		conns := p.conns
+		p.conn, p.conns, p.q, p.spare = nil, nil, nil, nil
 		p.mu.Unlock()
-		if c != nil {
+		for _, c := range conns {
 			c.Close()
 		}
 	}
 	e.inbox.Close()
 }
 
-// sendRetries dial attempts with sendBackoff delays bound how long a
-// peer's writer keeps a batch for an unreachable peer before dropping
-// it (the delays sum to ~2.6 s). The early retries are fast so the
-// common startup race (a peer's listener not yet bound) costs
-// milliseconds; the capped tail covers the typical restart window (the
-// launcher re-launches a killed worker in a few hundred milliseconds). A
-// peer dead for longer loses the frames, like a crash — which the
-// recovery protocol already tolerates.
-const sendRetries = 12
-
-var sendBackoff = Backoff{Base: 5 * time.Millisecond, Max: 500 * time.Millisecond}
-
 // Send writes the frame inline when the peer is connected and nothing
 // is queued for it or being written to it; otherwise it queues the frame
-// for the peer's writer. It never waits for a dial or a back-off. The
-// inline write saves the hop to the writer goroutine, which is most of a
-// small frame's cost; it blocks only while the peer's socket buffers are
-// full, for at most WriteTimeout.
+// for the peer's writer. It never waits for a dial. The inline write
+// saves the hop to the writer goroutine, which is most of a small
+// frame's cost; it blocks only while the peer's socket buffers are full,
+// for at most WriteTimeout. A failed inline write drops the frame and
+// the peer's queue, as a failed batch does.
 func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
 	p := e.peer(to)
 	if p == nil {
@@ -375,23 +382,16 @@ func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
 	p.busy = true
 	p.mu.Unlock()
 	_, err := p.fw.writeFrames(c, e.id, f[:], WriteTimeout)
-	retry := err != nil && e.broken(p, c, err, 1)
+	if err != nil {
+		e.broken(p, c, err, 1)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.busy = false
-	if p.closed {
-		return err == nil
-	}
-	if retry {
-		// The writer retries the frame, ahead of anything queued while
-		// it was being written.
-		atomic.AddInt64(&e.fab.stats.Retransmits, 1)
-		p.q = slices.Insert(p.q, 0, f[0])
-	}
 	if len(p.q) > 0 {
 		p.wake()
 	}
-	return true
+	return err == nil || !p.closed
 }
 
 // SendFrames queues the batch for the peer's writer and returns; see
@@ -442,52 +442,33 @@ func (e *tcpEndpoint) writeLoop(p *tcpPeer) {
 	}
 }
 
-// writeBatch writes frames to p; the caller holds busy. A failed write
-// drops the connection and retries over a fresh dial from the frame it
-// broke in: frames the kernel accepted whole are not sent twice. Frames
-// still unwritten after sendRetries attempts are dropped.
+// writeBatch writes frames to p, dialing first if p has no connection;
+// the caller holds busy. A failed dial drops the batch and p's queue.
 func (e *tcpEndpoint) writeBatch(p *tcpPeer, frames []outFrame) {
-	for attempt := 0; attempt < sendRetries && len(frames) > 0; attempt++ {
-		if attempt > 0 {
-			atomic.AddInt64(&e.fab.stats.Retransmits, 1)
-		}
-		c, err := e.conn(p)
-		if err != nil {
-			if p.isClosed() || !e.sleep(sendBackoff.Delay(attempt)) {
-				return
-			}
-			continue
-		}
-		// writeFrames sets a deadline before every writev call, so none
-		// is cleared afterwards: a later write replaces it, and the hello
-		// goes out on a freshly dialled connection that never had one.
-		done, err := p.fw.writeFrames(c, e.id, frames, WriteTimeout)
-		frames = frames[done:]
-		if err == nil || !e.broken(p, c, err, len(frames)) {
-			return
-		}
+	c, err := e.conn(p)
+	if err != nil {
+		e.drop(p, len(frames)+p.dropQueue())
+		return
 	}
-	// Peer unreachable: the frames left are dropped, like a crash.
-	e.drop(p, len(frames))
+	// writeFrames sets a deadline before every writev call, so none is
+	// cleared afterwards: a later write replaces it, and the hello goes
+	// out on a freshly dialled connection that never had one.
+	if done, err := p.fw.writeFrames(c, e.id, frames, WriteTimeout); err != nil {
+		e.broken(p, c, err, len(frames)-done)
+	}
 }
 
-// broken drops c after a failed write that left unsent frames
-// unwritten, and reports whether to retry them: the peer may have
-// restarted, so the next attempt dials afresh. A write that hit the
-// deadline is not retried. The peer is half-open: the write stalled
-// against a full window instead of failing, and a fresh dial would stall
-// the same way while everything sent to the peer piled up behind it. So
-// the peer is given up on at once: the unsent frames and its whole queue
-// are dropped.
-func (e *tcpEndpoint) broken(p *tcpPeer, c net.Conn, err error, unsent int) (retry bool) {
+// broken gives p up after a failed write on c, which left unsent frames
+// unwritten: c is closed, and the unsent frames and p's whole queue are
+// dropped. A closed or reset connection and a half-open one that hit
+// the write deadline are treated alike; the next frame to p dials once.
+func (e *tcpEndpoint) broken(p *tcpPeer, c net.Conn, err error, unsent int) {
 	p.forget(c)
 	c.Close()
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		atomic.AddInt64(&e.fab.stats.WriteTimeouts, 1)
 	}
-	atomic.AddInt64(&e.fab.stats.WriteTimeouts, 1)
 	e.drop(p, unsent+p.dropQueue())
-	return false
 }
 
 // drop counts n frames to p as dropped, unless the endpoint closed.
@@ -508,21 +489,9 @@ func (p *tcpPeer) dropQueue() int {
 	return n
 }
 
-// sleep waits d, or until the endpoint closes; it reports whether the
-// endpoint is still open.
-func (e *tcpEndpoint) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-e.done:
-		return false
-	}
-}
-
-// conn returns p's connection, dialing (with a hello) if none is
-// registered. The caller holds busy: the hello goes through p.fw.
+// conn returns the connection p is written on, dialing (with a hello)
+// if none is registered. The caller holds busy: the hello goes through
+// p.fw.
 func (e *tcpEndpoint) conn(p *tcpPeer) (net.Conn, error) {
 	p.mu.Lock()
 	c, closed := p.conn, p.closed
@@ -552,23 +521,22 @@ func (e *tcpEndpoint) conn(p *tcpPeer) (net.Conn, error) {
 		c.Close()
 		return nil, fmt.Errorf("transport: endpoint %d closed", e.id)
 	}
-	if cur := p.conn; cur != nil {
-		// Lost a simultaneous-dial race; use the established one.
-		p.mu.Unlock()
-		c.Close()
-		return cur, nil
+	// The hello is out, so the peer may adopt c and write on it: c is
+	// read in any case. An inbound connection registered during the
+	// dial (a simultaneous dial) stays the one written on.
+	p.conns = append(p.conns, c)
+	if p.conn == nil {
+		p.conn = c
 	}
-	p.conn = c
-	redial := p.dialed
+	cur, redial := p.conn, p.dialed
 	p.dialed = true
 	p.mu.Unlock()
 	atomic.AddInt64(&e.fab.stats.Dials, 1)
 	if redial {
 		atomic.AddInt64(&e.fab.stats.Redials, 1)
 	}
-	// Read replies arriving on the dialed connection too.
 	e.fab.rt.Go(fmt.Sprintf("tcp-read-%d", e.id), func() { e.readLoop(c, p) })
-	return c, nil
+	return cur, nil
 }
 
 func (p *tcpPeer) isClosed() bool {

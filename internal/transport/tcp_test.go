@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,16 +19,9 @@ import (
 // pinning a read goroutine forever, and the listener keeps serving
 // well-behaved peers afterwards.
 func TestTCPHelloTimeoutReapsSilentDialer(t *testing.T) {
-	old := HelloTimeout
-	HelloTimeout = 200 * time.Millisecond
-	defer func() { HelloTimeout = old }()
-
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
-	b := fab.Attach(1, "victim")
-	a := fab.Attach(0, "peer")
-	defer a.Close()
-	defer b.Close()
+	setDuration(t, &HelloTimeout, 200*time.Millisecond)
+	fab, eps := tcpFabric(t, nil, 2)
+	a, b := eps[0], eps[1]
 
 	// A dialer that connects and says nothing.
 	mute, err := net.Dial("tcp", fab.addr(1))
@@ -64,11 +59,8 @@ func TestTCPHelloTimeoutReapsSilentDialer(t *testing.T) {
 // incarnation's inbound connection must replace 0's stale cached one,
 // and traffic must flow to the survivor with no deadlock.
 func TestTCPStaleConnReplacedOnRestart(t *testing.T) {
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
-	b1 := fab.Attach(1, "gen1")
-	a := fab.Attach(0, "sender")
-	defer a.Close()
+	fab, eps := tcpFabric(t, nil, 2)
+	a, b1 := eps[0], eps[1]
 
 	ch1 := collect(b1)
 	if !a.Send(1, 7, []byte{1}) {
@@ -84,8 +76,8 @@ func TestTCPStaleConnReplacedOnRestart(t *testing.T) {
 	b1.Close()
 	fab.SetAddr(1, addr)
 
-	// Node 0 keeps sending through the death (retries are expected to
-	// carry the frames over fresh dials once gen2 is up) while gen2
+	// Node 0 keeps sending through the death (frames sent while no
+	// incarnation listens are dropped; later ones reach gen2) while gen2
 	// attaches and dials node 0 concurrently.
 	var delivered int64
 	done := make(chan struct{})
@@ -117,11 +109,11 @@ func TestTCPStaleConnReplacedOnRestart(t *testing.T) {
 		t.Fatal("every send failed across the restart")
 	}
 	// Recovery is observable in one of three ways, depending on who wins
-	// the race after gen1 dies: the sender's write fails and it redials;
-	// gen2's inbound hello displaces the stale cached connection; or the
-	// stale connection's read loop reaps it first and the sends retry
-	// into the refilled slot. All three must leave a trace.
-	if st := fab.Stats(); st.Redials == 0 && st.StaleReplaced == 0 && st.Retransmits == 0 {
+	// the race after gen1 dies: the sender redials; gen2's inbound hello
+	// displaces the stale cached connection; or a send to the dead
+	// incarnation fails and its frames are dropped. All three must leave
+	// a trace.
+	if st := fab.Stats(); st.Redials == 0 && st.StaleReplaced == 0 && st.DroppedFrames == 0 {
 		t.Fatalf("restart left no trace in sender stats: %+v", st)
 	}
 }
@@ -132,18 +124,9 @@ func TestTCPStaleConnReplacedOnRestart(t *testing.T) {
 // up on the frames instead of blocking, all before Close could unwedge
 // it.
 func TestTCPWriteTimeoutUnwedgesSender(t *testing.T) {
-	oldW := WriteTimeout
-	WriteTimeout = 300 * time.Millisecond
-	oldB := sendBackoff
-	sendBackoff = Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
-	defer func() { WriteTimeout = oldW; sendBackoff = oldB }()
-
-	ln := halfOpenListener(t)
-	rt := vtime.NewReal()
-	defer rt.Wait() // the writer reads the timeouts: join it before they are restored
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
-	a := fab.Attach(0, "sender")
-	defer a.Close()
+	setDuration(t, &WriteTimeout, 300*time.Millisecond)
+	fab, eps := tcpFabric(t, map[int]string{1: halfOpenListener(t).Addr().String()}, 1)
+	a := eps[0]
 
 	big := make([]byte, 1<<20)
 	done := make(chan bool, 1)
@@ -190,16 +173,53 @@ func halfOpenListener(t *testing.T) net.Listener {
 	return ln
 }
 
-// refusedAddr is a loopback address nobody listens on.
+// refusedAddr is a loopback address nobody listens on for the whole
+// test: a socket without SO_REUSEADDR holds the port bound but never
+// listens, so dials are refused and no later bind can take the port.
 func refusedAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+}
+
+// tcpFabric attaches nodes 0..n-1 at ephemeral loopback ports, beside
+// the given addresses of other nodes. When the test ends it closes the
+// endpoints and joins the fabric's goroutines.
+func tcpFabric(t *testing.T, other map[int]string, n int) (*TCPFabric, []Endpoint) {
+	t.Helper()
+	rt := vtime.NewReal()
+	fab := NewTCPFabric(rt, other)
+	eps := make([]Endpoint, n)
+	for i := range eps {
+		fab.SetAddr(i, "127.0.0.1:0")
+		eps[i] = fab.Attach(i, "node")
+	}
+	t.Cleanup(func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+		rt.Wait()
+	})
+	return fab, eps
+}
+
+// setDuration sets *v to d until the test ends. Set before tcpFabric, it
+// is restored after the fabric's goroutines, which read it, are joined.
+func setDuration(t *testing.T, v *time.Duration, d time.Duration) {
+	old := *v
+	*v = d
+	t.Cleanup(func() { *v = old })
 }
 
 // waitFor polls cond until it holds, failing the test with msg after d.
@@ -214,8 +234,9 @@ func waitFor(t *testing.T, d time.Duration, msg string, cond func() bool) {
 
 // TestTCPFabricShutdownReleasesGoroutines: closing every endpoint joins
 // the fabric's accept, read and writer goroutines — writers with nothing
-// queued, and a writer sleeping in back-off against a peer that refuses
-// connections.
+// queued, among them one whose dial to a peer that refuses connections
+// failed. The endpoints dial each other at once, and every frame
+// arrives.
 func TestTCPFabricShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	rt := vtime.NewReal()
@@ -231,15 +252,22 @@ func TestTCPFabricShutdownReleasesGoroutines(t *testing.T) {
 			}
 			ep.Send(3, 7, []byte{byte(i)})
 		}
-		for _, ch := range chs {
-			recvN(ch, 2, 3*time.Second)
+		for i, ch := range chs {
+			if got := recvN(ch, 2, 3*time.Second); len(got) != 2 {
+				t.Errorf("endpoint %d received %d of 2 frames", i, len(got))
+			}
 		}
 		// A writer per endpoint for each other endpoint and for the
-		// dead node.
+		// dead node; one started just now may not have run yet.
 		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if n := strings.Count(stacks, "(*tcpEndpoint).writeLoop("); n < 9 {
-			t.Errorf("%d writer goroutines running, want at least 9", n)
+		writers := func() int {
+			return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*tcpEndpoint).writeLoop(")
+		}
+		for deadline := time.Now().Add(5 * time.Second); writers() < 9; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d writer goroutines running, want at least 9", writers())
+				break
+			}
 		}
 		for _, ep := range eps {
 			ep.Close()
@@ -299,5 +327,51 @@ func TestTCPCloseWhileAccepting(t *testing.T) {
 		wg.Wait()
 		// Every accept and read goroutine of the closed endpoint ends.
 		rt.Wait()
+	}
+}
+
+// TestTCPCrossedDials: endpoints that all send to each other at once
+// dial each other at once, so each pair's two dials cross. Every frame
+// arrives exactly once: a connection replaced by the other side's dial
+// is drained, not closed, so the frames already written on it are read.
+func TestTCPCrossedDials(t *testing.T) {
+	const rounds, nodes, frames, want = 20, 5, 5, (5 - 1) * 5
+	for r := 0; r < rounds; r++ {
+		fab, eps := tcpFabric(t, nil, nodes)
+		var chs []<-chan Frame
+		for _, ep := range eps {
+			chs = append(chs, collect(ep))
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, ep := range eps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := 0; k < frames; k++ {
+					for j := range eps {
+						if j != i {
+							ep.Send(j, 7, []byte{byte(i), byte(k)})
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for j, ch := range chs {
+			got := recvN(ch, want, 5*time.Second)
+			distinct := make(map[[2]byte]bool)
+			for _, f := range got {
+				distinct[[2]byte{f.Data[0], f.Data[1]}] = true
+			}
+			if len(got) != want || len(distinct) != want {
+				t.Fatalf("round %d: node %d received %d frames, %d distinct, want %d; stats %+v", r, j, len(got), len(distinct), want, fab.Stats())
+			}
+		}
+		for _, ep := range eps {
+			ep.Close()
+		}
 	}
 }

@@ -32,9 +32,12 @@ type Endpoint interface {
 	// receiver owns data once it is sent, so the caller does not
 	// touch it again. On TCP, Send writes the frame inline when the
 	// peer is connected and nothing is queued for it, and queues it
-	// for the peer's writer otherwise: it never sleeps in a dial's
-	// back-off, though an inline write to a half-open peer can block
-	// up to WriteTimeout, after which the peer is given up on.
+	// for the peer's writer otherwise: it never waits for a dial,
+	// though an inline write to a half-open peer can block up to
+	// WriteTimeout. TCP delivers each frame at most once: a failed
+	// dial or write drops the peer's unwritten frames, and recovering
+	// them is the protocol's job. Frames to one peer keep their order
+	// on one connection; across a crossed-dial switch they may not.
 	Send(to int, kind uint8, data []byte) bool
 	// Inbox is the mailbox into which the fabric delivers frames.
 	Inbox() *vtime.Mailbox[Frame]
@@ -50,7 +53,8 @@ type batchSender interface {
 // SendFrames sends frames to node "to", in order, each with data
 // Head‖Body. A TCP endpoint copies the frames slice onto the peer's
 // queue and returns; the peer's writer sends the batch in a few bounded
-// writev calls, in order with every other frame to that peer. It borrows
+// writev calls, in order with every other frame to that peer, and a
+// failed write drops what is left of it, as Send does. It borrows
 // the parts until they are written, so their bytes must not change
 // after the call: callers pass immutable bytes only — image chunks and
 // their headers, SAVED payloads, stored image slices — or fresh heads.

@@ -151,12 +151,8 @@ func TestReadFrameRejectsCorrupt(t *testing.T) {
 }
 
 func TestTCPFabricLoopback(t *testing.T) {
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
-	a := fab.Attach(0, "a")
-	b := fab.Attach(1, "b")
-	defer a.Close()
-	defer b.Close()
+	_, eps := tcpFabric(t, nil, 2)
+	a, b := eps[0], eps[1]
 	if !a.Send(1, 5, []byte("over tcp")) {
 		t.Fatal("send failed")
 	}
@@ -175,14 +171,10 @@ func TestTCPFabricLoopback(t *testing.T) {
 }
 
 func TestTCPFabricSendToDeadPeer(t *testing.T) {
-	rt := vtime.NewReal()
-	fab := NewTCPFabric(rt, map[int]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
-	a := fab.Attach(0, "a")
-	defer a.Close()
-	b := fab.Attach(1, "b")
-	b.Close()
+	_, eps := tcpFabric(t, nil, 2)
+	eps[1].Close()
 	// Frame is dropped; local endpoint stays usable.
-	if !a.Send(1, 1, []byte("x")) {
+	if !eps[0].Send(1, 1, []byte("x")) {
 		t.Error("send to dead peer reported local failure")
 	}
 }

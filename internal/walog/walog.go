@@ -28,6 +28,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"mpichv/internal/vtime"
 )
 
 var magic = [4]byte{'M', 'V', 'W', 'L'}
@@ -61,7 +63,7 @@ const scratchLen = 4 << 10
 type Writer struct {
 	f       io.WriteCloser
 	torn    TornConfig
-	rng     uint64
+	rng     vtime.Stream
 	scratch []byte
 
 	// Torn counts appends deliberately damaged by the fault injector.
@@ -81,7 +83,7 @@ func newWriter(f io.WriteCloser, torn TornConfig) *Writer {
 	return &Writer{
 		f:       f,
 		torn:    torn,
-		rng:     (torn.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
+		rng:     vtime.NewStream(torn.Seed),
 		scratch: make([]byte, 0, scratchLen),
 	}
 }
@@ -101,8 +103,7 @@ func (w *Writer) Append(body []byte) error {
 	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
 	rec = append(rec, body...)
 	if w.torn.Active() {
-		w.rng = w.rng*6364136223846793005 + 1442695040888963407
-		if int(w.rng%uint64(w.torn.Every)) == 0 {
+		if int(w.rng.Next()%uint64(w.torn.Every)) == 0 {
 			w.Torn++
 			cut := headerLen + len(body)/2
 			_, err := w.f.Write(rec[:cut])
