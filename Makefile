@@ -125,7 +125,7 @@ ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor
 	$(MAKE) cover
 	$(MAKE) stack-check
 	$(MAKE) bench-oracle
-	$(GO) test -race -count=1 ./internal/eventlog/ ./internal/ckpt/ \
+	$(GO) test -race -count=1 ./internal/replica/ ./internal/eventlog/ ./internal/ckpt/ \
 		./internal/cluster/ ./internal/transport/ ./internal/vtime/ ./internal/daemon/
 	# The TCP fabric's per-peer writers: order across the inline and the
 	# queued path, a dead or half-open peer delaying only its frames, and

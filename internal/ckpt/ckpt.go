@@ -25,8 +25,10 @@
 // with independent stores: daemons replicate every save and count acks
 // against a write quorum, and a replica respawned empty rejoins by
 // pulling its peers' latest images (anti-entropy, keyed by rank and
-// checkpoint seq). A retransmitted save is recognized and re-acked
-// instead of regressing the stored image.
+// checkpoint seq). Server is the replica.Server skeleton the event
+// logger shares, plus the save, chunk, manifest and chunk-fetch
+// handlers. A retransmitted save is recognized and re-acked instead of
+// regressing the stored image.
 package ckpt
 
 import (
@@ -34,10 +36,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"mpichv/internal/core"
+	"mpichv/internal/replica"
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
 	"mpichv/internal/walog"
@@ -227,13 +228,13 @@ const (
 )
 
 // partialImage is a chunked image mid-assembly: chunks land in any
-// order and the image is decoded only once every index is present.
+// order and the image is decoded only once every index is present. The
+// chunks are kept by index as they arrive: count is read from the
+// frame, so nothing is sized by it.
 type partialImage struct {
-	count  int
-	n      int
+	count  uint32
 	size   int
-	got    []bool
-	chunks [][]byte
+	chunks map[uint32][]byte
 }
 
 // Store is the stable image storage of one checkpoint server replica,
@@ -331,11 +332,6 @@ func (st *Store) Accept(rank int, seq uint64, image []byte) AcceptStatus {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.acceptLocked(rank, seq, image)
-}
-
-// Put is Accept reduced to the legacy boolean: true iff newly stored.
-func (st *Store) Put(rank int, seq uint64, image []byte) bool {
-	return st.Accept(rank, seq, image) == Accepted
 }
 
 func (st *Store) staleLocked(rank int, seq uint64) bool {
@@ -494,25 +490,23 @@ func (st *Store) PutChunk(rank int, seq uint64, idx, count uint32, body []byte) 
 		st.partials[rank] = pm
 	}
 	p := pm[seq]
-	if p == nil || p.count != int(count) {
-		p = &partialImage{count: int(count), got: make([]bool, count), chunks: make([][]byte, count)}
+	if p == nil || p.count != count {
+		p = &partialImage{count: count, chunks: make(map[uint32][]byte)}
 		pm[seq] = p
 	}
-	if !p.got[idx] {
+	if _, got := p.chunks[idx]; !got {
 		p.chunks[idx] = append([]byte(nil), body...)
-		p.got[idx] = true
-		p.n++
 		p.size += len(body)
 	}
-	if p.n < p.count {
+	if uint32(len(p.chunks)) < p.count {
 		return true, false, false
 	}
 	// Fully assembled — possibly a retry, if an earlier attempt broke
 	// its chain and a retransmitted chunk re-triggered assembly after
 	// anti-entropy delivered the base.
 	image := make([]byte, 0, p.size)
-	for _, c := range p.chunks {
-		image = append(image, c...)
+	for i := range p.count {
+		image = append(image, p.chunks[i]...)
 	}
 	switch st.acceptLocked(rank, seq, image) {
 	case Accepted, Stale:
@@ -622,13 +616,12 @@ func (st *Store) Marks() map[int]uint64 {
 	return marks
 }
 
-// EntriesSince returns the latest stored images whose seq is above the
+// Since encodes the latest stored images whose seq is above the
 // requester's mark for that rank — the response half of the
 // anti-entropy exchange. Only materialized full images travel: a
 // respawned replica never needs a delta chain.
-func (st *Store) EntriesSince(marks map[int]uint64) []wire.CkptEntry {
+func (st *Store) Since(marks map[int]uint64) []byte {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	var out []wire.CkptEntry
 	for rank, m := range st.images {
 		img, ok := m[st.latest[rank]]
@@ -640,52 +633,49 @@ func (st *Store) EntriesSince(marks map[int]uint64) []wire.CkptEntry {
 		}
 		out = append(out, wire.CkptEntry{Rank: rank, Seq: st.latest[rank], Image: img})
 	}
-	return out
+	st.mu.Unlock()
+	return wire.EncodeCkptEntries(out) // stored images are never written: see storeLocked
 }
 
-// MergeEntries folds a peer's sync response into the store via the
-// same monotonic Put rule, returning how many images were accepted.
-func (st *Store) MergeEntries(entries []wire.CkptEntry) int {
-	added := 0
+// MergeSync folds a peer's sync response into the store through the
+// same monotonic admission rule as a save.
+func (st *Store) MergeSync(data []byte) error {
+	entries, err := wire.DecodeCkptEntries(data)
+	if err != nil {
+		return err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	added := int64(0)
 	for _, e := range entries {
-		if st.Put(e.Rank, e.Seq, e.Image) {
+		if st.acceptLocked(e.Rank, e.Seq, e.Image) == Accepted {
 			added++
 		}
 	}
-	st.mu.Lock()
-	st.stats.SyncedIn += int64(added)
+	st.stats.SyncedIn += added
 	st.stats.Resyncs++
-	// Merged images were already counted as Saves by Put; a resync is
-	// not a save from a daemon, so move them to the sync column
-	// (SavedBytes stays: it measures storage traffic either way).
-	st.stats.Saves -= int64(added)
+	// acceptLocked counted the merged images as Saves; a resync is not a
+	// save from a daemon, so move them to the sync column (SavedBytes
+	// stays: it measures storage traffic either way).
+	st.stats.Saves -= added
+	return nil
+}
+
+// CountMalformed counts one frame that failed to decode.
+func (st *Store) CountMalformed() {
+	st.mu.Lock()
+	st.stats.Malformed++
 	st.mu.Unlock()
-	return added
 }
 
 // Server is one checkpoint server replica frontend.
 type Server struct {
-	rt vtime.Runtime
+	*replica.Server
 	ep transport.Endpoint
 
 	// Store is the stable storage behind this frontend.
 	Store *Store
-
-	// Peers are the other replicas of this checkpoint group; they
-	// serve anti-entropy sync requests. Empty for a standalone server.
-	Peers []int
-	// Resync makes the server pull its peers' latest images on
-	// startup — set on a respawned replica.
-	Resync bool
-
-	synced atomic.Bool
 }
-
-// Synced reports whether the server is serving its group's committed
-// state: at Start when it has nothing to resync, otherwise once a
-// rejoining replica has completed an anti-entropy merge and its outage
-// window closes.
-func (s *Server) Synced() bool { return s.synced.Load() }
 
 // NewServer creates a checkpoint server with its own private store.
 func NewServer(rt vtime.Runtime, ep transport.Endpoint) *Server {
@@ -695,145 +685,73 @@ func NewServer(rt vtime.Runtime, ep transport.Endpoint) *Server {
 // NewServerWithStore creates a frontend over a store the caller built,
 // typically one with its image log attached.
 func NewServerWithStore(rt vtime.Runtime, ep transport.Endpoint, st *Store) *Server {
-	return &Server{rt: rt, ep: ep, Store: st}
+	s := &Server{ep: ep, Store: st}
+	s.Server = replica.New(rt, ep, role, st, s.handle)
+	return s
 }
 
-// Start runs the server loop as an actor, plus the resync requester if
-// the replica is rejoining its group.
-func (s *Server) Start() {
-	s.rt.Go("ckpt-server", s.run)
-	if s.Resync && len(s.Peers) > 0 {
-		s.rt.Go(fmt.Sprintf("cs-resync-%d", s.ep.ID()), s.resyncLoop)
-	} else {
-		s.synced.Store(true)
-	}
-}
+var role = replica.Role{Actor: "ckpt-server", Resync: "cs-resync", SyncReq: wire.KCSSyncReq, SyncResp: wire.KCSSyncResp}
 
-// HasImage reports whether a rank has a stored checkpoint.
-func (s *Server) HasImage(rank int) bool { return s.Store.Has(rank) }
-
-// resyncAttempts bounds the resync request rounds, as the event
-// logger's does.
-const resyncAttempts = 60
-
-// resyncLoop mirrors the event logger's: marks are snapshotted once at
-// join time and the request retries with backoff until any peer's
-// response lands (merging is idempotent).
-func (s *Server) resyncLoop() {
-	req := wire.EncodeSyncMarks(s.Store.Marks())
-	bo := transport.Backoff{Base: 5 * time.Millisecond, Seed: uint64(s.ep.ID())}
-	for attempt := 0; attempt < resyncAttempts && !s.synced.Load(); attempt++ {
-		for _, p := range s.Peers {
-			s.ep.Send(p, wire.KCSSyncReq, req)
+// handle serves the checkpoint server's own request kinds.
+func (s *Server) handle(f transport.Frame) error {
+	switch f.Kind {
+	case wire.KCkptSave:
+		seq, image, err := wire.DecodeCkptSave(f.Data)
+		if err != nil {
+			return err
 		}
-		s.rt.Sleep(bo.Delay(attempt))
-	}
-}
-
-func (s *Server) run() {
-	for {
-		f, ok := s.ep.Inbox().Recv()
-		if !ok {
-			return
+		// Accept verifies the image before storing: a save damaged in
+		// flight is dropped *unacked*, so the daemon retransmits it and
+		// the store only ever holds verifiable images. The save frame
+		// itself is NOT recycled: the daemon retains its transfer
+		// buffer for retransmission. Ack even a stale duplicate: the
+		// retransmission means the saver never saw the first ack.
+		switch s.Store.Accept(f.From, seq, image) {
+		case Accepted, Stale:
+			s.ep.Send(f.From, wire.KCkptSaveAck, wire.AppendU64(wire.GetBuf(8), seq))
+		case ChainBreak:
+			s.Pull()
 		}
-		switch f.Kind {
-		case wire.KCkptSave:
-			seq, image, err := wire.DecodeCkptSave(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			// Accept verifies the image before storing: a save damaged
-			// in flight is dropped *unacked*, so the daemon retransmits
-			// it and the store only ever holds verifiable images. The
-			// save frame itself is NOT recycled: the daemon retains its
-			// transfer buffer for retransmission. Ack even a stale
-			// duplicate: the retransmission means the saver never saw
-			// the first ack.
-			switch s.Store.Accept(f.From, seq, image) {
-			case Accepted, Stale:
-				s.ep.Send(f.From, wire.KCkptSaveAck, wire.AppendU64(wire.GetBuf(8), seq))
-			case ChainBreak:
-				s.pullPeers()
-			}
-		case wire.KCkptChunk:
-			seq, idx, count, body, err := wire.DecodeCkptChunk(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			// Chunk frames are never recycled here; PutChunk copies the
-			// body into the partial assembly. A full-image ack (the store
-			// holds a verified image at or above seq) supersedes the chunk
-			// ack: only it counts toward the daemon's write quorum.
-			ack, full, chainBreak := s.Store.PutChunk(f.From, seq, idx, count, body)
-			switch {
-			case full:
-				s.ep.Send(f.From, wire.KCkptSaveAck, wire.AppendU64(wire.GetBuf(8), seq))
-			case ack:
-				s.ep.Send(f.From, wire.KCkptChunkAck,
-					wire.AppendCkptChunkAck(wire.GetBuf(wire.CkptChunkAckLen), seq, idx))
-			}
-			if chainBreak {
-				s.pullPeers()
-			}
-		case wire.KCkptManifestReq:
-			chunkSize, err := wire.DecodeU32(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.Store.mu.Lock()
-			s.Store.stats.Fetches++
-			s.Store.mu.Unlock()
-			s.ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(s.Store.Manifest(f.From, chunkSize)))
-		case wire.KCkptChunkFetch:
-			seq, first, count, chunkSize, err := wire.DecodeCkptChunkFetch(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			// The run goes out as one batch. Silent when the exact image
-			// is gone (superseded since the manifest was served): the
-			// fetcher times out and re-gathers.
-			if frames := s.Store.ChunkRun(f.From, seq, first, count, chunkSize); frames != nil {
-				transport.SendFrames(s.ep, f.From, wire.KCkptChunkData, frames)
-			}
-		case wire.KCSSyncReq:
-			marks, err := wire.DecodeSyncMarks(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.ep.Send(f.From, wire.KCSSyncResp, wire.EncodeCkptEntries(s.Store.EntriesSince(marks)))
-		case wire.KCSSyncResp:
-			entries, err := wire.DecodeCkptEntries(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.Store.MergeEntries(entries)
-			s.synced.Store(true)
+	case wire.KCkptChunk:
+		seq, idx, count, body, err := wire.DecodeCkptChunk(f.Data)
+		if err != nil {
+			return err
+		}
+		// Chunk frames are never recycled here; PutChunk copies the
+		// body into the partial assembly. A full-image ack (the store
+		// holds a verified image at or above seq) supersedes the chunk
+		// ack: only it counts toward the daemon's write quorum.
+		ack, full, chainBreak := s.Store.PutChunk(f.From, seq, idx, count, body)
+		switch {
+		case full:
+			s.ep.Send(f.From, wire.KCkptSaveAck, wire.AppendU64(wire.GetBuf(8), seq))
+		case ack:
+			s.ep.Send(f.From, wire.KCkptChunkAck,
+				wire.AppendCkptChunkAck(wire.GetBuf(wire.CkptChunkAckLen), seq, idx))
+		}
+		if chainBreak {
+			s.Pull()
+		}
+	case wire.KCkptManifestReq:
+		chunkSize, err := wire.DecodeU32(f.Data)
+		if err != nil {
+			return err
+		}
+		s.Store.mu.Lock()
+		s.Store.stats.Fetches++
+		s.Store.mu.Unlock()
+		s.ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(s.Store.Manifest(f.From, chunkSize)))
+	case wire.KCkptChunkFetch:
+		seq, first, count, chunkSize, err := wire.DecodeCkptChunkFetch(f.Data)
+		if err != nil {
+			return err
+		}
+		// The run goes out as one batch. Silent when the exact image is
+		// gone (superseded since the manifest was served): the fetcher
+		// times out and re-gathers.
+		if frames := s.Store.ChunkRun(f.From, seq, first, count, chunkSize); frames != nil {
+			transport.SendFrames(s.ep, f.From, wire.KCkptChunkData, frames)
 		}
 	}
-}
-
-// pullPeers fires a one-shot anti-entropy pull after a chain break: a
-// peer's materialized latest image at or above the broken delta's base
-// repairs or supersedes the chain. The daemon's retransmit/escalation
-// keeps the save live regardless, so one unretried round suffices.
-func (s *Server) pullPeers() {
-	if len(s.Peers) == 0 {
-		return
-	}
-	req := wire.EncodeSyncMarks(s.Store.Marks())
-	for _, p := range s.Peers {
-		s.ep.Send(p, wire.KCSSyncReq, req)
-	}
-}
-
-func (s *Server) countMalformed() {
-	s.Store.mu.Lock()
-	s.Store.stats.Malformed++
-	s.Store.mu.Unlock()
+	return nil
 }

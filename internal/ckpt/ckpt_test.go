@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"hash/crc32"
+	"runtime"
 	"testing"
 	"time"
 
@@ -119,7 +120,7 @@ func TestSaveAndFetch(t *testing.T) {
 		if seq, err := wire.DecodeU64(f.Data); err != nil || seq != 1 {
 			t.Fatalf("ack seq = %d %v", seq, err)
 		}
-		if !srv.HasImage(4) {
+		if !srv.Store.Has(4) {
 			t.Fatal("server has no image for rank 4")
 		}
 
@@ -279,7 +280,7 @@ func TestImagesKeyedPerRank(t *testing.T) {
 		c5 := fab.Attach(5, "c5")
 		c4.Send(200, wire.KCkptSave, wire.EncodeCkptSave(1, makeImage(t, 4, 1)))
 		recvKind(t, c4, wire.KCkptSaveAck)
-		if srv.HasImage(5) {
+		if srv.Store.Has(5) {
 			t.Error("rank 5 should have no image")
 		}
 		if _, present := fetchImage(t, c5, 200); present {
@@ -446,8 +447,8 @@ func TestDeltaChainBreakHealsViaSync(t *testing.T) {
 	if st.Has(4) {
 		t.Fatal("broken chain stored an image")
 	}
-	if st.MergeEntries([]wire.CkptEntry{{Rank: 4, Seq: 1, Image: base}}) != 1 {
-		t.Fatal("sync entry not merged")
+	if err := st.MergeSync(wire.EncodeCkptEntries([]wire.CkptEntry{{Rank: 4, Seq: 1, Image: base}})); err != nil || st.Stats().SyncedIn != 1 {
+		t.Fatalf("sync entry not merged: %v", err)
 	}
 	if got := st.Accept(4, 2, delta); got != Accepted {
 		t.Fatalf("delta after sync: %v", got)
@@ -551,6 +552,31 @@ func TestPartialAssemblyNeverClaimsImage(t *testing.T) {
 	}
 }
 
+// TestChunkCountClaimSizesNothing: a chunk's count is read from the
+// frame, and neither its CRC nor idx < count bounds it. A CRC-valid
+// chunk claiming 2³²−1 chunks must be held at the cost of its body, not
+// of its claim.
+func TestChunkCountClaimSizesNothing(t *testing.T) {
+	seq, idx, count, body, err := wire.DecodeCkptChunk(wire.AppendCkptChunk(nil, 1, 7, 1<<32-1, []byte("chunk body")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ack, full, chainBreak := st.PutChunk(4, seq, idx, count, body)
+	runtime.ReadMemStats(&after)
+	if !ack || full || chainBreak {
+		t.Fatalf("chunk = (ack=%v full=%v break=%v), want a plain chunk ack", ack, full, chainBreak)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("holding one chunk allocated %d bytes", d)
+	}
+	if st.Has(4) {
+		t.Error("store claims an image from one chunk")
+	}
+}
+
 func TestChunkedChainBreakKeepsPartialForRetry(t *testing.T) {
 	// A delta assembled on a store missing its base is not acked and the
 	// partial is kept: once anti-entropy delivers the base, the daemon's
@@ -561,7 +587,7 @@ func TestChunkedChainBreakKeepsPartialForRetry(t *testing.T) {
 	if ack || fullAck || !chainBreak {
 		t.Fatalf("completing chunk on broken chain = (ack=%v full=%v break=%v), want break only", ack, fullAck, chainBreak)
 	}
-	st.MergeEntries([]wire.CkptEntry{{Rank: 4, Seq: 1, Image: base}})
+	st.MergeSync(wire.EncodeCkptEntries([]wire.CkptEntry{{Rank: 4, Seq: 1, Image: base}}))
 	// The daemon retransmits an unacked chunk — a duplicate for the kept
 	// partial — which re-triggers assembly against the synced base.
 	n := (len(delta) + 13 - 1) / 13
@@ -668,7 +694,7 @@ func TestStoredImageBytesAreNeverWritten(t *testing.T) {
 	if got := st.Accept(4, 2, delta); got != Accepted {
 		t.Fatalf("delta over the held image: %v", got)
 	}
-	st.MergeEntries(st.EntriesSince(nil))
+	st.MergeSync(st.Since(nil))
 	st.Accept(4, 3, makeImage(t, 4, 3))
 	img4 := makeImage(t, 4, 4)
 	n := (len(img4) + 31) / 32
@@ -704,7 +730,7 @@ func TestServerChunkedSaveFullAcksOnlyOnCompletion(t *testing.T) {
 		if seq, err := wire.DecodeU64(f.Data); err != nil || seq != 1 {
 			t.Fatalf("full ack: seq=%d err=%v", seq, err)
 		}
-		if !srv.HasImage(4) {
+		if !srv.Store.Has(4) {
 			t.Fatal("server holds no image after chunked save")
 		}
 		// A retransmitted chunk after completion (the full ack may have

@@ -62,8 +62,9 @@ func (a AuditReport) Summary() string {
 // Audit checks the piecewise-determinism invariants over a finished
 // run's event logs. It consumes the merged per-rank delivery view
 // (Result.Deliveries) and the raw per-logger logs for supersession
-// accounting. Events with Seq == 0 predate channel
-// sequencing and are exempt from the contiguity check.
+// accounting. Every event must carry its channel sequence number: one
+// with Seq 0 cannot be placed in its channel and is reported as an
+// orphan.
 func Audit(res Result) AuditReport {
 	rep := AuditReport{Ranks: len(res.Deliveries)}
 
@@ -80,9 +81,6 @@ func Audit(res Result) AuditReport {
 		variants := make(map[slot]map[core.Event]bool)
 		for _, per := range res.ELReplicaDeliveries {
 			for _, ev := range per[r] {
-				if ev.Seq == 0 {
-					continue
-				}
 				k := slot{ev.Sender, ev.Seq}
 				if variants[k] == nil {
 					variants[k] = make(map[core.Event]bool)
@@ -134,22 +132,18 @@ func Audit(res Result) AuditReport {
 			// Gap-freedom: the channel sequence numbers present must be
 			// exactly {1..max}. A hole is an orphan — a later logged
 			// delivery proves the missing one happened, but no replica
-			// can replay it.
+			// can replay it — and so is an event with no sequence number.
 			seen := make(map[uint64]bool, len(ch))
 			var max uint64
-			sequenced := false
 			for _, ev := range ch {
 				if ev.Seq == 0 {
-					continue
+					rep.Orphans = append(rep.Orphans,
+						fmt.Sprintf("channel %d→%d: delivery at reception clock %d has no sequence number", s, r, ev.RecvClock))
 				}
-				sequenced = true
 				seen[ev.Seq] = true
 				if ev.Seq > max {
 					max = ev.Seq
 				}
-			}
-			if !sequenced {
-				continue
 			}
 			for q := uint64(1); q <= max; q++ {
 				if !seen[q] {

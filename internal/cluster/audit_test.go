@@ -62,15 +62,16 @@ func TestAuditDetectsClockAndFIFOViolations(t *testing.T) {
 	}
 }
 
-func TestAuditIgnoresUnsequencedEvents(t *testing.T) {
-	// Seq 0 marks events logged before channel sequencing existed; they
-	// must not produce phantom holes.
+func TestAuditConvictsUnsequencedEvents(t *testing.T) {
+	// Every logged event carries its channel sequence number; one with
+	// Seq 0 cannot be placed in its channel, so it is an orphan even
+	// beside a well-sequenced neighbour.
 	rep := Audit(deliveriesOf([]core.Event{
-		{Sender: 1, SenderClock: 1, RecvClock: 2, Seq: 0},
+		{Sender: 1, SenderClock: 1, RecvClock: 2, Seq: 1},
 		{Sender: 1, SenderClock: 5, RecvClock: 7, Seq: 0},
 	}))
-	if !rep.OK() {
-		t.Fatalf("unsequenced log rejected: %s", rep.Summary())
+	if rep.OK() || len(rep.Orphans) != 1 {
+		t.Fatalf("unsequenced event not convicted: %s %v", rep.Summary(), rep.Orphans)
 	}
 }
 

@@ -12,23 +12,24 @@
 // merge a read quorum so no quorum-committed event is ever lost even
 // while up to Q−1 replicas hold stale state.
 //
-// Server is the protocol frontend bound to one network endpoint; Store
-// is the storage behind it, over the node's write-ahead log when it
-// has one (walog.Log: a file when deployed, a walog.MemFile in the
-// simulator). A respawned node builds a fresh Store and replays its log
-// into it. The Store is idempotent (duplicate submissions, retransmitted
-// after a lost ack, change nothing) so the daemon may retry freely.
+// Server is the protocol frontend bound to one network endpoint: the
+// replica.Server skeleton the checkpoint server shares, plus the submit,
+// relay and fetch handlers. Store is the storage behind it, over the
+// node's write-ahead log when it has one (walog.Log: a file when
+// deployed, a walog.MemFile in the simulator). A respawned node builds
+// a fresh Store and replays its log into it. The Store is idempotent
+// (duplicate submissions, retransmitted after a lost ack, change
+// nothing) so the daemon may retry freely.
 package eventlog
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpichv/internal/core"
+	"mpichv/internal/replica"
 	"mpichv/internal/transport"
 	"mpichv/internal/vtime"
 	"mpichv/internal/walog"
@@ -213,25 +214,30 @@ func (st *Store) Marks() map[int]uint64 {
 	return marks
 }
 
-// EventsSince returns, per node, every stored event with RecvClock
-// above that node's mark (absent nodes mean "from the beginning") —
-// the response half of the anti-entropy exchange.
-func (st *Store) EventsSince(marks map[int]uint64) map[int][]core.Event {
+// Since encodes, per node, every stored event with RecvClock above
+// that node's mark (absent nodes mean "from the beginning") — the
+// response half of the anti-entropy exchange, encoded under the lock
+// because an insert may shift a node's events in place.
+func (st *Store) Since(marks map[int]uint64) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make(map[int][]core.Event)
 	for node, held := range st.events {
 		if evs := after(held, marks[node]); len(evs) > 0 {
-			out[node] = slices.Clone(evs)
+			out[node] = evs
 		}
 	}
-	return out
+	return wire.EncodeNodeEvents(out)
 }
 
-// Merge folds a peer's sync response into the store and returns how
-// many events were new. Overlap with already-held events is expected
-// (resync is re-entrant) and not counted as protocol duplicates.
-func (st *Store) Merge(m map[int][]core.Event) int {
+// MergeSync folds a peer's sync response into the store. Overlap with
+// already-held events is expected (resync is re-entrant) and not
+// counted as protocol duplicates.
+func (st *Store) MergeSync(data []byte) error {
+	m, err := wire.DecodeNodeEvents(data)
+	if err != nil {
+		return err
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	added := 0
@@ -241,26 +247,25 @@ func (st *Store) Merge(m map[int][]core.Event) int {
 	st.stats.Logged += int64(added)
 	st.stats.SyncedIn += int64(added)
 	st.stats.Resyncs++
-	return added
+	return nil
+}
+
+// CountMalformed counts one frame that failed to decode.
+func (st *Store) CountMalformed() {
+	st.mu.Lock()
+	st.stats.Malformed++
+	st.mu.Unlock()
 }
 
 // Server is one event logger replica frontend.
 type Server struct {
+	*replica.Server
 	rt      vtime.Runtime
 	ep      transport.Endpoint
 	service time.Duration // per-event processing time
 
 	// Store is the stable storage behind this frontend.
 	Store *Store
-
-	// Peers are the other replicas of this logger group; they serve
-	// anti-entropy sync requests. Empty for a standalone logger.
-	Peers []int
-	// Resync makes the server pull missing events from Peers on
-	// startup — set on a respawned replica.
-	Resync bool
-
-	synced atomic.Bool
 
 	// cums tracks, per submitting node, the contiguous prefix of batch
 	// seqs this replica has stored, so every ack can piggyback a
@@ -287,8 +292,12 @@ func NewServer(rt vtime.Runtime, ep transport.Endpoint, service time.Duration) *
 // NewServerWithStore creates an event logger frontend over a store the
 // caller built, typically one with its write-ahead log attached.
 func NewServerWithStore(rt vtime.Runtime, ep transport.Endpoint, service time.Duration, st *Store) *Server {
-	return &Server{rt: rt, ep: ep, service: service, Store: st, cums: make(map[int]*cumTracker)}
+	s := &Server{rt: rt, ep: ep, service: service, Store: st, cums: make(map[int]*cumTracker)}
+	s.Server = replica.New(rt, ep, role, st, s.handle)
+	return s
 }
+
+var role = replica.Role{Actor: "event-logger", Resync: "el-resync", SyncReq: wire.KELSyncReq, SyncResp: wire.KELSyncResp}
 
 // ackCum records that the batch with the given seq is now stored and
 // returns the submitter's cumulative mark: the highest seq such that
@@ -314,101 +323,38 @@ func (s *Server) ackCum(from int, seq uint64) uint64 {
 	return t.cum
 }
 
-// Start runs the server loop as an actor, plus the resync requester if
-// the replica is rejoining its group.
-func (s *Server) Start() {
-	s.rt.Go("event-logger", s.run)
-	if s.Resync && len(s.Peers) > 0 {
-		s.rt.Go(fmt.Sprintf("el-resync-%d", s.ep.ID()), s.resyncLoop)
-	} else {
-		s.synced.Store(true)
-	}
-}
-
-// EventCount reports the number of events stored for a node.
-func (s *Server) EventCount(rank int) int { return s.Store.Count(rank) }
-
-// Synced reports whether the server is serving its group's committed
-// state: at Start when it has nothing to resync, otherwise once a
-// rejoining replica has completed an anti-entropy merge and its outage
-// window closes.
-func (s *Server) Synced() bool { return s.synced.Load() }
-
-// resyncAttempts bounds the resync request rounds. A simulated rejoin
-// syncs in its first round; out-of-process replicas need the rest, as
-// real dials and peer respawns take wall-clock time.
-const resyncAttempts = 60
-
-// resyncLoop re-requests the missing event ranges from every peer until
-// at least one sync response lands (merges are idempotent, so asking
-// everyone and retrying is safe). The marks are snapshotted once, at
-// join time: recomputing them after a partial merge could advance past
-// holes a stale peer left behind.
-func (s *Server) resyncLoop() {
-	req := wire.EncodeSyncMarks(s.Store.Marks())
-	bo := transport.Backoff{Base: 5 * time.Millisecond, Seed: uint64(s.ep.ID())}
-	for attempt := 0; attempt < resyncAttempts && !s.synced.Load(); attempt++ {
-		for _, p := range s.Peers {
-			s.ep.Send(p, wire.KELSyncReq, req)
+// handle serves the logger's own request kinds.
+func (s *Server) handle(f transport.Frame) error {
+	switch f.Kind {
+	case wire.KEventLog:
+		seq, evs, err := wire.DecodeEventLog(f.Data)
+		if err != nil {
+			return err
 		}
-		s.rt.Sleep(bo.Delay(attempt))
-	}
-}
-
-func (s *Server) run() {
-	for {
-		f, ok := s.ep.Inbox().Recv()
-		if !ok {
-			return
+		s.storeAndAck(f, seq, f.From, evs)
+	case wire.KDetRelay:
+		// Piggybacked determinants relayed by a receiver on behalf of
+		// their origin node: stored under the origin (so the origin's
+		// restart fetch finds them) but acked to the relayer on its own
+		// seq stream — the same cumulative mark retires relay and
+		// KEventLog batches alike.
+		seq, origin, evs, err := wire.DecodeDetRelay(f.Data)
+		if err != nil {
+			return err
 		}
-		switch f.Kind {
-		case wire.KEventLog:
-			seq, evs, err := wire.DecodeEventLog(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.storeAndAck(f, seq, f.From, evs)
-		case wire.KDetRelay:
-			// Piggybacked determinants relayed by a receiver on behalf
-			// of their origin node: stored under the origin (so the
-			// origin's restart fetch finds them) but acked to the
-			// relayer on its own seq stream — the same cumulative mark
-			// retires relay and KEventLog batches alike.
-			seq, origin, evs, err := wire.DecodeDetRelay(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.storeAndAck(f, seq, origin, evs)
-		case wire.KEventFetch:
-			h, err := wire.DecodeU64(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.Store.mu.Lock()
-			s.Store.stats.Fetches++
-			s.Store.mu.Unlock()
-			out := s.Store.Events(f.From, h)
-			s.ep.Send(f.From, wire.KEventFetched, wire.EncodeEvents(out))
-		case wire.KELSyncReq:
-			marks, err := wire.DecodeSyncMarks(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.ep.Send(f.From, wire.KELSyncResp, wire.EncodeNodeEvents(s.Store.EventsSince(marks)))
-		case wire.KELSyncResp:
-			m, err := wire.DecodeNodeEvents(f.Data)
-			if err != nil {
-				s.countMalformed()
-				continue
-			}
-			s.Store.Merge(m)
-			s.synced.Store(true)
+		s.storeAndAck(f, seq, origin, evs)
+	case wire.KEventFetch:
+		h, err := wire.DecodeU64(f.Data)
+		if err != nil {
+			return err
 		}
+		s.Store.mu.Lock()
+		s.Store.stats.Fetches++
+		s.Store.mu.Unlock()
+		out := s.Store.Events(f.From, h)
+		s.ep.Send(f.From, wire.KEventFetched, wire.EncodeEvents(out))
 	}
+	return nil
 }
 
 // storeAndAck stores a submitted batch's events under node and acks the
@@ -429,10 +375,4 @@ func (s *Server) storeAndAck(f transport.Frame, seq uint64, node int, evs []core
 	s.Store.mu.Unlock()
 	cum := s.ackCum(f.From, seq)
 	s.ep.Send(f.From, wire.KEventAck, wire.AppendEventAck(wire.GetBuf(16), seq, cum))
-}
-
-func (s *Server) countMalformed() {
-	s.Store.mu.Lock()
-	s.Store.stats.Malformed++
-	s.Store.mu.Unlock()
 }

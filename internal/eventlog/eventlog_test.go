@@ -55,8 +55,8 @@ func TestLogAndAck(t *testing.T) {
 		if cum != 0 {
 			t.Fatalf("cum = %d, want 0 (gap 1..6 unfilled)", cum)
 		}
-		if st := srv.Store.Stats(); srv.EventCount(1) != 2 || st.Logged != 2 {
-			t.Errorf("stored %d events, Logged=%d", srv.EventCount(1), st.Logged)
+		if st := srv.Store.Stats(); srv.Store.Count(1) != 2 || st.Logged != 2 {
+			t.Errorf("stored %d events, Logged=%d", srv.Store.Count(1), st.Logged)
 		}
 	})
 }
@@ -73,9 +73,9 @@ func TestResubmittedBatchReAckedNotRelogged(t *testing.T) {
 		if seq, _, _ := wire.DecodeEventAck(f.Data); seq != 1 {
 			t.Fatalf("duplicate not re-acked: seq = %d", seq)
 		}
-		if st := srv.Store.Stats(); srv.EventCount(1) != 1 || st.Logged != 1 || st.Duplicates != 1 {
+		if st := srv.Store.Stats(); srv.Store.Count(1) != 1 || st.Logged != 1 || st.Duplicates != 1 {
 			t.Errorf("after duplicate: count=%d Logged=%d Duplicates=%d",
-				srv.EventCount(1), st.Logged, st.Duplicates)
+				srv.Store.Count(1), st.Logged, st.Duplicates)
 		}
 	})
 }
@@ -156,8 +156,8 @@ func TestEventsKeyedPerNode(t *testing.T) {
 		c2.Send(100, wire.KEventLog, wire.EncodeEventLog(1, []core.Event{{Sender: 9, SenderClock: 1, RecvClock: 1}, {Sender: 9, SenderClock: 2, RecvClock: 2}}))
 		recvKind(t, c1, wire.KEventAck)
 		recvKind(t, c2, wire.KEventAck)
-		if srv.EventCount(1) != 1 || srv.EventCount(2) != 2 {
-			t.Errorf("per-node counts: %d %d", srv.EventCount(1), srv.EventCount(2))
+		if srv.Store.Count(1) != 1 || srv.Store.Count(2) != 2 {
+			t.Errorf("per-node counts: %d %d", srv.Store.Count(1), srv.Store.Count(2))
 		}
 	})
 }

@@ -154,3 +154,39 @@ func FuzzDecodeCkptManifest(f *testing.F) {
 		}
 	})
 }
+
+// The sync decoders read an entry count from the frame; the 4-byte
+// seed claims 2³²−1 entries in a frame that holds none, which must cost
+// an error, not an allocation sized by the claim.
+
+func FuzzDecodeNodeEvents(f *testing.F) {
+	f.Add(EncodeNodeEvents(map[int][]core.Event{3: {{Sender: 1, SenderClock: 2, RecvClock: 3, Seq: 1}}, -1: nil}))
+	f.Add(EncodeNodeEvents(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeNodeEvents(data)
+		if err != nil {
+			return
+		}
+		got, err := DecodeNodeEvents(EncodeNodeEvents(m))
+		if err != nil || !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip: %+v vs %+v, %v", m, got, err)
+		}
+	})
+}
+
+func FuzzDecodeCkptEntries(f *testing.F) {
+	f.Add(EncodeCkptEntries([]CkptEntry{{Rank: 4, Seq: 2, Image: []byte("image")}, {Rank: -1, Seq: 1 << 40}}))
+	f.Add(EncodeCkptEntries(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := DecodeCkptEntries(data)
+		if err != nil {
+			return
+		}
+		got, err := DecodeCkptEntries(EncodeCkptEntries(entries))
+		if err != nil || !reflect.DeepEqual(got, entries) {
+			t.Fatalf("round trip: %+v vs %+v, %v", entries, got, err)
+		}
+	})
+}

@@ -605,7 +605,7 @@ func DecodeNodeEvents(data []byte) (map[int][]core.Event, error) {
 	}
 	n := int(binary.BigEndian.Uint32(data[0:4]))
 	off := 4
-	m := make(map[int][]core.Event, n)
+	m := make(map[int][]core.Event, min(n, (len(data)-4)/8)) // n is the frame's claim; a node takes ≥ 8 bytes
 	for i := 0; i < n; i++ {
 		if len(data) < off+8 {
 			return nil, fmt.Errorf("wire: node events truncated")
@@ -657,7 +657,7 @@ func DecodeCkptEntries(data []byte) ([]CkptEntry, error) {
 	}
 	n := int(binary.BigEndian.Uint32(data[0:4]))
 	off := 4
-	entries := make([]CkptEntry, 0, n)
+	entries := make([]CkptEntry, 0, min(n, (len(data)-4)/16)) // n is the frame's claim; an entry takes ≥ 16 bytes
 	for i := 0; i < n; i++ {
 		if len(data) < off+16 {
 			return nil, fmt.Errorf("wire: ckpt entries truncated")
