@@ -117,7 +117,7 @@ loc: ## non-test Go lines under internal/ + cmd/, and the ten largest non-test f
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		grep -v ' total$$' | sort -rn | head -10
 
-ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core + per-peer race x20 + shuffled order
+ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor + oracle + race core + per-peer race x20 + real-TCP system race x10 + shuffled order
 	$(GO) build ./...
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -131,5 +131,8 @@ ci: ## the full gate: build + gofmt + vet + staticcheck + tests + coverage floor
 	# queued path, a dead or half-open peer delaying only its frames, and
 	# crossed dials losing no frame.
 	$(GO) test -race -count=20 -run 'TestTCPPeer|TestTCPCrossedDials' ./internal/transport/
+	# The only in-process full-protocol run over real TCP: a frame refused
+	# at startup must be recovered by the starvation pull on every run.
+	$(GO) test -race -count=10 -run 'TestRealTCPSystem$$' ./internal/deploy/
 	# Checkpoint bytes and the schedule hashes must not depend on test order.
 	$(GO) test -shuffle=on -count=5 ./internal/cluster/ ./internal/nas/

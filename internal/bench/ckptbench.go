@@ -17,14 +17,13 @@ import (
 // frequently while its receiver checkpoints rarely — so the log is
 // large, mostly stable, and un-GC'd. A full image re-ships that backlog
 // on every checkpoint; a delta ships only the handful of entries
-// appended since the last acked one. Chunking prices the transfer under
-// loss: monolithic images re-send whole, chunked transfers re-send only
-// the missing chunks.
+// appended since the last acked one. Chunk size prices the transfer
+// under loss: only the missing chunks are re-sent.
 
 // CkptPoint is one (log size, chunk, delta, drop) point of the sweep.
 type CkptPoint struct {
 	LogKB        int     // steady-state SAVED-log size on the sender
-	Chunk        int     // chunk size in bytes; -1 = monolithic, 0 = default
+	Chunk        int     // chunk size in bytes; 0 = default
 	Delta        bool    // delta SAVED-log shipping enabled
 	Drop         float64 // frame drop probability
 	Ckpts        int64   // checkpoints completed by the daemons
@@ -32,7 +31,7 @@ type CkptPoint struct {
 	BytesPerCkpt int64
 	Reduction    float64 // bytes/ckpt vs delta-off at same geometry
 	DeltaCkpts   int64   // checkpoints that went out as deltas
-	Retrans      int64   // chunk retransmissions (chunked modes only)
+	Retrans      int64   // chunk retransmissions
 	Elapsed      time.Duration
 }
 
@@ -109,7 +108,7 @@ func ckptBenchRun(logBytes, chunk int, delta bool, drop float64, rounds int) Ckp
 // (log size, chunk, drop) so it anchors the Reduction column.
 func CkptBenchData(quick bool) []CkptPoint {
 	logs := []int{4 << 10, 32 << 10}
-	chunks := []int{-1, 0, 1024} // monolithic, default (16KB), small
+	chunks := []int{0, 1024} // default (16KB), small
 	drops := []float64{0, 0.01}
 	// The scheduler cycle is SchedPeriod plus its 5ms status reply
 	// window, and round-robin spends every other order on the receiver;
@@ -117,7 +116,7 @@ func CkptBenchData(quick bool) []CkptPoint {
 	rounds := 400
 	if quick {
 		logs = []int{16 << 10}
-		chunks = []int{-1, 1024}
+		chunks = []int{0, 1024}
 		drops = []float64{0, 0.01}
 		rounds = 250
 	}
@@ -144,10 +143,7 @@ func CkptBenchData(quick bool) []CkptPoint {
 
 // chunkLabel renders the chunk-size axis.
 func chunkLabel(c int) string {
-	switch {
-	case c < 0:
-		return "mono"
-	case c == 0:
+	if c == 0 {
 		return "default"
 	}
 	return sizeLabel(c)

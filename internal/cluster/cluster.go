@@ -177,7 +177,7 @@ type Config struct {
 	Chaos transport.ChaosPolicy
 
 	// CkptChunk is the chunked checkpoint transfer's chunk size in
-	// bytes (0 = daemon default, negative = monolithic saves); see
+	// bytes (non-positive = the daemon default, 16 KiB); see
 	// daemon.Config.CkptChunkSize.
 	CkptChunk int
 	// CkptNoDelta ships full images on every checkpoint (ablation);

@@ -66,12 +66,12 @@ func TestELWindowDeterminismUnderChaos(t *testing.T) {
 }
 
 // TestCkptChunkingDeterminism is the ablation guard on the checkpoint
-// data path: monolithic images, default chunking, a pathological odd
-// chunk size, and delta shipping on/off are pure transport choices — a
-// rank killed mid-run must restore the exact same state (and hence the
-// same finals) under every one of them. The byte-identity of the
-// reassembled image itself is pinned in the ckpt package; this pins
-// that nothing above it can tell the difference either.
+// data path: default chunking, a pathological odd chunk size, and
+// delta shipping on/off are pure transport choices — a rank killed
+// mid-run must restore the exact same state (and hence the same finals)
+// under every one of them. The byte-identity of the reassembled image
+// itself is pinned in the ckpt package; this pins that nothing above it
+// can tell the difference either.
 func TestCkptChunkingDeterminism(t *testing.T) {
 	const n, iters = 4, 50
 	type ablation struct {
@@ -80,11 +80,9 @@ func TestCkptChunkingDeterminism(t *testing.T) {
 		noDelta bool
 	}
 	cases := []ablation{
-		{"monolithic+delta", -1, false},
 		{"chunk=default+delta", 0, false},
 		{"chunk=97+delta", 97, false},
 		{"chunk=default+nodelta", 0, true},
-		{"monolithic+nodelta", -1, true},
 	}
 	want := ckptExpect(n, iters)
 	for _, c := range cases {
@@ -118,9 +116,6 @@ func TestCkptChunkingDeterminism(t *testing.T) {
 		}
 		if !c.noDelta && res.Daemon.DeltaCkpts == 0 {
 			t.Errorf("%s: never shipped a delta", c.name)
-		}
-		if c.chunk < 0 && res.Daemon.ChunkRetransmits != 0 {
-			t.Errorf("%s: %d chunk retransmits in monolithic mode", c.name, res.Daemon.ChunkRetransmits)
 		}
 		if rep := Audit(res); !rep.OK() {
 			t.Errorf("%s: %s", c.name, rep.Summary())

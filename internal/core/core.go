@@ -44,7 +44,7 @@ type MsgID struct {
 // Seq additionally records the per-channel sequence number of the
 // delivered message (1, 2, 3, … per sender), which lets recovery and
 // the post-run auditor prove the logged history of every channel is
-// gap-free; 0 marks a legacy/unsequenced event.
+// gap-free.
 type Event struct {
 	Sender      int
 	SenderClock uint64
@@ -76,7 +76,7 @@ type SavedMsg struct {
 type StashedMsg struct {
 	From  int
 	Clock uint64
-	Seq   uint64 // per-sender channel sequence; 0 if unsequenced
+	Seq   uint64 // per-sender channel sequence (1, 2, 3, …)
 	Kind  uint8
 	Data  []byte
 }
@@ -107,13 +107,6 @@ type State struct {
 	h  uint64         // logical clock H_p
 	hs map[int]uint64 // HS_p[q]: clock of last emission transmitted to q
 	hr map[int]uint64 // HR_p[q]: sender clock of last delivery from q
-
-	// offered[q] is the highest sender clock from q accepted this
-	// incarnation (queued or stashed). It exists only in memory — a
-	// crash forgets it along with the arrived queue — and suppresses
-	// duplicate restart re-sends of messages that have arrived but
-	// are not yet delivered. Used only for unsequenced (Seq 0) offers.
-	offered map[int]uint64
 
 	// Per-pair channel sequencing. The logical clock cannot order a
 	// pair's messages for the receiver — it ticks on emissions to
@@ -152,7 +145,6 @@ func NewState(rank int) *State {
 		rank:      rank,
 		hs:        make(map[int]uint64),
 		hr:        make(map[int]uint64),
-		offered:   make(map[int]uint64),
 		seqTo:     make(map[int]uint64),
 		seqIn:     make(map[int]uint64),
 		seqAcc:    make(map[int]uint64),
@@ -233,13 +225,14 @@ func (s *State) ProbeMiss() { s.probes++ }
 func (s *State) ProbeCount() uint32 { return s.probes }
 
 // Offer classifies an arriving payload frame from peer "from" with
-// sender clock h and channel sequence seq (0 = unsequenced, for
-// transports guaranteed FIFO). OfferQueue: the daemon appends it to its
-// arrived queue (and should then collect TakeHeld successors).
-// OfferStash: the state kept it for replay. OfferHold: the state kept
-// it until its channel predecessors arrive. OfferDrop: duplicate.
+// sender clock h and channel sequence seq (PrepareSend's, 1, 2, 3, …
+// per destination; a seq of 0 is never accepted). OfferQueue: the
+// daemon appends it to its arrived queue (and should then collect
+// TakeHeld successors). OfferStash: the state kept it for replay.
+// OfferHold: the state kept it until its channel predecessors arrive.
+// OfferDrop: duplicate.
 func (s *State) Offer(from int, h, seq uint64, kind uint8, data []byte) OfferAction {
-	if h <= s.hr[from] || (seq > 0 && seq <= s.seqIn[from]) {
+	if h <= s.hr[from] || seq <= s.seqIn[from] {
 		return OfferDrop
 	}
 	if s.Replaying() {
@@ -253,16 +246,6 @@ func (s *State) Offer(from int, h, seq uint64, kind uint8, data []byte) OfferAct
 		}
 		s.stash[id] = StashedMsg{From: from, Clock: h, Seq: seq, Kind: kind, Data: data}
 		return OfferStash
-	}
-	if seq == 0 {
-		// Unsequenced: per-sender arrivals are assumed FIFO (one TCP
-		// stream per pair), so a high-water mark suppresses duplicates
-		// of arrived-but-undelivered messages after a peer's restart.
-		if h <= s.offered[from] {
-			return OfferDrop
-		}
-		s.offered[from] = h
-		return OfferQueue
 	}
 	if seq <= s.seqAcc[from] {
 		return OfferDrop
@@ -376,13 +359,11 @@ func (s *State) TakeStashed() (StashedMsg, Event, bool) {
 	}
 	delete(s.stash, id)
 	s.advanceReplay(ev)
-	if m.Seq > 0 {
-		if m.Seq > s.seqIn[ev.Sender] {
-			s.seqIn[ev.Sender] = m.Seq
-		}
-		if m.Seq > s.seqAcc[ev.Sender] {
-			s.seqAcc[ev.Sender] = m.Seq
-		}
+	if m.Seq > s.seqIn[ev.Sender] {
+		s.seqIn[ev.Sender] = m.Seq
+	}
+	if m.Seq > s.seqAcc[ev.Sender] {
+		s.seqAcc[ev.Sender] = m.Seq
 	}
 	return m, ev, true
 }
@@ -439,7 +420,7 @@ func (s *State) RegenerateReplay() (StashedMsg, Event, bool) {
 		if claimed[id] || m.Clock <= s.hr[m.From] {
 			continue
 		}
-		if m.Seq > 0 && m.Seq != s.seqAcc[m.From]+1 {
+		if m.Seq != s.seqAcc[m.From]+1 {
 			continue // beyond a channel gap: a predecessor is missing
 		}
 		if !found || m.From < best.From || (m.From == best.From && m.Clock < best.Clock) {
@@ -451,13 +432,7 @@ func (s *State) RegenerateReplay() (StashedMsg, Event, bool) {
 		return StashedMsg{}, Event{}, false
 	}
 	delete(s.stash, MsgID{Sender: best.From, Clock: best.Clock})
-	if best.Seq > 0 {
-		if best.Seq > s.seqAcc[best.From] {
-			s.seqAcc[best.From] = best.Seq
-		}
-	} else if best.Clock > s.offered[best.From] {
-		s.offered[best.From] = best.Clock
-	}
+	s.seqAcc[best.From] = best.Seq
 	// The regenerated delivery is a fresh nondeterministic-by-default
 	// choice: its event joins the WAITLOGGED gate and must be submitted.
 	return best, s.commit(best.From, best.Clock, best.Seq, true), true
@@ -483,19 +458,12 @@ func (s *State) DrainStash() []StashedMsg {
 		return all[i].From < all[j].From
 	})
 	s.stash = make(map[MsgID]StashedMsg)
-	// Per-sender clock order is emission order, so sequenced messages
-	// come out in channel order here — but a message beyond a channel
-	// gap (its predecessor was dropped mid-replay) must wait in held,
-	// exactly as on the normal path.
+	// Per-sender clock order is emission order, so messages come out
+	// in channel order here — but a message beyond a channel gap (its
+	// predecessor was dropped mid-replay) must wait in held, exactly as
+	// on the normal path.
 	out := make([]StashedMsg, 0, len(all))
 	for _, m := range all {
-		if m.Seq == 0 {
-			if m.Clock > s.offered[m.From] {
-				s.offered[m.From] = m.Clock
-			}
-			out = append(out, m)
-			continue
-		}
 		switch {
 		case m.Seq <= s.seqAcc[m.From]: // duplicate
 		case m.Seq == s.seqAcc[m.From]+1:
@@ -578,24 +546,17 @@ func (s *State) StartRecoveryWith(events []Event, holeTolerant bool) (dropped in
 		}
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].RecvClock < replay[j].RecvClock })
-	next := make(map[int]uint64, len(s.seqIn))
+	last := make(map[int]uint64, len(s.seqIn))
 	for k, v := range s.seqIn {
-		next[k] = v + 1
+		last[k] = v
 	}
 	cut := len(replay)
 	for i, ev := range replay {
-		if ev.Seq == 0 {
-			continue // unsequenced legacy event: nothing to validate
-		}
-		want := next[ev.Sender]
-		if want == 0 {
-			want = 1
-		}
-		if ev.Seq != want && !holeTolerant {
+		if ev.Seq != last[ev.Sender]+1 && !holeTolerant {
 			cut = i
 			break
 		}
-		next[ev.Sender] = ev.Seq + 1
+		last[ev.Sender] = ev.Seq
 	}
 	dropped = len(replay) - cut
 	replay = replay[:cut]

@@ -8,15 +8,15 @@ import (
 	"testing/quick"
 )
 
-// deliver offers and immediately commits a message during normal
-// execution, as the daemon does for a blocking receive with an empty
-// queue.
-func deliver(t *testing.T, s *State, from int, h uint64, data []byte) Event {
+// deliver offers and immediately commits the message with sender clock
+// h and channel seq during normal execution, as the daemon does for a
+// blocking receive with an empty queue.
+func deliver(t *testing.T, s *State, from int, h, seq uint64, data []byte) Event {
 	t.Helper()
-	if act := s.Offer(from, h, 0, 0, data); act != OfferQueue {
-		t.Fatalf("Offer(%d,%d) = %v, want OfferQueue", from, h, act)
+	if act := s.Offer(from, h, seq, 0, data); act != OfferQueue {
+		t.Fatalf("Offer(%d,%d,%d) = %v, want OfferQueue", from, h, seq, act)
 	}
-	return s.Commit(from, h, 0)
+	return s.Commit(from, h, seq)
 }
 
 func TestClockTicksOnSendAndDeliver(t *testing.T) {
@@ -25,7 +25,7 @@ func TestClockTicksOnSendAndDeliver(t *testing.T) {
 	if !tx || id.Clock != 1 || id.Sender != 0 {
 		t.Fatalf("first send: id=%+v transmit=%v", id, tx)
 	}
-	ev := deliver(t, s, 1, 1, []byte("b"))
+	ev := deliver(t, s, 1, 1, 1, []byte("b"))
 	if ev.RecvClock != 2 || ev.SenderClock != 1 || ev.Sender != 1 {
 		t.Errorf("event = %+v", ev)
 	}
@@ -39,7 +39,7 @@ func TestWaitLoggedGating(t *testing.T) {
 	if s.SendBlocked() {
 		t.Fatal("fresh state should not block sends")
 	}
-	deliver(t, s, 1, 1, nil)
+	deliver(t, s, 1, 1, 1, nil)
 	if !s.SendBlocked() {
 		t.Fatal("send must be blocked until the event is acked")
 	}
@@ -60,32 +60,39 @@ func TestEventsAckedUnderflowPanics(t *testing.T) {
 
 func TestDuplicateOfferDropped(t *testing.T) {
 	s := NewState(0)
-	deliver(t, s, 2, 5, nil)
-	if act := s.Offer(2, 5, 0, 0, nil); act != OfferDrop {
-		t.Fatalf("re-offer of delivered clock: %v", act)
+	deliver(t, s, 2, 5, 1, nil)
+	if act := s.Offer(2, 5, 1, 0, nil); act != OfferDrop {
+		t.Fatalf("re-offer of delivered message: %v", act)
 	}
-	if act := s.Offer(2, 3, 0, 0, nil); act != OfferDrop {
+	if act := s.Offer(2, 3, 2, 0, nil); act != OfferDrop {
 		t.Fatalf("older clock: %v", act)
 	}
 	// A queued-but-undelivered message also blocks its duplicates.
-	if act := s.Offer(2, 6, 0, 0, nil); act != OfferQueue {
-		t.Fatalf("fresh clock: %v", act)
+	if act := s.Offer(2, 6, 2, 0, nil); act != OfferQueue {
+		t.Fatalf("fresh message: %v", act)
 	}
-	if act := s.Offer(2, 6, 0, 0, nil); act != OfferDrop {
+	if act := s.Offer(2, 6, 2, 0, nil); act != OfferDrop {
 		t.Fatalf("duplicate of queued message: %v", act)
 	}
-	s.Commit(2, 6, 0)
+	s.Commit(2, 6, 2)
+	// A payload without a channel seq is never accepted.
+	if act := s.Offer(3, 1, 0, 0, nil); act != OfferDrop {
+		t.Fatalf("seq 0 on a fresh channel: %v", act)
+	}
+	if act := s.Offer(2, 7, 0, 0, nil); act != OfferDrop {
+		t.Fatalf("seq 0 after deliveries: %v", act)
+	}
 }
 
 func TestCommitOfDuplicatePanics(t *testing.T) {
 	s := NewState(0)
-	deliver(t, s, 1, 4, nil)
+	deliver(t, s, 1, 4, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Commit(1, 4, 0)
+	s.Commit(1, 4, 1)
 }
 
 func TestProbeCountAttachedToEvent(t *testing.T) {
@@ -93,11 +100,11 @@ func TestProbeCountAttachedToEvent(t *testing.T) {
 	s.ProbeMiss()
 	s.ProbeMiss()
 	s.ProbeMiss()
-	ev := deliver(t, s, 1, 1, nil)
+	ev := deliver(t, s, 1, 1, 1, nil)
 	if ev.Probes != 3 {
 		t.Errorf("probes = %d, want 3", ev.Probes)
 	}
-	ev = deliver(t, s, 1, 2, nil)
+	ev = deliver(t, s, 1, 2, 2, nil)
 	if ev.Probes != 0 {
 		t.Errorf("probe counter not reset: %d", ev.Probes)
 	}
@@ -130,7 +137,7 @@ func TestResendAfterRestart1(t *testing.T) {
 	s.PrepareSend(1, 9, []byte("m2")) // clock 2
 	s.PrepareSend(2, 9, []byte("x"))  // clock 3
 	s.PrepareSend(1, 9, []byte("m3")) // clock 4
-	deliver(t, s, 1, 7, nil)          // so HR[1] = 7
+	deliver(t, s, 1, 7, 1, nil)       // so HR[1] = 7
 
 	resend, myHR := s.OnRestart1(1, 2) // peer 1 delivered up to our clock 2
 	if myHR != 7 {
@@ -162,21 +169,25 @@ func TestReplaySequence(t *testing.T) {
 	// Original history: recv(1,c1) recv(2,c1) recv(1,c2), with a probe
 	// miss before the second event.
 	events := []Event{
-		{Sender: 1, SenderClock: 1, RecvClock: 1, Probes: 0},
-		{Sender: 2, SenderClock: 1, RecvClock: 2, Probes: 1},
-		{Sender: 1, SenderClock: 2, RecvClock: 3, Probes: 0},
+		{Sender: 1, SenderClock: 1, RecvClock: 1, Probes: 0, Seq: 1},
+		{Sender: 2, SenderClock: 1, RecvClock: 2, Probes: 1, Seq: 1},
+		{Sender: 1, SenderClock: 2, RecvClock: 3, Probes: 0, Seq: 2},
 	}
 	s.StartRecovery(events)
 	if !s.Replaying() || s.ReplayRemaining() != 3 {
 		t.Fatalf("replaying=%v remaining=%d", s.Replaying(), s.ReplayRemaining())
 	}
 
+	// A copy without a channel seq is dropped, not stashed in its place.
+	if act := s.Offer(1, 1, 0, 0, []byte("a")); act != OfferDrop {
+		t.Fatalf("unsequenced replay offer: %v", act)
+	}
 	// Peer 1's two messages arrive before peer 2's: both stash; only
 	// the first can be taken.
-	if act := s.Offer(1, 1, 0, 0, []byte("a")); act != OfferStash {
+	if act := s.Offer(1, 1, 1, 0, []byte("a")); act != OfferStash {
 		t.Fatalf("replay offer: %v", act)
 	}
-	if act := s.Offer(1, 2, 0, 0, []byte("c")); act != OfferStash {
+	if act := s.Offer(1, 2, 2, 0, []byte("c")); act != OfferStash {
 		t.Fatalf("replay offer 2: %v", act)
 	}
 	m, ev, ok := s.TakeStashed()
@@ -194,7 +205,7 @@ func TestReplaySequence(t *testing.T) {
 	if s.ReplayProbeMiss() {
 		t.Error("second probe should not miss (message 2 is next)")
 	}
-	if act := s.Offer(2, 1, 0, 0, []byte("b")); act != OfferStash {
+	if act := s.Offer(2, 1, 1, 0, []byte("b")); act != OfferStash {
 		t.Fatal("peer 2 message should stash")
 	}
 	m, ev, ok = s.TakeStashed()
@@ -212,7 +223,7 @@ func TestReplaySequence(t *testing.T) {
 		t.Errorf("clock after replay = %d, want 3", s.Clock())
 	}
 	// Fresh deliveries resume normal logging.
-	ev = deliver(t, s, 2, 2, nil)
+	ev = deliver(t, s, 2, 2, 2, nil)
 	if ev.RecvClock != 4 || !s.SendBlocked() {
 		t.Errorf("post-replay delivery: ev=%+v blocked=%v", ev, s.SendBlocked())
 	}
@@ -220,12 +231,12 @@ func TestReplaySequence(t *testing.T) {
 
 func TestDrainStashAfterReplay(t *testing.T) {
 	s := NewState(0)
-	s.StartRecovery([]Event{{Sender: 1, SenderClock: 1, RecvClock: 1}})
+	s.StartRecovery([]Event{{Sender: 1, SenderClock: 1, RecvClock: 1, Seq: 1}})
 	// A fresh message from peer 2 and a future message from peer 1
 	// arrive during replay.
-	s.Offer(2, 1, 0, 0, []byte("fresh2"))
-	s.Offer(1, 2, 0, 0, []byte("future1"))
-	s.Offer(1, 1, 0, 0, []byte("logged"))
+	s.Offer(2, 1, 1, 0, []byte("fresh2"))
+	s.Offer(1, 2, 2, 0, []byte("future1"))
+	s.Offer(1, 1, 1, 0, []byte("logged"))
 	if _, _, ok := s.TakeStashed(); !ok {
 		t.Fatal("logged message should be takeable")
 	}
@@ -242,13 +253,13 @@ func TestDrainStashAfterReplay(t *testing.T) {
 	}
 	// Drained messages commit normally.
 	for _, m := range rest {
-		s.Commit(m.From, m.Clock, 0)
+		s.Commit(m.From, m.Clock, m.Seq)
 	}
 }
 
 func TestDrainStashDuringReplayPanics(t *testing.T) {
 	s := NewState(0)
-	s.StartRecovery([]Event{{Sender: 1, SenderClock: 1, RecvClock: 1}})
+	s.StartRecovery([]Event{{Sender: 1, SenderClock: 1, RecvClock: 1, Seq: 1}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -260,12 +271,12 @@ func TestDrainStashDuringReplayPanics(t *testing.T) {
 func TestStartRecoverySkipsPreCheckpointEvents(t *testing.T) {
 	// A process restored from a checkpoint at clock 5 must only replay
 	// events after clock 5.
-	sn := &Snapshot{Rank: 0, H: 5, HS: map[int]uint64{}, HR: map[int]uint64{1: 3}}
+	sn := &Snapshot{Rank: 0, H: 5, HS: map[int]uint64{}, HR: map[int]uint64{1: 3}, SeqIn: map[int]uint64{1: 2}}
 	s := Restore(sn)
 	s.StartRecovery([]Event{
-		{Sender: 1, SenderClock: 2, RecvClock: 4},
-		{Sender: 1, SenderClock: 3, RecvClock: 5},
-		{Sender: 1, SenderClock: 4, RecvClock: 6},
+		{Sender: 1, SenderClock: 2, RecvClock: 4, Seq: 1},
+		{Sender: 1, SenderClock: 3, RecvClock: 5, Seq: 2},
+		{Sender: 1, SenderClock: 4, RecvClock: 6, Seq: 3},
 	})
 	if s.ReplayRemaining() != 1 {
 		t.Fatalf("remaining = %d, want 1", s.ReplayRemaining())
@@ -283,8 +294,8 @@ func TestReplayClockHoleRefusedAndRegenerated(t *testing.T) {
 	// logged message now would drift the clock — and the hole is
 	// instead filled by regenerating unclaimed arrivals.
 	s := NewState(0)
-	s.StartRecovery([]Event{{Sender: 1, SenderClock: 3, RecvClock: 5}})
-	s.Offer(1, 3, 0, 0, nil) // the logged message itself: claimed, must wait
+	s.StartRecovery([]Event{{Sender: 1, SenderClock: 3, RecvClock: 5, Seq: 1}})
+	s.Offer(1, 3, 1, 0, nil) // the logged message itself: claimed, must wait
 	if _, _, ok := s.TakeStashed(); ok {
 		t.Fatal("TakeStashed crossed a clock hole")
 	}
@@ -296,7 +307,7 @@ func TestReplayClockHoleRefusedAndRegenerated(t *testing.T) {
 	}
 	// An unclaimed arrival from another sender fills the hole as a
 	// fresh, gated delivery.
-	s.Offer(2, 7, 0, 0, nil)
+	s.Offer(2, 7, 1, 0, nil)
 	m, ev, ok := s.RegenerateReplay()
 	if !ok || m.From != 2 || ev.RecvClock != 1 {
 		t.Fatalf("regeneration: ok=%v m=%+v ev=%+v", ok, m, ev)
@@ -312,8 +323,8 @@ func TestReplayClockHoleRefusedAndRegenerated(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewState(3)
 	s.PrepareSend(1, 2, []byte("hello"))
-	s.Offer(2, 9, 0, 0, nil)
-	s.Commit(2, 9, 0)
+	s.Offer(2, 9, 1, 0, nil)
+	s.Commit(2, 9, 1)
 	s.EventsAcked(1)
 	sn := s.Snapshot()
 	b, err := sn.Encode()
@@ -389,7 +400,8 @@ func TestPropertyReplayDeterminism(t *testing.T) {
 		n := int(nEvents%20) + 1
 		rng := rand.New(rand.NewSource(seed))
 
-		// Build an original history: n deliveries from 3 peers.
+		// Build an original history: n deliveries from 3 peers, each
+		// sending only to us, so its clock is also its channel seq.
 		orig := NewState(0)
 		type msg struct {
 			from int
@@ -407,10 +419,10 @@ func TestPropertyReplayDeterminism(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				orig.ProbeMiss()
 			}
-			if act := orig.Offer(m.from, m.h, 0, 0, m.data); act != OfferQueue {
+			if act := orig.Offer(m.from, m.h, m.h, 0, m.data); act != OfferQueue {
 				return false
 			}
-			history = append(history, orig.Commit(m.from, m.h, 0))
+			history = append(history, orig.Commit(m.from, m.h, m.h))
 			orig.EventsAcked(1)
 		}
 
@@ -425,7 +437,7 @@ func TestPropertyReplayDeterminism(t *testing.T) {
 
 		var delivered []string
 		for _, m := range arrivals {
-			re.Offer(m.from, m.h, 0, 0, m.data)
+			re.Offer(m.from, m.h, m.h, 0, m.data)
 			for {
 				sm, _, ok := re.TakeStashed()
 				if !ok {
@@ -495,7 +507,7 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 
 func TestDeliveredVectorCopies(t *testing.T) {
 	s := NewState(0)
-	deliver(t, s, 1, 3, nil)
+	deliver(t, s, 1, 3, 1, nil)
 	v := s.DeliveredVector()
 	if v[1] != 3 {
 		t.Fatalf("vector = %v", v)
@@ -515,19 +527,19 @@ func TestTwoCrashedPeersExchange(t *testing.T) {
 	// Original execution: a strict alternation p→q, q→p, 6 messages
 	// each way, both logging all receptions.
 	type wireMsg struct {
-		from int
-		h    uint64
-		data []byte
+		from   int
+		h, seq uint64
+		data   []byte
 	}
 	run := func(p, q *State, deliverP, deliverQ func(wireMsg)) {
 		for i := 0; i < 6; i++ {
-			id, _, tx := p.PrepareSend(1, 0, []byte{byte(i)})
+			id, seq, tx := p.PrepareSend(1, 0, []byte{byte(i)})
 			if tx {
-				deliverQ(wireMsg{from: 0, h: id.Clock, data: []byte{byte(i)}})
+				deliverQ(wireMsg{from: 0, h: id.Clock, seq: seq, data: []byte{byte(i)}})
 			}
-			id, _, tx = q.PrepareSend(0, 0, []byte{byte(i + 100)})
+			id, seq, tx = q.PrepareSend(0, 0, []byte{byte(i + 100)})
 			if tx {
-				deliverP(wireMsg{from: 1, h: id.Clock, data: []byte{byte(i + 100)}})
+				deliverP(wireMsg{from: 1, h: id.Clock, seq: seq, data: []byte{byte(i + 100)}})
 			}
 		}
 	}
@@ -536,14 +548,14 @@ func TestTwoCrashedPeersExchange(t *testing.T) {
 	var histP, histQ []Event
 	run(p0, q0,
 		func(m wireMsg) {
-			if p0.Offer(m.from, m.h, 0, 0, m.data) == OfferQueue {
-				histP = append(histP, p0.Commit(m.from, m.h, 0))
+			if p0.Offer(m.from, m.h, m.seq, 0, m.data) == OfferQueue {
+				histP = append(histP, p0.Commit(m.from, m.h, m.seq))
 				p0.EventsAcked(1)
 			}
 		},
 		func(m wireMsg) {
-			if q0.Offer(m.from, m.h, 0, 0, m.data) == OfferQueue {
-				histQ = append(histQ, q0.Commit(m.from, m.h, 0))
+			if q0.Offer(m.from, m.h, m.seq, 0, m.data) == OfferQueue {
+				histQ = append(histQ, q0.Commit(m.from, m.h, m.seq))
 				q0.EventsAcked(1)
 			}
 		})
@@ -574,11 +586,11 @@ func TestTwoCrashedPeersExchange(t *testing.T) {
 	}
 	run(p1, q1,
 		func(m wireMsg) {
-			p1.Offer(m.from, m.h, 0, 0, m.data)
+			p1.Offer(m.from, m.h, m.seq, 0, m.data)
 			drain(p1, &replayedP)
 		},
 		func(m wireMsg) {
-			q1.Offer(m.from, m.h, 0, 0, m.data)
+			q1.Offer(m.from, m.h, m.seq, 0, m.data)
 			drain(q1, &replayedQ)
 		})
 	if p1.Replaying() || q1.Replaying() {

@@ -69,9 +69,6 @@ func MergeReplicaEvents(replicas [][]Event) []Event {
 	}
 	best := make(map[slot]int)
 	for i, ev := range merged {
-		if ev.Seq == 0 {
-			continue // unsequenced legacy event: keep as-is
-		}
 		k := slot{ev.Sender, ev.Seq}
 		if j, ok := best[k]; !ok || outranks(ev, counts[i], merged[j], counts[j]) {
 			best[k] = i
@@ -79,7 +76,7 @@ func MergeReplicaEvents(replicas [][]Event) []Event {
 	}
 	out := merged[:0]
 	for i, ev := range merged {
-		if ev.Seq == 0 || best[slot{ev.Sender, ev.Seq}] == i {
+		if best[slot{ev.Sender, ev.Seq}] == i {
 			out = append(out, ev)
 		}
 	}
@@ -112,9 +109,6 @@ func compareEvents(a, b Event) int {
 func divergent(evs []Event) bool {
 	last := make(map[int]uint64)
 	for _, ev := range evs {
-		if ev.Seq == 0 {
-			continue
-		}
 		if ev.Seq <= last[ev.Sender] {
 			return true
 		}

@@ -24,10 +24,6 @@ func referenceMerge(replicas [][]Event) []Event {
 	best := make(map[slot]Event)
 	merged := make([]Event, 0, len(count))
 	for ev, n := range count {
-		if ev.Seq == 0 {
-			merged = append(merged, ev) // unsequenced legacy event: keep as-is
-			continue
-		}
 		k := slot{ev.Sender, ev.Seq}
 		cur, ok := best[k]
 		if !ok || n > count[cur] ||
@@ -65,12 +61,7 @@ func replicaHistories(rng *rand.Rand) [][]Event {
 			clock++
 			s := rng.Intn(senders)
 			seqs[s]++
-			ev := Event{Sender: s, SenderClock: uint64(rng.Intn(50)), RecvClock: clock, Probes: uint32(rng.Intn(2)), Seq: seqs[s]}
-			if rng.Intn(20) == 0 {
-				ev.Seq = 0 // unsequenced legacy event
-				seqs[s]--
-			}
-			evs = append(evs, ev)
+			evs = append(evs, Event{Sender: s, SenderClock: uint64(rng.Intn(50)), RecvClock: clock, Probes: uint32(rng.Intn(2)), Seq: seqs[s]})
 		}
 		_ = from
 		return evs
@@ -116,9 +107,6 @@ func probesOnlyTie(replicas [][]Event) bool {
 	}
 	seen := map[key]Event{}
 	for ev, n := range count {
-		if ev.Seq == 0 {
-			continue
-		}
 		k := key{ev.Sender, ev.Seq, ev.RecvClock, ev.SenderClock}
 		if other, ok := seen[k]; ok && count[other] == n {
 			return true
@@ -137,10 +125,6 @@ func TestMergeReplicaEventsMatchesReference(t *testing.T) {
 			continue
 		}
 		got, want := MergeReplicaEvents(replicas), referenceMerge(replicas)
-		// Unsequenced events that share RecvClock and Sender are equal
-		// under the reference's sort key; order them fully before
-		// comparing.
-		sort.SliceStable(want, func(a, b int) bool { return compareEvents(want[a], want[b]) < 0 })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("draw %d: replicas %v\nmerged    %v\nreference %v", i, replicas, got, want)
 		}

@@ -206,7 +206,7 @@ func AppendSnapshotDelta(dst []byte, sn *Snapshot, marks map[int]uint64) []byte 
 	dst = appendVec(dst, sn.SeqTo)
 	dst = appendVec(dst, sn.SeqIn)
 	dst = appendVec(dst, sn.Collected)
-	// marks==nil must mean "everything", not "Seq > 0": channel seqs
+	// marks==nil must mean "everything", not "every seq above 0": seqs
 	// start at 1 in live states, but the decoder accepts Seq 0, and a
 	// full encoding that silently drops such an entry breaks the
 	// decode∘encode identity the store replicas depend on.

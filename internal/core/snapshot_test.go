@@ -227,7 +227,7 @@ func TestPropertyChainEqualsLiveLog(t *testing.T) {
 			case r < 13: // a delivery ticks the clock between sends
 				peerClock[peer] += 1 + uint64(rng.Intn(3))
 				if peerClock[peer] > live.hr[peer] {
-					live.Commit(peer, peerClock[peer], 0)
+					live.Commit(peer, peerClock[peer], live.seqIn[peer]+1)
 					live.EventsAcked(1)
 				}
 			case r < 18: // a note: current, stale, or ahead of a rolled-back clock
@@ -296,7 +296,7 @@ func TestPropertySnapshotSharesPayloads(t *testing.T) {
 				live.PrepareSend(peer, uint8(rng.Intn(3)), data)
 			case r < 7:
 				peerClock[peer] += 1 + uint64(rng.Intn(3))
-				live.Commit(peer, peerClock[peer], 0)
+				live.Commit(peer, peerClock[peer], live.seqIn[peer]+1)
 				live.EventsAcked(1)
 			default:
 				live.CollectGarbage(peer, uint64(rng.Int63n(int64(live.Clock())+2)))

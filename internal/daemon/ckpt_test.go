@@ -200,6 +200,7 @@ func TestRestartBeforeFirstCheckpoint(t *testing.T) {
 		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 		ep := fab.Attach(csNode, "fake-cs")
 		kinds := map[string]int{}
+		var asked uint32 // chunk size of the last manifest request
 		sim.Go("fake-cs", func() {
 			for {
 				f, ok := ep.Inbox().Recv()
@@ -208,11 +209,12 @@ func TestRestartBeforeFirstCheckpoint(t *testing.T) {
 				}
 				kinds[wire.KindName(f.Kind)]++
 				if f.Kind == wire.KCkptManifestReq {
+					asked, _ = wire.DecodeU32(f.Data)
 					ep.Send(f.From, wire.KCkptManifest, wire.EncodeCkptManifest(wire.CkptManifest{}))
 				}
 			}
 		})
-		for _, chunk := range []int{0, -1} { // chunked and monolithic saves fetch alike
+		for _, chunk := range []int{0, -1} { // zero and negative both select the default chunk size
 			cfg := v2Config(0, 1, -1)
 			cfg.CkptServer, cfg.CkptChunkSize, cfg.Restarted = csNode, chunk, true
 			dev, d := StartV2(sim, fab, cfg)
@@ -225,6 +227,9 @@ func TestRestartBeforeFirstCheckpoint(t *testing.T) {
 			}
 			if st := d.Stats(); st.ManifestFetches != 1 {
 				t.Errorf("chunk %d: ManifestFetches = %d, want 1", chunk, st.ManifestFetches)
+			}
+			if asked != defCkptChunk {
+				t.Errorf("chunk %d: manifest asked for %d-byte chunks, want %d", chunk, asked, defCkptChunk)
 			}
 			clear(kinds)
 			fab.Kill(0)

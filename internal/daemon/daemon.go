@@ -177,9 +177,7 @@ type Config struct {
 	// CkptChunkSize is the chunk size (bytes) of the chunked checkpoint
 	// transfer: images stream to the checkpoint servers as individually
 	// CRC-framed chunks with per-chunk acks, and only missing chunks are
-	// retransmitted. Zero selects the default (16 KiB); negative
-	// disables chunking and ships each checkpoint as one monolithic
-	// KCkptSave — the pre-chunking behavior, kept for ablations.
+	// retransmitted. Zero or negative selects the default (16 KiB).
 	CkptChunkSize int
 
 	// CkptNoDelta disables delta checkpoint images (ablation): every

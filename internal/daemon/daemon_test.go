@@ -14,7 +14,8 @@ import (
 )
 
 // fakeEL acks event batches after an optional delay, so tests can hold
-// the WAITLOGGED barrier open deliberately.
+// the WAITLOGGED barrier open deliberately. Each ack covers its own
+// batch only: its cumulative mark is 0, which no batch seq matches.
 type fakeEL struct {
 	ep    transport.Endpoint
 	delay time.Duration
@@ -39,7 +40,7 @@ func startFakeEL(sim *vtime.Sim, fab transport.Fabric, id int, delay time.Durati
 					sim.Sleep(f.delay)
 				}
 				f.acked += len(evs)
-				f.ep.Send(fr.From, wire.KEventAck, wire.EncodeU64(seq))
+				f.ep.Send(fr.From, wire.KEventAck, wire.EncodeEventAck(seq, 0))
 			case wire.KEventFetch:
 				f.ep.Send(fr.From, wire.KEventFetched, wire.EncodeEvents(nil))
 			}
@@ -155,10 +156,18 @@ func TestV2ProbeSemantics(t *testing.T) {
 	sim.Run(func() {
 		fab := transport.NewSimFabric(sim, netsim.New(sim, netsim.Params2003()), nil)
 		startFakeEL(sim, fab, elNode, 0)
-		dev0, _ := StartV2(sim, fab, v2Config(0, 2, elNode))
-		dev1, d1 := StartV2(sim, fab, v2Config(1, 2, elNode))
+		dev0, _ := StartV2(sim, fab, v2Config(0, 3, elNode))
+		dev1, d1 := StartV2(sim, fab, v2Config(1, 3, elNode))
 		dev0.Init()
 		dev1.Init()
+		// Rank 2 sends a payload without a channel seq: malformed, never
+		// queued, so the first probe still sees an empty queue.
+		peer2 := fab.Attach(2, "unsequenced-peer")
+		peer2.Send(1, wire.KPayload, wire.EncodePayload(wire.PayloadHeader{SenderClock: 1}, []byte("u")))
+		sim.Sleep(time.Millisecond)
+		if st := d1.Stats(); st.Malformed != 1 || st.RecvMsgs != 0 {
+			t.Errorf("seq 0 payload: Malformed %d, RecvMsgs %d; want 1, 0", st.Malformed, st.RecvMsgs)
+		}
 		if dev1.NProbe() {
 			t.Error("probe true on empty queue")
 		}
@@ -170,6 +179,9 @@ func TestV2ProbeSemantics(t *testing.T) {
 		dev1.BRecv()
 		if dev1.NProbe() {
 			t.Error("probe true after consuming the only message")
+		}
+		if from := d1.State().RestartAnnouncement(2); from != 0 {
+			t.Errorf("HR[2] = %d after the seq 0 payload, want 0", from)
 		}
 		// Two misses and one hit were recorded for replay fidelity.
 		if pc := d1.State().ProbeCount(); pc != 1 {
@@ -310,7 +322,17 @@ func TestV2StallsAtELHighWater(t *testing.T) {
 			t.Fatalf("silent logger: delivered %d, stalls %d, resumes %d; want %d, 1, 0",
 				delivered, st.DegradedStalls, st.DegradedResumes, elHighWater)
 		}
+		// A KEventAck is exactly 16 bytes: an 8-byte one (a truncated
+		// ack) is malformed and credits nothing, not even batch 1.
+		el.Send(0, wire.KEventAck, wire.EncodeU64(1))
+		sim.Sleep(10 * time.Millisecond)
+		if st, n := d0.Stats(), d0.State().UnackedEvents(); st.Malformed != 1 || n != elHighWater {
+			t.Fatalf("8-byte ack: Malformed %d, unacked %d; want 1, %d", st.Malformed, n, elHighWater)
+		}
 		ackThrough(elHighWater/2 - 1) // elHighWater/2 + 1 pending: still stalled
+		if n := d0.State().UnackedEvents(); n != elHighWater/2+1 {
+			t.Fatalf("16-byte ack through %d: %d unacked, want %d", elHighWater/2-1, n, elHighWater/2+1)
+		}
 		if st := d0.Stats(); delivered != elHighWater || st.DegradedResumes != 0 {
 			t.Fatalf("%d pending: delivered %d, resumes %d; want the stall held", elHighWater/2+1, delivered, st.DegradedResumes)
 		}

@@ -126,7 +126,7 @@ func startSilentCS(sim *vtime.Sim, fab transport.Fabric, id int) *[]uint8 {
 func TestCkptEscalatesAfterSilentRounds(t *testing.T) {
 	// A transfer the server never acknowledges goes out chunked
 	// ckptEscalateAfter times (the push and the retransmit rounds before
-	// the threshold), then as the monolithic full image.
+	// the threshold), then as the full image in one KCkptSave.
 	const csNode = 901
 	sim := vtime.NewSim()
 	sim.Run(func() {

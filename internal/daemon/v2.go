@@ -29,8 +29,8 @@ const (
 	defRestartRetries = 6
 	finalizeRetries   = 8
 	// ckptEscalateAfter is the number of silent retransmit rounds after
-	// which a chunked checkpoint transfer falls back to one monolithic
-	// full image (see escalateCkpt).
+	// which a chunked checkpoint transfer falls back to one full image
+	// in a single KCkptSave (see escalateCkpt).
 	ckptEscalateAfter = 3
 )
 
@@ -575,18 +575,14 @@ func (d *V2) restoreImage(im *ckpt.Image) {
 // (seq, image CRC) so chunks are only mixed across byte-identical
 // copies, start the event fetch at the newest image's clock, then pull
 // that image's chunks in parallel. Every stored image is served this
-// way, monolithic and escalated saves included: the store cuts it at the
-// requested size, and a daemon that saves monolithically asks for the
-// default cut. It returns nil, true when no replica of the read quorum
+// way, escalated saves included: the store cuts it at the requested
+// size. It returns nil, true when no replica of the read quorum
 // holds an image, and ok=false when the manifest's image could not be
 // assembled — the caller gathers manifests again. A damaged image is
 // never a dead end: servers only ack verified copies, so a write quorum
 // of intact ones exists.
 func (d *V2) fetchImage(evf *eventFetch) (im *ckpt.Image, ok bool) {
 	cs := d.ckptChunkSize()
-	if cs < 0 {
-		cs = defCkptChunk
-	}
 	d.stats.ManifestFetches++
 	req := wire.EncodeU32(uint32(cs))
 	g := &d.cs.replicaGroup
@@ -978,7 +974,9 @@ func (d *V2) handleFrame(f transport.Frame) {
 	switch f.Kind {
 	case wire.KPayload:
 		hdr, body, err := wire.DecodePayload(f.Data)
-		if err != nil {
+		if err != nil || hdr.PairSeq == 0 {
+			// Every V2 sender sequences its channels from 1: a payload
+			// without a seq has no place in the channel order.
 			d.stats.Malformed++
 			return
 		}
@@ -1070,7 +1068,7 @@ func (d *V2) handleFrame(f transport.Frame) {
 
 	case wire.KCkptSaveAck:
 		// A save ack means the server verified and stored a FULL image
-		// for this seq — either a legacy monolithic save or an escalated
+		// for this seq — a completed chunk assembly or an escalated
 		// transfer — so the replica holds the checkpoint regardless of
 		// which chunks it acked.
 		seq, err := wire.DecodeU64(f.Data)
@@ -1863,17 +1861,17 @@ func (d *V2) probeReplayed() {
 const defCkptChunk = 16 << 10
 
 func (d *V2) ckptChunkSize() int {
-	if d.cfg.CkptChunkSize == 0 {
+	if d.cfg.CkptChunkSize <= 0 {
 		return defCkptChunk
 	}
-	return d.cfg.CkptChunkSize // negative: monolithic saves
+	return d.cfg.CkptChunkSize
 }
 
 // ckptChunk is one chunk of an in-flight transfer: its frame header and
 // the slice of the transfer's image it carries. Every (re)transmission
 // writes the two as one frame, so the image is the only copy of the
 // chunk's bytes; it stays alive, and is never recycled, while the
-// transfer is in the window — the same ownership rule the monolithic
+// transfer is in the window — the same ownership rule the escalated
 // KCkptSave payload has.
 type ckptChunk struct {
 	hdr   [wire.CkptChunkHeaderLen]byte
@@ -1882,23 +1880,22 @@ type ckptChunk struct {
 }
 
 // ckptXfer is one in-flight checkpoint of the cs window. Its slot's ack
-// mask holds the replicas that sent a KCkptSaveAck — after a monolithic
+// mask holds the replicas that sent a KCkptSaveAck — after an escalated
 // save, or after their store verified and materialized a completed chunk
 // assembly — and so hold the full image; per-chunk acks only steer
 // retransmission. The full protocol snapshot is retained for three jobs
 // that outlive the delta encoding: the KCkptNote GC horizons and the
 // next delta's base marks at retirement, and the escalation path — after
-// repeated silence the daemon abandons the chunked delta and ships a
-// monolithic full image, so liveness never depends on a replica holding
-// the delta's base.
+// repeated silence the daemon abandons the chunked delta and ships the
+// full image in one KCkptSave, so liveness never depends on a replica
+// holding the delta's base.
 type ckptXfer struct {
-	sn        *core.Snapshot
-	clock     uint64 // receive clock at capture: the rebalancing-history prune horizon
-	appState  []byte
-	chunks    []ckptChunk
-	full      []byte // encoded monolithic KCkptSave payload, lazily built
-	escalated bool
-	isDelta   bool
+	sn       *core.Snapshot
+	clock    uint64 // receive clock at capture: the rebalancing-history prune horizon
+	appState []byte
+	chunks   []ckptChunk
+	full     []byte // the KCkptSave payload; nil until escalateCkpt
+	isDelta  bool
 }
 
 func (d *V2) doCheckpoint() {
@@ -1938,22 +1935,17 @@ func (d *V2) capture() {
 	im := &ckpt.Image{Rank: d.cfg.Rank, Seq: seq, BaseSeq: baseSeq, AppState: appState}
 	x := ckptXfer{sn: sn, clock: d.st.Clock(), appState: appState, isDelta: baseSeq != 0}
 	size := ckpt.SnapshotImageSize(im, sn, marks)
-	if cs := d.ckptChunkSize(); cs > 0 {
-		// The snapshot is encoded straight into the image, and each chunk
-		// borrows its slice of it: one copy of the state, however many
-		// chunks and retransmissions.
-		img := ckpt.AppendSnapshotImage(make([]byte, 0, size), im, sn, marks)
-		n := (size + cs - 1) / cs
-		x.chunks = make([]ckptChunk, n)
-		for i := range x.chunks {
-			c := &x.chunks[i]
-			c.body = img[i*cs : min((i+1)*cs, size)]
-			wire.AppendCkptChunkHeader(c.hdr[:0], seq, uint32(i), uint32(n), c.body)
-		}
-	} else {
-		// Monolithic mode: the whole image as one legacy KCkptSave.
-		x.escalated = true
-		x.full = ckptSave(im, sn, marks)
+	// The snapshot is encoded straight into the image, and each chunk
+	// borrows its slice of it: one copy of the state, however many
+	// chunks and retransmissions.
+	img := ckpt.AppendSnapshotImage(make([]byte, 0, size), im, sn, marks)
+	cs := d.ckptChunkSize()
+	n := (size + cs - 1) / cs
+	x.chunks = make([]ckptChunk, n)
+	for i := range x.chunks {
+		c := &x.chunks[i]
+		c.body = img[i*cs : min((i+1)*cs, size)]
+		wire.AppendCkptChunkHeader(c.hdr[:0], seq, uint32(i), uint32(n), c.body)
 	}
 	d.stats.Checkpoints++
 	d.stats.CkptBytes += int64(size)
@@ -1972,17 +1964,17 @@ func (d *V2) capture() {
 }
 
 // sendXfer ships a transfer to one server still short of the full
-// image: the monolithic payload when escalated, else every chunk the
-// server has not acked, in ascending chunk order, as one SendFrames
-// batch. After ckptEscalateAfter silent retransmit rounds the transfer
-// escalates first, so a replica that cannot complete the chunked delta
-// is handed an image with no chain to follow.
+// image: the whole image in one KCkptSave when escalated, else every
+// chunk the server has not acked, in ascending chunk order, as one
+// SendFrames batch. After ckptEscalateAfter silent retransmit rounds
+// the transfer escalates first, so a replica that cannot complete the
+// chunked delta is handed an image with no chain to follow.
 func (d *V2) sendXfer(s *slot[ckptXfer], t int) {
 	x := &s.item
-	if !x.escalated && s.attempts >= ckptEscalateAfter {
+	if x.full == nil && s.attempts >= ckptEscalateAfter {
 		d.escalateCkpt(s)
 	}
-	if x.escalated {
+	if x.full != nil {
 		d.ep.Send(t, wire.KCkptSave, x.full)
 		return
 	}
@@ -2039,23 +2031,19 @@ func (d *V2) ckptRetired(s *slot[ckptXfer]) {
 // escalateCkpt abandons the chunked delta for a transfer the servers
 // will not complete — a replica missing the delta's base, or chunks
 // vanishing faster than selective retransmit can replace them — and
-// encodes the retained full snapshot as one monolithic KCkptSave. The
-// store accepts it unconditionally (no chain to follow), restoring the
-// pre-delta liveness guarantee.
+// encodes the retained full snapshot as one KCkptSave. The store accepts
+// it unconditionally (no chain to follow), restoring the pre-delta
+// liveness guarantee.
 func (d *V2) escalateCkpt(s *slot[ckptXfer]) {
 	x := &s.item
-	x.escalated = true
-	if x.full != nil {
-		return
-	}
-	x.full = ckptSave(&ckpt.Image{Rank: d.cfg.Rank, Seq: s.seq, AppState: x.appState}, x.sn, nil)
+	x.full = ckptSave(&ckpt.Image{Rank: d.cfg.Rank, Seq: s.seq, AppState: x.appState}, x.sn)
 	d.stats.CkptBytes += int64(len(x.full) - 8) // the full image ships after all
 }
 
-// ckptSave builds the KCkptSave payload for im whose snapshot is sn (a
-// delta against marks when non-nil): the 8-byte seq and the image in one
-// exactly sized buffer, with the snapshot encoded in place.
-func ckptSave(im *ckpt.Image, sn *core.Snapshot, marks map[int]uint64) []byte {
-	buf := wire.AppendU64(make([]byte, 0, 8+ckpt.SnapshotImageSize(im, sn, marks)), im.Seq)
-	return ckpt.AppendSnapshotImage(buf, im, sn, marks)
+// ckptSave builds the KCkptSave payload for im whose snapshot is sn: the
+// 8-byte seq and the full image in one exactly sized buffer, with the
+// snapshot encoded in place.
+func ckptSave(im *ckpt.Image, sn *core.Snapshot) []byte {
+	buf := wire.AppendU64(make([]byte, 0, 8+ckpt.SnapshotImageSize(im, sn, nil)), im.Seq)
+	return ckpt.AppendSnapshotImage(buf, im, sn, nil)
 }

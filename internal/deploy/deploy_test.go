@@ -120,7 +120,10 @@ func freeAddrs(t *testing.T, n int) []string {
 // TestRealTCPSystem runs an event logger and three V2 computing nodes
 // over real loopback TCP in one process, with a token ring application,
 // and then kills and recovers one node — the full protocol on the real
-// transport, no virtual time.
+// transport, no virtual time. Rank 0 starts alone, so its first token
+// always meets a peer that does not listen yet: the refused dial drops
+// the frame, and the starvation pull every deployed node arms must
+// recover it.
 func TestRealTCPSystem(t *testing.T) {
 	addrs := freeAddrs(t, 4)
 	rt := vtime.NewReal()
@@ -159,7 +162,7 @@ func TestRealTCPSystem(t *testing.T) {
 		cfg := daemon.Config{
 			Rank: rank, Size: n,
 			EventLogger: ELID, CkptServer: -1, Scheduler: -1, Dispatcher: -1,
-			Restarted: restarted,
+			Restarted: restarted, PullTimeout: pullTimeout,
 		}
 		dev, _ := daemon.StartV2(rt, fab, cfg)
 		rt.Go(fmt.Sprintf("rank%d", rank), func() {
@@ -177,12 +180,15 @@ func TestRealTCPSystem(t *testing.T) {
 		})
 	}
 
-	for r := 0; r < n; r++ {
+	spawn(0, false)
+	time.Sleep(50 * time.Millisecond) // rank 0's first token is refused
+	for r := 1; r < n; r++ {
 		spawn(r, false)
 	}
 
-	// Let the ring make progress, then "crash" rank 2 and restart it.
-	time.Sleep(30 * time.Millisecond)
+	// Let rank 1's first pull recover the token and the ring make
+	// progress, then "crash" rank 2 and restart it.
+	time.Sleep(pullTimeout + 30*time.Millisecond)
 	fab.Kill(2)
 	time.Sleep(20 * time.Millisecond) // detection delay
 	spawn(2, true)

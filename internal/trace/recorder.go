@@ -49,7 +49,7 @@ const (
 	// seq, B = chunk index.
 	EvCkptChunk
 	// EvCkptDurable: a checkpoint reached write-quorum durability.
-	// A = checkpoint seq, B = chunk count (0 = monolithic transfer).
+	// A = checkpoint seq, B = chunk count.
 	EvCkptDurable
 	// EvGCNote: this rank told peer A (via KCkptNote) that deliveries
 	// from A up to clock B are covered by a durable checkpoint, so A

@@ -98,11 +98,13 @@ func TestEventAckRoundTrip(t *testing.T) {
 	if err != nil || seq != 42 || cum != 40 {
 		t.Fatalf("round trip = (%d, %d, %v), want (42, 40, nil)", seq, cum, err)
 	}
-	// The legacy 8-byte ack — also what a truncated 16-byte ack decays
-	// to — must decode as a plain per-batch ack with a dead cum.
-	seq, cum, err = DecodeEventAck(EncodeU64(42))
-	if err != nil || seq != 42 || cum != 0 {
-		t.Fatalf("legacy ack = (%d, %d, %v), want (42, 0, nil)", seq, cum, err)
+	// An ack is exactly 16 bytes: half of one — what a truncated ack
+	// decays to — is as malformed as any other length.
+	if _, _, err := DecodeEventAck(data[:8]); err == nil {
+		t.Fatal("8-byte ack decoded without error")
+	}
+	if _, _, err := DecodeEventAck(append(data, 0)); err == nil {
+		t.Fatal("17-byte ack decoded without error")
 	}
 	if _, _, err := DecodeEventAck(data[:5]); err == nil {
 		t.Fatal("5-byte ack decoded without error")

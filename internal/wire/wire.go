@@ -28,7 +28,7 @@ const (
 
 	// Computing node ↔ event logger.
 	KEventLog     // data: u64 request seq + event batch
-	KEventAck     // data: u64 echoed request seq + u64 cumulative seq (legacy: seq only)
+	KEventAck     // data: u64 echoed request seq + u64 cumulative seq (exactly 16 bytes)
 	KEventFetch   // data: u64 clock; reply holds events with RecvClock > clock
 	KEventFetched // data: event batch
 
@@ -125,13 +125,14 @@ func KindName(k uint8) string {
 // PayloadHeader prefixes every inter-node payload frame: the sender's
 // logical clock at emission (the message identifier of §4.1 together
 // with the frame's From field), the per-destination channel sequence
-// (gap-free, so a receiver on a lossy network can detect a missing
-// predecessor; 0 = unsequenced), and the device-level kind byte that
-// the MPI channel layer uses. The encoding additionally frames the
-// body with its length and CRC-32, so a frame truncated or bit-flipped
-// in flight fails DecodePayload instead of handing garbage to the MPI
-// layer — the receiver then treats it exactly like a dropped frame and
-// the retry machinery re-delivers it.
+// (1, 2, 3, … gap-free, so a receiver on a lossy network can detect a
+// missing predecessor; a V2 receiver counts a 0 as malformed, and only
+// the P4 device, which keeps no channel state, leaves it 0), and the
+// device-level kind byte that the MPI channel layer uses. The encoding
+// additionally frames the body with its length and CRC-32, so a frame
+// truncated or bit-flipped in flight fails DecodePayload instead of
+// handing garbage to the MPI layer — the receiver then treats it
+// exactly like a dropped frame and the retry machinery re-delivers it.
 type PayloadHeader struct {
 	SenderClock uint64
 	PairSeq     uint64
@@ -392,18 +393,14 @@ func EncodeEventAck(seq, cum uint64) []byte {
 	return AppendEventAck(make([]byte, 0, eventAckLen), seq, cum)
 }
 
-// DecodeEventAck parses a KEventAck. The legacy 8-byte form (seq only)
-// is accepted with cum = 0, which can never match a live batch: it is
-// what a chaos-truncated 16-byte ack decays to, and what pre-cumulative
-// loggers send, so both degrade to a plain per-batch ack.
+// DecodeEventAck parses a KEventAck, which is exactly 16 bytes: any
+// other length — a truncated ack included — is an error, and the
+// submitter's retransmit timer recovers the batch it would have acked.
 func DecodeEventAck(data []byte) (seq, cum uint64, err error) {
-	switch len(data) {
-	case eventAckLen:
-		return binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:]), nil
-	case 8:
-		return binary.BigEndian.Uint64(data), 0, nil
+	if len(data) != eventAckLen {
+		return 0, 0, fmt.Errorf("wire: event ack of %d bytes, want %d", len(data), eventAckLen)
 	}
-	return 0, 0, fmt.Errorf("wire: event ack of %d bytes, want 8 or %d", len(data), eventAckLen)
+	return binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:]), nil
 }
 
 // --- Determinant relay ----------------------------------------------------
