@@ -49,8 +49,8 @@ cover: ## coverage summary; internal/trace (recorder+auditor) must hold >=80%
 race: ## race detector over the full tree (mirrors the CI race job)
 	$(GO) test -race -count=1 ./...
 
-bench: ## Go microbenchmarks with allocation counts (wire codec, vtime actors, TCP frame echo, checkpoint capture, restart, replica event merge)
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/ ./internal/vtime/ ./internal/transport/ ./internal/daemon/ ./internal/core/
+bench: ## Go microbenchmarks with allocation counts (wire codec, MPI block encode, vtime actors, TCP frame echo, checkpoint capture, restart, replica event merge)
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/ ./internal/mpi/ ./internal/vtime/ ./internal/transport/ ./internal/daemon/ ./internal/core/
 
 bench-paper: ## quick pass over every paper experiment
 	$(GO) run ./cmd/vbench -exp all -quick

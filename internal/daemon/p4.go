@@ -105,7 +105,9 @@ func (d *P4) doSend(to int, data []byte) {
 	if to == d.cfg.Rank {
 		panic("daemon: device-level self send")
 	}
-	d.ep.Send(to, wire.KPayload, wire.EncodePayload(wire.PayloadHeader{}, data))
+	// Two parts, as V2's first send: the baseline pays the same copies.
+	head := wire.AppendPayloadHeader(wire.GetBuf(wire.PayloadHeaderLen), wire.PayloadHeader{}, data)
+	transport.SendParts(d.ep, to, wire.KPayload, transport.Parts{Head: head, Body: data})
 	d.stats.SentMsgs++
 	d.stats.SentBytes += int64(len(data))
 	// The P4 send loop owns the CPU until the payload is written out.

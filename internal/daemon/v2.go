@@ -1686,7 +1686,10 @@ func (d *V2) sendLogged() {
 			hdr.Dets = d.detPending
 			d.stats.DetPiggybacked += int64(len(d.detPending))
 		}
-		d.ep.Send(p.to, wire.KPayload, wire.AppendPayload(wire.GetBuf(wire.PayloadSizeH(hdr, len(p.data))), hdr, p.data))
+		// The frame leaves in two parts, a fresh head and the SAVED
+		// entry itself, so the sender keeps one buffer per payload.
+		head := wire.AppendPayloadHeader(wire.GetBuf(wire.PayloadSizeH(hdr, 0)), hdr, p.data)
+		transport.SendParts(d.ep, p.to, wire.KPayload, transport.Parts{Head: head, Body: p.data})
 		d.tr.Record(d.rt.Now(), trace.EvSend, hdr.Span, uint64(len(hdr.Dets)), uint64(p.to), uint64(len(p.data)))
 		d.stats.SentMsgs++
 		d.stats.SentBytes += int64(len(p.data))

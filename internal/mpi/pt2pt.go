@@ -1,6 +1,9 @@
 package mpi
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Message type bytes of the protocol layer.
 const (
@@ -12,13 +15,16 @@ const (
 
 const hdrLen = 1 + 4 + 4
 
+// encodeMsg builds the protocol block header‖payload in one exactly
+// sized allocation that the copies fill without a zeroing pass first,
+// so a large payload's bytes are written once. The block is what the V2
+// daemon keeps in its SAVED log and writes to the socket as it is.
 func encodeMsg(mtype uint8, tag int, id uint32, payload []byte) []byte {
-	out := make([]byte, hdrLen+len(payload))
-	out[0] = mtype
-	binary.BigEndian.PutUint32(out[1:], uint32(int32(tag)))
-	binary.BigEndian.PutUint32(out[5:], id)
-	copy(out[hdrLen:], payload)
-	return out
+	var hdr [hdrLen]byte
+	hdr[0] = mtype
+	binary.BigEndian.PutUint32(hdr[1:], uint32(int32(tag)))
+	binary.BigEndian.PutUint32(hdr[5:], id)
+	return bytes.Join([][]byte{hdr[:], payload}, nil)
 }
 
 func decodeMsg(b []byte) (mtype uint8, tag int, id uint32, payload []byte) {

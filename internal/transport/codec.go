@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -33,6 +34,12 @@ const maxUpfront = 1 << 20
 // (a checkpoint chunk inside its image) rather than copying it next to
 // its header. Either piece may be empty.
 type Parts struct{ Head, Body []byte }
+
+// joined returns a fresh copy of Head‖Body, for a receiver that owns
+// what it is handed.
+func (p Parts) joined() []byte {
+	return bytes.Join([][]byte{p.Head, p.Body}, nil)
+}
 
 // outFrame is one frame on its way out: its kind and its data in parts.
 type outFrame struct {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,7 +94,8 @@ func TestSendPartsTCP(t *testing.T) {
 
 // TestSendPartsCopiesOnOtherFabrics: a receiver on a fabric that hands
 // over the slice itself owns what it gets — the sender reusing its parts
-// after the call does not reach the delivered frames.
+// after the call does not reach the delivered frames. SendParts, frame
+// by frame, copies the same way.
 func TestSendPartsCopiesOnOtherFabrics(t *testing.T) {
 	check := func(t *testing.T, a Endpoint, recv func() Frame) {
 		frames := caseBatch()
@@ -101,7 +103,10 @@ func TestSendPartsCopiesOnOtherFabrics(t *testing.T) {
 		for _, p := range frames {
 			want = append(want, joined(p))
 		}
-		SendFrames(a, 1, 9, frames)
+		SendFrames(a, 1, 9, frames[:len(frames)/2])
+		for _, p := range frames[len(frames)/2:] {
+			SendParts(a, 1, 9, p)
+		}
 		for _, p := range frames {
 			for _, b := range [][]byte{p.Head, p.Body} {
 				for i := range b {
@@ -161,20 +166,18 @@ func TestSimSendPartsTimesLikeSend(t *testing.T) {
 	}
 }
 
-// TestTCPSendPartsAllocs: the sending side — the call and the peer's
-// writer — allocates nothing for a 16 KiB frame sent alone, nor for a
-// warm batch of 129 of them — a checkpoint image's chunks to one server.
-// Each send waits until the peer has read the whole batch, so batches do
-// not pile up in the queue. The peer is a raw socket that discards what
-// it reads into a fixed buffer, so every allocation counted is the
-// sender's.
-func TestTCPSendPartsAllocs(t *testing.T) {
+// discardPeer is a raw loopback socket that accepts one connection and
+// discards what it reads into a fixed buffer, counting the bytes, so it
+// allocates nothing an allocation test could charge to the sender.
+type discardPeer struct{ read atomic.Int64 }
+
+func newDiscardPeer(t *testing.T) (addr string, peer *discardPeer) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	var read atomic.Int64
+	t.Cleanup(func() { ln.Close() })
+	peer = new(discardPeer)
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
@@ -184,13 +187,34 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 		buf := make([]byte, 64<<10)
 		for {
 			n, err := c.Read(buf)
-			read.Add(int64(n))
+			peer.read.Add(int64(n))
 			if err != nil {
 				return
 			}
 		}
 	}()
-	_, eps := tcpFabric(t, map[int]string{1: ln.Addr().String()}, 1)
+	return ln.Addr().String(), peer
+}
+
+// waitRead spins until the peer has read n bytes in all.
+func (p *discardPeer) waitRead(t *testing.T, n int64) {
+	for deadline := time.Now().Add(10 * time.Second); p.read.Load() < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer read %d of %d bytes", p.read.Load(), n)
+		}
+	}
+}
+
+// TestTCPSendPartsAllocs: the sending side — the call and the peer's
+// writer — allocates nothing for a 16 KiB frame sent alone, nor for a
+// warm batch of 129 of them — a checkpoint image's chunks to one server.
+// Each send waits until the peer has read the whole batch, so batches do
+// not pile up in the queue. The peer is a raw socket that discards what
+// it reads into a fixed buffer, so every allocation counted is the
+// sender's.
+func TestTCPSendPartsAllocs(t *testing.T) {
+	addr, peer := newDiscardPeer(t)
+	_, eps := tcpFabric(t, map[int]string{1: addr}, 1)
 	a := eps[0]
 	batch := make([]Parts, 129)
 	for i := range batch {
@@ -207,16 +231,55 @@ func TestTCPSendPartsAllocs(t *testing.T) {
 				t.Fatal("send failed")
 			}
 			sent += size
-			for deadline := time.Now().Add(10 * time.Second); read.Load() < sent; runtime.Gosched() {
-				if time.Now().After(deadline) {
-					t.Fatalf("peer read %d of %d bytes", read.Load(), sent)
-				}
-			}
+			peer.waitRead(t, sent)
 		}
 		send() // dial and hello, and size the queue and the writer's scratch
 		if got := testing.AllocsPerRun(20, send); got != 0 {
 			t.Errorf("batch of %d: %.1f allocs per send, want 0", len(frames), got)
 		}
+	}
+}
+
+// TestTCPInlinePartsAllocs: a 256 KiB two-part frame sent to an idle,
+// connected peer is written inline as it lies — no joined copy, no
+// queue — so the send allocates under 1 KiB, counted in bytes. The peer
+// is a raw socket that discards what it reads into a fixed buffer, and
+// the collector is off while the bytes are counted, so every byte
+// counted is the sender's.
+func TestTCPInlinePartsAllocs(t *testing.T) {
+	addr, peer := newDiscardPeer(t)
+	fab, eps := tcpFabric(t, map[int]string{1: addr}, 1)
+	a := eps[0]
+	frame := parts(28, 256<<10)
+	sent := int64(frameLen) // the hello
+	send := func() {
+		if q, busy := peerState(a, 1); q != 0 || busy {
+			t.Fatalf("peer not idle before the send: %d queued, busy %v", q, busy)
+		}
+		if !SendParts(a, 1, 7, frame) {
+			t.Fatal("send failed")
+		}
+		sent += int64(frameLen + len(frame.Head) + len(frame.Body))
+		peer.waitRead(t, sent)
+	}
+	a.Send(1, 7, nil) // the writer dials
+	sent += frameLen
+	waitFor(t, 10*time.Second, "the writer never went idle on a fresh connection", func() bool {
+		q, busy := peerState(a, 1)
+		return q == 0 && !busy && fab.Stats().Dials == 1
+	})
+	send() // size the peer's frame writer for two parts
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 1<<10 {
+		t.Errorf("a 256 KiB two-part inline send allocated %d bytes, want < 1 KiB", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -229,5 +230,114 @@ func checkPeerOrder(t *testing.T, senders, peers int) {
 			t.Fatalf("peer %d: an extra frame from sender %d", p+1, f.Data[0])
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestTCPPeerPartsOrder: goroutines sending to one peer at once — 1 MiB
+// two-part frames, small two-part frames, plain Sends and SendFrames
+// batches — get every frame delivered whole, equal to Head‖Body, and in
+// each sender's order. The 1 MiB frames keep the peer's connection busy
+// for a while, so the other senders' frames meet a busy peer (and are
+// queued behind the write in progress); each epoch starts with the peer
+// idle, so the first frame of an epoch is written inline, two parts as
+// they lie. The test checks that both happened.
+func TestTCPPeerPartsOrder(t *testing.T) {
+	const senders, epochs, rounds, batch = 3, 6, 5, 4
+	_, eps := tcpFabric(t, nil, 2)
+	a, ch := eps[0], collect(eps[1])
+	big := bytes.Repeat([]byte("fedcba9876543210"), 1<<16) // 1 MiB, shared and never written
+	small := big[:3000]
+	// Frame i of sender g: its head names both, and the body and the
+	// kind follow from i.
+	head := func(g, i int) []byte { return binary.BigEndian.AppendUint32([]byte{byte(g)}, uint32(i)) }
+	const perRound = 3 + batch
+	want := func(g, i int) (uint8, Parts) {
+		switch j := i % perRound; {
+		case j == 0 && g == 0:
+			return 1, Parts{Head: head(g, i), Body: big}
+		case j == 0:
+			return 2, Parts{Head: head(g, i), Body: small}
+		case j == 1:
+			return 3, Parts{Body: head(g, i)} // plain Send
+		case j == 2:
+			return 4, Parts{Head: head(g, i)} // a head and no body
+		default:
+			return 5, Parts{Head: head(g, i), Body: small[:i%len(small)]}
+		}
+	}
+
+	var arrived [epochs]sync.WaitGroup
+	var start [epochs]chan struct{}
+	for e := range start {
+		arrived[e].Add(senders)
+		start[e] = make(chan struct{})
+	}
+	var busy, idle atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := 0
+			for e := range epochs {
+				arrived[e].Done()
+				<-start[e]
+				for range rounds {
+					for j := 0; j < 3; j++ {
+						if q, b := peerState(a, 1); q > 0 || b {
+							busy.Add(1)
+						} else {
+							idle.Add(1)
+						}
+						kind, p := want(g, i)
+						if j == 1 {
+							a.Send(1, kind, p.Body)
+						} else {
+							SendParts(a, 1, kind, p)
+						}
+						i++
+					}
+					frames := make([]Parts, batch)
+					kind := uint8(0)
+					for k := range frames {
+						kind, frames[k] = want(g, i)
+						i++
+					}
+					SendFrames(a, 1, kind, frames)
+				}
+			}
+		}()
+	}
+	for e := range epochs {
+		arrived[e].Wait()
+		waitFor(t, 10*time.Second, "the peer never went idle", func() bool {
+			q, b := peerState(a, 1)
+			return q == 0 && !b
+		})
+		close(start[e])
+	}
+	wg.Wait()
+
+	total := senders * epochs * rounds * perRound
+	got := recvN(ch, total, 30*time.Second)
+	if len(got) != total {
+		t.Fatalf("%d frames delivered, want %d", len(got), total)
+	}
+	next := make([]int, senders)
+	for _, f := range got {
+		g := int(f.Data[0])
+		kind, p := want(g, next[g])
+		if f.Kind != kind || !bytes.Equal(f.Data, joined(p)) {
+			t.Fatalf("sender %d's frame %d arrived damaged, twice or out of order", g, next[g])
+		}
+		next[g]++
+	}
+	select {
+	case f := <-ch:
+		t.Fatalf("an extra frame from sender %d", f.Data[0])
+	case <-time.After(10 * time.Millisecond):
+	}
+	if busy.Load() == 0 || idle.Load() == 0 {
+		t.Fatalf("sends met a busy peer %d times and an idle one %d times; want both", busy.Load(), idle.Load())
 	}
 }

@@ -354,19 +354,28 @@ func (e *tcpEndpoint) Close() {
 	e.inbox.Close()
 }
 
-// Send writes the frame inline when the peer is connected and nothing
-// is queued for it or being written to it; otherwise it queues the frame
-// for the peer's writer. It never waits for a dial. The inline write
-// saves the hop to the writer goroutine, which is most of a small
-// frame's cost; it blocks only while the peer's socket buffers are full,
-// for at most WriteTimeout. A failed inline write drops the frame and
-// the peer's queue, as a failed batch does.
+// Send writes the frame inline or queues it; it is the one-part case of
+// sendParts.
 func (e *tcpEndpoint) Send(to int, kind uint8, data []byte) bool {
+	return e.sendParts(to, kind, Parts{Body: data})
+}
+
+// sendParts writes the frame Head‖Body inline when the peer is connected
+// and nothing is queued for it or being written to it; otherwise it
+// queues the frame for the peer's writer. It never waits for a dial. The
+// inline write saves the hop to the writer goroutine, which is most of a
+// small frame's cost, and writes the two parts as they lie, so a large
+// body is neither joined to its head nor copied; it blocks only while
+// the peer's socket buffers are full, for at most WriteTimeout. A failed
+// inline write drops the frame and the peer's queue, as a failed batch
+// does. The parts are borrowed until written, as SendFrames borrows
+// them.
+func (e *tcpEndpoint) sendParts(to int, kind uint8, parts Parts) bool {
 	p := e.peer(to)
 	if p == nil {
 		return false
 	}
-	f := [1]outFrame{{kind, Parts{Body: data}}}
+	f := [1]outFrame{{kind, parts}}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

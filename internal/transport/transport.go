@@ -34,15 +34,36 @@ type Endpoint interface {
 	// peer is connected and nothing is queued for it, and queues it
 	// for the peer's writer otherwise: it never waits for a dial,
 	// though an inline write to a half-open peer can block up to
-	// WriteTimeout. TCP delivers each frame at most once: a failed
-	// dial or write drops the peer's unwritten frames, and recovering
-	// them is the protocol's job. Frames to one peer keep their order
+	// WriteTimeout. SendParts is the same rule for a frame in two
+	// parts, and SendFrames always queues. TCP delivers each frame at
+	// most once: a failed dial or write drops the peer's unwritten
+	// frames, and recovering them is the protocol's job. Frames to one peer keep their order
 	// on one connection; across a crossed-dial switch they may not.
 	Send(to int, kind uint8, data []byte) bool
 	// Inbox is the mailbox into which the fabric delivers frames.
 	Inbox() *vtime.Mailbox[Frame]
 	// Close detaches the endpoint; its inbox is closed.
 	Close()
+}
+
+// partsSender is an endpoint that writes a frame's two parts itself.
+type partsSender interface {
+	sendParts(to int, kind uint8, p Parts) bool
+}
+
+// SendParts sends one frame to node "to" with data Head‖Body, under the
+// rules of Send. A TCP endpoint writes the two parts inline, without
+// joining them, when the peer is connected and idle, and queues the
+// frame otherwise, exactly as it does a Send; it borrows the parts
+// until they are written, as SendFrames does, so their bytes must not
+// change after the call. This is how a payload leaves the sender: its
+// body is the SAVED entry itself. Every other endpoint is sent one
+// joined copy through Send, as SendFrames does.
+func SendParts(ep Endpoint, to int, kind uint8, p Parts) bool {
+	if s, ok := ep.(partsSender); ok {
+		return s.sendParts(to, kind, p)
+	}
+	return ep.Send(to, kind, p.joined())
 }
 
 // batchSender is an endpoint that writes a batch of frames itself.
@@ -52,24 +73,24 @@ type batchSender interface {
 
 // SendFrames sends frames to node "to", in order, each with data
 // Head‖Body. A TCP endpoint copies the frames slice onto the peer's
-// queue and returns; the peer's writer sends the batch in a few bounded
-// writev calls, in order with every other frame to that peer, and a
-// failed write drops what is left of it, as Send does. It borrows
-// the parts until they are written, so their bytes must not change
-// after the call: callers pass immutable bytes only — image chunks and
-// their headers, SAVED payloads, stored image slices — or fresh heads.
-// Every other endpoint — simulated, in-memory, chaos, or a wrapper
-// around any of them — is sent one joined copy per frame through Send,
-// since its receiver owns the slice it gets; the bytes and the delivery
-// times are those of Send with the joined data, frame by frame. It
-// reports false if the local endpoint is closed.
+// queue and returns, whether or not the peer is idle; the peer's writer
+// sends the batch in a few bounded writev calls, in order with every
+// other frame to that peer, and a failed write drops what is left of
+// it, as Send does. It borrows the parts until they are written, so
+// their bytes must not change after the call: callers pass immutable
+// bytes only — image chunks and their headers, SAVED payloads, stored
+// image slices — or fresh heads. Every other endpoint — simulated,
+// in-memory, chaos, or a wrapper around any of them — is sent one
+// joined copy per frame through Send, since its receiver owns the slice
+// it gets; the bytes and the delivery times are those of Send with the
+// joined data, frame by frame. It reports false if the local endpoint
+// is closed.
 func SendFrames(ep Endpoint, to int, kind uint8, frames []Parts) bool {
 	if b, ok := ep.(batchSender); ok {
 		return b.SendFrames(to, kind, frames)
 	}
 	for _, f := range frames {
-		data := make([]byte, 0, len(f.Head)+len(f.Body))
-		if !ep.Send(to, kind, append(append(data, f.Head...), f.Body...)) {
+		if !ep.Send(to, kind, f.joined()) {
 			return false
 		}
 	}

@@ -14,6 +14,16 @@ import (
 // frame, so payload frames are never recycled; event batches are copied
 // by the decoder, so KEventLog frames are).
 //
+// A payload frame is never built joined on the sender: only its head
+// (AppendPayloadHeader) goes into a GetBuf buffer, and the daemon hands
+// the head and the payload bytes — the SAVED entry itself — to
+// transport.SendParts as two parts. TCP writes them inline as two
+// iovecs when the peer is connected and idle, and queues them for the
+// peer's writer otherwise, so a payload costs its sender one buffer
+// however large it is; the head is not recycled either, since a queued
+// frame borrows it until written. Fabrics whose receiver owns the slice
+// it is handed get one joined copy.
+//
 // Buffers live in size-class buckets (powers of two from 64 bytes to
 // 64 KiB; larger requests are served by plain make and never pooled).
 // Each bucket pairs a pool of filled buffers with a pool of their empty
